@@ -1444,11 +1444,40 @@ let sim () =
         ])
       protocols
   in
+  (* The attacked onion PKA run, the receiver's full-set search at work:
+     program seed 9 on onion_solvable forges reports that split the
+     receiver's search into four conflict branches.  Runs like this one
+     dominate rmtbench's attack workload. *)
+  let onion_tests =
+    match List.assoc_opt "onion_solvable" (attack_instances ()) with
+    | None -> []
+    | Some onion ->
+      let program =
+        Rmt_attack.Strategy_gen.random (Prng.create 9) onion ~x_dealer:5
+          ~x_fake:6
+      in
+      [
+        Test.make ~name:"sim/engine/pka-onion"
+          (Staged.stage (fun () ->
+               Campaign.execute Campaign.Pka onion ~x_dealer:5 program));
+        Test.make ~name:"sim/timely/pka-onion"
+          (Staged.stage (fun () ->
+               Rmt_sim.Sim_exec.execute
+                 ~policy:
+                   (Rmt_sim.Policy.random (Prng.create 7)
+                      Rmt_sim.Policy.timely_params)
+                 Campaign.Pka onion ~x_dealer:5 program));
+      ]
+  in
   (* 2s quota (vs the 0.5s default), as for the core rows: at 0.5s the
      OLS fit on the engine/ppa and sync/zcpa rows was noise (r² ≈ 0.46
      and 0.48), so check_regression's r² < 0.5 rule silently skipped
-     them and those baselines gated nothing *)
-  let rows = run_bechamel ~quota:2.0 tests in
+     them and those baselines gated nothing.  The millisecond onion runs
+     get 10s: at 2s the fit sees too few samples to reach r² 0.9. *)
+  let rows =
+    List.sort compare
+      (run_bechamel ~quota:2.0 tests @ run_bechamel ~quota:10.0 onion_tests)
+  in
   print_bechamel_rows rows;
   (* sweep throughput: seeded (program, schedule) trials per second *)
   let sweep_trials = 200 in

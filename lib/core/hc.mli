@@ -24,10 +24,19 @@
       at the next minor collection (callers hold raw values, not cells);
       instead they are capped and flushed wholesale when full.
     - Every entry point locks one global [Mutex], so the tables are safe
-      under [Parsweep]/[Domain] fan-outs.  rmt-lint sanctions exactly
-      this file's top-level mutable state (see lib/lint/rules.ml and the
-      R6 filter in lib/lint/race.ml); the domain-safety property is
-      tested at runtime in test/core/test_hc.ml. *)
+      under [Parsweep]/[Domain] fan-outs.  rmt-lint has no carve-out for
+      this file: its R8 lock-discipline pass (lib/lint/lock.ml) proves
+      that every top-level table is reached only from [locked] critical
+      sections, and that no critical section re-enters the lock or runs
+      enumerative compute (the memo wrappers probe under the lock,
+      compute outside and re-lock to store).  A new entry point that
+      forgets [locked] is a finding.  The domain-safety property is also
+      tested at runtime in test/core/test_hc.ml.
+    - Callers: the cut deciders reach [memo_restrict] through
+      {!Joint.restriction_cache}; [memo_join], wrapped as
+      {!Joint.join_memo}, serves the RMT-PKA receiver's adversary-cover
+      check ({!Rmt_pka}), which re-joins the same reported structures
+      across candidate sets, rounds and runs. *)
 
 open Rmt_base
 open Rmt_adversary

@@ -46,8 +46,9 @@ val join_delta :
 val join_memo : Structure.t -> Structure.t -> Structure.t
 (** {!join}, memoized globally by hash-consed identity ({!Hc.memo_join}).
     Same results as [join].  Use where repeated joins of identical
-    operands are expected across searches (the streaming service, delta
-    replays); the plain [join] stays unmemoized so benchmarks and
+    operands are expected across searches — the RMT-PKA receiver's cover
+    check re-joins the same reported structures across candidate sets,
+    rounds and runs; the plain [join] stays unmemoized so benchmarks and
     one-shot sweeps measure and pay the true cost. *)
 
 val join_list : Structure.t list -> Structure.t

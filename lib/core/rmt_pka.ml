@@ -53,26 +53,60 @@ let default_budgets =
 (* Receiver state                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Hash tables keyed by node sets, with Nodeset's own equality and hash. *)
+module Set_tbl = Hashtbl.Make (struct
+  type t = Nodeset.t
+
+  let equal = Nodeset.equal
+  let hash = Nodeset.hash
+end)
+
 (* A distinct claimed report together with every propagation trail it
    arrived with.  Trails matter: a forged report's trail necessarily
    contains a corrupted node (the relay tail-check), so a version carrying
    a trail that stays inside an all-honest region is necessarily genuine —
-   the receiver exploits this in the adversary-cover search. *)
+   the receiver exploits this in the adversary-cover search.  That search
+   only asks whether a trail lies inside a node set, so each trail is kept
+   as its node set.  [vid] is a receiver-local id in arrival order (the
+   receiver's own report is 0): the ids of the versions a message set
+   selects key the receiver's work memo ([gm_entry_of]). *)
 type version = {
+  vid : int;
   rep : report;
-  mutable trails : Paths.path list;
+  mutable trail_sets : Nodeset.t list;
+}
+
+type cover = Covered | Uncovered | Unknown
+
+(* G_M for one selection of versions, with the last fullness check per
+   candidate value and the last adversary-cover verdict, stamped with the
+   search ([recv.epoch]) that computed it. *)
+type gm_entry = {
+  gm : Graph.t;
+  mutable missing : (int * (Paths.path option * bool)) list;
+  mutable cover : cover;
+  mutable cover_epoch : int;
 }
 
 type recv = {
   self : int;
   dealer : int;
-  own : report;
+  own : version;
   budgets : budgets;
   (* x ↦ set of claimed D–R paths (trail with the receiver appended) *)
   values : (int, (Paths.path, unit) Hashtbl.t) Hashtbl.t;
   (* node ↦ distinct reports received about it, with their trails *)
   reports : (int, version list) Hashtbl.t;
+  mutable next_vid : int;
+  (* selected version ids ↦ G_M and what is known of it (see
+     [gm_entry_of]) *)
+  gm_memo : gm_entry Set_tbl.t;
+  (* decision searches run so far *)
+  mutable epoch : int;
   mutable decided : int option;
+  (* V_M of a full-set decision with the reports M selects, by node;
+     empty until then, and after a dealer-rule decision *)
+  mutable evidence : (int * report) list;
   mutable truncated : bool;
   mutable dirty : bool;
 }
@@ -120,14 +154,18 @@ let record_report rs r trail =
       | Some l -> l
       | None -> []
     in
+    let trail_set = Nodeset.of_list trail in
     match List.find_opt (fun v -> report_equal v.rep r) known with
     | Some v ->
-      if not (List.mem trail v.trails) then begin
-        v.trails <- trail :: v.trails;
+      (* a trail over the same nodes adds nothing the search can use *)
+      if not (List.exists (Nodeset.equal trail_set) v.trail_sets) then begin
+        v.trail_sets <- trail_set :: v.trail_sets;
         rs.dirty <- true
       end
     | None ->
-      Hashtbl.replace rs.reports r.origin ({ rep = r; trails = [ trail ] } :: known);
+      let v = { vid = rs.next_vid; rep = r; trail_sets = [ trail_set ] } in
+      rs.next_vid <- rs.next_vid + 1;
+      Hashtbl.replace rs.reports r.origin (v :: known);
       rs.dirty <- true
   end
 
@@ -163,7 +201,7 @@ let conflict_branches rs =
     (fun (v, versions) ->
       let expanded =
         List.concat_map
-          (fun branch -> List.map (fun ver -> (v, ver.rep) :: branch) versions)
+          (fun branch -> List.map (fun ver -> (v, ver) :: branch) versions)
           !branches
       in
       if List.length expanded > cap then begin
@@ -175,12 +213,20 @@ let conflict_branches rs =
   if !truncated then rs.truncated <- true;
   !branches
 
+(* One conflict branch: node ↦ selected version, the receiver's own
+   report included. *)
+let branch_info rs selection =
+  let info = Hashtbl.create 16 in
+  List.iter (fun (v, ver) -> Hashtbl.replace info v ver) selection;
+  Hashtbl.replace info rs.self rs.own;
+  info
+
 let build_gm info vset =
   let joint =
     Nodeset.fold
       (fun v acc ->
         match Hashtbl.find_opt info v with
-        | Some r -> Graph.union r.gamma acc
+        | Some ver -> Graph.union ver.rep.gamma acc
         | None -> acc)
       vset Graph.empty
   in
@@ -203,27 +249,28 @@ let build_gm info vset =
    versions of the same node prove B contains a corrupted node: such a B
    is conservatively treated as covered (this cannot block the genuine
    branch of the sufficiency argument, where every candidate B is honest
-   and conflict-free). *)
+   and conflict-free).  The verdict depends on G_M and the evidence
+   received, never on the candidate value. *)
 let has_cover rs gm =
   if not (Graph.mem_node rs.dealer gm) then
     (* no dealer in the claimed graph: never decide on such an M *)
-    `Yes
+    Covered
   else begin
     let forbidden = Graph.closed_neighborhood rs.dealer gm in
     if Nodeset.mem rs.self forbidden then
       (* direct (claimed and type-1-corroborated) D–R edge: no cut exists *)
-      `No
+      Uncovered
     else begin
-      let trail_inside b p = List.for_all (fun v -> Nodeset.mem v b) p in
       let eligible b u =
-        if u = rs.self then [ rs.own ]
+        if u = rs.self then [ rs.own.rep ]
         else
           match Hashtbl.find_opt rs.reports u with
           | None -> []
           | Some versions ->
             List.filter_map
               (fun ver ->
-                if List.exists (trail_inside b) ver.trails then Some ver.rep
+                if List.exists (fun t -> Nodeset.subset t b) ver.trail_sets
+                then Some ver.rep
                 else None)
               versions
       in
@@ -240,7 +287,7 @@ let has_cover rs gm =
                  | [ r ] ->
                    check
                      (Nodeset.union vgb (Graph.nodes r.gamma))
-                     (Joint.join zb r.zeta) rest
+                     (Joint.join_memo zb r.zeta) rest
                  | _ :: _ :: _ ->
                    (* conflicting certified versions: b provably contains a
                       corrupted node — treat as covered *)
@@ -255,9 +302,77 @@ let has_cover rs gm =
             end
             else false)
       in
-      if !covered then `Yes else if outcome.complete then `No else `Unknown
+      if !covered then Covered else if outcome.complete then Uncovered
+      else Unknown
     end
   end
+
+(* The receiver's work memo, keyed by the ids of the versions a message
+   set M selects.  Those ids fix V_M (the receiver is id 0 and every other
+   member has exactly one selected version) and every report G_M is built
+   from, so the key names the same G_M in every branch and every search,
+   and a stored G_M is exact for good.
+
+   What is stored about G_M stays exact across searches (rounds) because
+   ingestion only ever adds: [record_value] adds D–R paths to a value and
+   [record_report] adds versions and trail sets.
+
+   - Fullness for value [x]: the D–R path enumeration over a fixed G_M is
+     fixed, and paths only arrive.  A stored first missing path that is
+     still missing is still the first, found after the same number of
+     steps; a [None] (full, or no missing path within [path_budget]) stays
+     [None].  Only a stored missing path that has since arrived forces a
+     new check.
+   - Adversary cover: the versions eligible for a given B only grow.  That
+     keeps a covering B covering — a member with one eligible version keeps
+     it or gains a second, and conflicting versions count as covered — and
+     the B enumeration over the same G_M is the same, so a later search
+     meets a cover at the same or an earlier index, still within
+     [cover_budget].  [Covered] is therefore kept; [Uncovered] and
+     [Unknown] can flip as evidence arrives and hold for one search
+     ([rs.epoch]) only.
+
+   The memo is a cache, so it is capped: past [gm_memo_cap] entries it is
+   flushed, and a flushed entry is recomputed to the same answers. *)
+let gm_memo_cap = 1 lsl 14
+
+let gm_entry_of rs info vset ids =
+  match Set_tbl.find_opt rs.gm_memo ids with
+  | Some e -> e
+  | None ->
+    if Set_tbl.length rs.gm_memo >= gm_memo_cap then Set_tbl.reset rs.gm_memo;
+    let e =
+      {
+        gm = build_gm info vset;
+        missing = [];
+        cover = Unknown;
+        cover_epoch = -1;
+      }
+    in
+    Set_tbl.replace rs.gm_memo ids e;
+    e
+
+let missing_path rs e x paths_x =
+  match List.assoc_opt x e.missing with
+  | Some ((None, _) as found) -> found
+  | Some ((Some q, _) as found) when not (Hashtbl.mem paths_x q) -> found
+  | Some (Some _, _) | None ->
+    let found =
+      Paths.find_simple_path ~budget:rs.budgets.path_budget e.gm rs.dealer
+        rs.self (fun q -> not (Hashtbl.mem paths_x q))
+    in
+    e.missing <- (x, found) :: List.remove_assoc x e.missing;
+    found
+
+let cover_of rs e =
+  match e.cover with
+  | Covered -> Covered
+  | (Uncovered | Unknown) as c when e.cover_epoch = rs.epoch -> c
+  | Uncovered | Unknown ->
+    let c = has_cover rs e.gm in
+    e.cover <- c;
+    e.cover_epoch <- rs.epoch;
+    c
 
 let path_interior q =
   match q with
@@ -268,7 +383,7 @@ let edge_reporters info vset (a, b) =
   Nodeset.filter
     (fun w ->
       match Hashtbl.find_opt info w with
-      | Some r -> Graph.mem_edge a b r.gamma
+      | Some ver -> Graph.mem_edge a b ver.rep.gamma
       | None -> false)
     vset
 
@@ -291,24 +406,22 @@ let try_value rs info x =
   in
   if not (Hashtbl.mem info rs.dealer) then false
   else begin
-    let visited = Hashtbl.create 64 in
+    let visited = Set_tbl.create 64 in
     let budget = ref rs.budgets.subset_budget in
-    let rec explore vset =
-      let key = Nodeset.to_string vset in
-      if Hashtbl.mem visited key then false
+    let vid v = (Hashtbl.find info v).vid in
+    let rec explore vset ids =
+      if Set_tbl.mem visited ids then false
       else begin
-        Hashtbl.replace visited key ();
+        Set_tbl.replace visited ids ();
         if !budget <= 0 then begin
           rs.truncated <- true;
           false
         end
         else begin
           decr budget;
-          let gm = build_gm info vset in
-          let missing, complete =
-            Paths.find_simple_path ~budget:rs.budgets.path_budget gm rs.dealer
-              rs.self (fun q -> not (Hashtbl.mem paths_x q))
-          in
+          let entry = gm_entry_of rs info vset ids in
+          let gm = entry.gm in
+          let missing, complete = missing_path rs entry x paths_x in
           match (missing, complete) with
           | None, false ->
             rs.truncated <- true;
@@ -324,22 +437,16 @@ let try_value rs info x =
             false
           | None, true ->
             (* full: check for an adversary cover *)
-            (match has_cover rs gm with
-             | `No ->
-               if Sys.getenv_opt "RMT_PKA_DEBUG" <> None then begin
-                 Printf.eprintf "[pka %d] DECIDE %d on V_M=%s\n%!" rs.self x
-                   (Nodeset.to_string vset);
-                 Hashtbl.iter
-                   (fun v (r : report) ->
-                     if Nodeset.mem v vset then
-                       Printf.eprintf "  info %d: gamma=%s zeta=%s\n%!" v
-                         (Nodeset.to_string (Graph.nodes r.gamma))
-                         (Structure.to_string r.zeta))
-                   info
-               end;
+            (match cover_of rs entry with
+             | Uncovered ->
+               rs.evidence <-
+                 Nodeset.fold
+                   (fun v acc -> (v, (Hashtbl.find info v).rep) :: acc)
+                   vset []
+                 |> List.rev;
                true
-             | `Yes -> false
-             | `Unknown ->
+             | Covered -> false
+             | Unknown ->
                rs.truncated <- true;
                false)
           | Some q, _ ->
@@ -353,14 +460,28 @@ let try_value rs info x =
             let candidates =
               Nodeset.remove rs.dealer (Nodeset.remove rs.self candidates)
             in
-            Nodeset.exists (fun w -> explore (Nodeset.remove w vset)) candidates
+            Nodeset.exists
+              (fun w ->
+                explore (Nodeset.remove w vset) (Nodeset.remove (vid w) ids))
+              candidates
         end
       end
     in
-    let all = Hashtbl.fold (fun v _ acc -> Nodeset.add v acc) info Nodeset.empty in
-    explore all
+    let all, all_ids =
+      Hashtbl.fold
+        (fun v ver (vs, ids) -> (Nodeset.add v vs, Nodeset.add ver.vid ids))
+        info (Nodeset.empty, Nodeset.empty)
+    in
+    explore all all_ids
   end
 
+(* One decision search.  Work is shared at three levels: each conflict
+   branch's selection table is built once per search and serves every
+   candidate value; the receiver's [gm_memo] carries G_M, fullness
+   checks and cover verdicts across values, branches and searches
+   (rounds); and the ⊕ joins of the cover check go through the global
+   [Joint.join_memo].  The enumeration orders and budgets are those of the
+   plain search, so decisions and truncation flags are too. *)
 let try_decide rs =
   if rs.decided = None then begin
     (* dealer propagation rule *)
@@ -383,17 +504,12 @@ let try_decide rs =
         |> List.sort Int.compare
       in
       if xs <> [] then begin
-        let branches = conflict_branches rs in
-        let try_branch branch x =
-          let info = Hashtbl.create 16 in
-          List.iter (fun (v, r) -> Hashtbl.replace info v r) branch;
-          Hashtbl.replace info rs.self rs.own;
-          try_value rs info x
-        in
+        rs.epoch <- rs.epoch + 1;
+        let branches = List.map (branch_info rs) (conflict_branches rs) in
         List.iter
           (fun x ->
             if rs.decided = None then
-              if List.exists (fun branch -> try_branch branch x) branches then
+              if List.exists (fun br -> try_value rs br x) branches then
                 rs.decided <- Some x)
           xs
       end
@@ -422,11 +538,15 @@ let automaton ?(budgets = default_budgets) (inst : Instance.t) ~x_dealer =
         {
           self = v;
           dealer = inst.dealer;
-          own = own_report v;
+          own = { vid = 0; rep = own_report v; trail_sets = [] };
           budgets;
           values = Hashtbl.create 4;
           reports = Hashtbl.create 16;
+          next_vid = 1;
+          gm_memo = Set_tbl.create 64;
+          epoch = 0;
           decided = None;
+          evidence = [];
           truncated = false;
           dirty = false;
         }
@@ -467,6 +587,20 @@ let receiver_trace st =
       rs.values;
     Buffer.add_string buf
       (Printf.sprintf "  reports about %d node(s)\n" (Hashtbl.length rs.reports));
+    (match (rs.decided, rs.evidence) with
+     | None, _ -> ()
+     | Some _, [] -> Buffer.add_string buf "  decided by the dealer rule\n"
+     | Some _, evidence ->
+       Buffer.add_string buf
+         (Printf.sprintf "  decided on V_M=%s\n"
+            (Nodeset.to_string (Nodeset.of_list (List.map fst evidence))));
+       List.iter
+         (fun (v, r) ->
+           Buffer.add_string buf
+             (Printf.sprintf "    info %d: gamma=%s zeta=%s\n" v
+                (Nodeset.to_string (Graph.nodes r.gamma))
+                (Structure.to_string r.zeta)))
+         evidence);
     Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

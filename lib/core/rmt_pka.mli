@@ -74,10 +74,10 @@ val search_truncated : state -> bool
 
 val receiver_trace : state -> string
 (** Human-readable summary of the receiver's collected evidence (for the
-    CLI and examples).  Additionally, setting the [RMT_PKA_DEBUG]
-    environment variable makes the receiver print every deciding message
-    set (value, [V_M], per-node reports) to stderr — invaluable when
-    auditing a decision. *)
+    CLI and examples).  After a decision it also names the rule that
+    fired: the dealer rule, or the full message set behind the value —
+    its [V_M] and, per member, the reported view and local structure that
+    [M] selected — which is what auditing a decision needs. *)
 
 (** {1 Running RMT-PKA on an instance} *)
 

@@ -172,6 +172,24 @@ let test_protocol_roundtrip () =
        (Service.exec s (parse "stats?"))
        "stats updates=1 rejected=0 queries=2 cached=0 reused=0 searched=2")
 
+(* Streams from a single-edge instance can remove its only edge; an edge
+   removal sampled on the edgeless graph must be retried, not raise, and
+   every stream must still replay. *)
+let test_stream_edgeless () =
+  let g = Rmt_graph.Graph.of_edges [ (0, 1) ] in
+  let inst =
+    Instance.ad_hoc_of ~graph:g
+      ~structure:(Structure.empty_family ~ground:Nodeset.empty)
+      ~dealer:0 ~receiver:1
+  in
+  for seed = 0 to 49 do
+    let stream = Rmt_test_gen.Gen.delta_stream (Prng.create seed) inst 12 in
+    check
+      (Printf.sprintf "seed %d replays" seed)
+      true
+      (Result.is_ok (Delta.apply_all inst stream))
+  done
+
 let () =
   Alcotest.run "incremental"
     [
@@ -179,6 +197,8 @@ let () =
         [
           Alcotest.test_case "service stats" `Quick test_service_stats;
           Alcotest.test_case "replay protocol" `Quick test_protocol_roundtrip;
+          Alcotest.test_case "edgeless delta stream" `Quick
+            test_stream_edgeless;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]

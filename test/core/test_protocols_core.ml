@@ -76,10 +76,22 @@ let test_pka_trace () =
     Rmt_net.Engine.run ~graph:layered3.graph
       ~adversary:Rmt_net.Engine.no_adversary auto
   in
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s
+      && (String.equal (String.sub s i n) sub || at (i + 1))
+    in
+    at 0
+  in
   match List.assoc_opt 7 outcome.states with
   | Some st ->
-    check "trace mentions receiver" true
-      (String.length (Rmt_pka.receiver_trace st) > 10)
+    let trace = Rmt_pka.receiver_trace st in
+    check "trace mentions receiver" true (String.length trace > 10);
+    (* no D–R edge: a full message set decides, and the trace names its
+       V_M and the dealer's report in it *)
+    check "trace names V_M" true (contains trace "decided on V_M=");
+    check "trace shows the dealer's report" true (contains trace "info 0:")
   | None -> Alcotest.fail "receiver state missing"
 
 (* ------------------------------------------------------------------ *)

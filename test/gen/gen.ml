@@ -96,9 +96,15 @@ let delta_stream rng inst n =
       let u = Prng.pick rng (Nodeset.to_array nodes) in
       let v = Prng.pick rng (Nodeset.to_array nodes) in
       Delta.Add_edge (u, v)
-    | 1 ->
-      let u, v = Prng.pick_list rng (Graph.edges g) in
-      Delta.Remove_edge (u, v)
+    | 1 -> (
+      match Graph.edges g with
+      | [] ->
+        (* no edge to remove: an inapplicable sample, so [try_one] draws
+           again *)
+        Delta.Remove_edge (inst.dealer, inst.dealer)
+      | edges ->
+        let u, v = Prng.pick_list rng edges in
+        Delta.Remove_edge (u, v))
     | 2 ->
       let fresh =
         match Nodeset.max_elt_opt nodes with Some m -> m + 1 | None -> 0

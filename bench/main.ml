@@ -1511,13 +1511,11 @@ let sim () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* NET — transport backends: synchronous rounds at scale               *)
+(* NET — the round loop: synchronous rounds at scale                   *)
 (* ------------------------------------------------------------------ *)
 
 (* json fragments filled in by [net] and flushed by the driver *)
 let net_json_sections : string list ref = ref []
-
-module Mcast = Rmt_net.Mcast
 
 (* heartbeat: every node multicasts a round counter to all neighbors
    for [beats] rounds, then decides — n(n-1) deliveries per round on
@@ -1566,8 +1564,7 @@ let flood_automaton g ~origin ~value =
   }
 
 let net () =
-  section "NET — transport backends: synchronous rounds at scale";
-  let domains_avail = Mcast.recommended_domains () in
+  section "NET — the round loop: synchronous rounds at scale";
   (* n = 200 complete graph, 25 beats: ~1M delivered messages per run *)
   let hb_n = 200 and beats = 25 in
   let hb_g = Generators.complete hb_n in
@@ -1579,130 +1576,74 @@ let net () =
     "  workloads: heartbeat (complete n=%d, %d rounds), flood (layered \
      n=%d)\n"
     hb_n beats fl_n;
-  let exec ~domains g automaton =
-    match domains with
-    | None ->
-      Rmt_net.Engine.run ~graph:g ~adversary:Rmt_net.Engine.no_adversary
-        automaton
-    | Some d ->
-      Mcast.run ~domains:d ~graph:g ~adversary:Rmt_net.Engine.no_adversary
-        automaton
-  in
-  (* single-domain rows are the gated baselines (rmt/net/); the
-     multi-domain rows depend on the runner's core count and are
-     informational only (net-info/) *)
-  let cases =
-    let multi =
-      let rec uniq = function
-        | [] -> []
-        | d :: rest -> d :: uniq (List.filter (( <> ) d) rest)
-      in
-      List.filter (fun d -> d > 1) (uniq [ 2; 4; domains_avail ])
-    in
-    [ ("engine", None); ("mcast1", Some 1) ]
-    @ List.map (fun d -> (Printf.sprintf "mcast%d" d, Some d)) multi
-  in
   let run_workload wname g automaton =
-    List.map
-      (fun (bname, domains) ->
-        let run () =
-          let o = exec ~domains g automaton in
-          let open Rmt_net.Transport in
-          if o.stats.truncated then
-            failwith (Printf.sprintf "net bench: %s/%s truncated" bname wname);
-          (o.stats.messages, List.length o.decisions, o.stats.rounds)
-        in
-        ignore (run ());
-        let (msgs, decs, rounds), secs = Timing.time_it run in
-        (wname, bname, domains, msgs, decs, rounds, secs))
-      cases
+    let run () =
+      let o =
+        Rmt_net.Engine.run ~graph:g ~adversary:Rmt_net.Engine.no_adversary
+          automaton
+      in
+      let open Rmt_net.Transport in
+      if o.stats.truncated then
+        failwith (Printf.sprintf "net bench: engine/%s truncated" wname);
+      (o.stats.messages, List.length o.decisions, o.stats.rounds)
+    in
+    ignore (run ());
+    let (msgs, decs, rounds), secs = Timing.time_it run in
+    (wname, msgs, decs, rounds, secs)
   in
-  let rows = run_workload "heartbeat" hb_g hb @ run_workload "flood" fl_g fl in
-  (* every backend must agree on the outcome before we compare speeds *)
-  let deterministic =
-    List.for_all
-      (fun (w, _, _, m, d, r, _) ->
-        List.exists
-          (fun (w', b', _, m', d', r', _) ->
-            w' = w && b' = "engine" && m = m' && d = d' && r = r')
-          rows)
-      rows
-  in
-  if not deterministic then failwith "net bench: backends DIVERGED (bug!)";
+  let rows = [ run_workload "heartbeat" hb_g hb; run_workload "flood" fl_g fl ] in
   let t =
     Table.create
       [
-        "workload"; "backend"; "messages"; "rounds"; "wall-clock";
-        "msgs/sec"; "decisions/sec";
+        "workload"; "messages"; "rounds"; "wall-clock"; "msgs/sec";
+        "decisions/sec";
       ]
   in
   List.iter
-    (fun (w, b, _, msgs, decs, _rounds, secs) ->
+    (fun (w, msgs, decs, rounds, secs) ->
       Table.add_row t
         [
-          w; b; Table.cell_int msgs;
-          Table.cell_int _rounds;
+          w; Table.cell_int msgs; Table.cell_int rounds;
           Printf.sprintf "%.3f s" secs;
           Printf.sprintf "%.2e" (float_of_int msgs /. secs);
           Printf.sprintf "%.0f" (float_of_int decs /. secs);
         ])
     rows;
-  Table.print
-    ~title:
-      (Printf.sprintf
-         "transport backends — outcomes bit-for-bit identical; %d core(s) \
-          available"
-         domains_avail)
-    t;
-  let single_domain (_, _, domains, _, _, _, _) =
-    match domains with None | Some 1 -> true | Some _ -> false
-  in
+  Table.print ~title:"engine round loop" t;
   let micro_json =
-    (* single-domain rows live under the tracked rmt/net/ prefix and
-       gate CI; multi-domain rows land in the untracked net-info/
-       namespace — their timing depends on the runner's core count *)
     String.concat ",\n    "
       (List.map
-         (fun ((w, b, _, _, _, _, secs) as row) ->
-           Printf.sprintf "{\"name\": \"%s/%s/%s\", \"ns_per_run\": %.1f}"
-             (if single_domain row then "rmt/net" else "net-info")
-             b w (secs *. 1e9))
+         (fun (w, _, _, _, secs) ->
+           Printf.sprintf
+             "{\"name\": \"rmt/net/engine/%s\", \"ns_per_run\": %.1f}" w
+             (secs *. 1e9))
          rows)
   in
   let run_json =
     String.concat ",\n    "
       (List.map
-         (fun (w, b, domains, msgs, decs, rounds, secs) ->
+         (fun (w, msgs, decs, rounds, secs) ->
            Printf.sprintf
-             "{\"workload\": %S, \"backend\": %S, \"domains\": %d, \
+             "{\"workload\": %S, \"backend\": \"engine\", \"domains\": 1, \
               \"messages\": %d, \"decisions\": %d, \"rounds\": %d, \
               \"seconds\": %.4f, \"msgs_per_sec\": %.1f, \
               \"decisions_per_sec\": %.1f}"
-             w b
-             (match domains with None -> 1 | Some d -> d)
-             msgs decs rounds secs
+             w msgs decs rounds secs
              (float_of_int msgs /. secs)
              (float_of_int decs /. secs))
          rows)
   in
   let headline =
-    let find b w =
-      List.find_map
-        (fun (w', b', _, msgs, _, _, secs) ->
-          if w' = w && b' = b then Some (float_of_int msgs /. secs) else None)
-        rows
-      |> Option.value ~default:nan
-    in
-    Printf.sprintf
-      "{\"n\": %d, \"engine_msgs_per_sec\": %.1f, \
-       \"mcast1_msgs_per_sec\": %.1f}"
-      hb_n (find "engine" "heartbeat") (find "mcast1" "heartbeat")
+    match rows with
+    | (_, msgs, _, _, secs) :: _ ->
+      Printf.sprintf "{\"n\": %d, \"engine_msgs_per_sec\": %.1f}" hb_n
+        (float_of_int msgs /. secs)
+    | [] -> "{}"
   in
   net_json_sections :=
     [
       Printf.sprintf "\"micro\": [\n    %s\n  ]" micro_json;
       Printf.sprintf "\"headline\": %s" headline;
-      Printf.sprintf "\"deterministic\": %b" deterministic;
       Printf.sprintf "\"runs\": [\n    %s\n  ]" run_json;
     ]
 
@@ -1968,7 +1909,7 @@ let write_net_json () =
   let oc = open_out path in
   Printf.fprintf oc
     "{\n  \"schema\": \"rmt-bench-net/1\",\n  \"domains_available\": %d,\n  %s\n}\n"
-    (Mcast.recommended_domains ())
+    (Parsweep.recommended_domains ())
     (String.concat ",\n  " !net_json_sections);
   close_out oc;
   Printf.printf "[wrote %s]\n" path

@@ -477,6 +477,9 @@ let sim file seed topology adversary knowledge dealer receiver value protocol
             Printf.sprintf " (recorded: %s)" (Campaign.verdict_to_string v));
        if Replay.verdict_matches r report then `Ok ()
        else `Error (false, "replayed verdict differs from the recorded one"))
+  | None when bound < 1 || bound > Rmt_sim.Schedule.max_bound ->
+    parse_error "--bound must be in [1, %d], got %d"
+      Rmt_sim.Schedule.max_bound bound
   | None ->
     (match
        build_instance ?file ~seed ~topology ~adversary ~knowledge ~dealer
@@ -713,8 +716,9 @@ let sim_cmd =
           ~doc:
             "Delay bound for the random delivery policy.  1 (the default) \
              keeps every first delivery on the synchronous timetable, where \
-             protocol safety is guaranteed; larger bounds explore genuinely \
-             asynchronous schedules, where RMT-PKA safety can fail.")
+             protocol safety is guaranteed; larger bounds (up to 64) explore \
+             genuinely asynchronous schedules, where RMT-PKA safety can \
+             fail.")
   in
   let drops_t =
     Arg.(

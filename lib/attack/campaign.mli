@@ -89,11 +89,11 @@ type runner = {
     ('s, 'm) Rmt_net.Engine.automaton ->
     ('s, 'm) Rmt_net.Engine.outcome;
 }
-(** An execution backend with {!Rmt_net.Engine.run}'s interface.  The
-    polymorphic field lets one value serve every protocol's message
-    type, so alternative runtimes (the discrete-event simulator in
-    [lib/sim]) plug into {!execute} without duplicating the
-    per-protocol dispatch. *)
+(** An execution backend with {!Rmt_net.Engine.run}'s interface — the
+    one backend abstraction.  The polymorphic field lets one value serve
+    every protocol's message type, so other runtimes (the simulator's
+    [Sim_exec.runner], or a wrapper that observes a run) plug into
+    {!execute} without duplicating the per-protocol dispatch. *)
 
 val engine_runner : runner
 (** The synchronous engine itself — the default backend. *)

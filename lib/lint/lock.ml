@@ -9,23 +9,17 @@
    hc.ml passes on its own merits and a regression there (say, a new
    entry point that forgets [locked]) is a finding, not a silent hole.
 
-   R8 verifies the two concurrency protocols the repository depends on:
+   R8 verifies the lock protocol the repository depends on:
 
    - {e compute-outside-lock} (Hc): a closure passed to a lock-acquiring
      wrapper must not transitively re-acquire a mutex, and must not
      reach allocation-heavy compute (Structure.restrict/join, the
      solvability core, the fan-out engines) — the whole point of the
      probe/compute/store split is that enumeration happens unlocked;
-   - {e raw-lock hygiene} (Mcast's Gate): between a bare [Mutex.lock]
-     and its [Mutex.unlock], walked in source order, no may-raise call
-     may appear unless the region uses [Fun.protect] — an exception
-     there would leave the lock held and deadlock the phase barrier;
-   - {e barrier-capture discipline}: captures shared by a Domain.spawn
-     closure that synchronizes on a phase barrier (Gate/Barrier/
-     Condition) must be per-domain indexable (array/bytes) — the
-     single-writer-per-phase protocol has no story for a shared ref or
-     Hashtbl.  R6 stands down on such closures (the barrier is the
-     synchronization it cannot see); R8 owns the residual obligation. *)
+   - {e raw-lock hygiene}: between a bare [Mutex.lock] and its
+     [Mutex.unlock], walked in source order, no may-raise call may
+     appear unless the region uses [Fun.protect] — an exception there
+     would leave the lock held and deadlock the next acquirer. *)
 
 let rule = "R8"
 
@@ -146,23 +140,6 @@ let check_raw_lock store (f : Callgraph.fn_summary) add =
     f.refs;
   if !held then flush ()
 
-let check_barrier_captures (f : Callgraph.fn_summary) add =
-  List.iter
-    (fun (fo : Callgraph.fanout) ->
-      if Summary.barrier_disciplined fo then
-        List.iter
-          (fun (var, kind) ->
-            if not (Summary.indexed_capture_kind kind) then
-              add ~line:fo.fan_line
-                (Printf.sprintf
-                   "closure passed to %s synchronizes on a phase barrier \
-                    but captures mutable %s `%s'; the single-writer-per-\
-                    phase protocol needs per-domain indexable slots \
-                    (array/bytes) or an Atomic"
-                   fo.fan_callee kind var))
-          fo.captured)
-    f.fanouts
-
 let analyze store =
   let graph = Summary.graph store in
   let findings = ref [] in
@@ -180,7 +157,6 @@ let analyze store =
           if Summary.lock_wrapper store h.ho_callee then
             check_crit store h add)
         f.ho_args;
-      check_raw_lock store f add;
-      check_barrier_captures f add)
+      check_raw_lock store f add)
     (Callgraph.functions graph);
   analyze_r4 store @ !findings |> List.sort Finding.compare

@@ -7,9 +7,7 @@
     the compute-outside-lock pattern (no re-entrant acquisition, no
     allocation-heavy compute inside a critical section), raw-lock
     hygiene (no may-raise call between [Mutex.lock] and [Mutex.unlock]
-    without [Fun.protect]) and barrier-capture discipline (Domain.spawn
-    closures synchronizing on a phase barrier may only capture
-    per-domain indexable containers). *)
+    without [Fun.protect]). *)
 
 val rule : string
 

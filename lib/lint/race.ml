@@ -22,12 +22,10 @@ let exempt_file file =
 
 (* Lock-protected mutable globals (Hc's interned tables and memo
    caches, proven by the summary store's locked-only analysis) are not
-   race targets; barrier-disciplined spawn closures (Mcast's workers,
-   which synchronize every phase on the Gate) hand their capture
-   obligations to R8.  Both were hand-written file carve-outs before the
-   summary store existed; now they are analysis results, and a
-   regression — an Hc entry point that skips [locked], an Mcast worker
-   that drops the barrier — resurfaces here as a finding. *)
+   race targets.  That was a hand-written file carve-out before the
+   summary store existed; now it is an analysis result, and a
+   regression — an Hc entry point that skips [locked] — resurfaces here
+   as a finding. *)
 
 let rule = "R6"
 
@@ -40,12 +38,10 @@ let analyze store =
       if not (exempt_file f.fn_file) then
         List.iter
           (fun (fo : Callgraph.fanout) ->
-            (* captured mutable state; a barrier-synchronized closure's
-               captures are R8's obligation instead *)
+            (* captured mutable state *)
             List.iter
               (fun (var, kind) ->
-                if not (Summary.barrier_disciplined fo) then
-                  add
+                add
                   (Finding.make ~rule ~file:f.fn_file ~line:fo.fan_line
                      ~col:fo.fan_col ~context:fo.fan_context
                      (Printf.sprintf

@@ -8,9 +8,9 @@
     Domain-local allocations are exempt by construction;
     [lib/workloads/parsweep.ml] (the sanctioned fan-out engine, whose
     disjoint-index writes this flow-insensitive pass cannot justify) is
-    exempt by file.  Lock-protected globals and barrier-disciplined
-    captures are exempt by the {!Summary} store's analysis — their
-    residual obligations belong to R8 ({!Lock}). *)
+    exempt by file.  Lock-protected globals are exempt by the
+    {!Summary} store's analysis — their residual obligations belong to
+    R8 ({!Lock}). *)
 
 val rule : string
 (** ["R6"]. *)

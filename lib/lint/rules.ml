@@ -173,13 +173,13 @@ let all =
       name = "lock-discipline";
       summary =
         "critical-section obligations: re-entry, heavy compute under \
-         lock, may-raise without Fun.protect, barrier captures";
+         lock, may-raise without Fun.protect";
       example =
         "bad: `Hc.locked (fun () -> Structure.join a b)' — fixed: probe \
          under the lock, compute outside, re-lock to store";
       details =
-        "The repository runs two deliberate concurrency protocols, and\n\
-         R8 verifies their obligations instead of trusting carve-outs.\n\
+        "The repository runs one deliberate lock protocol, and R8\n\
+         verifies its obligations instead of trusting carve-outs.\n\
          (1) Hc's compute-outside-lock: a closure passed to a\n\
          lock-acquiring wrapper (Hc.locked, Mutex.protect) must not\n\
          transitively re-acquire a mutex (the global lock is not\n\
@@ -190,15 +190,8 @@ let all =
          source order between Mutex.lock and Mutex.unlock, a call that\n\
          may raise (failwith, invalid_arg, raise, or any function whose\n\
          summary says so) with no Fun.protect in the region leaves the\n\
-         lock held on the exception path.  (3) Mcast's barrier-capture\n\
-         discipline: a Domain.spawn closure synchronizing on a phase\n\
-         barrier (Gate.await/set, Barrier.await, Condition.wait) may\n\
-         share captures, but only per-domain indexable ones (array,\n\
-         bytes); a shared ref or Hashtbl has no single-writer-per-phase\n\
-         story.  R6 stands down on barrier-disciplined closures; R8 owns\n\
-         the residual obligation.  Fix: restructure to\n\
-         probe/compute/store, wrap the region in Fun.protect, or give\n\
-         each domain its own indexed slot.";
+         lock held on the exception path.  Fix: restructure to\n\
+         probe/compute/store, or wrap the region in Fun.protect.";
     };
     {
       id = "R9";

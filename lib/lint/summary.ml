@@ -104,13 +104,6 @@ let heavy_names =
 let lock_acquire_names = [ "Mutex.lock"; "Mutex.protect" ]
 let nondet_names = [ "Sys.time"; "Unix.gettimeofday"; "Unix.time" ]
 
-(* Phase barriers that sequence mailbox access in the sharded
-   transport: an Mcast-style expression-level Gate, a stdlib Barrier, or
-   a bare Condition wait.  Canonicalized reference names match the
-   expression-level module too. *)
-let barrier_names =
-  [ "Gate.await"; "Gate.set"; "Barrier.await"; "Condition.wait" ]
-
 let may_raise_last = [ "failwith"; "invalid_arg"; "raise"; "raise_notrace" ]
 
 let last_component name =
@@ -125,21 +118,12 @@ let is_lock_acquire_name n = Names.qualified_matches lock_acquire_names n
 let is_raw_lock_name n = Names.qualified_matches [ "Mutex.lock" ] n
 let is_unlock_name n = Names.qualified_matches [ "Mutex.unlock" ] n
 let is_protect_name n = Names.qualified_matches [ "Fun.protect" ] n
-let is_barrier_name n = Names.qualified_matches barrier_names n
 let is_may_raise_name n = List.mem (last_component n) may_raise_last
 
 let is_nondet_name n =
   String.equal n "Random"
   || String.starts_with ~prefix:"Random." n
   || Names.qualified_matches nondet_names n
-
-let indexed_capture_kind kind =
-  String.equal kind "array" || String.equal kind "bytes"
-
-let barrier_disciplined (fo : Callgraph.fanout) =
-  List.exists
-    (fun (r : Callgraph.ref_site) -> is_barrier_name r.ref_name)
-    fo.closure_refs
 
 (* ------------------------------------------------------------------ *)
 (* The store                                                           *)

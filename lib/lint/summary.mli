@@ -65,15 +65,6 @@ val lock_wrapper : store -> string -> bool
     directly acquires a mutex; closures passed to it are critical
     sections. *)
 
-val barrier_disciplined : Callgraph.fanout -> bool
-(** The fan-out closure references a phase barrier (Gate/Barrier/
-    Condition), so its captures follow the single-writer-per-phase
-    protocol R8 verifies instead of R6 flagging them outright. *)
-
-val indexed_capture_kind : string -> bool
-(** [array] and [bytes] captures are indexable per-domain and allowed
-    under a barrier; [ref]/[Hashtbl.t]/... are not. *)
-
 val cover_sanitizers : string list
 val connectivity_sanitizers : string list
 (** The Theorem-4 sanitizer families ({!Taint} owns the rationale). *)
@@ -86,7 +77,6 @@ val is_may_raise_name : string -> bool
 val is_raw_lock_name : string -> bool
 val is_unlock_name : string -> bool
 val is_protect_name : string -> bool
-val is_barrier_name : string -> bool
 (** Name-class predicates shared with the {!Lock} pass's source-order
     walk. *)
 

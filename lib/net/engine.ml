@@ -1,9 +1,8 @@
 open Rmt_base
-open Rmt_graph
 
-(* The shared vocabulary lives in Transport (the explicit backend
-   contract); Engine re-exports it under the historical names so the
-   rest of the repository keeps compiling unchanged. *)
+(* The shared vocabulary and the round loop live in Transport; Engine
+   re-exports the vocabulary under the historical names and runs the
+   loop with the synchronous decision for every message. *)
 
 type 'm send = 'm Transport.send = { dst : int; payload : 'm }
 
@@ -37,111 +36,10 @@ type ('s, 'm) outcome = ('s, 'm) Transport.outcome = {
 
 let decision_of outcome v = List.assoc_opt v outcome.decisions
 
-let run ?max_rounds ?(max_messages = Transport.default_max_messages)
-    ?(size_of = fun _ -> 1) ?(stop_when = fun _ -> false)
-    ?(on_deliver = Transport.no_deliver_hook) ~graph ~adversary automaton =
-  let roster =
-    Transport.Roster.make ~who:"Engine.run" ~graph
-      ~corrupted:adversary.corrupted
-  in
-  let honest = Transport.Roster.honest roster in
-  let corrupted = Transport.Roster.corrupted roster in
-  let max_rounds =
-    match max_rounds with
-    | Some r -> r
-    | None -> Transport.default_max_rounds graph
-  in
-  let ledger = Transport.Ledger.create ~honest ~decision:automaton.decision in
-  (* in-flight messages: (src, dst, payload), to deliver next round *)
-  let in_flight : (int * int * 'm) list ref = ref [] in
-  let enqueue ~is_honest src sends =
-    List.iter
-      (fun { dst; payload } ->
-        if Graph.mem_edge src dst graph then
-          in_flight := (src, dst, payload) :: !in_flight
-        else if is_honest then
-          invalid_arg
-            (Printf.sprintf "Engine.run: honest node %d sent to non-neighbor %d"
-               src dst))
-      sends
-  in
-  (* round 0: initialization *)
-  Nodeset.iter
-    (fun v ->
-      let st, sends = automaton.init v in
-      Transport.Ledger.register ledger v st;
-      enqueue ~is_honest:true v sends)
-    honest;
-  Nodeset.iter
-    (fun v -> enqueue ~is_honest:false v (adversary.act v ~round:0 ~inbox:[]))
-    corrupted;
-  Transport.Ledger.note_decisions ledger 0;
-  Transport.Ledger.count_round ledger ~delivered:0 ~bits:0;
-  let rounds = ref 1 in
-  let decision_map v = Transport.Ledger.decision_map ledger v in
-  (* With an active adversary we cannot infer quiescence from an empty
-     in-flight queue: a corrupted node may stay silent and inject messages
-     later.  In that case run until [stop_when] or [max_rounds]. *)
-  let live () = !in_flight <> [] || not (Nodeset.is_empty corrupted) in
-  let continue = ref (live () && not (stop_when decision_map)) in
-  while
-    !continue && !rounds <= max_rounds
-    && not (Transport.Ledger.truncated ledger)
-  do
-    if Transport.Ledger.messages ledger + List.length !in_flight > max_messages
-    then Transport.Ledger.truncate ledger
-    else begin
-      let round = !rounds in
-      let deliveries = !in_flight in
-      in_flight := [];
-      let delivered = List.length deliveries in
-      let bits =
-        List.fold_left (fun acc (_, _, p) -> acc + size_of p) 0 deliveries
-      in
-      Transport.Ledger.count_round ledger ~delivered ~bits;
-      let inbox_of =
-        let tbl : (int, (int * 'm) list) Hashtbl.t = Hashtbl.create 16 in
-        (* deliveries were accumulated in reverse send order; restore it so
-           inboxes are in a deterministic, send-ordered sequence *)
-        List.iter
-          (fun (src, dst, p) ->
-            let cur = try Hashtbl.find tbl dst with Not_found -> [] in
-            Hashtbl.replace tbl dst ((src, p) :: cur))
-          deliveries;
-        fun v -> try Hashtbl.find tbl v with Not_found -> []
-      in
-      Nodeset.iter
-        (fun v ->
-          let inbox = inbox_of v in
-          List.iter (fun (src, p) -> on_deliver ~round ~src ~dst:v p) inbox;
-          if inbox <> [] || round = 1 then begin
-            let st = Transport.Ledger.state ledger v in
-            let st', sends = automaton.step v st ~round ~inbox in
-            Transport.Ledger.set_state ledger v st';
-            enqueue ~is_honest:true v sends
-          end)
-        honest;
-      Nodeset.iter
-        (fun v ->
-          let inbox = inbox_of v in
-          List.iter (fun (src, p) -> on_deliver ~round ~src ~dst:v p) inbox;
-          enqueue ~is_honest:false v (adversary.act v ~round ~inbox))
-        corrupted;
-      Transport.Ledger.note_decisions ledger round;
-      incr rounds;
-      continue := live () && not (stop_when decision_map)
-    end
-  done;
-  Transport.Ledger.finalize ledger ~rounds:!rounds
+let sync ~seq:_ ~round:_ ~src:_ ~dst:_ = Transport.sync_decision
 
-(* The contract instance: the engine ignores [seed] — it makes no
-   internal choices. *)
-module Backend : Transport.S = struct
-  let name = "engine"
-  let discipline = Transport.Rounds
-
-  let run ?max_rounds ?max_messages ?size_of ?stop_when ?on_deliver ?seed:_
-      ~graph ~adversary automaton =
-    run ?max_rounds ?max_messages ?size_of ?stop_when ?on_deliver ~graph
-      ~adversary automaton
-end
+let run ?max_rounds ?max_messages ?size_of ?stop_when ?on_deliver ~graph
+    ~adversary automaton =
+  Transport.run ~who:"Engine.run" ~bound:1 ~decide:sync
+    ?max_rounds ?max_messages ?size_of ?stop_when ?on_deliver ~graph
+    ~adversary automaton

@@ -12,10 +12,9 @@
     The engine is polymorphic in the message type ['m] and the per-node
     protocol state ['s].
 
-    The engine is the reference implementation of the explicit
-    {!Transport.S} backend contract; the shared vocabulary below is
-    defined in {!Transport} and re-exported here under its historical
-    names. *)
+    [run] is {!Transport.run} with {!Transport.sync_decision} for every
+    message; the shared vocabulary below is defined in {!Transport} and
+    re-exported here under its historical names. *)
 
 open Rmt_base
 open Rmt_graph
@@ -85,8 +84,3 @@ val run :
     Honest sends to non-neighbors raise [Invalid_argument] — a protocol
     bug; adversarial ones are dropped.  @raise Invalid_argument also when
     a corrupted node id is not a node of the graph. *)
-
-module Backend : Transport.S
-(** The engine as a {!Transport.S} backend ([name = "engine"],
-    per-round discipline).  [seed] is ignored: the engine makes no
-    internal choices. *)

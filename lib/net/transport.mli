@@ -1,37 +1,32 @@
-(** The explicit transport contract shared by every execution backend.
+(** The round loop every execution runs on.
 
-    The paper's protocols are round-based automata whose correctness is
-    independent of the delivery substrate.  This module pins the
-    substrate-independent vocabulary — automata, adversary strategies,
-    outcomes — and the {!S} interface that every backend implements:
+    The paper's protocols are round-based automata over authenticated
+    channels.  This module pins their vocabulary — automata, adversary
+    strategies, outcomes — and {!run}, the one loop that executes them.
+    The loop consults a per-message {!decision} for every send on an
+    existing channel, so the synchronous model and a message adversary
+    differ only in the decisions passed in:
 
-    - {!Engine} (this library): synchronous rounds, the paper's model;
-    - [Rmt_sim.Sim]: discrete events under an adversarial scheduler,
-      whose [Policy.sync] instance reproduces the engine bit for bit;
-    - {!Mcast}: Domain-sharded synchronous rounds for large networks.
+    - {!Engine.run}: the constant {!sync_decision}, the paper's model;
+    - [Rmt_sim.Sim.run]: [Policy.decide], which may drop, delay,
+      reorder and duplicate deliveries.
 
-    The contract, checked for all backends by the functorized
-    conformance suite in [test/net/test_transport.ml]:
+    The contract {!run} implements:
 
     - {b Node registration}: the player set is the graph's node set;
       the corrupted set must be a subset of it ([Invalid_argument]
-      otherwise).  {!Roster} is the shared registration step.
-    - {b Delivery}: a message sent in round [r] is delivered in round
-      [r+1] (per-round backends), or at the round its scheduler
-      chooses (per-event backends); each inbox is ordered by the
-      global send order (honest players in node order, then corrupted
-      ones, each player's sends in emission order).
+      otherwise).
+    - {b Delivery}: every send gets a global sequence number (honest
+      players in node order, then corrupted ones, each player's sends in
+      emission order).  A message sent at round [r] with delay [d] joins
+      its destination's round-[r+d] inbox; each inbox is ordered by
+      [(key, seq)], so all-zero keys give the send-ordered FIFO of
+      synchronous rounds.
     - {b Send batching}: sends are buffered during a round and
       exchanged only at the round boundary; no mid-round delivery.
     - {b Trace hooks}: [on_deliver] fires once per delivered message,
       grouped by destination in node order (honest first), before that
-      destination's [step] observes the message.
-    - {b Deterministic seeding}: a backend consumes randomness only
-      through the explicit [seed] argument, outcomes are a pure
-      function of (automaton, adversary, graph, seed) — and decisions,
-      stats and trace must be {e independent} of the seed, which may
-      only steer internal scheduling choices (e.g. {!Mcast}'s shard
-      assignment). *)
+      destination's [step] observes the message. *)
 
 open Rmt_base
 open Rmt_graph
@@ -74,93 +69,47 @@ type ('s, 'm) outcome = {
 type 'm deliver_hook = round:int -> src:int -> dst:int -> 'm -> unit
 (** The trace hook; see {!Rmt_net.Trace}. *)
 
-val no_deliver_hook : 'm deliver_hook
+(** {1 Delivery decisions} *)
 
-type discipline =
-  | Rounds  (** lock-step rounds; sent at [r] ⇒ delivered at [r+1] *)
-  | Events  (** discrete events; delivery timing set by a scheduler *)
+type decision = {
+  drop : bool;  (** suppress the message entirely *)
+  delay : int;  (** rounds in flight; 1 is the synchronous next round *)
+  key : int;
+      (** per-inbox ordering key: inboxes sort by [(key, seq)], so 0
+          everywhere is FIFO in send order *)
+  dup : int option;
+      (** also deliver a copy [e] rounds after the first delivery *)
+}
 
-(** {1 The backend interface} *)
+val sync_decision : decision
+(** [{drop = false; delay = 1; key = 0; dup = None}] — what the
+    synchronous model does to every message. *)
 
-module type S = sig
-  val name : string
-  (** Stable identifier used in benchmarks and conformance reports. *)
+(** {1 The loop} *)
 
-  val discipline : discipline
+val run :
+  who:string ->
+  bound:int ->
+  decide:(seq:int -> round:int -> src:int -> dst:int -> decision) ->
+  ?max_rounds:int ->
+  ?max_messages:int ->
+  ?size_of:('m -> int) ->
+  ?stop_when:((int -> int option) -> bool) ->
+  ?on_deliver:'m deliver_hook ->
+  graph:Graph.t ->
+  adversary:'m strategy ->
+  ('s, 'm) automaton ->
+  ('s, 'm) outcome
+(** Executes rounds until [stop_when] (given the current decision map)
+    holds, [max_rounds] elapses (default [(4 * num_nodes) + 8], scaled by
+    [bound], the largest delay [decide] may return), the run is
+    quiescent (nothing queued and no corrupted node), or the delivered
+    plus queued messages exceed [max_messages] (default 2,000,000; the
+    outcome is then marked truncated).
 
-  val run :
-    ?max_rounds:int ->
-    ?max_messages:int ->
-    ?size_of:('m -> int) ->
-    ?stop_when:((int -> int option) -> bool) ->
-    ?on_deliver:'m deliver_hook ->
-    ?seed:int ->
-    graph:Graph.t ->
-    adversary:'m strategy ->
-    ('s, 'm) automaton ->
-    ('s, 'm) outcome
-  (** {!Rmt_net.Engine.run}'s interface plus [seed].  Backends without
-      internal choices ignore [seed]; backends with them (Mcast's shard
-      assignment) must keep the outcome — decisions, stats, trace —
-      byte-identical across seeds. *)
-end
-
-val default_max_rounds : Graph.t -> int
-(** [(4 * num_nodes) + 8] — every backend's default round budget. *)
-
-val default_max_messages : int
-
-(** {1 Shared building blocks} *)
-
-(** Node registration: validates the corrupted set, splits the player
-    set and fixes the global send-rank order all backends share. *)
-module Roster : sig
-  type t
-
-  val make : who:string -> graph:Graph.t -> corrupted:Nodeset.t -> t
-  (** @raise Invalid_argument ([who] prefixes the message) when the
-      corrupted set is not a subset of the graph's nodes. *)
-
-  val honest : t -> Nodeset.t
-  val corrupted : t -> Nodeset.t
-
-  val honest_ranked : t -> int array
-  (** Honest players in node order; the array index is the player's
-      dense rank (Mcast shards by it). *)
-
-  val num_honest : t -> int
-
-  val send_rank : t -> int -> int
-  (** Position of a player in the global send order: honest players in
-      node order first, then corrupted ones.  Sorting a merged mailbox
-      by [(send_rank src, per-sender emission index)] reproduces the
-      sequential backends' inbox order exactly. *)
-end
-
-(** Per-run bookkeeping shared by all backends: protocol states,
-    first-decision rounds, message/bit/round counters, and the
-    finalization into an {!outcome}.  Keeping it here means the
-    decision semantics (when is a decision "noted", how are outcomes
-    ordered) cannot drift between backends. *)
-module Ledger : sig
-  type 's t
-
-  val create : honest:Nodeset.t -> decision:('s -> int option) -> 's t
-  val register : 's t -> int -> 's -> unit
-  val state : 's t -> int -> 's
-  val set_state : 's t -> int -> 's -> unit
-
-  val decision_map : 's t -> int -> int option
-  (** [None] for unregistered (corrupted) players. *)
-
-  val note_decisions : 's t -> int -> unit
-  (** Record [round] as the first-decision round of every honest player
-      that has decided and was not already noted. *)
-
-  val count_round : 's t -> delivered:int -> bits:int -> unit
-  val messages : 's t -> int
-  val truncate : 's t -> unit
-  val truncated : 's t -> bool
-
-  val finalize : 's t -> rounds:int -> ('s, 'm) outcome
-end
+    [decide] is called once per send on an existing channel, in
+    sequence-number order.  Honest sends to non-neighbors raise
+    [Invalid_argument] prefixed by [who]; adversarial ones are dropped
+    before they get a sequence number.  @raise Invalid_argument also
+    ([who]-prefixed) when a corrupted node id is not a node of the
+    graph. *)

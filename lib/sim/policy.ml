@@ -49,8 +49,8 @@ let timely_params =
   }
 
 let random rng params =
-  if params.delay_bound < 1 then
-    invalid_arg "Policy.random: delay_bound must be >= 1";
+  if params.delay_bound < 1 || params.delay_bound > Schedule.max_bound then
+    invalid_arg "Policy.random: delay_bound outside [1, Schedule.max_bound]";
   if params.key_bound < 0 then
     invalid_arg "Policy.random: negative key_bound";
   (* closure state, not module state: one policy drives one run *)

@@ -60,7 +60,8 @@ val timely_params : params
 val random : Prng.t -> params -> t
 (** A seeded adversarial scheduler.  Deterministic in the PRNG state and
     the (deterministic) order of {!decide} calls.  Raises
-    [Invalid_argument] if [delay_bound < 1] or [key_bound < 0]. *)
+    [Invalid_argument] if [delay_bound] is outside
+    [1..Schedule.max_bound] or [key_bound < 0]. *)
 
 val of_schedule : Schedule.t -> t
 (** Replay: recorded entries verbatim, {!Schedule.sync_decision} for

@@ -1,11 +1,11 @@
-type decision = {
+type decision = Rmt_net.Transport.decision = {
   drop : bool;
   delay : int;
   key : int;
   dup : int option;
 }
 
-let sync_decision = { drop = false; delay = 1; key = 0; dup = None }
+let sync_decision = Rmt_net.Transport.sync_decision
 let drop_decision = { drop = true; delay = 1; key = 0; dup = None }
 
 let decision_is_sync d =
@@ -34,18 +34,32 @@ type t = {
 let bound t = t.bound
 let entries t = t.entries
 
+(* The simulator's round budget scales with the bound, so an unchecked
+   bound read from a file is unbounded work.  64 is an order of
+   magnitude above every bound the repository drives (policy presets,
+   Envelope.default, the frontier grid, and the CLI lanes all stay <= 6). *)
+let max_bound = 64
+
 let make ~bound entries =
   if bound < 1 then invalid_arg "Schedule.make: bound must be >= 1";
+  if bound > max_bound then
+    invalid_arg
+      (Printf.sprintf "Schedule.make: bound %d above the cap %d" bound
+         max_bound);
   let entries =
     List.filter_map
       (fun (seq, d) ->
         if seq < 0 then invalid_arg "Schedule.make: negative seq";
         let d = canon d in
         if d.delay < 1 then invalid_arg "Schedule.make: delay must be >= 1";
+        if d.delay > bound then
+          invalid_arg "Schedule.make: delay above the bound";
         if d.key < 0 then invalid_arg "Schedule.make: negative key";
         (match d.dup with
          | Some e when e < 1 ->
            invalid_arg "Schedule.make: dup delay must be >= 1"
+         | Some e when e > bound ->
+           invalid_arg "Schedule.make: dup delay above the bound"
          | _ -> ());
         if decision_is_sync d then None else Some (seq, d))
       entries

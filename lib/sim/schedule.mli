@@ -18,7 +18,7 @@
     sched 30 delay 2 key 1 dup 1
     v} *)
 
-type decision = {
+type decision = Rmt_net.Transport.decision = {
   drop : bool;  (** suppress the message entirely *)
   delay : int;  (** rounds in flight; 1 is the synchronous next round *)
   key : int;
@@ -29,8 +29,8 @@ type decision = {
 }
 
 val sync_decision : decision
-(** [{drop = false; delay = 1; key = 0; dup = None}] — what the
-    synchronous engine does to every message. *)
+(** {!Rmt_net.Transport.sync_decision}: what the synchronous engine
+    does to every message. *)
 
 val drop_decision : decision
 
@@ -43,11 +43,18 @@ val decision_size : decision -> int
 
 type t
 
+val max_bound : int
+(** 64: the largest accepted bound.  Replay scales its round budget by
+    the bound, so the cap keeps a [.sched] file from asking for
+    unbounded work; it sits well above every bound the repository uses
+    (at most 6). *)
+
 val make : bound:int -> (int * decision) list -> t
 (** Normalizes: canonicalizes dropped decisions, discards synchronous
     entries, sorts by sequence number.  Raises [Invalid_argument] on a
-    negative seq/key, a delay or dup below 1, [bound < 1], or two
-    entries for the same sequence number. *)
+    negative seq/key, a delay or dup below 1 or above [bound], a bound
+    outside [1..max_bound], or two entries for the same sequence
+    number. *)
 
 val sync : t
 (** The empty schedule with bound 1: replaying it {e is} the

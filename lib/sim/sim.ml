@@ -1,170 +1,14 @@
-open Rmt_base
-open Rmt_graph
 open Rmt_net
 
-(* The discrete-event counterpart of Engine.run.  Virtual time is the
-   round counter; the event queue maps delivery rounds to scheduled
-   messages.  Registration (Transport.Roster) and decision/statistics
-   bookkeeping (Transport.Ledger) are the contract's shared pieces —
-   the same code the engine runs — so only the delivery substrate
-   differs, and the sync-equivalence property (test/sim, and the
-   conformance suite in test/net) asserting bit-identical outcomes
-   under Policy.sync rests on shared code rather than on two
-   hand-synchronized copies. *)
+(* The simulator is the one round loop (Transport.run) driven by the
+   delivery policy: the policy decides each message's fate and its bound
+   stretches the default round budget.  Everything else — registration,
+   the activation rule, decision bookkeeping, truncation — is the code
+   the engine runs, which is what the sync-equivalence suite in test/sim
+   pins. *)
 
-let run ?max_rounds ?(max_messages = Transport.default_max_messages)
-    ?(size_of = fun _ -> 1) ?(stop_when = fun _ -> false)
-    ?(on_deliver = Transport.no_deliver_hook) ~policy ~graph ~adversary
-    automaton =
-  let roster =
-    Transport.Roster.make ~who:"Sim.run" ~graph
-      ~corrupted:adversary.Engine.corrupted
-  in
-  let honest = Transport.Roster.honest roster in
-  let corrupted = Transport.Roster.corrupted roster in
-  let max_rounds =
-    match max_rounds with
-    | Some r -> r
-    | None ->
-      (* the engine's budget, stretched by the worst-case delay so a
-         delayed run can still converge *)
-      Transport.default_max_rounds graph * Policy.bound policy
-  in
-  let ledger =
-    Transport.Ledger.create ~honest ~decision:automaton.Engine.decision
-  in
-  (* event queue: delivery round -> (key, seq, src, dst, payload) in
-     reverse scheduling order *)
-  let due = Hashtbl.create 64 in
-  let pending = ref 0 in
-  let seq = ref 0 in
-  let schedule_at t entry =
-    (match Hashtbl.find_opt due t with
-     | Some l -> l := entry :: !l
-     | None -> Hashtbl.add due t (ref [ entry ]));
-    incr pending
-  in
-  let enqueue ~is_honest ~round src sends =
-    List.iter
-      (fun { Engine.dst; payload } ->
-        if Graph.mem_edge src dst graph then begin
-          let s = !seq in
-          incr seq;
-          let d = Policy.decide policy ~seq:s ~round ~src ~dst in
-          if not d.Schedule.drop then begin
-            schedule_at (round + d.Schedule.delay)
-              (d.Schedule.key, s, src, dst, payload);
-            match d.Schedule.dup with
-            | Some extra ->
-              schedule_at
-                (round + d.Schedule.delay + extra)
-                (d.Schedule.key, s, src, dst, payload)
-            | None -> ()
-          end
-        end
-        else if is_honest then
-          invalid_arg
-            (Printf.sprintf "Sim.run: honest node %d sent to non-neighbor %d"
-               src dst))
-      sends
-  in
-  (* round 0: initialization *)
-  Nodeset.iter
-    (fun v ->
-      let st, sends = automaton.Engine.init v in
-      Transport.Ledger.register ledger v st;
-      enqueue ~is_honest:true ~round:0 v sends)
-    honest;
-  Nodeset.iter
-    (fun v ->
-      enqueue ~is_honest:false ~round:0 v
-        (adversary.Engine.act v ~round:0 ~inbox:[]))
-    corrupted;
-  Transport.Ledger.note_decisions ledger 0;
-  Transport.Ledger.count_round ledger ~delivered:0 ~bits:0;
-  let rounds = ref 1 in
-  let decision_map v = Transport.Ledger.decision_map ledger v in
-  let live () = !pending > 0 || not (Nodeset.is_empty corrupted) in
-  let continue = ref (live () && not (stop_when decision_map)) in
-  while
-    !continue && !rounds <= max_rounds
-    && not (Transport.Ledger.truncated ledger)
-  do
-    if Transport.Ledger.messages ledger + !pending > max_messages then
-      Transport.Ledger.truncate ledger
-    else begin
-      let round = !rounds in
-      let deliveries =
-        match Hashtbl.find_opt due round with
-        | Some l ->
-          Hashtbl.remove due round;
-          !l
-        | None -> []
-      in
-      let delivered = List.length deliveries in
-      pending := !pending - delivered;
-      let bits =
-        List.fold_left
-          (fun acc (_, _, _, _, p) -> acc + size_of p)
-          0 deliveries
-      in
-      Transport.Ledger.count_round ledger ~delivered ~bits;
-      let inbox_of =
-        let tbl = Hashtbl.create 16 in
-        (* deliveries are in reverse scheduling order; restore it, then
-           sort each inbox by (key, seq) — all-zero keys is exactly the
-           engine's send-ordered FIFO *)
-        List.iter
-          (fun (k, s, src, dst, p) ->
-            let cur = try Hashtbl.find tbl dst with Not_found -> [] in
-            Hashtbl.replace tbl dst ((k, s, src, p) :: cur))
-          deliveries;
-        fun v ->
-          match Hashtbl.find_opt tbl v with
-          | None -> []
-          | Some l ->
-            List.stable_sort
-              (fun (k1, s1, _, _) (k2, s2, _, _) ->
-                let c = Int.compare k1 k2 in
-                if c <> 0 then c else Int.compare s1 s2)
-              l
-            |> List.map (fun (_, _, src, p) -> (src, p))
-      in
-      Nodeset.iter
-        (fun v ->
-          let inbox = inbox_of v in
-          List.iter (fun (src, p) -> on_deliver ~round ~src ~dst:v p) inbox;
-          if inbox <> [] || round = 1 then begin
-            let st = Transport.Ledger.state ledger v in
-            let st', sends = automaton.Engine.step v st ~round ~inbox in
-            Transport.Ledger.set_state ledger v st';
-            enqueue ~is_honest:true ~round v sends
-          end)
-        honest;
-      Nodeset.iter
-        (fun v ->
-          let inbox = inbox_of v in
-          List.iter (fun (src, p) -> on_deliver ~round ~src ~dst:v p) inbox;
-          enqueue ~is_honest:false ~round v
-            (adversary.Engine.act v ~round ~inbox))
-        corrupted;
-      Transport.Ledger.note_decisions ledger round;
-      incr rounds;
-      continue := live () && not (stop_when decision_map)
-    end
-  done;
-  Transport.Ledger.finalize ledger ~rounds:!rounds
-
-(* The contract instance: the simulator pinned to its synchronous
-   scheduler.  Policy.sync is stateless, so one value serves every run;
-   [seed] is ignored — under the sync policy there is nothing left to
-   choose. *)
-module Sync_backend : Transport.S = struct
-  let name = "sim-sync"
-  let discipline = Transport.Events
-
-  let run ?max_rounds ?max_messages ?size_of ?stop_when ?on_deliver ?seed:_
-      ~graph ~adversary automaton =
-    run ?max_rounds ?max_messages ?size_of ?stop_when ?on_deliver
-      ~policy:Policy.sync ~graph ~adversary automaton
-end
+let run ?max_rounds ?max_messages ?size_of ?stop_when ?on_deliver ~policy
+    ~graph ~adversary automaton =
+  Transport.run ~who:"Sim.run" ~bound:(Policy.bound policy)
+    ~decide:(Policy.decide policy) ?max_rounds ?max_messages ?size_of
+    ?stop_when ?on_deliver ~graph ~adversary automaton

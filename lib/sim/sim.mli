@@ -1,10 +1,10 @@
-(** Deterministic discrete-event simulation of the synchronous engine's
-    protocols under adversarial schedulers.
+(** Deterministic simulation of the synchronous engine's protocols under
+    adversarial schedulers.
 
-    {!run} executes an unchanged {!Rmt_net.Engine.automaton} with
-    {!Rmt_net.Engine.run}'s interface plus a delivery {!Policy}: every
-    scheduled message gets a global sequence number (send order) and the
-    policy decides its fate — drop, delay, ordering key, duplication.
+    {!run} is {!Rmt_net.Transport.run}, the loop {!Rmt_net.Engine.run}
+    also runs, driven by a delivery {!Policy}: every scheduled message
+    gets a global sequence number (send order) and the policy decides
+    its fate — drop, delay, ordering key, duplication.
     Virtual time is the round counter; a message sent at round [r] with
     delay [d] joins its destination's round-[r+d] inbox, and each inbox
     is sorted by [(key, seq)].
@@ -13,9 +13,8 @@
 
     - {b Sync-equivalence}: under {!Policy.sync} the outcome — stats,
       decisions, decision rounds, delivery trace — is bit-identical to
-      [Engine.run] on the same inputs.  Delay 1 makes every round's
-      queue the engine's in-flight list, and all-zero keys sort inboxes
-      into the engine's send order.
+      [Engine.run] on the same inputs: both run one loop, and the sync
+      policy returns the engine's constant decision.
 
     - {b Determinism}: outcomes are a pure function of (automaton,
       adversary, policy decisions).  Replaying a recorded
@@ -46,9 +45,3 @@ val run :
     (see {!Policy}).  Raises [Invalid_argument] exactly where the engine
     does: a corrupted set outside the graph, or an honest send to a
     non-neighbor. *)
-
-module Sync_backend : Rmt_net.Transport.S
-(** The simulator pinned to {!Policy.sync} as a {!Rmt_net.Transport.S}
-    backend ([name = "sim-sync"], per-event discipline).  By the
-    sync-equivalence property its outcomes are byte-identical to
-    {!Rmt_net.Engine.Backend}'s. *)

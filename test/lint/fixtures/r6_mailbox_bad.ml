@@ -1,8 +1,7 @@
-(* Mcast-style per-domain mailbox fan-out with NO phase barrier — R6
-   must fire.  R6 stands down only for spawn closures that synchronize
-   on a Gate/Barrier/Condition barrier (whose residual obligations R8
-   then owns); a mailbox matrix captured by barrier-free closures is an
-   unsynchronized race, wherever it lives. *)
+(* Per-domain mailbox fan-out: a mailbox matrix captured by
+   Domain.spawn closures — R6 must fire.  Writing disjoint cells does
+   not make the shared matrix safe to this flow-insensitive pass, and no
+   closure shape (barriers included) stands R6 down. *)
 
 let exchange xs =
   let mail : int list array array = Array.make_matrix 4 4 [] in

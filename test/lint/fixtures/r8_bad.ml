@@ -7,22 +7,10 @@
      inside the critical section instead of probing under the lock and
      computing outside;
    - [risky] holds a raw [Mutex.lock] across a may-raise call with no
-     [Fun.protect] — the exception path leaves the lock held;
-   - [exchange]'s spawn closures synchronize on a phase barrier but
-     share a Hashtbl, which the single-writer-per-phase protocol cannot
-     protect (R6 stands down on barrier-disciplined closures; R8 owns
-     this residual obligation). *)
+     [Fun.protect] — the exception path leaves the lock held. *)
 
 module Structure = struct
   let restrict _t _m = []
-end
-
-module Gate = struct
-  type t = G
-
-  let make () = G
-  let await _g _phase = ()
-  let set _g _phase = ()
 end
 
 let lock = Mutex.create ()
@@ -38,16 +26,3 @@ let risky k =
   Mutex.lock lock;
   if k < 0 then failwith "negative key";
   Mutex.unlock lock
-
-let exchange () =
-  let results : (int, int) Hashtbl.t = Hashtbl.create 4 in
-  let gate = Gate.make () in
-  let workers =
-    Array.init 2 (fun w ->
-        Domain.spawn (fun () ->
-            Gate.await gate w;
-            Hashtbl.replace results w (w * w);
-            Gate.set gate (w + 1)))
-  in
-  Array.iter Domain.join workers;
-  results

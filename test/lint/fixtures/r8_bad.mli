@@ -2,18 +2,9 @@ module Structure : sig
   val restrict : 'a -> 'b -> 'c list
 end
 
-module Gate : sig
-  type t
-
-  val make : unit -> t
-  val await : t -> int -> unit
-  val set : t -> int -> unit
-end
-
 val lock : Mutex.t
 val tab : (int, int) Hashtbl.t
 val locked : (unit -> 'a) -> 'a
 val double_probe : int -> int option
 val heavy_under_lock : 'a -> 'b -> 'c list
 val risky : int -> unit
-val exchange : unit -> (int, int) Hashtbl.t

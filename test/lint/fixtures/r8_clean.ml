@@ -1,25 +1,14 @@
-(* The compliant lock discipline — the Hc probe/compute/store split and
-   the Mcast barrier protocol, in miniature:
+(* The compliant lock discipline — the Hc probe/compute/store split, in
+   miniature:
 
    - [memo_restrict] probes the memo table under the lock, computes
      outside it, and re-locks only to store — no re-acquisition, no
      heavy compute in any critical section;
    - [careful] wraps the raw-lock region's may-raise call in
-     [Fun.protect], so the exception path still releases;
-   - [exchange]'s barrier-synchronized spawn closures write only their
-     own slot of a pre-sized array — per-domain indexable state is
-     exactly what the single-writer-per-phase protocol supports. *)
+     [Fun.protect], so the exception path still releases. *)
 
 module Structure = struct
   let restrict _t _m = []
-end
-
-module Gate = struct
-  type t = G
-
-  let make () = G
-  let await _g _phase = ()
-  let set _g _phase = ()
 end
 
 let lock = Mutex.create ()
@@ -39,16 +28,3 @@ let careful k =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock lock)
     (fun () -> if k < 0 then failwith "negative key")
-
-let exchange () =
-  let results = Array.make 2 0 in
-  let gate = Gate.make () in
-  let workers =
-    Array.init 2 (fun w ->
-        Domain.spawn (fun () ->
-            Gate.await gate w;
-            results.(w) <- w * w;
-            Gate.set gate (w + 1)))
-  in
-  Array.iter Domain.join workers;
-  results

@@ -2,17 +2,8 @@ module Structure : sig
   val restrict : 'a -> 'b -> int list
 end
 
-module Gate : sig
-  type t
-
-  val make : unit -> t
-  val await : t -> int -> unit
-  val set : t -> int -> unit
-end
-
 val lock : Mutex.t
 val tab : (int, int list) Hashtbl.t
 val locked : (unit -> 'a) -> 'a
 val memo_restrict : 'a -> 'b -> int -> int list
 val careful : int -> unit
-val exchange : unit -> int array

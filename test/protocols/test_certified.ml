@@ -18,8 +18,8 @@
    - Timely liveness on the checked-in instances (engine + timely
      sweeps).
    - Backend conformance: cert-pka / cert-ppa produce byte-identical
-     reports and traces on the synchronous engine, the sync-pinned
-     simulator, and the Domain-sharded mcast runtime.
+     reports and traces on the synchronous engine and on the simulator
+     pinned to Policy.sync, plugged in as a campaign runner.
    - A pinned golden of the solvability-frontier experiment
      ({!Rmt_sim.Frontier}) over the boundary instance. *)
 
@@ -27,7 +27,6 @@ open Rmt_base
 open Rmt_graph
 open Rmt_adversary
 open Rmt_knowledge
-open Rmt_net
 open Rmt_attack
 open Rmt_protocols
 open Rmt_sim
@@ -313,15 +312,8 @@ let test_timely_sweep_liveness () =
   check_int "timely sweep: no liveness losses" 0 report.Sweep.liveness_lost
 
 (* ------------------------------------------------------------------ *)
-(* Backend conformance (the PR 7 functorized suite, certified family)  *)
+(* Backend conformance (certified family)                              *)
 (* ------------------------------------------------------------------ *)
-
-let runner_of (module T : Transport.S) =
-  {
-    Campaign.run =
-      (fun ?max_messages ?size_of ?stop_when ?on_deliver ~graph ~adversary a ->
-        T.run ?max_messages ?size_of ?stop_when ?on_deliver ~graph ~adversary a);
-  }
 
 let conformance_instances () =
   [
@@ -336,7 +328,8 @@ let pinned_programs inst =
        (fun s -> Strategy_gen.random (Prng.create s) inst ~x_dealer:7 ~x_fake:8)
        [ 1; 2 ]
 
-let conformance (module T : Transport.S) () =
+(* A fresh runner per execution: the runner consumes its policy. *)
+let test_sim_sync_backend () =
   List.iter
     (fun (name, inst) ->
       let programs = pinned_programs inst in
@@ -345,7 +338,7 @@ let conformance (module T : Transport.S) () =
           List.iteri
             (fun i p ->
               let label =
-                Printf.sprintf "%s/%s/%s/program %d" T.name name
+                Printf.sprintf "sim-sync/%s/%s/program %d" name
                   (Campaign.protocol_to_string protocol)
                   i
               in
@@ -354,7 +347,7 @@ let conformance (module T : Transport.S) () =
               in
               let backend_r, backend_trace =
                 Campaign.execute_traced
-                  ~runner:(runner_of (module T))
+                  ~runner:(Sim_exec.runner ~policy:Policy.sync)
                   protocol inst ~x_dealer:7 p
               in
               check (label ^ ": identical report") true (engine_r = backend_r);
@@ -363,10 +356,6 @@ let conformance (module T : Transport.S) () =
             programs)
         Campaign.[ Cert_pka; Cert_ppa ])
     (conformance_instances ())
-
-let test_engine_backend = conformance (module Engine.Backend)
-let test_sim_sync_backend = conformance (module Rmt_sim.Sim.Sync_backend)
-let test_mcast_backend = conformance (Mcast.backend ~domains:1)
 
 (* ------------------------------------------------------------------ *)
 (* Frontier golden                                                     *)
@@ -438,11 +427,7 @@ let () =
           Alcotest.test_case "timely sweep" `Quick test_timely_sweep_liveness;
         ] );
       ( "conformance",
-        [
-          Alcotest.test_case "engine backend" `Quick test_engine_backend;
-          Alcotest.test_case "sim sync backend" `Quick test_sim_sync_backend;
-          Alcotest.test_case "mcast backend" `Quick test_mcast_backend;
-        ] );
+        [ Alcotest.test_case "sim sync backend" `Quick test_sim_sync_backend ] );
       ( "frontier",
         [ Alcotest.test_case "pinned golden" `Slow test_frontier_golden ] );
     ]

@@ -22,6 +22,14 @@ let repo_instances () =
          | Ok inst -> (Filename.chop_suffix f ".rmt", inst)
          | Error e -> Alcotest.failf "cannot load %s: %s" f e)
 
+(* instances/ plus the certified tier's boundary instance *)
+let sync_equivalence_instances () =
+  repo_instances ()
+  @
+  match Codec.of_file "../protocols/fixtures/boundary.rmt" with
+  | Ok inst -> [ ("boundary", inst) ]
+  | Error e -> Alcotest.failf "cannot load boundary.rmt: %s" e
+
 let all_protocols =
   Campaign.[ Pka; Ppa; Zcpa; Strawman; Cert_pka; Cert_ppa ]
 
@@ -89,6 +97,16 @@ let test_schedule_validation () =
     (raises (fun () ->
          Schedule.make ~bound:2
            [ (3, Schedule.drop_decision); (3, Schedule.drop_decision) ]));
+  check "bound above the cap" true
+    (raises (fun () -> Schedule.make ~bound:(Schedule.max_bound + 1) []));
+  check "delay above the bound" true
+    (raises (fun () ->
+         Schedule.make ~bound:2
+           [ (0, { Schedule.drop = false; delay = 3; key = 0; dup = None }) ]));
+  check "dup above the bound" true
+    (raises (fun () ->
+         Schedule.make ~bound:2
+           [ (0, { Schedule.drop = false; delay = 1; key = 0; dup = Some 3 }) ]));
   check "parse error surfaces" true
     (Result.is_error (Schedule.of_string "sched nonsense\n"))
 
@@ -108,7 +126,7 @@ let gen_schedule st =
               key = QCheck.Gen.int_bound 3 st;
               dup =
                 (if QCheck.Gen.bool st then
-                   Some (1 + QCheck.Gen.int_bound 2 st)
+                   Some (1 + QCheck.Gen.int_bound (bound - 1) st)
                  else None);
             }
         in
@@ -162,6 +180,65 @@ let test_policy_replay_matches_recording () =
     decisions
 
 (* ------------------------------------------------------------------ *)
+(* Inbox order against a hand-computed oracle                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Star 0 - {1, 2, 3, 4}.  Each leaf v sends payload 10v + r to the hub
+   in rounds 0 and 1; the hub records every inbox it steps on.  Sequence
+   numbers follow send order, honest players in node order:
+
+     round 0:  seq 0: 1->0 10   seq 1: 2->0 20   seq 2: 3->0 30   seq 3: 4->0 40
+     round 1:  seq 4: 1->0 11   seq 5: 2->0 21   seq 6: 3->0 31   seq 7: 4->0 41
+
+   The schedule delays seq 0 to round 2, duplicates seq 1 into round 2,
+   delays and keys seq 2 (key 1), and keys the fresh seq 5 (key 2).  The
+   hub's round-1 inbox is the unkeyed FIFO 20, 40; its round-2 inbox
+   holds, as (key, seq):
+
+     10 (0,0)  20 (0,1)  30 (1,2)  11 (0,4)  21 (2,5)  31 (0,6)  41 (0,7)
+
+   and sorting by (key, seq) gives the order written out below. *)
+let test_inbox_order_oracle () =
+  let open Rmt_net.Engine in
+  let graph = Rmt_graph.Graph.of_edges [ (0, 1); (0, 2); (0, 3); (0, 4) ] in
+  let automaton =
+    {
+      init =
+        (fun v -> ([], if v = 0 then [] else [ { dst = 0; payload = 10 * v } ]));
+      step =
+        (fun v seen ~round ~inbox ->
+          let seen = if v = 0 then (round, inbox) :: seen else seen in
+          ( seen,
+            if v <> 0 && round = 1 then [ { dst = 0; payload = (10 * v) + 1 } ]
+            else [] ));
+      decision = (fun _ -> None);
+    }
+  in
+  let d ?(delay = 1) ?(key = 0) ?dup () =
+    { Schedule.drop = false; delay; key; dup }
+  in
+  let sched =
+    Schedule.make ~bound:2
+      [
+        (0, d ~delay:2 ());
+        (1, d ~dup:1 ());
+        (2, d ~delay:2 ~key:1 ());
+        (5, d ~key:2 ());
+      ]
+  in
+  let outcome =
+    Sim.run ~policy:(Policy.of_schedule sched) ~graph ~adversary:no_adversary
+      automaton
+  in
+  let hub = List.rev (List.assoc 0 outcome.states) in
+  check "hub inboxes in (key, seq) order" true
+    (hub
+    = [
+        (1, [ (2, 20); (4, 40) ]);
+        (2, [ (1, 10); (2, 20); (1, 11); (3, 31); (4, 41); (3, 30); (2, 21) ]);
+      ])
+
+(* ------------------------------------------------------------------ *)
 (* Sync-equivalence: bound-1 FIFO simulation == synchronous engine     *)
 (* ------------------------------------------------------------------ *)
 
@@ -200,6 +277,51 @@ let test_sync_equivalence_pinned () =
                 (engine_trace = sim_trace))
             programs)
         all_protocols)
+    (sync_equivalence_instances ())
+
+(* The simulator as a campaign backend: plugged into Campaign through
+   the runner record ({!Sim_exec.runner}) pinned to Policy.sync, both
+   the untraced and the traced execution paths reproduce the engine.
+   A fresh runner per execution, since the runner consumes its policy. *)
+let test_sim_sync_backend () =
+  let sync_runner () = Sim_exec.runner ~policy:Policy.sync in
+  List.iter
+    (fun (name, inst) ->
+      let programs =
+        Program.make ~seed:0 []
+        :: List.map
+             (fun s ->
+               Strategy_gen.random (Prng.create s) inst ~x_dealer:7 ~x_fake:8)
+             [ 1; 2; 3 ]
+      in
+      List.iter
+        (fun protocol ->
+          List.iteri
+            (fun i p ->
+              let label =
+                Printf.sprintf "sim-sync/%s/%s/program %d" name
+                  (Campaign.protocol_to_string protocol)
+                  i
+              in
+              let engine_r = Campaign.execute protocol inst ~x_dealer:7 p in
+              let backend_r =
+                Campaign.execute ~runner:(sync_runner ()) protocol inst
+                  ~x_dealer:7 p
+              in
+              check (label ^ ": identical untraced report") true
+                (engine_r = backend_r);
+              let engine_r, engine_trace =
+                Campaign.execute_traced protocol inst ~x_dealer:7 p
+              in
+              let backend_r, backend_trace =
+                Campaign.execute_traced ~runner:(sync_runner ()) protocol inst
+                  ~x_dealer:7 p
+              in
+              check (label ^ ": identical report") true (engine_r = backend_r);
+              check (label ^ ": identical trace") true
+                (String.equal engine_trace backend_trace))
+            programs)
+        Campaign.[ Pka; Ppa; Zcpa ])
     (repo_instances ())
 
 let arb_instance_and_seed = Rmt_test_gen.Gen.arb_instance_and_seed
@@ -340,6 +462,17 @@ let test_shrink_budget () =
    property above: Theorem 4 holds under inbox permutation and late
    duplicates, and fails one step past either model assumption. *)
 
+(* A replay pair asking for a billion-round delay bound must be refused
+   at load time, not run: the round budget scales with the bound. *)
+let test_huge_bound_fails_closed () =
+  let t0 = Sys.time () in
+  (match Sim_exec.load_pair ~rmt:"fixtures/huge_bound.rmt" with
+   | Error e ->
+     check "error names the cap" true
+       (List.mem "cap" (String.split_on_char ' ' e))
+   | Ok _ -> Alcotest.fail "a bound of 10^9 was accepted");
+  check "refused in under a second" true (Sys.time () -. t0 < 1.0)
+
 let fixture_replays ~rmt () =
   match Sim_exec.load_pair ~rmt with
   | Error e -> Alcotest.fail e
@@ -452,6 +585,8 @@ let () =
           Alcotest.test_case "sync" `Quick test_policy_sync;
           Alcotest.test_case "record/replay agree" `Quick
             test_policy_replay_matches_recording;
+          Alcotest.test_case "inbox order oracle" `Quick
+            test_inbox_order_oracle;
         ] );
       ( "sync-equivalence",
         [
@@ -463,6 +598,10 @@ let () =
           qt (sync_equivalence_random Campaign.Strawman "strawman");
           qt (sync_equivalence_random Campaign.Cert_pka "cert-pka");
           qt (sync_equivalence_random Campaign.Cert_ppa "cert-ppa");
+        ] );
+      ( "conformance",
+        [
+          Alcotest.test_case "sim-sync backend" `Quick test_sim_sync_backend;
         ] );
       ( "safety",
         [
@@ -514,5 +653,10 @@ let () =
             (fixture_bytes_stable ~rmt:pka_loss_rmt);
           Alcotest.test_case "needs a dropped message" `Quick
             test_pka_loss_needs_a_drop;
+        ] );
+      ( "fail closed",
+        [
+          Alcotest.test_case "huge sched-bound" `Quick
+            test_huge_bound_fails_closed;
         ] );
     ]

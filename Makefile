@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint lint-clean lint-baseline bench bench-json bench-lint-json bench-sim-json bench-net-json bench-certified-json fuzz fuzz-smoke sim-smoke service-smoke bench-check outputs examples clean
+.PHONY: all build test lint lint-clean lint-baseline bench fuzz fuzz-smoke sim-smoke service-smoke bench-check outputs examples clean
 
 all: build
 
@@ -33,27 +33,12 @@ lint-baseline:
 bench:
 	dune exec bench/main.exe
 
-# Regenerate the checked-in kernel benchmark record (BENCH_core.json).
-bench-json:
-	dune exec bench/main.exe -- core --json
-
-# Regenerate the checked-in analyzer timing record (BENCH_lint.json).
-bench-lint-json:
+# Regenerate one checked-in record, BENCH_<section>.json, e.g.
+# `make bench-core-json` (sections: core attack sim net lint certified).
+# The lint section reads the .cmt files that @check leaves behind.
+bench-%-json:
 	dune build @check
-	dune exec bench/main.exe -- lint --json
-
-# Regenerate the checked-in simulator timing record (BENCH_sim.json).
-bench-sim-json:
-	dune exec bench/main.exe -- sim --json
-
-# Regenerate the checked-in transport throughput record (BENCH_net.json).
-bench-net-json:
-	dune exec bench/main.exe -- net --json
-
-# Regenerate the checked-in certification overhead + frontier record
-# (BENCH_certified.json).
-bench-certified-json:
-	dune exec bench/main.exe -- certified --json
+	dune exec bench/main.exe -- $* --json
 
 # Seeded fuzzing campaigns over instances/ (table + BENCH_attack.json).
 fuzz:
@@ -116,31 +101,19 @@ service-smoke:
 	  > /tmp/rmt_service_smoke.out
 	diff -u instances/onion_solvable.golden /tmp/rmt_service_smoke.out
 
-# Compare a fresh kernel record against the committed baseline (>25% fails).
-# The analyzer record is wall-clock (not bechamel-sampled), so its gate is
-# deliberately loose: only a >3x blowup fails.
+# Regenerate every gated record and compare it against the committed
+# baseline; which rows are gated, and at what ratio, is the table in
+# bench/check_regression.ml.  All five comparisons run; any failure fails.
+BENCH_GATED = core lint sim net certified
+
 bench-check:
-	cp BENCH_core.json /tmp/rmt_bench_baseline.json
-	dune exec bench/main.exe -- core --json
-	dune exec bench/check_regression.exe -- /tmp/rmt_bench_baseline.json \
-	  BENCH_core.json --threshold=0.25 \
-	  --prefix-threshold=rmt/hc/:1.0 --prefix-threshold=rmt/delta/:1.0
-	cp BENCH_lint.json /tmp/rmt_bench_lint_baseline.json
-	dune exec bench/main.exe -- lint --json
-	dune exec bench/check_regression.exe -- /tmp/rmt_bench_lint_baseline.json \
-	  BENCH_lint.json --prefix-threshold=rmt/lint/:2.0
-	cp BENCH_sim.json /tmp/rmt_bench_sim_baseline.json
-	dune exec bench/main.exe -- sim --json
-	dune exec bench/check_regression.exe -- /tmp/rmt_bench_sim_baseline.json \
-	  BENCH_sim.json --threshold=2.0
-	cp BENCH_net.json /tmp/rmt_bench_net_baseline.json
-	dune exec bench/main.exe -- net --json
-	dune exec bench/check_regression.exe -- /tmp/rmt_bench_net_baseline.json \
-	  BENCH_net.json --prefix-threshold=rmt/net/:2.0
-	cp BENCH_certified.json /tmp/rmt_bench_certified_baseline.json
-	dune exec bench/main.exe -- certified --json
-	dune exec bench/check_regression.exe -- /tmp/rmt_bench_certified_baseline.json \
-	  BENCH_certified.json --prefix-threshold=rmt/cert/:2.0
+	dune build @check
+	fail=0; for s in $(BENCH_GATED); do \
+	  cp BENCH_$$s.json /tmp/rmt_bench_$${s}_baseline.json; \
+	  dune exec bench/main.exe -- $$s --json && \
+	  dune exec bench/check_regression.exe -- \
+	    /tmp/rmt_bench_$${s}_baseline.json BENCH_$$s.json || fail=1; \
+	done; exit $$fail
 
 examples:
 	dune exec examples/quickstart.exe

@@ -14,13 +14,23 @@
      E7  self-reduction: simulated membership    (Thm 9, Cor 10, Fig 1)
      E8  minimal knowledge frontier              (§3.1 remark)
 
-   plus a Bechamel micro-benchmark per experiment's core operation and a
-   `core` engine benchmark (packed antichain kernels vs the list baseline,
-   multicore sweep scaling) whose numbers `--json` records in
-   BENCH_core.json.
+   plus a Bechamel micro-benchmark per experiment's core operation
+   (`bechamel`), the `ablations`, and the performance sections whose rows
+   `--json` records in BENCH_<section>.json:
 
-   Usage: main.exe [e1|e2|e2b|e3|e4|e5|e6|e7|e8|core|bechamel|all]*
-                   [--json] [--domains=N] *)
+     core       packed antichain kernels vs the list baseline, hash-cons,
+                incremental ⊕, cut deciders, multicore sweep, service
+     attack     seeded fuzzing campaigns over instances/
+     sim        simulator overhead vs the engine, sweep throughput
+     net        the round loop: heartbeat and flood throughput
+     lint       rmt-lint cold vs warm (reads _build's .cmt files)
+     certified  certification overhead, solvability frontier
+
+   Every record has one schema (see [write_record]); check_regression.exe
+   gates its rows against the committed baseline.
+
+   Usage: main.exe [e1|e2|e2b|e3|...|e11|ablations|bechamel|core|attack|
+                    sim|net|lint|certified|all]* [--json] [--domains=N] *)
 
 open Rmt_base
 open Rmt_graph
@@ -29,8 +39,7 @@ open Rmt_knowledge
 open Rmt_core
 open Rmt_workloads
 
-(* global flags, set by the driver before experiments run *)
-let json_mode = ref false
+(* global flag, set by the driver before experiments run *)
 let domains_override = ref None
 
 let sweep_domains () =
@@ -44,6 +53,47 @@ let section title =
 let dec_str = function
   | None -> "⊥"
   | Some x -> string_of_int x
+
+(* One row of a BENCH_<section>.json record: a name and flat scalar
+   fields, each value already rendered as JSON.  The gate reads
+   "ns_per_run" and "r2" off the rows it tracks (prefixes in
+   check_regression.ml); single-shot facts stay out of those prefixes. *)
+type row = { name : string; fields : (string * string) list }
+
+let jint = string_of_int
+let jstr = Printf.sprintf "%S"
+let jbool = string_of_bool
+let jnum digits x = Printf.sprintf "%.*f" digits x
+
+(* Bechamel (name, ns/run, r²) results as rows *)
+let timed_rows ?(fields = []) results =
+  List.map
+    (fun (name, ns, r2) ->
+      { name; fields = ("ns_per_run", jnum 1 ns) :: ("r2", jnum 4 r2) :: fields })
+    results
+
+(* a single-shot wall-clock timing as a row *)
+let wall_row ?(fields = []) name secs =
+  { name; fields = ("ns_per_run", jnum 1 (secs *. 1e9)) :: fields }
+
+let write_record section rows =
+  let path = Printf.sprintf "BENCH_%s.json" section in
+  let line { name; fields } =
+    "{"
+    ^ String.concat ", "
+        (List.map
+           (fun (k, v) -> Printf.sprintf "%S: %s" k v)
+           (("name", jstr name) :: fields))
+    ^ "}"
+  in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc
+        "{\n  \"schema\": \"rmt-bench/2\",\n  \"section\": %S,\n  \
+         \"domains_available\": %d,\n  \"rows\": [\n    %s\n  ]\n}\n"
+        section
+        (Parsweep.recommended_domains ())
+        (String.concat ",\n    " (List.map line rows)));
+  Printf.printf "[wrote %s]\n" path
 
 (* ------------------------------------------------------------------ *)
 (* E1 — the ⊕ operation                                                *)
@@ -979,9 +1029,6 @@ let fixed_size_antichain rng ~universe ~sets ~set_size =
   in
   (ground, distinct [] sets)
 
-(* json fragments filled in by [core] and flushed by the driver *)
-let core_json_sections : string list ref = ref []
-
 let core () =
   section "CORE — antichain engine micro-benchmarks (packed vs list) and \
            multicore sweep scaling";
@@ -1244,56 +1291,31 @@ let core () =
       "streaming solvability service — update+query round-trips at \
        memoized cost"
     t;
-  (* machine-readable record *)
-  let micro_json =
-    String.concat ",\n    "
-      (List.map
-         (fun (name, ns, r2) ->
-           Printf.sprintf "{\"name\": %S, \"ns_per_run\": %.1f, \"r2\": %.4f}"
-             name ns r2)
-         rows)
-  in
-  let speedup_json =
-    String.concat ",\n    "
-      (List.map
-         (fun (op, k, list_ns, packed_ns, s) ->
-           Printf.sprintf
-             "{\"op\": %S, \"antichain\": %d, \"list_ns\": %.1f, \
-              \"packed_ns\": %.1f, \"speedup\": %.2f}"
-             op k list_ns packed_ns s)
-         speedups)
-  in
-  let sweep_json =
-    Printf.sprintf
-      "{\"instances\": %d, \"deterministic\": %b, \"runs\": [%s]}"
-      (Array.length suite) deterministic
-      (String.concat ", "
-         (List.map
-            (fun (d, secs, _) ->
-              Printf.sprintf "{\"domains\": %d, \"seconds\": %.3f}" d secs)
-            timings))
-  in
-  let delta_json =
-    Printf.sprintf
-      "{\"delta_ns\": %.1f, \"join128_ns\": %.1f, \"speedup\": %.2f}"
-      delta_ns join128_ns delta_speedup
-  in
-  let service_json =
-    Printf.sprintf
-      "{\"updates\": %d, \"queries\": %d, \"seconds\": %.4f, \
-       \"updates_per_sec\": %.1f, \"witness_reuses\": %d, \"searches\": \
-       %d, \"cached\": %d}"
-      svc_stats.Service.updates svc_stats.Service.queries svc_secs
-      updates_per_sec svc_stats.Service.witness_reuses
-      svc_stats.Service.searches svc_stats.Service.cached
-  in
-  core_json_sections :=
-    [
-      Printf.sprintf "\"micro\": [\n    %s\n  ]" micro_json;
-      Printf.sprintf "\"kernel_speedups\": [\n    %s\n  ]" speedup_json;
-      Printf.sprintf "\"join_delta\": %s" delta_json;
-      Printf.sprintf "\"sweep\": %s" sweep_json;
-      Printf.sprintf "\"service\": %s" service_json;
+  timed_rows rows
+  @ List.map
+      (fun (d, secs, _) ->
+        {
+          name = Printf.sprintf "sweep/domains-%d" d;
+          fields =
+            [
+              ("instances", jint (Array.length suite));
+              ("deterministic", jbool deterministic); ("seconds", jnum 3 secs);
+            ];
+        })
+      timings
+  @ [
+      {
+        name = "service";
+        fields =
+          [
+            ("updates", jint svc_stats.Service.updates);
+            ("queries", jint svc_stats.Service.queries);
+            ("seconds", jnum 4 svc_secs);
+            ("witness_reuses", jint svc_stats.Service.witness_reuses);
+            ("searches", jint svc_stats.Service.searches);
+            ("cached", jint svc_stats.Service.cached);
+          ];
+      };
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1305,19 +1327,19 @@ module Campaign = Rmt_attack.Campaign
 let attack_seed = 2016
 let attack_count = 60
 
-(* json fragments filled in by [attack] and flushed by the driver *)
-let attack_json_sections : string list ref = ref []
-
 let attack_instances () =
   let dir = "instances" in
   let from_files =
     if Sys.file_exists dir && Sys.is_directory dir then
       Sys.readdir dir |> Array.to_list |> List.sort compare
       |> List.filter (fun f -> Filename.check_suffix f ".rmt")
-      |> List.filter_map (fun f ->
-             match Codec.of_file (Filename.concat dir f) with
-             | Ok inst -> Some (Filename.chop_suffix f ".rmt", inst)
-             | Error _ -> None)
+      |> List.map (fun f ->
+             let path = Filename.concat dir f in
+             match Codec.of_file path with
+             | Ok inst -> (Filename.chop_suffix f ".rmt", inst)
+             | Error e ->
+               Printf.eprintf "bench: %s: %s\n" path e;
+               exit 1)
     else []
   in
   if from_files <> [] then from_files
@@ -1352,7 +1374,7 @@ let attack () =
       ]
   in
   let protocols = Campaign.[ Pka; Ppa; Zcpa ] in
-  let fragments =
+  let rows =
     List.concat_map
       (fun (name, inst) ->
         List.map
@@ -1362,29 +1384,36 @@ let attack () =
                 ~attacks:attack_count p inst
             in
             let nviol = List.length r.Campaign.safety_violations in
+            let protocol = Campaign.protocol_to_string p in
+            let feasibility =
+              Format.asprintf "%a" Solvability.pp_feasibility
+                r.Campaign.solvability
+            in
             Table.add_row t
               [
                 name;
-                Campaign.protocol_to_string p;
-                Format.asprintf "%a" Solvability.pp_feasibility
-                  r.Campaign.solvability;
+                protocol;
+                feasibility;
                 Table.cell_int r.Campaign.delivered;
                 Table.cell_int r.Campaign.silenced;
                 Table.cell_int r.Campaign.violated;
                 Table.cell_int r.Campaign.liveness_lost;
                 Table.cell_int nviol;
               ];
-            Printf.sprintf
-              "{\"instance\": %S, \"protocol\": %S, \"feasibility\": %S, \
-               \"attacks\": %d, \"delivered\": %d, \"silenced\": %d, \
-               \"violated\": %d, \"liveness_lost\": %d, \
-               \"safety_violations\": %d}"
-              name
-              (Campaign.protocol_to_string p)
-              (Format.asprintf "%a" Solvability.pp_feasibility
-                 r.Campaign.solvability)
-              r.Campaign.attacks r.Campaign.delivered r.Campaign.silenced
-              r.Campaign.violated r.Campaign.liveness_lost nviol)
+            {
+              name = Printf.sprintf "campaign/%s/%s" name protocol;
+              fields =
+                [
+                  ("feasibility", jstr feasibility);
+                  ("seed", jint attack_seed);
+                  ("attacks", jint r.Campaign.attacks);
+                  ("delivered", jint r.Campaign.delivered);
+                  ("silenced", jint r.Campaign.silenced);
+                  ("violated", jint r.Campaign.violated);
+                  ("liveness_lost", jint r.Campaign.liveness_lost);
+                  ("safety_violations", jint nviol);
+                ];
+            })
           protocols)
       (attack_instances ())
   in
@@ -1393,20 +1422,11 @@ let attack () =
       "paper claim (Thm 4): 0 safety violations on every instance; silence \
        on unsolvable ones witnesses the cut"
     t;
-  attack_json_sections :=
-    [
-      Printf.sprintf "\"seed\": %d" attack_seed;
-      Printf.sprintf "\"attacks_per_campaign\": %d" attack_count;
-      Printf.sprintf "\"campaigns\": [\n    %s\n  ]"
-        (String.concat ",\n    " fragments);
-    ]
+  rows
 
 (* ------------------------------------------------------------------ *)
 (* SIM — simulator overhead vs the synchronous engine                  *)
 (* ------------------------------------------------------------------ *)
-
-(* json fragments filled in by [sim] and flushed by the driver *)
-let sim_json_sections : string list ref = ref []
 
 let sim () =
   section
@@ -1474,11 +1494,9 @@ let sim () =
      and 0.48), so check_regression's r² < 0.5 rule silently skipped
      them and those baselines gated nothing.  The millisecond onion runs
      get 10s: at 2s the fit sees too few samples to reach r² 0.9. *)
-  let rows =
-    List.sort compare
-      (run_bechamel ~quota:2.0 tests @ run_bechamel ~quota:10.0 onion_tests)
-  in
-  print_bechamel_rows rows;
+  let rows = run_bechamel ~quota:2.0 tests in
+  let onion_rows = run_bechamel ~quota:10.0 onion_tests in
+  print_bechamel_rows (List.sort compare (rows @ onion_rows));
   (* sweep throughput: seeded (program, schedule) trials per second *)
   let sweep_trials = 200 in
   let report, secs =
@@ -1491,31 +1509,25 @@ let sim () =
     "  sweep: %d timely schedules in %.2fs (%.0f/s), %d safety violations\n"
     report.Rmt_sim.Sweep.schedules secs throughput
     (List.length report.Rmt_sim.Sweep.safety_violations);
-  let micro_json =
-    String.concat ",\n    "
-      (List.map
-         (fun (bname, ns, r2) ->
-           Printf.sprintf "{\"name\": %S, \"ns_per_run\": %.1f, \"r2\": %.4f}"
-             bname ns r2)
-         rows)
-  in
-  sim_json_sections :=
-    [
-      Printf.sprintf "\"instance\": %S" name;
-      Printf.sprintf "\"micro\": [\n    %s\n  ]" micro_json;
-      Printf.sprintf
-        "\"sweep\": {\"schedules\": %d, \"seconds\": %.3f, \
-         \"per_second\": %.1f, \"safety_violations\": %d}"
-        report.Rmt_sim.Sweep.schedules secs throughput
-        (List.length report.Rmt_sim.Sweep.safety_violations);
+  timed_rows ~fields:[ ("instance", jstr name) ] rows
+  @ timed_rows ~fields:[ ("instance", jstr "onion_solvable") ] onion_rows
+  @ [
+      {
+        name = "sweep";
+        fields =
+          [
+            ("instance", jstr name);
+            ("schedules", jint report.Rmt_sim.Sweep.schedules);
+            ("seconds", jnum 3 secs);
+            ( "safety_violations",
+              jint (List.length report.Rmt_sim.Sweep.safety_violations) );
+          ];
+      };
     ]
 
 (* ------------------------------------------------------------------ *)
 (* NET — the round loop: synchronous rounds at scale                   *)
 (* ------------------------------------------------------------------ *)
-
-(* json fragments filled in by [net] and flushed by the driver *)
-let net_json_sections : string list ref = ref []
 
 (* heartbeat: every node multicasts a round counter to all neighbors
    for [beats] rounds, then decides — n(n-1) deliveries per round on
@@ -1589,7 +1601,7 @@ let net () =
     in
     ignore (run ());
     let (msgs, decs, rounds), secs = Timing.time_it run in
-    (wname, msgs, decs, rounds, secs)
+    (wname, Graph.num_nodes g, msgs, decs, rounds, secs)
   in
   let rows = [ run_workload "heartbeat" hb_g hb; run_workload "flood" fl_g fl ] in
   let t =
@@ -1600,7 +1612,7 @@ let net () =
       ]
   in
   List.iter
-    (fun (w, msgs, decs, rounds, secs) ->
+    (fun (w, _, msgs, decs, rounds, secs) ->
       Table.add_row t
         [
           w; Table.cell_int msgs; Table.cell_int rounds;
@@ -1610,49 +1622,19 @@ let net () =
         ])
     rows;
   Table.print ~title:"engine round loop" t;
-  let micro_json =
-    String.concat ",\n    "
-      (List.map
-         (fun (w, _, _, _, secs) ->
-           Printf.sprintf
-             "{\"name\": \"rmt/net/engine/%s\", \"ns_per_run\": %.1f}" w
-             (secs *. 1e9))
-         rows)
-  in
-  let run_json =
-    String.concat ",\n    "
-      (List.map
-         (fun (w, msgs, decs, rounds, secs) ->
-           Printf.sprintf
-             "{\"workload\": %S, \"backend\": \"engine\", \"domains\": 1, \
-              \"messages\": %d, \"decisions\": %d, \"rounds\": %d, \
-              \"seconds\": %.4f, \"msgs_per_sec\": %.1f, \
-              \"decisions_per_sec\": %.1f}"
-             w msgs decs rounds secs
-             (float_of_int msgs /. secs)
-             (float_of_int decs /. secs))
-         rows)
-  in
-  let headline =
-    match rows with
-    | (_, msgs, _, _, secs) :: _ ->
-      Printf.sprintf "{\"n\": %d, \"engine_msgs_per_sec\": %.1f}" hb_n
-        (float_of_int msgs /. secs)
-    | [] -> "{}"
-  in
-  net_json_sections :=
-    [
-      Printf.sprintf "\"micro\": [\n    %s\n  ]" micro_json;
-      Printf.sprintf "\"headline\": %s" headline;
-      Printf.sprintf "\"runs\": [\n    %s\n  ]" run_json;
-    ]
+  List.map
+    (fun (w, n, msgs, decs, rounds, secs) ->
+      wall_row ("rmt/net/engine/" ^ w) secs
+        ~fields:
+          [
+            ("n", jint n); ("messages", jint msgs); ("decisions", jint decs);
+            ("rounds", jint rounds);
+          ])
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* LINT — analyzer wall-time and cache effectiveness                   *)
 (* ------------------------------------------------------------------ *)
-
-(* json fragments filled in by [lint] and flushed by the driver *)
-let lint_json_sections : string list ref = ref []
 
 let lint () =
   section "rmt-lint analyzer: cold vs warm (cmt-digest + summary cache)";
@@ -1729,36 +1711,36 @@ let lint () =
     warm_stats.L.Lint.lookups rate infer_s warm_store_s model_cold_s
     model_warm_s
     (List.length model_cold.L.Model.protocols);
-  lint_json_sections :=
+  List.map
+    (fun (k, secs) -> wall_row ("rmt/lint/" ^ k) secs)
     [
-      Printf.sprintf
-        "\"micro\": [\n\
-        \    {\"name\": \"rmt/lint/cold\", \"ns_per_run\": %.1f},\n\
-        \    {\"name\": \"rmt/lint/warm\", \"ns_per_run\": %.1f},\n\
-        \    {\"name\": \"rmt/lint/summaries-cold\", \"ns_per_run\": %.1f},\n\
-        \    {\"name\": \"rmt/lint/summaries-warm\", \"ns_per_run\": %.1f},\n\
-        \    {\"name\": \"rmt/lint/model-cold\", \"ns_per_run\": %.1f},\n\
-        \    {\"name\": \"rmt/lint/model-warm\", \"ns_per_run\": %.1f}\n\
-        \  ]"
-        (cold_s *. 1e9) (warm_s *. 1e9) (infer_s *. 1e9)
-        (warm_store_s *. 1e9) (model_cold_s *. 1e9) (model_warm_s *. 1e9);
-      Printf.sprintf
-        "\"cache\": {\"lookups\": %d, \"hits\": %d, \"hit_rate_percent\": \
-         %.1f, \"summary_hit_rate_percent\": %.1f}"
-        warm_stats.L.Lint.lookups warm_stats.L.Lint.hits rate
-        (if warm_hit then 100.0 else 0.0);
-      Printf.sprintf "\"findings\": %d" cold_findings;
-      Printf.sprintf "\"model\": {\"protocols\": %d, \"fingerprint\": \"%s\"}"
-        (List.length model_cold.L.Model.protocols)
-        (L.Model.fingerprint model_cold);
+      ("cold", cold_s); ("warm", warm_s); ("summaries-cold", infer_s);
+      ("summaries-warm", warm_store_s); ("model-cold", model_cold_s);
+      ("model-warm", model_warm_s);
+    ]
+  @ [
+      {
+        name = "scan";
+        fields =
+          [
+            ("findings", jint cold_findings);
+            ("cache_lookups", jint warm_stats.L.Lint.lookups);
+            ("cache_hits", jint warm_stats.L.Lint.hits);
+          ];
+      };
+      {
+        name = "model";
+        fields =
+          [
+            ("protocols", jint (List.length model_cold.L.Model.protocols));
+            ("fingerprint", jstr (L.Model.fingerprint model_cold));
+          ];
+      };
     ]
 
 (* ------------------------------------------------------------------ *)
 (* CERTIFIED — certification overhead and the solvability frontier     *)
 (* ------------------------------------------------------------------ *)
-
-(* json fragments filled in by [certified] and flushed by the driver *)
-let certified_json_sections : string list ref = ref []
 
 let boundary_instance_path = "test/protocols/fixtures/boundary.rmt"
 
@@ -1800,12 +1782,12 @@ let certified () =
   print_bechamel_rows rows;
   (* the solvability-frontier experiment: one in-envelope-to-beyond
      sweep of scheduler strengths, fanned over Parsweep *)
-  let frontier_inst =
+  let frontier_name, frontier_inst =
     match Codec.of_file boundary_instance_path with
-    | Ok i -> i
+    | Ok i -> ("boundary", i)
     | Error e ->
       Printf.printf "  (no frontier: %s: %s)\n" boundary_instance_path e;
-      inst
+      (name, inst)
   in
   let schedules = 60 in
   let rows_f, secs =
@@ -1827,110 +1809,55 @@ let certified () =
     secs
     (float_of_int total /. secs)
     (Rmt_sim.Frontier.to_table rows_f);
-  let micro_json =
-    String.concat ",\n    "
-      (List.map
-         (fun (bname, ns, r2) ->
-           Printf.sprintf "{\"name\": %S, \"ns_per_run\": %.1f, \"r2\": %.4f}"
-             bname ns r2)
-         rows)
-  in
-  let frontier_json =
-    String.concat ",\n    "
-      (List.map
+  timed_rows ~fields:[ ("instance", jstr name) ] rows
+  @ {
+      name = "frontier";
+      fields =
+        [
+          ("instance", jstr frontier_name);
+          ( "envelope",
+            jstr
+              (Rmt_protocols.Envelope.to_string Rmt_protocols.Envelope.default)
+          );
+          ("schedules_per_point", jint schedules); ("seconds", jnum 3 secs);
+          ("inside_violations", jint inside_viol);
+          ("outside_violations", jint outside_viol);
+        ];
+    }
+    :: List.map
          (fun (r : Rmt_sim.Frontier.row) ->
-           Printf.sprintf
-             "{\"delay\": %d, \"drops\": %d, \"in_envelope\": %b, \
-              \"delivered\": %d, \"silenced\": %d, \"violated\": %d, \
-              \"liveness_lost\": %d}"
-             r.Rmt_sim.Frontier.point.Rmt_sim.Frontier.delay_bound
-             r.Rmt_sim.Frontier.point.Rmt_sim.Frontier.drop_budget
-             r.Rmt_sim.Frontier.in_envelope r.Rmt_sim.Frontier.delivered
-             r.Rmt_sim.Frontier.silenced r.Rmt_sim.Frontier.violated
-             r.Rmt_sim.Frontier.liveness_lost)
-         rows_f)
-  in
-  certified_json_sections :=
-    [
-      Printf.sprintf "\"instance\": %S" name;
-      Printf.sprintf "\"envelope\": %S"
-        (Rmt_protocols.Envelope.to_string Rmt_protocols.Envelope.default);
-      Printf.sprintf "\"micro\": [\n    %s\n  ]" micro_json;
-      Printf.sprintf
-        "\"frontier\": {\"schedules_per_point\": %d, \"seconds\": %.3f, \
-         \"per_second\": %.1f, \"inside_violations\": %d, \
-         \"outside_violations\": %d, \"points\": [\n    %s\n  ]}"
-        schedules secs
-        (float_of_int total /. secs)
-        inside_viol outside_viol frontier_json;
-    ]
+           let { Rmt_sim.Frontier.delay_bound; drop_budget } = r.point in
+           {
+             name = Printf.sprintf "frontier/d%dl%d" delay_bound drop_budget;
+             fields =
+               [
+                 ("delay", jint delay_bound); ("drops", jint drop_budget);
+                 ("in_envelope", jbool r.in_envelope);
+                 ("delivered", jint r.delivered);
+                 ("silenced", jint r.silenced); ("violated", jint r.violated);
+                 ("liveness_lost", jint r.liveness_lost);
+               ];
+           })
+         rows_f
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* experiments that only print tables record no rows *)
 let experiments =
+  let table f () = f (); [] in
   [
-    ("e1", e1); ("e2", e2); ("e2b", e2b); ("e3", e3); ("e4", e4);
-    ("e5", e5); ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
-    ("e11", e11); ("ablations", ablations); ("bechamel", bechamel);
-    ("core", core); ("attack", attack); ("sim", sim); ("net", net);
-    ("lint", lint); ("certified", certified);
+    ("e1", table e1); ("e2", table e2); ("e2b", table e2b); ("e3", table e3);
+    ("e4", table e4); ("e5", table e5); ("e6", table e6); ("e7", table e7);
+    ("e8", table e8); ("e9", table e9); ("e10", table e10);
+    ("e11", table e11); ("ablations", table ablations);
+    ("bechamel", table bechamel); ("core", core); ("attack", attack);
+    ("sim", sim); ("net", net); ("lint", lint); ("certified", certified);
   ]
 
-let write_core_json () =
-  let path = "BENCH_core.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"schema\": \"rmt-bench-core/1\",\n  \"domains_available\": %d,\n  %s\n}\n"
-    (Parsweep.recommended_domains ())
-    (String.concat ",\n  " !core_json_sections);
-  close_out oc;
-  Printf.printf "[wrote %s]\n" path
-
-let write_attack_json () =
-  let path = "BENCH_attack.json" in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"rmt-bench-attack/1\",\n  %s\n}\n"
-    (String.concat ",\n  " !attack_json_sections);
-  close_out oc;
-  Printf.printf "[wrote %s]\n" path
-
-let write_sim_json () =
-  let path = "BENCH_sim.json" in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"rmt-bench-sim/1\",\n  %s\n}\n"
-    (String.concat ",\n  " !sim_json_sections);
-  close_out oc;
-  Printf.printf "[wrote %s]\n" path
-
-let write_net_json () =
-  let path = "BENCH_net.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"schema\": \"rmt-bench-net/1\",\n  \"domains_available\": %d,\n  %s\n}\n"
-    (Parsweep.recommended_domains ())
-    (String.concat ",\n  " !net_json_sections);
-  close_out oc;
-  Printf.printf "[wrote %s]\n" path
-
-let write_certified_json () =
-  let path = "BENCH_certified.json" in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"rmt-bench-certified/1\",\n  %s\n}\n"
-    (String.concat ",\n  " !certified_json_sections);
-  close_out oc;
-  Printf.printf "[wrote %s]\n" path
-
-let write_lint_json () =
-  let path = "BENCH_lint.json" in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"rmt-bench-lint/1\",\n  %s\n}\n"
-    (String.concat ",\n  " !lint_json_sections);
-  close_out oc;
-  Printf.printf "[wrote %s]\n" path
-
 let () =
+  let json = ref false in
   let flags, names =
     match Array.to_list Sys.argv with
     | [] -> ([], [])
@@ -1940,7 +1867,7 @@ let () =
   List.iter
     (fun flag ->
       match flag with
-      | "--json" -> json_mode := true
+      | "--json" -> json := true
       | _ when String.length flag > 10 && String.sub flag 0 10 = "--domains=" ->
         (match
            int_of_string_opt (String.sub flag 10 (String.length flag - 10))
@@ -1962,16 +1889,11 @@ let () =
     (fun name ->
       match List.assoc_opt name experiments with
       | Some f ->
-        let (), seconds = Timing.time_it f in
-        Printf.printf "[%s finished in %.2fs]\n" name seconds
+        let rows, seconds = Timing.time_it f in
+        Printf.printf "[%s finished in %.2fs]\n" name seconds;
+        if !json && rows <> [] then write_record name rows
       | None ->
         Printf.eprintf "unknown experiment %S (known: %s)\n" name
           (String.concat ", " (List.map fst experiments));
         exit 1)
-    names;
-  if !json_mode && !core_json_sections <> [] then write_core_json ();
-  if !json_mode && !attack_json_sections <> [] then write_attack_json ();
-  if !json_mode && !sim_json_sections <> [] then write_sim_json ();
-  if !json_mode && !net_json_sections <> [] then write_net_json ();
-  if !json_mode && !lint_json_sections <> [] then write_lint_json ();
-  if !json_mode && !certified_json_sections <> [] then write_certified_json ()
+    names

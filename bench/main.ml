@@ -1758,26 +1758,54 @@ let certified () =
   let pairs =
     Campaign.[ ("pka", Pka, Cert_pka); ("ppa", Ppa, Cert_ppa) ]
   in
-  let tests =
+  let cases =
     List.concat_map
       (fun (pname, raw, cert) ->
         [
-          Test.make
-            ~name:(Printf.sprintf "cert/raw/%s" pname)
-            (Staged.stage (fun () ->
-                 Campaign.execute raw inst ~x_dealer:5 program));
-          Test.make
-            ~name:(Printf.sprintf "cert/engine/%s" pname)
-            (Staged.stage (fun () ->
-                 Campaign.execute cert inst ~x_dealer:5 program));
-          Test.make
-            ~name:(Printf.sprintf "cert/sync/%s" pname)
-            (Staged.stage (fun () ->
-                 Rmt_sim.Sim_exec.execute ~policy:Rmt_sim.Policy.sync cert
-                   inst ~x_dealer:5 program));
+          ("cert/raw/" ^ pname, Campaign.engine_runner, raw);
+          ("cert/engine/" ^ pname, Campaign.engine_runner, cert);
+          ( "cert/sync/" ^ pname,
+            Rmt_sim.Sim_exec.runner ~policy:Rmt_sim.Policy.sync,
+            cert );
         ])
       pairs
   in
+  let tests =
+    List.map
+      (fun (name, runner, protocol) ->
+        Test.make ~name
+          (Staged.stage (fun () ->
+               Campaign.execute ~runner protocol inst ~x_dealer:5 program)))
+      cases
+  in
+  (* messages and bits per run sit beside the time: both are
+     deterministic, so one observed execution per row gives them *)
+  let traffic (name, (runner : Campaign.runner), protocol) =
+    let fields = ref [] in
+    let observed =
+      {
+        Campaign.run =
+          (fun ?max_messages ?size_of ?stop_when ?on_deliver ~graph
+               ~adversary auto ->
+            let o =
+              runner.Campaign.run ?max_messages ?size_of ?stop_when
+                ?on_deliver ~graph ~adversary auto
+            in
+            let s = o.Rmt_net.Engine.stats in
+            Printf.printf "  %-18s %8d messages %9d bits per run\n" name
+              s.Rmt_net.Engine.messages s.Rmt_net.Engine.bits;
+            fields :=
+              [
+                ("messages_per_run", jint s.Rmt_net.Engine.messages);
+                ("bits_per_run", jint s.Rmt_net.Engine.bits);
+              ];
+            o);
+      }
+    in
+    ignore (Campaign.execute ~runner:observed protocol inst ~x_dealer:5 program);
+    ("rmt/" ^ name, !fields)
+  in
+  let traffic_rows = List.map traffic cases in
   let rows = run_bechamel ~quota:2.0 tests in
   print_bechamel_rows rows;
   (* the solvability-frontier experiment: one in-envelope-to-beyond
@@ -1809,7 +1837,12 @@ let certified () =
     secs
     (float_of_int total /. secs)
     (Rmt_sim.Frontier.to_table rows_f);
-  timed_rows ~fields:[ ("instance", jstr name) ] rows
+  List.concat_map
+    (fun ((row_name, _, _) as r) ->
+      timed_rows
+        ~fields:(List.assoc row_name traffic_rows @ [ ("instance", jstr name) ])
+        [ r ])
+    rows
   @ {
       name = "frontier";
       fields =

@@ -10,12 +10,34 @@ type 'p body =
 
 type 'p msg = 'p body Flood.msg
 
+(* Dedup keys: a flooded fact's interned id paired with the trail it
+   arrived on.  Hashed as a fold over ints — no polymorphic hash. *)
+module Seen = Hashtbl.Make (struct
+  type t = int * int list
+
+  let equal (a, ta) (b, tb) = Int.equal a b && List.equal Int.equal ta tb
+  let hash (id, trail) = List.fold_left (fun h x -> (h * 31) + x) id trail
+end)
+
+(* How many recently keyed payload objects a node remembers.  Relays
+   forward the originator's payload object, so every honest copy after
+   the first is a hit; a miss only costs one [key] call. *)
+let recent_cap = 32
+
 type 'p state = {
   self : int;
-  seen : (string, unit) Hashtbl.t;
+  seen : unit Seen.t;
+  ids : (string, int) Hashtbl.t;
+      (** canonical serialization -> interned id (>= 0); one entry per
+          distinct fact, so never larger than [seen] *)
+  recent : ('p * int) option array;
+      (** ring of the last [recent_cap] payload objects keyed, with
+          their ids; matched by physical identity *)
+  mutable recent_next : int;
   mutable cur_round : int;
   mutable evidence : (int * 'p Flood.msg) list;
       (** receiver-side: deduplicated [Load] arrivals, newest first *)
+  mutable evidence_count : int;  (** [List.length evidence] *)
   mutable echoes : Nodeset.t;
   (* decision-side replay memo; versioned by the (monotone) evidence and
      echo counts so the exponential inner search runs once per new fact,
@@ -32,26 +54,54 @@ let quorum structure echoes =
      reject the empty set under an empty adversary family *)
   Nodeset.is_empty missing || Structure.mem missing structure
 
-let trail_sig trail = String.concat "," (List.map string_of_int trail)
-
-let dedup_key tag trail = tag ^ "#" ^ trail_sig trail
-
 let truncated st = st.memo_truncated
 
 let echo_set st = st.echoes
 
-let evidence_count st = List.length st.evidence
+let evidence_count st = st.evidence_count
+
+let intern st s =
+  match Hashtbl.find_opt st.ids s with
+  | Some id -> id
+  | None ->
+    let id = Hashtbl.length st.ids in
+    Hashtbl.replace st.ids s id;
+    id
+
+(* The id of [Load p]: physically equal payloads have equal keys, so a
+   remembered object skips [key] altogether. *)
+let load_id st ~key p =
+  let rec scan i =
+    if i >= recent_cap then None
+    else
+      match st.recent.(i) with
+      | Some (q, id) when q == p -> Some id
+      | Some _ -> scan (i + 1)
+      | None -> None (* the ring fills in index order *)
+  in
+  match scan 0 with
+  | Some id -> id
+  | None ->
+    let id = intern st ("L:" ^ key p) in
+    st.recent.(st.recent_next) <- Some (p, id);
+    st.recent_next <- (st.recent_next + 1) mod recent_cap;
+    id
+
+(* A flooded body's fact id.  [Echo o] needs no serialization: [lnot o]
+   is negative for every node id, so it never meets an interned id; a
+   (forged) negative origin goes through the table like any other fact.
+   [Tick] never reaches dedup. *)
+let body_id st ~key body =
+  match body with
+  | Load p -> load_id st ~key p
+  | Echo origin when origin >= 0 -> lnot origin
+  | Echo origin -> intern st ("E:" ^ string_of_int origin)
+  | Tick -> intern st "T"
 
 let make ~graph ~receiver ~structure ~envelope ~inject_value ~inject_report
     ~key ~inner ~inner_truncated =
   let commit =
     Envelope.commit_round envelope ~num_nodes:(Graph.num_nodes graph)
-  in
-  let body_tag body =
-    match body with
-    | Load p -> "L:" ^ key p
-    | Echo origin -> "E:" ^ string_of_int origin
-    | Tick -> "T"
   in
   (* Every flooded message goes out in [drop_budget + 1] same-round
      copies per edge: a conforming scheduler cannot silence a hop.  The
@@ -59,28 +109,23 @@ let make ~graph ~receiver ~structure ~envelope ~inject_value ~inject_report
      model recognizes it and caps the send multiplicity at the pinned
      [max_drop_budget + 1]. *)
   let emit v body acc =
+    let m = { Flood.payload = body; trail = [ v ] } in
     Nodeset.fold
       (fun u acc ->
         List.fold_left
-          (fun acc () ->
-            { Engine.dst = u; payload = { Flood.payload = body; trail = [ v ] } }
-            :: acc)
+          (fun acc () -> { Engine.dst = u; payload = m } :: acc)
           acc
           (Envelope.slots envelope))
       (Graph.neighbors v graph)
       acc
   in
+  (* one extended trail per forwarded message, shared by every copy *)
   let relay v (m : 'p msg) acc =
+    let m = { m with Flood.trail = m.Flood.trail @ [ v ] } in
     Nodeset.fold
       (fun u acc ->
         List.fold_left
-          (fun acc () ->
-            {
-              Engine.dst = u;
-              payload =
-                { Flood.payload = m.Flood.payload; trail = m.Flood.trail @ [ v ] };
-            }
-            :: acc)
+          (fun acc () -> { Engine.dst = u; payload = m } :: acc)
           acc
           (Envelope.slots envelope))
       (Graph.neighbors v graph)
@@ -90,9 +135,13 @@ let make ~graph ~receiver ~structure ~envelope ~inject_value ~inject_report
     let st =
       {
         self = v;
-        seen = Hashtbl.create 64;
+        seen = Seen.create 64;
+        ids = Hashtbl.create 16;
+        recent = Array.make recent_cap None;
+        recent_next = 0;
         cur_round = 0;
         evidence = [];
+        evidence_count = 0;
         (* the receiver's own echo never transits the network *)
         echoes = (if v = receiver then Nodeset.add v Nodeset.empty else Nodeset.empty);
         memo_evidence = -1;
@@ -144,16 +193,17 @@ let make ~graph ~receiver ~structure ~envelope ~inject_value ~inject_report
           | Load _ | Echo _ ->
             if not (Flood.trail_ok ~self:v ~src m.Flood.trail) then acc
             else begin
-              let k = dedup_key (body_tag m.Flood.payload) m.Flood.trail in
-              if Hashtbl.mem st.seen k then acc
+              let k = (body_id st ~key m.Flood.payload, m.Flood.trail) in
+              if Seen.mem st.seen k then acc
               else begin
-                Hashtbl.replace st.seen k ();
+                Seen.replace st.seen k ();
                 (if v = receiver then
                    match m.Flood.payload with
                    | Load p ->
                      st.evidence <-
                        (src, { Flood.payload = p; trail = m.Flood.trail })
-                       :: st.evidence
+                       :: st.evidence;
+                     st.evidence_count <- st.evidence_count + 1
                    | Echo origin -> st.echoes <- Nodeset.add origin st.echoes
                    | Tick -> ());
                 relay v m acc
@@ -167,7 +217,7 @@ let make ~graph ~receiver ~structure ~envelope ~inject_value ~inject_report
     if st.self <> receiver || st.cur_round < commit then None
     else if not (quorum structure st.echoes) then None
     else begin
-      let ev = List.length st.evidence in
+      let ev = st.evidence_count in
       let ec = Nodeset.size st.echoes in
       if
         not
@@ -186,22 +236,26 @@ let make ~graph ~receiver ~structure ~envelope ~inject_value ~inject_report
            4's safety.  Stopping at the first decision also restores the
            synchronous protocol's earliest-prefix decision discipline:
            late forged conflicts cannot retroactively poison it. *)
-        let evidence = List.rev st.evidence in
         let horizon =
           List.fold_left
             (fun acc (_, m) -> max acc (List.length m.Flood.trail))
-            0 evidence
+            0 st.evidence
         in
+        (* round [k]'s inbox, oldest arrival first: consing from the
+           newest-first evidence list buckets it in one pass *)
+        let inboxes = Array.make (horizon + 1) [] in
+        List.iter
+          (fun ((_, m) as e) ->
+            let k = List.length m.Flood.trail in
+            inboxes.(k) <- e :: inboxes.(k))
+          st.evidence;
         let rec replay ist k =
           if k > horizon || Option.is_some (inner.Engine.decision ist) then
             ist
           else begin
-            let inbox =
-              List.filter
-                (fun (_, m) -> List.length m.Flood.trail = k)
-                evidence
+            let ist, _ =
+              inner.Engine.step st.self ist ~round:k ~inbox:inboxes.(k)
             in
-            let ist, _ = inner.Engine.step st.self ist ~round:k ~inbox in
             replay ist (k + 1)
           end
         in

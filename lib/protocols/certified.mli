@@ -82,8 +82,15 @@ val make :
     name the payloads node [v] originates at round 0 (the inner
     protocol's initial sends, reified as data so the wrapper owns every
     send site); [key] is a canonical payload serialization for
-    per-trail deduplication; [inner] is consulted only inside
-    [decision], replaying the receiver's evidence in one shot. *)
+    per-trail deduplication: payloads with equal keys are one fact.
+    Each node interns the keys it meets into small ints and computes
+    [key] at most once per distinct payload: relays forward the
+    originator's payload object, and a node recognizes the last 32
+    objects it keyed by physical identity, so only an object outside
+    that ring (a freshly forged one, or one pushed out by 32 newer
+    objects) is serialized again.
+    [inner] is consulted only inside [decision], replaying the
+    receiver's evidence in one shot. *)
 
 val truncated : 'p state -> bool
 (** True when the last evidence replay exhausted an inner-protocol

@@ -21,7 +21,12 @@
      reports and traces on the synchronous engine and on the simulator
      pinned to Policy.sync, plugged in as a campaign runner.
    - A pinned golden of the solvability-frontier experiment
-     ({!Rmt_sim.Frontier}) over the boundary instance. *)
+     ({!Rmt_sim.Frontier}) over the boundary instance.
+   - A no-change golden of what the wrapper sends and decides, per run,
+     against seeded attack programs on the engine and under in-envelope
+     random schedules (fixtures/certified_runs.golden).
+   - Dedup unit tests: equal payloads collapse per trail, distinct
+     trails and distinct reports never do. *)
 
 open Rmt_base
 open Rmt_graph
@@ -392,8 +397,171 @@ let test_frontier_golden () =
   check_string "frontier table golden" frontier_golden (Frontier.to_table rows)
 
 (* ------------------------------------------------------------------ *)
+(* No-change golden                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Per run: Transport.stats (messages, bits, rounds, truncated), the
+   receiver's decision, and its evidence count, echo set and
+   replay-truncation flag — cert-pka and cert-ppa against the same 25
+   seeded attack programs per instance, on the synchronous engine and
+   on the simulator under a seeded in-envelope random policy.  The
+   wrapper's dedup and relay bookkeeping may get cheaper; none of it may
+   change a sent message or a decision, and this table is what says so.
+   Regenerate, only when a behaviour change is intended, from the
+   repository root with
+     dune build test/protocols/test_certified.exe
+     (cd test/protocols && \
+        ../../_build/default/test/protocols/test_certified.exe --print) \
+       > test/protocols/fixtures/certified_runs.golden *)
+
+let golden_path = "fixtures/certified_runs.golden"
+let golden_programs = 25
+
+let cert_run_line ~(runner : Campaign.runner) ~size_of ~adversary
+    (inst : Instance.t) auto =
+  let o =
+    runner.Campaign.run ~size_of
+      ~stop_when:(fun dec -> Option.is_some (dec inst.receiver))
+      ~graph:inst.graph ~adversary auto
+  in
+  let s = o.Rmt_net.Engine.stats in
+  let receiver =
+    match List.assoc_opt inst.receiver o.Rmt_net.Engine.states with
+    | None -> "-"
+    | Some st ->
+      Printf.sprintf "%d {%s} %b"
+        (Certified.evidence_count st)
+        (String.concat ","
+           (List.map string_of_int (Nodeset.elements (Certified.echo_set st))))
+        (Certified.truncated st)
+  in
+  Printf.sprintf "%d %d %d %b %s %s" s.Rmt_net.Engine.messages
+    s.Rmt_net.Engine.bits s.Rmt_net.Engine.rounds s.Rmt_net.Engine.truncated
+    (match Rmt_net.Engine.decision_of o inst.receiver with
+     | Some x -> string_of_int x
+     | None -> "-")
+    receiver
+
+let golden_table () =
+  let x_dealer = 7 in
+  let buf = Buffer.create 16384 in
+  List.iteri
+    (fun k name ->
+      let inst =
+        load_instance (Filename.concat instances_dir (name ^ ".rmt"))
+      in
+      let rng = Prng.create (2016 + k) in
+      for i = 0 to golden_programs - 1 do
+        let program = Strategy_gen.random rng inst ~x_dealer ~x_fake:8 in
+        let sched_seed = Prng.int rng 0x3fffffff in
+        (* a fresh runner per execution: the sim runner consumes its policy *)
+        let runners =
+          [
+            ("engine", fun () -> Campaign.engine_runner);
+            ( "sim",
+              fun () ->
+                Sim_exec.runner
+                  ~policy:
+                    (Policy.random (Prng.create sched_seed)
+                       Policy.default_params) );
+          ]
+        in
+        List.iter
+          (fun (backend, runner) ->
+            let line protocol result =
+              Printf.bprintf buf "%s %d %s %s %s\n" name i protocol backend
+                result
+            in
+            line "cert-pka"
+              (cert_run_line ~runner:(runner ())
+                 ~size_of:Certified.pka_msg_size
+                 ~adversary:
+                   (Strategy_gen.compile_cert_pka program inst ~x_dealer)
+                 inst
+                 (Certified.pka inst ~x_dealer));
+            line "cert-ppa"
+              (cert_run_line ~runner:(runner ())
+                 ~size_of:Certified.ppa_msg_size
+                 ~adversary:
+                   (Strategy_gen.compile_cert_ppa program inst ~x_dealer)
+                 inst
+                 (Certified.ppa inst.graph ~structure:inst.structure
+                    ~dealer:inst.dealer ~receiver:inst.receiver ~x_dealer)))
+          runners
+      done)
+    [ "figure1_basic"; "path4_unsolvable" ];
+  Buffer.contents buf
+
+let test_no_change_golden () =
+  let expected = In_channel.with_open_bin golden_path In_channel.input_all in
+  check_string "certified runs golden" expected (golden_table ())
+
+(* ------------------------------------------------------------------ *)
+(* Dedup                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Drives the cert-pka receiver of figure1_basic (receiver 4, neighbours
+   1, 2, 3) by hand: one [Load] per round, each [(round, src, trail,
+   payload)].  [forged] builds its report from scratch on every call, so
+   two calls give structurally equal, physically distinct payloads — what
+   a forger re-sending one report each round produces. *)
+let forged ?(edges = [ (0, 1); (1, 4) ]) ?(sets = [ [ 2 ] ]) () =
+  Rmt_core.Rmt_pka.Info
+    {
+      Rmt_core.Rmt_pka.origin = 1;
+      gamma = Graph.of_edges edges;
+      zeta =
+        Structure.of_sets
+          ~ground:(Nodeset.of_list [ 0; 1; 2; 3; 4 ])
+          (List.map Nodeset.of_list sets);
+    }
+
+let evidence_after deliveries =
+  let inst =
+    load_instance (Filename.concat instances_dir "figure1_basic.rmt")
+  in
+  let auto = Certified.pka inst ~x_dealer:7 in
+  let r = inst.Instance.receiver in
+  let st =
+    List.fold_left
+      (fun st (round, src, trail, p) ->
+        fst
+          (auto.Rmt_net.Engine.step r st ~round
+             ~inbox:
+               [ (src, { Rmt_net.Flood.payload = Certified.Load p; trail }) ]))
+      (fst (auto.Rmt_net.Engine.init r))
+      deliveries
+  in
+  Certified.evidence_count st
+
+let test_dedup_reforged () =
+  let a = forged () and b = forged () in
+  check "re-forged reports are physically distinct" false (a == b);
+  check_int "equal reports on one trail are one fact" 1
+    (evidence_after [ (1, 1, [ 1 ], a); (2, 1, [ 1 ], b) ])
+
+let test_dedup_trails () =
+  let p = forged () in
+  check_int "one payload on two trails is two facts" 2
+    (evidence_after [ (1, 1, [ 1 ], p); (2, 3, [ 1; 3 ], p) ])
+
+let test_dedup_distinct_reports () =
+  check_int "reports differing only in zeta stay apart" 2
+    (evidence_after
+       [ (1, 1, [ 1 ], forged ()); (2, 1, [ 1 ], forged ~sets:[ [ 3 ] ] ()) ]);
+  check_int "reports differing only in gamma stay apart" 2
+    (evidence_after
+       [
+         (1, 1, [ 1 ], forged ());
+         (2, 1, [ 1 ], forged ~edges:[ (0, 1); (1, 3) ] ());
+       ])
+
+(* ------------------------------------------------------------------ *)
 
 let () =
+  if Array.length Sys.argv > 1 && String.equal Sys.argv.(1) "--print" then
+    print_string (golden_table ())
+  else
   Alcotest.run "certified"
     [
       ( "envelope",
@@ -430,4 +598,18 @@ let () =
         [ Alcotest.test_case "sim sync backend" `Quick test_sim_sync_backend ] );
       ( "frontier",
         [ Alcotest.test_case "pinned golden" `Slow test_frontier_golden ] );
+      ( "no-change golden",
+        [
+          Alcotest.test_case "engine and in-envelope sim" `Quick
+            test_no_change_golden;
+        ] );
+      ( "dedup",
+        [
+          Alcotest.test_case "re-forged report is one fact" `Quick
+            test_dedup_reforged;
+          Alcotest.test_case "distinct trails are distinct facts" `Quick
+            test_dedup_trails;
+          Alcotest.test_case "distinct reports never collapse" `Quick
+            test_dedup_distinct_reports;
+        ] );
     ]

@@ -80,11 +80,12 @@ let local_condition inst =
         Structure.mem (Nodeset.inter nu c2) zu)
       b
 
-(* Specialized driver for RMT-cuts: 𝒵_B and V(γ(B)) are maintained
-   incrementally along the enumeration (⊕ is associative), which avoids
-   the O(|B|) joins per enumerated component of the naive version; the
-   per-node view restrictions feeding the ⊕ threading come from a memo
-   table, so each node is restricted once per search, not once per
+(* Specialized driver for RMT-cuts: V(γ(B)) and the members' local
+   structures 𝒵^{V(γ(v))} are threaded along the enumeration, and 𝒵_B is
+   never built: C₂ ∩ V(γ(B)) ∈ 𝒵_B is decided by one membership test per
+   member of B (Joint.mem_joint, exact by the candidate formula and ⊕'s
+   associativity).  Each node's view nodes and restriction come from one
+   per-search memo, so a view is built once per search, not once per
    branch of the enumeration tree. *)
 let find_rmt_cut ?budget (inst : Instance.t) =
   let g = inst.graph in
@@ -95,19 +96,23 @@ let find_rmt_cut ?budget (inst : Instance.t) =
   else begin
     let found = ref None in
     let maximal = Structure.maximal_sets inst.structure in
-    let part = Joint.restriction_cache inst.view inst.structure in
-    let init = (View.view_nodes inst.view r, part r) in
-    let extend (vgb, zb) c =
-      (Nodeset.union vgb (View.view_nodes inst.view c), Joint.join zb (part c))
+    let local = Joint.restriction_cache inst.view inst.structure in
+    let init =
+      let vr, zr = local r in
+      (vr, [ zr ])
+    in
+    let extend (vgb, parts) c =
+      let vc, zc = local c in
+      (Nodeset.union vgb vc, zc :: parts)
     in
     let outcome =
       Subset_enum.connected_supersets_acc ?budget g ~seed:r ~forbidden ~init
-        ~extend (fun b (vgb, zb) ->
+        ~extend (fun b (vgb, parts) ->
           let c = Graph.neighborhood_of_set b g in
           List.exists
             (fun m ->
               let c2 = Nodeset.diff c m in
-              if Structure.mem (Nodeset.inter c2 vgb) zb then begin
+              if Joint.mem_joint (Nodeset.inter c2 vgb) parts then begin
                 found :=
                   Some { b_side = b; cut = c; c1 = Nodeset.inter c m; c2 };
                 true
@@ -152,8 +157,8 @@ let is_rmt_zpp_cut inst c1 c2 =
    - otherwise a full re-search.  No structural monotonicity is assumed
      (an added edge can both create and destroy RMT-cuts depending on the
      view function), but the re-search still amortizes through the global
-     restriction/join memos (Hc), so repeated searches over a churning
-     instance pay far less than cold ones. *)
+     restriction memo (Hc), so repeated searches over a churning instance
+     pay far less than cold ones. *)
 let update ?budget ~prev (inst : Instance.t) =
   match prev.cut_found with
   | Some w when is_rmt_cut inst w.c1 w.c2 ->

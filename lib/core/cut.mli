@@ -45,16 +45,17 @@ val absent_certainly : verdict -> bool
 
 val find_rmt_cut : ?budget:int -> Instance.t -> verdict
 (** RMT-cut existence in the partial knowledge model (Definition 3).
-    [𝒵_B] and [V(γ(B))] are threaded incrementally through the
-    enumeration, and the per-node view restrictions feeding the [⊕]
-    threading are memoized for the whole search
-    ({!Joint.restriction_cache}). *)
+    [𝒵_B] is never built: [V(γ(B))] and the members' local structures
+    [𝒵^{V(γ(v))}] are threaded through the enumeration, and
+    [C₂ ∩ V(γ(B)) ∈ 𝒵_B] is decided by one membership test per member of
+    [B] ({!Joint.mem_joint}).  Each node's view nodes and restriction are
+    computed once per search ({!Joint.restriction_cache}). *)
 
 val find_rmt_cut_naive : ?budget:int -> Instance.t -> verdict
-(** Same verdict as {!find_rmt_cut} but recomputing [𝒵_B] and [V(γ(B))]
-    from scratch for every enumerated component instead of threading them
-    incrementally through the enumeration.  Exists as the ablation
-    baseline for experiment A1; prefer {!find_rmt_cut}. *)
+(** Same verdict as {!find_rmt_cut}, computed independently: joins
+    [𝒵_B] by [⊕] and recomputes [V(γ(B))] from scratch for every
+    enumerated component.  The oracle the fast decider is checked against
+    and the ablation baseline for experiment A1; prefer {!find_rmt_cut}. *)
 
 val find_rmt_zpp_cut : ?budget:int -> Instance.t -> verdict
 (** RMT 𝒵-pp cut existence (Definition 7).  Local structures [𝒵_u] are

@@ -50,7 +50,6 @@ let structure_tab = Structure_tab.create 256
    weight but never a wrong answer; the cap flushes such residue. *)
 let cache_cap = 8192
 let restrict_cache : (int * int, Structure.t) Hashtbl.t = Hashtbl.create 256
-let join_cache : (int * int, Structure.t) Hashtbl.t = Hashtbl.create 256
 
 let set_hits = ref 0
 let set_misses = ref 0
@@ -58,8 +57,6 @@ let structure_hits = ref 0
 let structure_misses = ref 0
 let restrict_hits = ref 0
 let restrict_misses = ref 0
-let join_hits = ref 0
-let join_misses = ref 0
 
 let intern tab probe hits misses =
   match Set_tab.find_opt tab probe with
@@ -124,28 +121,6 @@ let memo_restrict a z =
         bounded_add restrict_cache key r;
         r)
 
-let memo_join ~compute e f =
-  let probe =
-    locked (fun () ->
-        let ie = (structure_cell e).id and if_ = (structure_cell f).id in
-        let key = (min ie if_, max ie if_) in
-        match Hashtbl.find_opt join_cache key with
-        | Some r ->
-          incr join_hits;
-          Either.Left r
-        | None ->
-          incr join_misses;
-          Either.Right key)
-  in
-  match probe with
-  | Either.Left r -> r
-  | Either.Right key ->
-    let r = compute e f in
-    locked (fun () ->
-        let r = (structure_cell r).value in
-        bounded_add join_cache key r;
-        r)
-
 type stats = {
   live_sets : int;
   live_structures : int;
@@ -170,8 +145,8 @@ let stats () =
         structure_misses = !structure_misses;
         restrict_hits = !restrict_hits;
         restrict_misses = !restrict_misses;
-        join_hits = !join_hits;
-        join_misses = !join_misses;
+        join_hits = 0;
+        join_misses = 0;
       })
 
 let clear () =
@@ -179,12 +154,9 @@ let clear () =
       Set_tab.clear set_tab;
       Structure_tab.clear structure_tab;
       Hashtbl.reset restrict_cache;
-      Hashtbl.reset join_cache;
       set_hits := 0;
       set_misses := 0;
       structure_hits := 0;
       structure_misses := 0;
       restrict_hits := 0;
-      restrict_misses := 0;
-      join_hits := 0;
-      join_misses := 0)
+      restrict_misses := 0)

@@ -33,10 +33,10 @@
       forgets [locked] is a finding.  The domain-safety property is also
       tested at runtime in test/core/test_hc.ml.
     - Callers: the cut deciders reach [memo_restrict] through
-      {!Joint.restriction_cache}; [memo_join], wrapped as
-      {!Joint.join_memo}, serves the RMT-PKA receiver's adversary-cover
-      check ({!Rmt_pka}), which re-joins the same reported structures
-      across candidate sets, rounds and runs. *)
+      {!Joint.restriction_cache}; the benchmark harnesses read {!stats}
+      and call {!clear}.  There is no join memo: the RMT-cut
+      decider and the RMT-PKA receiver's cover check decide [𝒵_B]
+      membership locally ({!Joint.mem_joint}) and never build a join. *)
 
 open Rmt_base
 open Rmt_adversary
@@ -67,16 +67,6 @@ val memo_restrict : Nodeset.t -> Structure.t -> Structure.t
     [(set_id a, structure_id z)].  The result is itself canonical, so
     chains of cached operations keep hitting. *)
 
-val memo_join :
-  compute:(Structure.t -> Structure.t -> Structure.t) ->
-  Structure.t ->
-  Structure.t ->
-  Structure.t
-(** [memo_join ~compute e f] memoizes the commutative [compute] by the
-    {e unordered} pair of structure ids.  The cache is shared by all
-    callers, so they must all pass the same function — in this repository
-    that is the ⊕ join, wired up once as [Joint.join_memo]. *)
-
 type stats = {
   live_sets : int;  (** canonical set cells currently live *)
   live_structures : int;
@@ -87,7 +77,9 @@ type stats = {
   restrict_hits : int;
   restrict_misses : int;
   join_hits : int;
-  join_misses : int;
+      (** always [0]: no join memo exists any more.  Kept with
+          [join_misses] because the benchmark harness still reads both *)
+  join_misses : int;  (** always [0] *)
 }
 
 val stats : unit -> stats

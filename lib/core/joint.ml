@@ -81,8 +81,6 @@ let join_delta ~prev ~e ~f ~e' ~f' =
     end
   end
 
-let join_memo e f = Hc.memo_join ~compute:join e f
-
 let identity = Structure.trivial ~ground:Nodeset.empty
 
 let join_list = function
@@ -90,22 +88,32 @@ let join_list = function
   | s :: rest -> List.fold_left join s rest
 
 (* Per-call node-indexed front cache over the global content-addressed
-   memo: the int key avoids re-consing the view nodeset on every probe
-   of the same search, while distinct searches (and service generations)
-   still share one restriction per distinct (view nodes, structure)
-   pair through Hc. *)
+   memo: the int key avoids re-deriving the view (a star graph or a BFS
+   ball) and re-consing its node set on every probe of the same search,
+   while distinct searches (and service generations) still share one
+   restriction per distinct (view nodes, structure) pair through Hc. *)
 let restriction_cache view z =
   let tbl = Hashtbl.create 16 in
   fun v ->
     match Hashtbl.find_opt tbl v with
-    | Some s -> s
+    | Some local -> local
     | None ->
-      let s = Hc.memo_restrict (View.view_nodes view v) z in
-      Hashtbl.add tbl v s;
-      s
+      let vn = View.view_nodes view v in
+      let local = (vn, Hc.memo_restrict vn z) in
+      Hashtbl.add tbl v local;
+      local
 
 let joint_structure view z b =
-  let part = restriction_cache view z in
-  join_list (Nodeset.fold (fun v acc -> part v :: acc) b [])
+  let local = restriction_cache view z in
+  join_list (Nodeset.fold (fun v acc -> snd (local v) :: acc) b [])
 
-let mem_joint z parts = Structure.mem z (join_list parts)
+(* z ∈ ⊕ᵢ pᵢ iff z ⊆ ⋃ ground(pᵢ) and every z ∩ ground(pᵢ) ∈ pᵢ (proof
+   in joint.mli).  The membership tests run first: they fail far more
+   often than the coverage test and allocate only the intersection. *)
+let mem_joint z parts =
+  List.for_all
+    (fun p -> Structure.mem (Nodeset.inter z (Structure.ground p)) p)
+    parts
+  && Nodeset.for_all
+       (fun x -> List.exists (fun p -> Nodeset.mem x (Structure.ground p)) parts)
+       z

@@ -43,32 +43,25 @@ val join_delta :
     delta falls back to the from-scratch join; the tag reports which path
     ran.  Either way the result is exactly [join e' f']. *)
 
-val join_memo : Structure.t -> Structure.t -> Structure.t
-(** {!join}, memoized globally by hash-consed identity ({!Hc.memo_join}).
-    Same results as [join].  Use where repeated joins of identical
-    operands are expected across searches — the RMT-PKA receiver's cover
-    check re-joins the same reported structures across candidate sets,
-    rounds and runs; the plain [join] stays unmemoized so benchmarks and
-    one-shot sweeps measure and pay the true cost. *)
-
 val join_list : Structure.t list -> Structure.t
 (** Folds {!join}; the empty list yields the identity [{∅}^∅]. *)
 
 val identity : Structure.t
 (** [{∅}] over the empty ground set: [join identity s] is [s]. *)
 
-val restriction_cache : View.t -> Structure.t -> int -> Structure.t
-(** [restriction_cache γ 𝒵] is a memoized [v ↦ 𝒵^{V(γ(v))}]: the first
-    call per node computes the restriction, later calls return the cached
-    value.  The cut deciders thread one cache through their whole
-    connected-subset enumeration so each node's local structure is
-    restricted exactly once per search instead of once per enumerated
-    component (the restriction is the dominant per-step cost there).
-    Since the hash-consing overhaul the per-call table is only a
-    node-indexed front: the restriction itself comes from the global
-    content-addressed memo ({!Hc.memo_restrict}), so repeated searches
-    over the same instance — the streaming service in particular — share
-    one computation per distinct (view nodes, structure) pair. *)
+val restriction_cache : View.t -> Structure.t -> int -> Nodeset.t * Structure.t
+(** [restriction_cache γ 𝒵] is a memoized [v ↦ (V(γ(v)), 𝒵^{V(γ(v))})]:
+    the first call per node derives the view's node set and restricts
+    [𝒵] to it, later calls return the cached pair.  The RMT-cut decider
+    threads one cache through its whole connected-subset enumeration, so
+    each node's view is built (a star graph or a BFS ball) and its
+    structure restricted once per search instead of once per enumerated
+    component; the pairs feed [V(γ(B))] and the [parts] of {!mem_joint}.
+    The per-call table is only a node-indexed front: the restriction
+    itself comes from the global content-addressed memo
+    ({!Hc.memo_restrict}), so repeated searches over the same instance —
+    the streaming service in particular — share one computation per
+    distinct (view nodes, structure) pair. *)
 
 val joint_structure : View.t -> Structure.t -> Nodeset.t -> Structure.t
 (** [joint_structure γ 𝒵 B] is [𝒵_B = ⊕_{v ∈ B} 𝒵^{V(γ(v))}] — what the
@@ -77,5 +70,14 @@ val joint_structure : View.t -> Structure.t -> Nodeset.t -> Structure.t
     contains [𝒵^{V(γ(B))}]. *)
 
 val mem_joint : Nodeset.t -> Structure.t list -> bool
-(** [mem_joint z parts]: is [z] in the join of the given structures?
-    Shortcut for [Structure.mem z (join_list parts)]. *)
+(** [mem_joint z parts] is [Structure.mem z (join_list parts)], decided
+    locally without building the join:
+    [z ⊆ ⋃ᵢ ground(pᵢ)] and [z ∩ ground(pᵢ) ∈ pᵢ] for every [i].  Costs
+    [|parts|] membership tests instead of a chain of joins.
+
+    Exactness, from the candidate formula: for [𝓔] over [A], [𝓕] over
+    [B] and [z ⊆ A ∪ B], [z ⊆ (M₁∖B) ∪ (M₂∖A) ∪ (M₁∩M₂)] iff
+    [z ∩ A ⊆ M₁] and [z ∩ B ⊆ M₂] (split [z] over [A∖B], [B∖A], [A∩B]),
+    so [z ∈ 𝓔 ⊕ 𝓕] iff [z ∩ A ∈ 𝓔] and [z ∩ B ∈ 𝓕].  Associativity
+    carries this over a list ([(z ∩ U) ∩ A = z ∩ A] for [A ⊆ U]); the
+    empty list is the identity [{∅}^∅], where [z ∈] iff [z = ∅]. *)

@@ -279,22 +279,22 @@ let has_cover rs gm =
         Subset_enum.connected_supersets ~budget:rs.budgets.cover_budget gm
           ~seed:rs.self ~forbidden (fun b ->
             let c = Graph.neighborhood_of_set b gm in
-            let rec check vgb zb = function
-              | [] -> Structure.mem (Nodeset.inter c vgb) zb
+            let rec check vgb zetas = function
+              | [] -> Joint.mem_joint (Nodeset.inter c vgb) zetas
               | u :: rest ->
                 (match eligible b u with
                  | [] -> false (* no certified knowledge for u: no cover via b *)
                  | [ r ] ->
                    check
                      (Nodeset.union vgb (Graph.nodes r.gamma))
-                     (Joint.join_memo zb r.zeta) rest
+                     (r.zeta :: zetas) rest
                  | _ :: _ :: _ ->
                    (* conflicting certified versions: b provably contains a
                       corrupted node — treat as covered *)
                    true)
             in
             if
-              check Nodeset.empty Joint.identity
+              check Nodeset.empty []
                 (Nodeset.elements (Nodeset.remove rs.self b) @ [ rs.self ])
             then begin
               covered := true;
@@ -479,9 +479,10 @@ let try_value rs info x =
    branch's selection table is built once per search and serves every
    candidate value; the receiver's [gm_memo] carries G_M, fullness
    checks and cover verdicts across values, branches and searches
-   (rounds); and the ⊕ joins of the cover check go through the global
-   [Joint.join_memo].  The enumeration orders and budgets are those of the
-   plain search, so decisions and truncation flags are too. *)
+   (rounds); and the cover check decides 𝒵_B membership locally
+   ([Joint.mem_joint]) without building ⊕ joins.  The enumeration orders
+   and budgets are those of the plain search, so decisions and truncation
+   flags are too. *)
 let try_decide rs =
   if rs.decided = None then begin
     (* dealer propagation rule *)

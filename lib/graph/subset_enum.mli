@@ -41,7 +41,7 @@ val connected_supersets_acc :
   outcome
 (** Like {!connected_supersets}, threading an accumulator along each
     growth branch: [extend acc c] is called when node [c] joins [B].  Used
-    to maintain per-[B] data (joint views, joint adversary structures)
+    to maintain per-[B] data (joint views, the members' local structures)
     incrementally instead of recomputing them from scratch for every
     enumerated subset.  [init] is the accumulator for [{seed}] — i.e. it
     must already account for the seed node. *)

@@ -95,11 +95,6 @@ let qcheck_props =
         Structure.equal (Hc.memo_restrict a z) (Structure.restrict a z)
         (* and again, through the cache *)
         && Structure.equal (Hc.memo_restrict a z) (Structure.restrict a z));
-    QCheck.Test.make ~count:150 ~name:"join_memo computes Joint.join"
-      (QCheck.pair (arb_structure 6) (arb_structure 6))
-      (fun (e, f) ->
-        Structure.equal (Joint.join_memo e f) (Joint.join e f)
-        && Structure.equal (Joint.join_memo f e) (Joint.join e f));
   ]
 
 let () =

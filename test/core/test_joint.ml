@@ -90,6 +90,54 @@ let test_empty_family_absorbs () =
   check "empty ⊕ f = empty" true
     (Structure.is_empty_family (Joint.join e f))
 
+(* Operands for [mem_joint]: grounds drawn from one of three 4-node
+   windows of {0..11} (same window: overlapping, different windows:
+   disjoint) or empty, families random, empty or trivial.  Node 12 lies
+   outside every ground. *)
+let operand_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* window = int_bound 3 in
+    let* kind = int_bound 5 in
+    let rng = Prng.create seed in
+    let ground =
+      if window = 3 then Nodeset.empty
+      else Prng.subset rng (Nodeset.range (4 * window) ((4 * window) + 4)) 0.8
+    in
+    return
+      (match kind with
+       | 0 -> Structure.empty_family ~ground
+       | 1 -> Structure.trivial ~ground
+       | _ ->
+         Structure.of_sets ~ground
+           (List.init (1 + Prng.int rng 3) (fun _ ->
+                Prng.sample rng ground (Prng.int rng (1 + Nodeset.size ground))))))
+
+(* [z] is a random subset of {0..12}, or a subset of one of the join's
+   maximal sets, or such a subset plus node 12 (outside every ground). *)
+let mem_joint_gen =
+  QCheck.Gen.(
+    let* parts = list_size (int_bound 4) operand_gen in
+    let* mode = int_bound 2 in
+    let* seed = int_bound 1_000_000 in
+    let rng = Prng.create seed in
+    let maximal = Structure.maximal_sets (Joint.join_list parts) in
+    let z =
+      match (mode, maximal) with
+      | 0, _ | _, [] -> Prng.subset rng (Nodeset.range 0 13) 0.3
+      | _, ms ->
+        let m = Prng.subset rng (Prng.pick_list rng ms) 0.7 in
+        if mode = 2 then Nodeset.add 12 m else m
+    in
+    return (z, parts))
+
+let arb_mem_joint =
+  QCheck.make
+    ~print:(fun (z, parts) ->
+      Printf.sprintf "z = %s, parts = [%s]" (Nodeset.to_string z)
+        (String.concat "; " (List.map Structure.to_string parts)))
+    mem_joint_gen
+
 let qcheck_props =
   [
     QCheck.Test.make ~count:120 ~name:"⊕ matches Definition 2 exactly"
@@ -117,6 +165,10 @@ let qcheck_props =
         Structure.subset_family
           (Structure.restrict (Nodeset.union a b) z)
           (Joint.join (Structure.restrict a z) (Structure.restrict b z)));
+    QCheck.Test.make ~count:500
+      ~name:"mem_joint decides membership in join_list" arb_mem_joint
+      (fun (z, parts) ->
+        Joint.mem_joint z parts = Structure.mem z (Joint.join_list parts));
     QCheck.Test.make ~count:120
       ~name:"Theorem 1: join restricts back into operands"
       (QCheck.pair (arb_structure 6) (arb_structure 6)) (fun (e, f) ->

@@ -1429,7 +1429,7 @@ let attack () =
                 [
                   ("feasibility", jstr feasibility);
                   ("seed", jint attack_seed);
-                  ("attacks", jint r.Campaign.attacks);
+                  ("attacks", jint r.Campaign.trials);
                   ("delivered", jint r.Campaign.delivered);
                   ("silenced", jint r.Campaign.silenced);
                   ("violated", jint r.Campaign.violated);
@@ -1474,15 +1474,18 @@ let sim () =
           Test.make
             ~name:(Printf.sprintf "sim/sync/%s" pname)
             (Staged.stage (fun () ->
-                 Rmt_sim.Sim_exec.execute ~policy:Rmt_sim.Policy.sync p inst
-                   ~x_dealer:5 program));
+                 Campaign.execute
+                   ~runner:(Rmt_sim.Sim_exec.runner ~policy:Rmt_sim.Policy.sync)
+                   p inst ~x_dealer:5 program));
           Test.make
             ~name:(Printf.sprintf "sim/timely/%s" pname)
             (Staged.stage (fun () ->
-                 Rmt_sim.Sim_exec.execute
-                   ~policy:
-                     (Rmt_sim.Policy.random (Prng.create 7)
-                        Rmt_sim.Policy.timely_params)
+                 Campaign.execute
+                   ~runner:
+                     (Rmt_sim.Sim_exec.runner
+                        ~policy:
+                          (Rmt_sim.Policy.random (Prng.create 7)
+                             Rmt_sim.Policy.timely_params))
                    p inst ~x_dealer:5 program));
         ])
       protocols
@@ -1505,10 +1508,12 @@ let sim () =
                Campaign.execute Campaign.Pka onion ~x_dealer:5 program));
         Test.make ~name:"sim/timely/pka-onion"
           (Staged.stage (fun () ->
-               Rmt_sim.Sim_exec.execute
-                 ~policy:
-                   (Rmt_sim.Policy.random (Prng.create 7)
-                      Rmt_sim.Policy.timely_params)
+               Campaign.execute
+                 ~runner:
+                   (Rmt_sim.Sim_exec.runner
+                      ~policy:
+                        (Rmt_sim.Policy.random (Prng.create 7)
+                           Rmt_sim.Policy.timely_params))
                  Campaign.Pka onion ~x_dealer:5 program));
       ]
   in
@@ -1527,11 +1532,11 @@ let sim () =
         Rmt_sim.Sweep.run ~domains:(sweep_domains ()) ~seed:attack_seed
           ~schedules:sweep_trials Campaign.Pka inst)
   in
-  let throughput = float_of_int report.Rmt_sim.Sweep.schedules /. secs in
+  let throughput = float_of_int report.Campaign.trials /. secs in
   Printf.printf
     "  sweep: %d timely schedules in %.2fs (%.0f/s), %d safety violations\n"
-    report.Rmt_sim.Sweep.schedules secs throughput
-    (List.length report.Rmt_sim.Sweep.safety_violations);
+    report.Campaign.trials secs throughput
+    (List.length report.Campaign.safety_violations);
   timed_rows ~fields:[ ("instance", jstr name) ] rows
   @ timed_rows ~fields:[ ("instance", jstr "onion_solvable") ] onion_rows
   @ [
@@ -1540,10 +1545,10 @@ let sim () =
         fields =
           [
             ("instance", jstr name);
-            ("schedules", jint report.Rmt_sim.Sweep.schedules);
+            ("schedules", jint report.Campaign.trials);
             ("seconds", jnum 3 secs);
             ( "safety_violations",
-              jint (List.length report.Rmt_sim.Sweep.safety_violations) );
+              jint (List.length report.Campaign.safety_violations) );
           ];
       };
     ]

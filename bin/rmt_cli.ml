@@ -320,17 +320,36 @@ let attack file seed topology adversary knowledge dealer receiver =
        `Ok ())
 
 (* ------------------------------------------------------------------ *)
-(* fuzz                                                                *)
+(* fuzz and sim                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let fuzz_protocols = function
-  | `Pka -> [ Rmt_attack.Campaign.Pka ]
-  | `Ppa -> [ Rmt_attack.Campaign.Ppa ]
-  | `Zcpa -> [ Rmt_attack.Campaign.Zcpa ]
-  | `Cert_pka -> [ Rmt_attack.Campaign.Cert_pka ]
-  | `Cert_ppa -> [ Rmt_attack.Campaign.Cert_ppa ]
-  | `Certified -> Rmt_attack.Campaign.[ Cert_pka; Cert_ppa ]
-  | `All -> Rmt_attack.Campaign.[ Pka; Ppa; Zcpa ]
+(* Run [one] for each selected protocol under one --budget deadline;
+   [one] says whether it found (and wrote up) a safety violation. *)
+let for_each_protocol ~budget ~written protocols one =
+  let deadline =
+    if budget <= 0 then None
+    else Some (Unix.gettimeofday () +. float_of_int budget)
+  in
+  let should_stop () =
+    match deadline with
+    | None -> false
+    | Some t -> Unix.gettimeofday () > t
+  in
+  if List.fold_left (fun found p -> one ~should_stop p || found) false protocols
+  then `Error (false, "safety violation found — " ^ written)
+  else `Ok ()
+
+let replay_result ~trace ~label (r : Rmt_attack.Replay.t)
+    ((report : Rmt_attack.Campaign.run_report), rendered) =
+  let open Rmt_attack in
+  if trace then print_string rendered;
+  Printf.printf "replay %s: verdict %s%s\n" label
+    (Campaign.verdict_to_string report.verdict)
+    (match r.expected with
+     | None -> ""
+     | Some v -> Printf.sprintf " (recorded: %s)" (Campaign.verdict_to_string v));
+  if Replay.verdict_matches r report then `Ok ()
+  else `Error (false, "replayed verdict differs from the recorded one")
 
 (* Shrink the first safety violation to a minimal reproducer and write it
    (plus its rendered trace) where CI can pick it up as an artifact. *)
@@ -359,24 +378,14 @@ let write_reproducer inst protocol ~x_dealer (r : Rmt_attack.Campaign.run_report
         Out_channel.output_string oc trace);
     Printf.printf "reproducer written to %s (trace: %s.trace)\n" out out
 
-let fuzz file seed topology adversary knowledge dealer receiver value protocol
+let fuzz file seed topology adversary knowledge dealer receiver value protocols
     attacks budget out trace replay_file =
   let open Rmt_attack in
   match replay_file with
   | Some path ->
     (match Replay.of_file path with
      | Error e -> parse_error "%s" e
-     | Ok r ->
-       let report, rendered = Replay.replay r in
-       if trace then print_string rendered;
-       Printf.printf "replay %s: verdict %s%s\n" path
-         (Campaign.verdict_to_string report.Campaign.verdict)
-         (match r.Replay.expected with
-          | None -> ""
-          | Some v ->
-            Printf.sprintf " (recorded: %s)" (Campaign.verdict_to_string v));
-       if Replay.verdict_matches r report then `Ok ()
-       else `Error (false, "replayed verdict differs from the recorded one"))
+     | Ok r -> replay_result ~trace ~label:path r (Replay.replay r))
   | None ->
     (match
        build_instance ?file ~seed ~topology ~adversary ~knowledge ~dealer
@@ -384,58 +393,28 @@ let fuzz file seed topology adversary knowledge dealer receiver value protocol
      with
      | Error e -> parse_error "%s" e
      | Ok inst ->
-       let deadline =
-         if budget <= 0 then None
-         else Some (Unix.gettimeofday () +. float_of_int budget)
-       in
-       let should_stop () =
-         match deadline with
-         | None -> false
-         | Some t -> Unix.gettimeofday () > t
-       in
        let x_dealer = value in
-       let violated = ref false in
-       List.iter
-         (fun p ->
+       for_each_protocol ~budget ~written:"reproducer written" protocols
+         (fun ~should_stop p ->
            let report =
              Campaign.run ~should_stop ~x_dealer ~x_fake:(x_dealer + 1) ~seed
                ~attacks p inst
            in
            Printf.printf "%s\n"
              (Format.asprintf "%a" Campaign.pp_report report);
-           (match report.Campaign.safety_violations with
+           (match report.safety_violations with
             | [] -> ()
-            | r :: _ ->
-              violated := true;
-              write_reproducer inst p ~x_dealer r out);
-           if trace then
-             match report.Campaign.silenced_examples with
-             | r :: _ when report.Campaign.solvability <> Solvability.Solvable
-               ->
-               let _, rendered =
-                 Campaign.execute_traced p inst ~x_dealer r.Campaign.program
-               in
-               Printf.printf "--- trace of a cut-exploiting silencing ---\n%s"
-                 rendered
-             | _ -> ())
-         (fuzz_protocols protocol);
-       if !violated then
-         `Error (false, "safety violation found — reproducer written")
-       else `Ok ())
-
-(* ------------------------------------------------------------------ *)
-(* sim                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let sim_protocols = function
-  | `Pka -> [ Rmt_attack.Campaign.Pka ]
-  | `Ppa -> [ Rmt_attack.Campaign.Ppa ]
-  | `Zcpa -> [ Rmt_attack.Campaign.Zcpa ]
-  | `Strawman -> [ Rmt_attack.Campaign.Strawman ]
-  | `Cert_pka -> [ Rmt_attack.Campaign.Cert_pka ]
-  | `Cert_ppa -> [ Rmt_attack.Campaign.Cert_ppa ]
-  | `Certified -> Rmt_attack.Campaign.[ Cert_pka; Cert_ppa ]
-  | `All -> Rmt_attack.Campaign.[ Pka; Ppa; Zcpa ]
+            | (r, ()) :: _ -> write_reproducer inst p ~x_dealer r out);
+           (if trace then
+              match report.silenced_examples with
+              | r :: _ when report.solvability <> Solvability.Solvable ->
+                let _, rendered =
+                  Campaign.execute_traced p inst ~x_dealer r.program
+                in
+                Printf.printf
+                  "--- trace of a cut-exploiting silencing ---\n%s" rendered
+              | _ -> ());
+           report.safety_violations <> []))
 
 (* Unlike the fuzz reproducer, the instance and program are kept as found:
    the schedule's sequence numbers are anchored to the exact send pattern
@@ -458,25 +437,17 @@ let write_sim_reproducer inst protocol ~x_dealer ~shrink
   | Ok sched_path ->
     Printf.printf "reproducer pair written: %s + %s\n" out sched_path
 
-let sim file seed topology adversary knowledge dealer receiver value protocol
+let sim file seed topology adversary knowledge dealer receiver value protocols
     schedules bound drops late loss budget out trace shrink replay_file =
-  let open Rmt_attack in
   match replay_file with
   | Some path ->
     (match Rmt_sim.Sim_exec.load_pair ~rmt:path with
      | Error e -> parse_error "%s" e
      | Ok (r, sched) ->
-       let report, rendered = Rmt_sim.Sim_exec.replay r sched in
-       if trace then print_string rendered;
-       Printf.printf "replay %s + %s: verdict %s%s\n" path
-         (Rmt_sim.Sim_exec.sched_path_of path)
-         (Campaign.verdict_to_string report.Campaign.verdict)
-         (match r.Replay.expected with
-          | None -> ""
-          | Some v ->
-            Printf.sprintf " (recorded: %s)" (Campaign.verdict_to_string v));
-       if Replay.verdict_matches r report then `Ok ()
-       else `Error (false, "replayed verdict differs from the recorded one"))
+       replay_result ~trace
+         ~label:(path ^ " + " ^ Rmt_sim.Sim_exec.sched_path_of path)
+         r
+         (Rmt_sim.Sim_exec.replay r sched))
   | None when bound < 1 || bound > Rmt_sim.Schedule.max_bound ->
     parse_error "--bound must be in [1, %d], got %d"
       Rmt_sim.Schedule.max_bound bound
@@ -487,15 +458,6 @@ let sim file seed topology adversary knowledge dealer receiver value protocol
      with
      | Error e -> parse_error "%s" e
      | Ok inst ->
-       let deadline =
-         if budget <= 0 then None
-         else Some (Unix.gettimeofday () +. float_of_int budget)
-       in
-       let should_stop () =
-         match deadline with
-         | None -> false
-         | Some t -> Unix.gettimeofday () > t
-       in
        let x_dealer = value in
        (* timely by default: Theorem 4's safety is scheduler-independent
           only while first deliveries stay on the synchronous timetable
@@ -520,24 +482,19 @@ let sim file seed topology adversary knowledge dealer receiver value protocol
          | Some p -> { base with Rmt_sim.Policy.p_drop = p }
          | None -> base
        in
-       let violated = ref false in
-       List.iter
-         (fun p ->
+       for_each_protocol ~budget ~written:"reproducer pair written" protocols
+         (fun ~should_stop p ->
            let report =
              Rmt_sim.Sweep.run ~should_stop ~x_dealer ~x_fake:(x_dealer + 1)
                ~params ~seed ~schedules p inst
            in
            Printf.printf "%s\n"
              (Format.asprintf "%a" Rmt_sim.Sweep.pp_report report);
-           match report.Rmt_sim.Sweep.safety_violations with
-           | [] -> ()
+           match report.safety_violations with
+           | [] -> false
            | v :: _ ->
-             violated := true;
-             write_sim_reproducer inst p ~x_dealer ~shrink v out)
-         (sim_protocols protocol);
-       if !violated then
-         `Error (false, "safety violation found — reproducer pair written")
-       else `Ok ())
+             write_sim_reproducer inst p ~x_dealer ~shrink v out;
+             true))
 
 (* ------------------------------------------------------------------ *)
 (* serve-solve                                                         *)
@@ -641,28 +598,39 @@ let dot_cmd =
   Cmd.v (Cmd.info "dot" ~doc:"Emit the instance graph as Graphviz")
     (instance_args dot)
 
-let fuzz_cmd =
-  let protocol_t =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("pka", `Pka); ("ppa", `Ppa); ("zcpa", `Zcpa);
-               ("cert-pka", `Cert_pka); ("cert-ppa", `Cert_ppa);
-               ("certified", `Certified); ("all", `All) ])
-          `All
-      & info [ "protocol" ] ~docv:"pka|ppa|zcpa|cert-pka|cert-ppa|certified|all")
+(* --protocol for fuzz and sim: each protocol of the campaign table by
+   name (the strawman only where [strawman]), plus the certified and all
+   groups; all is the default. *)
+let sweep_protocols_t ~strawman =
+  let open Rmt_attack.Campaign in
+  let single =
+    List.filter_map
+      (fun p ->
+        match p with
+        | Strawman when not strawman -> None
+        | _ -> Some (protocol_to_string p, [ p ]))
+      protocols
   in
+  let all = [ Pka; Ppa; Zcpa ] in
+  let choices =
+    single @ [ ("certified", [ Cert_pka; Cert_ppa ]); ("all", all) ]
+  in
+  Arg.(
+    value
+    & opt (enum choices) all
+    & info [ "protocol" ] ~docv:(String.concat "|" (List.map fst choices)))
+
+let sweep_budget_t ~runs =
+  Arg.(
+    value & opt int 0
+    & info [ "budget" ] ~docv:"SECONDS"
+        ~doc:("Wall-clock budget; 0 means run all " ^ runs ^ "."))
+
+let fuzz_cmd =
   let attacks_t =
     Arg.(
       value & opt int 200
       & info [ "attacks" ] ~docv:"N" ~doc:"Attack programs per protocol.")
-  in
-  let budget_t =
-    Arg.(
-      value & opt int 0
-      & info [ "budget" ] ~docv:"SECONDS"
-          ~doc:"Wall-clock budget; 0 means run all $(b,--attacks) programs.")
   in
   let out_t =
     Arg.(
@@ -686,23 +654,12 @@ let fuzz_cmd =
     Term.(
       ret
         (const fuzz $ file_t $ seed_t $ topology_t $ adversary_t $ knowledge_t
-         $ dealer_t $ receiver_t $ value_t $ protocol_t $ attacks_t $ budget_t
+         $ dealer_t $ receiver_t $ value_t $ sweep_protocols_t ~strawman:false
+         $ attacks_t
+         $ sweep_budget_t ~runs:"$(b,--attacks) programs"
          $ out_t $ trace_t $ replay_t))
 
 let sim_cmd =
-  let protocol_t =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("pka", `Pka); ("ppa", `Ppa); ("zcpa", `Zcpa);
-               ("strawman", `Strawman); ("cert-pka", `Cert_pka);
-               ("cert-ppa", `Cert_ppa); ("certified", `Certified);
-               ("all", `All) ])
-          `All
-      & info [ "protocol" ]
-          ~docv:"pka|ppa|zcpa|strawman|cert-pka|cert-ppa|certified|all")
-  in
   let schedules_t =
     Arg.(
       value & opt int 200
@@ -752,12 +709,6 @@ let sim_cmd =
              values concentrate the budget on the earliest sends, where a \
              drop suppresses a whole flood subtree.")
   in
-  let budget_t =
-    Arg.(
-      value & opt int 0
-      & info [ "budget" ] ~docv:"SECONDS"
-          ~doc:"Wall-clock budget; 0 means run all $(b,--schedules) trials.")
-  in
   let out_t =
     Arg.(
       value
@@ -791,8 +742,10 @@ let sim_cmd =
     Term.(
       ret
         (const sim $ file_t $ seed_t $ topology_t $ adversary_t $ knowledge_t
-         $ dealer_t $ receiver_t $ value_t $ protocol_t $ schedules_t
-         $ bound_t $ drops_t $ late_t $ loss_t $ budget_t $ out_t $ trace_t
+         $ dealer_t $ receiver_t $ value_t $ sweep_protocols_t ~strawman:true
+         $ schedules_t $ bound_t $ drops_t $ late_t $ loss_t
+         $ sweep_budget_t ~runs:"$(b,--schedules) trials"
+         $ out_t $ trace_t
          $ shrink_t $ replay_t))
 
 let save file seed topology adversary knowledge dealer receiver out =

@@ -6,6 +6,8 @@ open Rmt_workloads
 
 type protocol = Pka | Ppa | Zcpa | Strawman | Cert_pka | Cert_ppa
 
+let protocols = [ Pka; Ppa; Zcpa; Strawman; Cert_pka; Cert_ppa ]
+
 let protocol_to_string = function
   | Pka -> "pka"
   | Ppa -> "ppa"
@@ -14,17 +16,15 @@ let protocol_to_string = function
   | Cert_pka -> "cert-pka"
   | Cert_ppa -> "cert-ppa"
 
-let protocol_of_string = function
-  | "pka" -> Ok Pka
-  | "ppa" -> Ok Ppa
-  | "zcpa" -> Ok Zcpa
-  | "strawman" -> Ok Strawman
-  | "cert-pka" -> Ok Cert_pka
-  | "cert-ppa" -> Ok Cert_ppa
-  | s ->
+let protocol_of_string s =
+  match
+    List.find_opt (fun p -> String.equal (protocol_to_string p) s) protocols
+  with
+  | Some p -> Ok p
+  | None ->
     Error
-      (Printf.sprintf
-         "unknown protocol %S (pka|ppa|zcpa|strawman|cert-pka|cert-ppa)" s)
+      (Printf.sprintf "unknown protocol %S (%s)" s
+         (String.concat "|" (List.map protocol_to_string protocols)))
 
 type verdict =
   | Delivered
@@ -57,31 +57,6 @@ let classification_to_string = function
   | Liveness_lost -> "liveness-lost"
   | Safety_violation -> "SAFETY-VIOLATION"
 
-let solvability protocol (inst : Instance.t) =
-  match protocol with
-  | Pka -> Solvability.partial_knowledge inst
-  | Ppa ->
-    if
-      Rmt_protocols.Ppa.solvable inst.graph ~structure:inst.structure
-        ~dealer:inst.dealer ~receiver:inst.receiver
-    then Solvability.Solvable
-    else Solvability.Unsolvable
-  | Zcpa -> Solvability.ad_hoc inst
-  | Strawman ->
-    (* the strawman decides wherever PKA could: classify its (expected)
-       wrong outputs as violations exactly on PKA-solvable instances *)
-    Solvability.partial_knowledge inst
-  | Cert_pka ->
-    (* certification gates the inner decision; within the envelope the
-       wrapped protocol's own feasibility condition applies unchanged *)
-    Solvability.partial_knowledge inst
-  | Cert_ppa ->
-    if
-      Rmt_protocols.Ppa.solvable inst.graph ~structure:inst.structure
-        ~dealer:inst.dealer ~receiver:inst.receiver
-    then Solvability.Solvable
-    else Solvability.Unsolvable
-
 let classify ~solvability ~admissible r =
   match r.verdict with
   | Violated _ -> if admissible then Safety_violation else Safe
@@ -94,14 +69,15 @@ let classify ~solvability ~admissible r =
     then Liveness_lost
     else Safe
 
-(* ------------------------------------------------------------------ *)
-(* Executing one program                                               *)
-(* ------------------------------------------------------------------ *)
+let reproduces ~verdict r =
+  match (verdict, r.verdict) with
+  | Delivered, Delivered | Violated _, Violated _ -> true
+  | Silenced, Silenced -> not r.truncated
+  | (Delivered | Silenced | Violated _), _ -> false
 
-let verdict_of ~x_dealer = function
-  | None -> Silenced
-  | Some x when x = x_dealer -> Delivered
-  | Some x -> Violated x
+(* ------------------------------------------------------------------ *)
+(* The protocol table                                                  *)
+(* ------------------------------------------------------------------ *)
 
 let trail_summary trail =
   Printf.sprintf "<%s>" (String.concat "," (List.map string_of_int trail))
@@ -115,37 +91,138 @@ let pp_pka_msg (m : Rmt_pka.msg) =
 let pp_ppa_msg (m : Rmt_protocols.Ppa.msg) =
   Printf.sprintf "%d%s" m.Flood.payload (trail_summary m.Flood.trail)
 
-let pp_cert_pka_msg (m : Rmt_protocols.Certified.pka_msg) =
+(* a certified message prints as its inner message prefixed with "c" *)
+let pp_cert_msg pp_inner (m : _ Rmt_protocols.Certified.msg) =
   match m.Flood.payload with
   | Rmt_protocols.Certified.Load p ->
-    "c" ^ pp_pka_msg { Flood.payload = p; trail = m.Flood.trail }
+    "c" ^ pp_inner { Flood.payload = p; trail = m.Flood.trail }
   | Rmt_protocols.Certified.Echo u ->
     Printf.sprintf "E(%d)%s" u (trail_summary m.Flood.trail)
   | Rmt_protocols.Certified.Tick -> "tick"
 
-let pp_cert_ppa_msg (m : Rmt_protocols.Certified.ppa_msg) =
-  match m.Flood.payload with
-  | Rmt_protocols.Certified.Load x ->
-    Printf.sprintf "c%d%s" x (trail_summary m.Flood.trail)
-  | Rmt_protocols.Certified.Echo u ->
-    Printf.sprintf "E(%d)%s" u (trail_summary m.Flood.trail)
-  | Rmt_protocols.Certified.Tick -> "tick"
-
-(* One delivery hook per message type; [execute_gen] picks the arm's. *)
-type deliver_hooks = {
-  h_pka : round:int -> src:int -> dst:int -> Rmt_pka.msg -> unit;
-  h_ppa : round:int -> src:int -> dst:int -> Rmt_protocols.Ppa.msg -> unit;
-  h_int : round:int -> src:int -> dst:int -> int -> unit;
-  h_cert_pka :
-    round:int -> src:int -> dst:int -> Rmt_protocols.Certified.pka_msg -> unit;
-  h_cert_ppa :
-    round:int -> src:int -> dst:int -> Rmt_protocols.Certified.ppa_msg -> unit;
+(* Everything that differs between protocols, in one record per
+   protocol: [execute] and [solvability] read nothing else. *)
+type ('s, 'm) spec = {
+  compile : Program.t -> Instance.t -> x_dealer:int -> 'm Engine.strategy;
+  automaton : Instance.t -> x_dealer:int -> ('s, 'm) Engine.automaton;
+  size_of : ('m -> int) option;
+  stop_on_decision : bool;
+      (** end the run once the receiver has decided *)
+  receiver_truncated : ('s -> bool) option;
+      (** a receiver-side search budget ran out *)
+  pp_msg : 'm -> string;  (** trace payload summary *)
+  decider : Instance.t -> Solvability.feasibility;
 }
+
+type spec_packed = Spec : ('s, 'm) spec -> spec_packed
+
+let ppa_solvability (inst : Instance.t) =
+  if
+    Rmt_protocols.Ppa.solvable inst.graph ~structure:inst.structure
+      ~dealer:inst.dealer ~receiver:inst.receiver
+  then Solvability.Solvable
+  else Solvability.Unsolvable
+
+let spec = function
+  | Pka ->
+    Spec
+      {
+        compile = Strategy_gen.compile_pka;
+        automaton = (fun inst ~x_dealer -> Rmt_pka.automaton inst ~x_dealer);
+        size_of = Some Rmt_pka.msg_size;
+        stop_on_decision = true;
+        receiver_truncated = Some Rmt_pka.search_truncated;
+        pp_msg = pp_pka_msg;
+        decider = Solvability.partial_knowledge;
+      }
+  | Ppa ->
+    Spec
+      {
+        compile = Strategy_gen.compile_ppa;
+        automaton =
+          (fun (inst : Instance.t) ~x_dealer ->
+            Rmt_protocols.Ppa.automaton inst.graph ~structure:inst.structure
+              ~dealer:inst.dealer ~receiver:inst.receiver ~x_dealer);
+        size_of =
+          Some
+            (fun (m : Rmt_protocols.Ppa.msg) -> 1 + List.length m.Flood.trail);
+        stop_on_decision = true;
+        receiver_truncated = None;
+        pp_msg = pp_ppa_msg;
+        decider = ppa_solvability;
+      }
+  | Zcpa ->
+    Spec
+      {
+        compile = Strategy_gen.compile_zcpa;
+        automaton =
+          (fun inst ~x_dealer ->
+            Zcpa.automaton
+              ~decider:(Zcpa.decider_of_oracle (Zcpa.direct_oracle inst))
+              inst ~x_dealer);
+        size_of = None;
+        stop_on_decision = false;
+        receiver_truncated = None;
+        pp_msg = string_of_int;
+        decider = Solvability.ad_hoc;
+      }
+  | Strawman ->
+    Spec
+      {
+        compile = Strategy_gen.compile_strawman;
+        automaton =
+          (fun (inst : Instance.t) ~x_dealer ->
+            Rmt_protocols.Naive.first_delivery inst.graph ~dealer:inst.dealer
+              ~receiver:inst.receiver ~x_dealer);
+        size_of = None;
+        stop_on_decision = true;
+        receiver_truncated = None;
+        pp_msg = string_of_int;
+        (* the strawman decides wherever PKA could: classify its
+           (expected) wrong outputs as violations exactly on PKA-solvable
+           instances *)
+        decider = Solvability.partial_knowledge;
+      }
+  | Cert_pka ->
+    Spec
+      {
+        compile = Strategy_gen.compile_cert_pka;
+        automaton =
+          (fun inst ~x_dealer -> Rmt_protocols.Certified.pka inst ~x_dealer);
+        size_of = Some Rmt_protocols.Certified.pka_msg_size;
+        stop_on_decision = true;
+        receiver_truncated = Some Rmt_protocols.Certified.truncated;
+        pp_msg = pp_cert_msg pp_pka_msg;
+        (* certification gates the inner decision; within the envelope
+           the wrapped protocol's own feasibility condition applies *)
+        decider = Solvability.partial_knowledge;
+      }
+  | Cert_ppa ->
+    Spec
+      {
+        compile = Strategy_gen.compile_cert_ppa;
+        automaton =
+          (fun (inst : Instance.t) ~x_dealer ->
+            Rmt_protocols.Certified.ppa inst.graph ~structure:inst.structure
+              ~dealer:inst.dealer ~receiver:inst.receiver ~x_dealer);
+        size_of = Some Rmt_protocols.Certified.ppa_msg_size;
+        stop_on_decision = true;
+        receiver_truncated = None;
+        pp_msg = pp_cert_msg pp_ppa_msg;
+        decider = ppa_solvability;
+      }
+
+let solvability protocol inst =
+  match spec protocol with Spec s -> s.decider inst
+
+(* ------------------------------------------------------------------ *)
+(* Executing one program                                               *)
+(* ------------------------------------------------------------------ *)
 
 (* An execution backend with [Engine.run]'s interface.  The polymorphic
    field lets one runner value serve every protocol's message type, so
-   alternative runtimes (the discrete-event simulator in lib/sim) reuse
-   the per-protocol dispatch below instead of duplicating it. *)
+   alternative runtimes (the discrete-event simulator in lib/sim) plug
+   into [execute] unchanged. *)
 type runner = {
   run :
     's 'm.
@@ -168,194 +245,72 @@ let engine_runner =
           ~adversary auto);
   }
 
-(* Each protocol's run, replicated from its [run] wrapper so a trace hook
-   can observe the deliveries; verdicts must stay identical to the
-   wrapper's. *)
-let execute_gen ?max_messages ?(runner = engine_runner) ?on_deliver protocol
-    (inst : Instance.t) ~x_dealer (p : Program.t) =
-  match protocol with
-  | Pka ->
-    let adversary = Strategy_gen.compile_pka p inst ~x_dealer in
-    let auto = Rmt_pka.automaton inst ~x_dealer in
-    let outcome =
-      runner.run ?max_messages
-        ?on_deliver:(Option.map (fun h -> h.h_pka) on_deliver)
-        ~size_of:Rmt_pka.msg_size
-        ~stop_when:(fun dec -> dec inst.receiver <> None)
-        ~graph:inst.graph ~adversary auto
+let verdict_of ~x_dealer = function
+  | None -> Silenced
+  | Some x when x = x_dealer -> Delivered
+  | Some x -> Violated x
+
+(* The one run body.  Untraced runs pass no delivery hook at all, so the
+   backend's per-delivery path is the bare one; their rendered trace is
+   empty. *)
+let execute_gen ?max_messages ?(runner = engine_runner) ?max_lines ~traced
+    protocol (inst : Instance.t) ~x_dealer (p : Program.t) =
+  match spec protocol with
+  | Spec s ->
+    let adversary = s.compile p inst ~x_dealer in
+    let auto = s.automaton inst ~x_dealer in
+    let trace =
+      if traced then Some (Trace.create ~pp_payload:s.pp_msg ()) else None
     in
-    let decided = Engine.decision_of outcome inst.receiver in
-    let recv_truncated =
-      match List.assoc_opt inst.receiver outcome.states with
-      | Some st -> Rmt_pka.search_truncated st
-      | None -> false
-    in
-    {
-      program = p;
-      verdict = verdict_of ~x_dealer decided;
-      rounds = outcome.stats.rounds;
-      messages = outcome.stats.messages;
-      truncated = outcome.stats.truncated || recv_truncated;
-    }
-  | Ppa ->
-    let adversary = Strategy_gen.compile_ppa p inst ~x_dealer in
-    let auto =
-      Rmt_protocols.Ppa.automaton inst.graph ~structure:inst.structure
-        ~dealer:inst.dealer ~receiver:inst.receiver ~x_dealer
+    let stop_when =
+      if s.stop_on_decision then Some (fun dec -> dec inst.receiver <> None)
+      else None
     in
     let outcome =
-      runner.run ?max_messages
-        ?on_deliver:(Option.map (fun h -> h.h_ppa) on_deliver)
-        ~size_of:(fun (m : Rmt_protocols.Ppa.msg) ->
-          1 + List.length m.Flood.trail)
-        ~stop_when:(fun dec -> dec inst.receiver <> None)
-        ~graph:inst.graph ~adversary auto
+      runner.run ?max_messages ?size_of:s.size_of ?stop_when
+        ?on_deliver:(Option.map snd trace) ~graph:inst.graph ~adversary auto
     in
-    let decided = Engine.decision_of outcome inst.receiver in
-    {
-      program = p;
-      verdict = verdict_of ~x_dealer decided;
-      rounds = outcome.stats.rounds;
-      messages = outcome.stats.messages;
-      truncated = outcome.stats.truncated;
-    }
-  | Zcpa ->
-    let adversary = Strategy_gen.compile_zcpa p inst ~x_dealer in
-    let auto =
-      Zcpa.automaton
-        ~decider:(Zcpa.decider_of_oracle (Zcpa.direct_oracle inst))
-        inst ~x_dealer
+    let receiver_truncated =
+      match
+        (s.receiver_truncated, List.assoc_opt inst.receiver outcome.states)
+      with
+      | Some probe, Some st -> probe st
+      | _ -> false
     in
-    let outcome =
-      runner.run ?max_messages
-        ?on_deliver:(Option.map (fun h -> h.h_int) on_deliver)
-        ~graph:inst.graph ~adversary auto
-    in
-    let decided = Engine.decision_of outcome inst.receiver in
-    {
-      program = p;
-      verdict = verdict_of ~x_dealer decided;
-      rounds = outcome.stats.rounds;
-      messages = outcome.stats.messages;
-      truncated = outcome.stats.truncated;
-    }
-  | Strawman ->
-    let adversary = Strategy_gen.compile_strawman p inst ~x_dealer in
-    let auto =
-      Rmt_protocols.Naive.first_delivery inst.graph ~dealer:inst.dealer
-        ~receiver:inst.receiver ~x_dealer
-    in
-    let outcome =
-      runner.run ?max_messages
-        ?on_deliver:(Option.map (fun h -> h.h_int) on_deliver)
-        ~stop_when:(fun dec -> dec inst.receiver <> None)
-        ~graph:inst.graph ~adversary auto
-    in
-    let decided = Engine.decision_of outcome inst.receiver in
-    {
-      program = p;
-      verdict = verdict_of ~x_dealer decided;
-      rounds = outcome.stats.rounds;
-      messages = outcome.stats.messages;
-      truncated = outcome.stats.truncated;
-    }
-  | Cert_pka ->
-    let adversary = Strategy_gen.compile_cert_pka p inst ~x_dealer in
-    let auto = Rmt_protocols.Certified.pka inst ~x_dealer in
-    let outcome =
-      runner.run ?max_messages
-        ?on_deliver:(Option.map (fun h -> h.h_cert_pka) on_deliver)
-        ~size_of:Rmt_protocols.Certified.pka_msg_size
-        ~stop_when:(fun dec -> dec inst.receiver <> None)
-        ~graph:inst.graph ~adversary auto
-    in
-    let decided = Engine.decision_of outcome inst.receiver in
-    let recv_truncated =
-      match List.assoc_opt inst.receiver outcome.states with
-      | Some st -> Rmt_protocols.Certified.truncated st
-      | None -> false
-    in
-    {
-      program = p;
-      verdict = verdict_of ~x_dealer decided;
-      rounds = outcome.stats.rounds;
-      messages = outcome.stats.messages;
-      truncated = outcome.stats.truncated || recv_truncated;
-    }
-  | Cert_ppa ->
-    let adversary = Strategy_gen.compile_cert_ppa p inst ~x_dealer in
-    let auto =
-      Rmt_protocols.Certified.ppa inst.graph ~structure:inst.structure
-        ~dealer:inst.dealer ~receiver:inst.receiver ~x_dealer
-    in
-    let outcome =
-      runner.run ?max_messages
-        ?on_deliver:(Option.map (fun h -> h.h_cert_ppa) on_deliver)
-        ~size_of:Rmt_protocols.Certified.ppa_msg_size
-        ~stop_when:(fun dec -> dec inst.receiver <> None)
-        ~graph:inst.graph ~adversary auto
-    in
-    let decided = Engine.decision_of outcome inst.receiver in
-    {
-      program = p;
-      verdict = verdict_of ~x_dealer decided;
-      rounds = outcome.stats.rounds;
-      messages = outcome.stats.messages;
-      truncated = outcome.stats.truncated;
-    }
+    ( {
+        program = p;
+        verdict = verdict_of ~x_dealer (Engine.decision_of outcome inst.receiver);
+        rounds = outcome.stats.rounds;
+        messages = outcome.stats.messages;
+        truncated = outcome.stats.truncated || receiver_truncated;
+      },
+      match trace with
+      | Some (t, _) -> Trace.render ?max_lines t
+      | None -> "" )
 
 let execute ?max_messages ?runner protocol inst ~x_dealer p =
-  execute_gen ?max_messages ?runner protocol inst ~x_dealer p
+  fst (execute_gen ?max_messages ?runner ~traced:false protocol inst ~x_dealer p)
 
 let execute_traced ?max_messages ?runner ?max_lines protocol inst ~x_dealer p
     =
-  let trace_pka, hook_pka = Trace.create ~pp_payload:pp_pka_msg () in
-  let trace_ppa, hook_ppa = Trace.create ~pp_payload:pp_ppa_msg () in
-  (* ints serve both Z-CPA and the strawman: same message type *)
-  let trace_int, hook_int = Trace.create ~pp_payload:string_of_int () in
-  let trace_cert_pka, hook_cert_pka =
-    Trace.create ~pp_payload:pp_cert_pka_msg ()
-  in
-  let trace_cert_ppa, hook_cert_ppa =
-    Trace.create ~pp_payload:pp_cert_ppa_msg ()
-  in
-  let r =
-    execute_gen ?max_messages ?runner
-      ~on_deliver:
-        {
-          h_pka = hook_pka;
-          h_ppa = hook_ppa;
-          h_int = hook_int;
-          h_cert_pka = hook_cert_pka;
-          h_cert_ppa = hook_cert_ppa;
-        }
-      protocol inst ~x_dealer p
-  in
-  let trace =
-    match protocol with
-    | Pka -> trace_pka
-    | Ppa -> trace_ppa
-    | Zcpa | Strawman -> trace_int
-    | Cert_pka -> trace_cert_pka
-    | Cert_ppa -> trace_cert_ppa
-  in
-  (r, Trace.render ?max_lines trace)
+  execute_gen ?max_messages ?runner ?max_lines ~traced:true protocol inst
+    ~x_dealer p
 
 (* ------------------------------------------------------------------ *)
-(* Campaigns                                                           *)
+(* Trial loops                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type report = {
+type 'w report = {
   protocol : protocol;
   seed : int;
-  attacks : int;
+  trials : int;
   solvability : Solvability.feasibility;
   delivered : int;
   silenced : int;
   violated : int;
   truncated : int;
   liveness_lost : int;
-  safety_violations : run_report list;
+  safety_violations : (run_report * 'w) list;
   silenced_examples : run_report list;
   max_rounds_seen : int;
   total_messages : int;
@@ -364,9 +319,8 @@ type report = {
 
 let max_examples = 5
 
-let run ?domains ?max_messages ?(batch = 16) ?(should_stop = fun () -> false)
-    ?(x_dealer = 7) ?(x_fake = 8) ~seed ~attacks protocol (inst : Instance.t)
-    =
+let run_trials ?domains ?(batch = 16) ?(should_stop = fun () -> false) ~draw
+    ~exec ~seed ~trials protocol (inst : Instance.t) =
   let rng = Prng.create seed in
   let solv = solvability protocol inst in
   let executed = ref 0
@@ -380,18 +334,14 @@ let run ?domains ?max_messages ?(batch = 16) ?(should_stop = fun () -> false)
   and max_rounds_seen = ref 0
   and total_messages = ref 0
   and stopped = ref false in
-  while (not !stopped) && !executed < attacks do
-    let n = min batch (attacks - !executed) in
-    let programs =
-      Array.init n (fun _ -> Strategy_gen.random rng inst ~x_dealer ~x_fake)
-    in
-    let reports =
-      Parsweep.map ?domains
-        (fun p -> execute ?max_messages protocol inst ~x_dealer p)
-        programs
-    in
+  while (not !stopped) && !executed < trials do
+    let n = min batch (trials - !executed) in
+    (* trials are drawn sequentially before the fan-out, so the report
+       is independent of [domains] *)
+    let drawn = Array.init n (fun _ -> draw rng) in
+    let results = Parsweep.map ?domains exec drawn in
     Array.iter
-      (fun r ->
+      (fun ((r, _) as found) ->
         incr executed;
         max_rounds_seen := max !max_rounds_seen r.rounds;
         total_messages := !total_messages + r.messages;
@@ -400,7 +350,7 @@ let run ?domains ?max_messages ?(batch = 16) ?(should_stop = fun () -> false)
           Instance.admissible inst (Program.corrupted r.program)
         in
         (match classify ~solvability:solv ~admissible r with
-         | Safety_violation -> violations := r :: !violations
+         | Safety_violation -> violations := found :: !violations
          | Liveness_lost -> incr liveness_lost
          | Safe -> ());
         match r.verdict with
@@ -413,13 +363,13 @@ let run ?domains ?max_messages ?(batch = 16) ?(should_stop = fun () -> false)
             && (not (Nodeset.is_empty (Program.corrupted r.program)))
             && List.length !silenced_ex < max_examples
           then silenced_ex := r :: !silenced_ex)
-      reports;
+      results;
     if should_stop () then stopped := true
   done;
   {
     protocol;
     seed;
-    attacks = !executed;
+    trials = !executed;
     solvability = solv;
     delivered = !delivered;
     silenced = !silenced;
@@ -433,15 +383,23 @@ let run ?domains ?max_messages ?(batch = 16) ?(should_stop = fun () -> false)
     stopped_early = !stopped;
   }
 
-let pp_report ppf r =
+let run ?domains ?max_messages ?batch ?should_stop ?(x_dealer = 7)
+    ?(x_fake = 8) ~seed ~attacks protocol inst =
+  run_trials ?domains ?batch ?should_stop ~seed ~trials:attacks protocol inst
+    ~draw:(fun rng -> Strategy_gen.random rng inst ~x_dealer ~x_fake)
+    ~exec:(fun p -> (execute ?max_messages protocol inst ~x_dealer p, ()))
+
+let pp_trials ~title ~count ppf r =
   Format.fprintf ppf
-    "@[<v>%s campaign: seed=%d attacks=%d (%a)%s@,\
+    "@[<v>%s %s: seed=%d %s=%d (%a)%s@,\
      delivered %d | silenced %d | violated %d | truncated %d@,\
      liveness lost %d | safety violations %d@,\
      max rounds %d | total messages %d@]"
     (protocol_to_string r.protocol)
-    r.seed r.attacks Solvability.pp_feasibility r.solvability
+    title r.seed count r.trials Solvability.pp_feasibility r.solvability
     (if r.stopped_early then " [stopped early]" else "")
     r.delivered r.silenced r.violated r.truncated r.liveness_lost
     (List.length r.safety_violations)
     r.max_rounds_seen r.total_messages
+
+let pp_report ppf r = pp_trials ~title:"campaign" ~count:"attacks" ppf r

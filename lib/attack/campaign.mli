@@ -21,6 +21,7 @@
     A wrong decision is a safety violation whenever the corruption set is
     admissible (Theorem 4 promises safety against exactly those). *)
 
+open Rmt_base
 open Rmt_core
 open Rmt_knowledge
 
@@ -40,6 +41,9 @@ type protocol =
           certification gate, safe over lossy/asynchronous schedules
           within the envelope. *)
   | Cert_ppa  (** {!Rmt_protocols.Certified.ppa}, likewise. *)
+
+val protocols : protocol list
+(** Every protocol, in declaration order. *)
 
 val protocol_to_string : protocol -> string
 val protocol_of_string : string -> (protocol, string) result
@@ -68,14 +72,21 @@ type classification = Safe | Liveness_lost | Safety_violation
 val classification_to_string : classification -> string
 
 val solvability : protocol -> Instance.t -> Solvability.feasibility
-(** The protocol-appropriate decider: RMT-cut for PKA and PPA (PPA's
-    full-knowledge condition), 𝒵-pp cut for Z-CPA. *)
+(** The protocol-appropriate decider: RMT-cut for PKA, the strawman and
+    cert-pka; PPA's full-knowledge condition for PPA and cert-ppa; 𝒵-pp
+    cut for Z-CPA. *)
 
 val classify :
   solvability:Solvability.feasibility ->
   admissible:bool ->
   run_report ->
   classification
+
+val reproduces : verdict:verdict -> run_report -> bool
+(** The shrinkers' acceptance test: the run ends with the same verdict
+    {e constructor} as [verdict] (any wrong value matches [Violated _]),
+    and — for a [Silenced] target — no budget was exhausted (silence
+    must be the attack's doing, not the search giving up). *)
 
 type runner = {
   run :
@@ -93,7 +104,7 @@ type runner = {
     one backend abstraction.  The polymorphic field lets one value serve
     every protocol's message type, so other runtimes (the simulator's
     [Sim_exec.runner], or a wrapper that observes a run) plug into
-    {!execute} without duplicating the per-protocol dispatch. *)
+    {!execute} unchanged. *)
 
 val engine_runner : runner
 (** The synchronous engine itself — the default backend. *)
@@ -107,8 +118,11 @@ val execute :
   Program.t ->
   run_report
 (** Compile the program against the protocol and run it once on
-    [runner] (default {!engine_runner}).  Deterministic in (program,
-    instance, [x_dealer], runner). *)
+    [runner] (default {!engine_runner}).  Every protocol goes through the
+    same body, driven by a private per-protocol table (strategy
+    compiler, automaton, message-size and stop options, receiver
+    truncation probe, trace printer, solvability decider).
+    Deterministic in (program, instance, [x_dealer], runner). *)
 
 val execute_traced :
   ?max_messages:int ->
@@ -123,24 +137,52 @@ val execute_traced :
     {!Rmt_net.Trace.render}.  The verdict is identical to {!execute}'s —
     tracing only observes. *)
 
-type report = {
+(** {1 Trial loops}
+
+    A campaign and a schedule sweep ([Rmt_sim.Sweep]) are the same loop:
+    draw a batch of trials from one seeded PRNG, execute them through
+    {!Rmt_workloads.Parsweep.map}, classify and tally.  They differ in
+    how a trial is drawn and executed, and in the witness kept with each
+    safety violation: nothing for an engine campaign, the recorded
+    schedule for a sweep. *)
+
+type 'w report = {
   protocol : protocol;
   seed : int;
-  attacks : int;  (** programs actually executed *)
+  trials : int;  (** trials actually executed *)
   solvability : Solvability.feasibility;
   delivered : int;
   silenced : int;
   violated : int;
   truncated : int;
   liveness_lost : int;
-  safety_violations : run_report list;
+  safety_violations : (run_report * 'w) list;
+      (** each with the witness its execution returned *)
   silenced_examples : run_report list;
       (** first few non-truncated silencings by non-empty programs —
           on unsolvable instances these witness the cut *)
   max_rounds_seen : int;
   total_messages : int;
-  stopped_early : bool;  (** [should_stop] fired before [attacks] runs *)
+  stopped_early : bool;  (** [should_stop] fired before [trials] runs *)
 }
+
+val run_trials :
+  ?domains:int ->
+  ?batch:int ->
+  ?should_stop:(unit -> bool) ->
+  draw:(Prng.t -> 'a) ->
+  exec:('a -> run_report * 'w) ->
+  seed:int ->
+  trials:int ->
+  protocol ->
+  Instance.t ->
+  'w report
+(** Up to [trials] trials: batches of [batch] (default 16) are drawn
+    sequentially with [draw] from the PRNG seeded with [seed], then
+    executed with [exec] through {!Rmt_workloads.Parsweep.map};
+    [should_stop] is polled between batches, so a time budget overshoots
+    by at most one batch.  Deterministic in (seed, trials, draw, exec),
+    independent of [domains]. *)
 
 val run :
   ?domains:int ->
@@ -153,12 +195,15 @@ val run :
   attacks:int ->
   protocol ->
   Instance.t ->
-  report
-(** Runs a campaign of up to [attacks] programs drawn from [seed].
-    Batches of [batch] (default 16) programs execute through
-    {!Rmt_workloads.Parsweep.map}; [should_stop] is polled between
-    batches, so a time budget overshoots by at most one batch.  For a
-    fixed seed and attack count the report is deterministic, independent
-    of [domains]. *)
+  unit report
+(** A campaign: {!run_trials} over [attacks] programs from
+    {!Strategy_gen.random}, each run once with {!execute} on the
+    engine. *)
 
-val pp_report : Format.formatter -> report -> unit
+val pp_trials :
+  title:string -> count:string -> Format.formatter -> 'w report -> unit
+(** [pp_trials ~title ~count] prints ["<protocol> <title>: seed=..
+    <count>=.."] and the tallies. *)
+
+val pp_report : Format.formatter -> unit report -> unit
+(** [pp_trials ~title:"campaign" ~count:"attacks"]. *)

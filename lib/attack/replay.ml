@@ -62,6 +62,19 @@ let of_string text =
   in
   let* program = Program.of_lines attack_lines in
   let* instance = Codec.of_string (String.concat "\n" instance_lines) in
+  let* () =
+    match
+      List.find_opt
+        (fun (np : Program.node_program) ->
+          np.node < 0 || not (Rmt_graph.Graph.mem_node np.node instance.graph))
+        program.Program.nodes
+    with
+    | Some np ->
+      Error
+        (Printf.sprintf "attack-node %d is not a node of the instance graph"
+           np.node)
+    | None -> Ok ()
+  in
   let protocol = ref None and x_dealer = ref None and expected = ref None in
   let* () =
     List.fold_left

@@ -39,6 +39,8 @@ val to_string : t -> (string, string) result
 (** [Error _] when the instance's view is custom (not serializable). *)
 
 val of_string : string -> (t, string) result
+(** [Error _] also when an [attack-node] id is negative or not a node of
+    the instance graph. *)
 
 val to_file : string -> t -> (unit, string) result
 val of_file : string -> (t, string) result

@@ -124,20 +124,9 @@ let minimize ?(budget = 400) ~keep inst p =
 (* Standard predicates                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let same_constructor (a : Campaign.verdict) (b : Campaign.verdict) =
-  match (a, b) with
-  | Campaign.Delivered, Campaign.Delivered
-  | Campaign.Silenced, Campaign.Silenced
-  | Campaign.Violated _, Campaign.Violated _ -> true
-  | _ -> false
-
 let keep_verdict ?max_messages protocol ~x_dealer ~verdict inst p =
   let corrupted = Program.corrupted p in
   (not (Nodeset.is_empty corrupted))
   && Instance.admissible inst corrupted
-  && begin
-       let r = Campaign.execute ?max_messages protocol inst ~x_dealer p in
-       same_constructor r.Campaign.verdict verdict
-       && ((not (same_constructor verdict Campaign.Silenced))
-           || not r.Campaign.truncated)
-     end
+  && Campaign.reproduces ~verdict
+       (Campaign.execute ?max_messages protocol inst ~x_dealer p)

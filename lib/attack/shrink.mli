@@ -37,8 +37,6 @@ val keep_verdict :
   Instance.t ->
   Program.t ->
   bool
-(** The standard predicate: re-executing the program reproduces the same
-    verdict {e constructor} (any wrong value matches [Violated _]), the
-    corruption stays admissible and non-empty, and — for a [Silenced]
-    target — no budget was exhausted (silence must be the attack's doing,
-    not the search giving up). *)
+(** The standard predicate: the corruption stays admissible and
+    non-empty, and re-executing the program passes
+    {!Campaign.reproduces} for [verdict]. *)

@@ -42,18 +42,18 @@ let run ?domains ?(schedules = 60) ?x_dealer ?x_fake ~seed ~envelope protocol
   List.map
     (fun pt ->
       let params = params_of_point pt in
-      let report =
+      let (report : Sweep.report) =
         Sweep.run ?domains ?x_dealer ?x_fake ~params ~seed ~schedules protocol
           inst
       in
       {
         point = pt;
         in_envelope = Envelope_check.params_within params envelope;
-        schedules = report.Sweep.schedules;
-        delivered = report.Sweep.delivered;
-        silenced = report.Sweep.silenced;
-        violated = report.Sweep.violated;
-        liveness_lost = report.Sweep.liveness_lost;
+        schedules = report.trials;
+        delivered = report.delivered;
+        silenced = report.silenced;
+        violated = report.violated;
+        liveness_lost = report.liveness_lost;
       })
     grid
 

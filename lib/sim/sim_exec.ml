@@ -10,49 +10,21 @@ let runner ~policy =
           ~adversary auto);
   }
 
-let execute ?max_messages ~policy protocol inst ~x_dealer p =
-  Campaign.execute ?max_messages ~runner:(runner ~policy) protocol inst
-    ~x_dealer p
-
-let execute_traced ?max_messages ?max_lines ~policy protocol inst ~x_dealer p
-    =
-  Campaign.execute_traced ?max_messages ~runner:(runner ~policy) ?max_lines
-    protocol inst ~x_dealer p
-
 let execute_recorded ?max_messages ~params ~sched_seed protocol inst ~x_dealer
     p =
   let rng = Prng.create sched_seed in
   let policy, freeze = Policy.record (Policy.random rng params) in
-  let r = execute ?max_messages ~policy protocol inst ~x_dealer p in
+  let r =
+    Campaign.execute ?max_messages ~runner:(runner ~policy) protocol inst
+      ~x_dealer p
+  in
   (r, freeze ())
 
 let replay ?max_messages ?max_lines (r : Replay.t) sched =
-  execute_traced ?max_messages ?max_lines
-    ~policy:(Policy.of_schedule sched)
+  Campaign.execute_traced ?max_messages ?max_lines
+    ~runner:(runner ~policy:(Policy.of_schedule sched))
     r.Replay.protocol r.Replay.instance ~x_dealer:r.Replay.x_dealer
     r.Replay.program
-
-(* ------------------------------------------------------------------ *)
-(* Shrinking predicate                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let verdict_same_kind (a : Campaign.verdict) (b : Campaign.verdict) =
-  match (a, b) with
-  | Campaign.Delivered, Campaign.Delivered
-  | Campaign.Silenced, Campaign.Silenced
-  | Campaign.Violated _, Campaign.Violated _ -> true
-  | (Campaign.Delivered | Campaign.Silenced | Campaign.Violated _), _ -> false
-
-let keep_verdict ?max_messages protocol ~x_dealer ~verdict inst program sched
-    =
-  let r =
-    execute ?max_messages
-      ~policy:(Policy.of_schedule sched)
-      protocol inst ~x_dealer program
-  in
-  verdict_same_kind r.Campaign.verdict verdict
-  && ((not (verdict_same_kind verdict Campaign.Silenced))
-      || not r.Campaign.truncated)
 
 (* ------------------------------------------------------------------ *)
 (* Reproducer pairs                                                    *)

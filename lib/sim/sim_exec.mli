@@ -1,36 +1,20 @@
-(** Running attack programs on the simulator — {!Rmt_attack.Campaign}'s
-    per-protocol dispatch over the {!Sim.run} backend.
+(** Running attack programs on the simulator — {!Sim.run} as a
+    {!Rmt_attack.Campaign} backend, recorded runs, and reproducer pairs.
 
     A violation found under an adversarial schedule ships as a
-    {e reproducer pair}: the PR 2 [.rmt] file (instance + attack program
-    + expected verdict) next to a [.sched] file (the shrunk schedule).
+    {e reproducer pair}: the fuzz reproducer [.rmt] file (instance +
+    attack program + expected verdict) next to a [.sched] file (the
+    shrunk schedule).
     [FILE.rmt] always pairs with [FILE.sched]. *)
 
 open Rmt_knowledge
 open Rmt_attack
 
 val runner : policy:Policy.t -> Campaign.runner
-(** The simulator as a campaign backend.  The policy is consumed by the
-    single run the runner performs — build a fresh one per execution. *)
-
-val execute :
-  ?max_messages:int ->
-  policy:Policy.t ->
-  Campaign.protocol ->
-  Instance.t ->
-  x_dealer:int ->
-  Rmt_attack.Program.t ->
-  Campaign.run_report
-
-val execute_traced :
-  ?max_messages:int ->
-  ?max_lines:int ->
-  policy:Policy.t ->
-  Campaign.protocol ->
-  Instance.t ->
-  x_dealer:int ->
-  Rmt_attack.Program.t ->
-  Campaign.run_report * string
+(** The simulator as a campaign backend: pass it as
+    [Campaign.execute ~runner] (or [execute_traced]).  The policy is
+    consumed by the single run the runner performs — build a fresh one
+    per execution. *)
 
 val execute_recorded :
   ?max_messages:int ->
@@ -54,20 +38,6 @@ val replay :
   Campaign.run_report * string
 (** Replay a reproducer pair: the [.rmt] run under the [.sched]
     schedule.  Bit-identical to the recorded execution. *)
-
-val keep_verdict :
-  ?max_messages:int ->
-  Campaign.protocol ->
-  x_dealer:int ->
-  verdict:Campaign.verdict ->
-  Instance.t ->
-  Rmt_attack.Program.t ->
-  Schedule.t ->
-  bool
-(** {!Sim_shrink.minimize} predicate: does replaying the (fixed) program
-    under the candidate schedule still produce the same verdict
-    constructor?  (Same-silencing additionally requires the run not to
-    be truncated, mirroring {!Rmt_attack.Shrink.keep_verdict}.) *)
 
 val sched_path_of : string -> string
 (** [sched_path_of "x/y.rmt"] is ["x/y.sched"]. *)

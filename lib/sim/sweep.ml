@@ -1,119 +1,32 @@
 open Rmt_base
-open Rmt_knowledge
-open Rmt_core
-open Rmt_workloads
 open Rmt_attack
 
-type report = {
-  protocol : Campaign.protocol;
-  seed : int;
-  schedules : int;
-  solvability : Solvability.feasibility;
-  delivered : int;
-  silenced : int;
-  violated : int;
-  truncated : int;
-  liveness_lost : int;
-  safety_violations : (Campaign.run_report * Schedule.t) list;
-  max_rounds_seen : int;
-  total_messages : int;
-  stopped_early : bool;
-}
+type report = Schedule.t Campaign.report
 
-let run ?domains ?max_messages ?(batch = 16) ?(should_stop = fun () -> false)
-    ?(x_dealer = 7) ?(x_fake = 8) ?(params = Policy.timely_params) ~seed
-    ~schedules protocol (inst : Instance.t) =
-  let rng = Prng.create seed in
-  let solv = Campaign.solvability protocol inst in
-  let executed = ref 0
-  and delivered = ref 0
-  and silenced = ref 0
-  and violated = ref 0
-  and truncated = ref 0
-  and liveness_lost = ref 0
-  and violations = ref []
-  and max_rounds_seen = ref 0
-  and total_messages = ref 0
-  and stopped = ref false in
-  while (not !stopped) && !executed < schedules do
-    let n = min batch (schedules - !executed) in
-    (* programs and schedule seeds are drawn sequentially before the
-       fan-out, so the report is independent of [domains] (the same
-       discipline as Campaign.run) *)
-    let trials =
-      Array.init n (fun _ ->
-          let p = Strategy_gen.random rng inst ~x_dealer ~x_fake in
-          let sched_seed = Prng.int rng 1_073_741_823 in
-          (p, sched_seed))
-    in
-    let reports =
-      Parsweep.map ?domains
-        (fun (p, sched_seed) ->
-          Sim_exec.execute_recorded ?max_messages ~params ~sched_seed protocol
-            inst ~x_dealer p)
-        trials
-    in
-    Array.iter
-      (fun ((r : Campaign.run_report), sched) ->
-        incr executed;
-        max_rounds_seen := max !max_rounds_seen r.Campaign.rounds;
-        total_messages := !total_messages + r.Campaign.messages;
-        if r.Campaign.truncated then incr truncated;
-        let admissible =
-          Instance.admissible inst (Program.corrupted r.Campaign.program)
-        in
-        (match Campaign.classify ~solvability:solv ~admissible r with
-         | Campaign.Safety_violation -> violations := (r, sched) :: !violations
-         | Campaign.Liveness_lost -> incr liveness_lost
-         | Campaign.Safe -> ());
-        match r.Campaign.verdict with
-        | Campaign.Delivered -> incr delivered
-        | Campaign.Violated _ -> incr violated
-        | Campaign.Silenced -> incr silenced)
-      reports;
-    if should_stop () then stopped := true
-  done;
-  {
-    protocol;
-    seed;
-    schedules = !executed;
-    solvability = solv;
-    delivered = !delivered;
-    silenced = !silenced;
-    violated = !violated;
-    truncated = !truncated;
-    liveness_lost = !liveness_lost;
-    safety_violations = List.rev !violations;
-    max_rounds_seen = !max_rounds_seen;
-    total_messages = !total_messages;
-    stopped_early = !stopped;
-  }
+let run ?domains ?max_messages ?batch ?should_stop ?(x_dealer = 7)
+    ?(x_fake = 8) ?(params = Policy.timely_params) ~seed ~schedules protocol
+    inst =
+  Campaign.run_trials ?domains ?batch ?should_stop ~seed ~trials:schedules
+    protocol inst
+    ~draw:(fun rng ->
+      let p = Strategy_gen.random rng inst ~x_dealer ~x_fake in
+      (p, Prng.int rng 1_073_741_823))
+    ~exec:(fun (p, sched_seed) ->
+      Sim_exec.execute_recorded ?max_messages ~params ~sched_seed protocol
+        inst ~x_dealer p)
 
 let shrink_violation ?budget ?max_messages protocol ~x_dealer inst
     ((r : Campaign.run_report), sched) =
+  let exec sched =
+    Campaign.execute ?max_messages
+      ~runner:(Sim_exec.runner ~policy:(Policy.of_schedule sched))
+      protocol inst ~x_dealer r.program
+  in
   let sched' =
     Sim_shrink.minimize ?budget
-      ~keep:
-        (Sim_exec.keep_verdict ?max_messages protocol ~x_dealer
-           ~verdict:r.Campaign.verdict inst r.Campaign.program)
+      ~keep:(fun s -> Campaign.reproduces ~verdict:r.verdict (exec s))
       sched
   in
-  let r' =
-    Sim_exec.execute ?max_messages
-      ~policy:(Policy.of_schedule sched')
-      protocol inst ~x_dealer r.Campaign.program
-  in
-  (r', sched')
+  (exec sched', sched')
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>%s schedule sweep: seed=%d schedules=%d (%a)%s@,\
-     delivered %d | silenced %d | violated %d | truncated %d@,\
-     liveness lost %d | safety violations %d@,\
-     max rounds %d | total messages %d@]"
-    (Campaign.protocol_to_string r.protocol)
-    r.seed r.schedules Solvability.pp_feasibility r.solvability
-    (if r.stopped_early then " [stopped early]" else "")
-    r.delivered r.silenced r.violated r.truncated r.liveness_lost
-    (List.length r.safety_violations)
-    r.max_rounds_seen r.total_messages
+let pp_report = Campaign.pp_trials ~title:"schedule sweep" ~count:"schedules"

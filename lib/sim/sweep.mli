@@ -12,26 +12,12 @@
     [liveness_lost] counts are expected to be non-zero under aggressive
     parameters and are reported, not failed, by the sweep's callers. *)
 
-open Rmt_core
 open Rmt_knowledge
 open Rmt_attack
 
-type report = {
-  protocol : Campaign.protocol;
-  seed : int;
-  schedules : int;  (** trials actually executed *)
-  solvability : Solvability.feasibility;
-  delivered : int;
-  silenced : int;
-  violated : int;
-  truncated : int;
-  liveness_lost : int;
-  safety_violations : (Campaign.run_report * Schedule.t) list;
-      (** each with the recorded (unshrunk) schedule that produced it *)
-  max_rounds_seen : int;
-  total_messages : int;
-  stopped_early : bool;
-}
+type report = Schedule.t Campaign.report
+(** Each safety violation comes with the recorded (unshrunk) schedule
+    that produced it. *)
 
 val run :
   ?domains:int ->
@@ -46,10 +32,11 @@ val run :
   Campaign.protocol ->
   Instance.t ->
   report
-(** Up to [schedules] (program, schedule) trials drawn from [seed],
-    batches of [batch] (default 16) fanned through
-    {!Rmt_workloads.Parsweep.map}; [should_stop] is polled between
-    batches.  Deterministic in (seed, schedules, params), independent of
+(** Up to [schedules] (program, schedule) trials drawn from [seed] —
+    {!Campaign.run_trials} with a program and a schedule seed drawn per
+    trial, each executed by {!Sim_exec.execute_recorded}; batches of
+    [batch] (default 16), [should_stop] polled between batches.
+    Deterministic in (seed, schedules, params), independent of
     [domains].  [params] defaults to {!Policy.timely_params} — the
     schedule space where Theorem 4's safety is scheduler-independent;
     pass {!Policy.lossless_params} or {!Policy.default_params} to
@@ -69,3 +56,4 @@ val shrink_violation :
     then re-execute under the shrunk schedule to refresh the report. *)
 
 val pp_report : Format.formatter -> report -> unit
+(** [Campaign.pp_trials ~title:"schedule sweep" ~count:"schedules"]. *)

@@ -144,7 +144,7 @@ let test_campaign_acceptance () =
       check
         (Printf.sprintf "%s: attacks executed" name)
         true
-        (r.Campaign.attacks = 40);
+        (r.Campaign.trials = 40);
       (match r.Campaign.solvability with
        | Rmt_core.Solvability.Solvable ->
          check
@@ -358,6 +358,24 @@ let test_replay_file () =
    | Error e -> Alcotest.fail e);
   Sys.remove path
 
+(* An attack-node id must name a node of the instance graph: a negative
+   or absent id is a parse error, not an exception at execution time. *)
+let test_replay_rejects_node node_line () =
+  let instance_text =
+    In_channel.with_open_text
+      (Filename.concat instances_dir "figure1_basic.rmt")
+      In_channel.input_all
+  in
+  let text =
+    String.concat "\n"
+      [ "protocol pka"; "value 7"; "attack-seed 1"; node_line; instance_text ]
+  in
+  match Replay.of_string text with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "accepted %S" node_line
+  | exception e ->
+    Alcotest.failf "%S raised %s" node_line (Printexc.to_string e)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -398,5 +416,9 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_replay_roundtrip;
           Alcotest.test_case "file io" `Quick test_replay_file;
+          Alcotest.test_case "attack node absent from the graph" `Quick
+            (test_replay_rejects_node "attack-node 999 silent");
+          Alcotest.test_case "negative attack node" `Quick
+            (test_replay_rejects_node "attack-node -3 silent");
         ] );
     ]

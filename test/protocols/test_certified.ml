@@ -218,12 +218,12 @@ let test_in_envelope_sweep =
             Sweep.run ~params:Policy.default_params ~seed ~schedules:20
               protocol inst
           in
-          if report.Sweep.violated > 0 then
+          if report.Campaign.violated > 0 then
             QCheck.Test.fail_reportf
               "safety violation inside the envelope: %s on %s, seed %d \
                (violated %d/%d)"
               (Campaign.protocol_to_string protocol)
-              family seed report.Sweep.violated report.Sweep.schedules
+              family seed report.Campaign.violated report.Campaign.trials
           else true)
         (sweep_families g ~dealer rng))
 
@@ -241,7 +241,7 @@ let test_in_envelope_boundary_sweep () =
            (Campaign.protocol_to_string protocol)
            seed)
         true
-        (report.Sweep.violated = 0))
+        (report.Campaign.violated = 0))
     Campaign.[ (Cert_pka, 2016); (Cert_ppa, 2016) ]
 
 (* ------------------------------------------------------------------ *)
@@ -265,8 +265,8 @@ let test_out_of_envelope_violation () =
     Sweep.run ~params:wild_params ~seed:19 ~schedules:60 ~x_dealer:7 ~x_fake:8
       Campaign.Cert_pka inst
   in
-  check "violation found outside the envelope" true (report.Sweep.violated > 0);
-  match report.Sweep.safety_violations with
+  check "violation found outside the envelope" true (report.Campaign.violated > 0);
+  match report.Campaign.safety_violations with
   | [] -> Alcotest.fail "violated > 0 but no recorded schedule"
   | (vr, vs) :: _ ->
     let vr', vs' =
@@ -313,8 +313,8 @@ let test_timely_sweep_liveness () =
     Sweep.run ~params:Policy.timely_params ~seed:2016 ~schedules:40
       Campaign.Cert_pka inst
   in
-  check_int "timely sweep: no violations" 0 report.Sweep.violated;
-  check_int "timely sweep: no liveness losses" 0 report.Sweep.liveness_lost
+  check_int "timely sweep: no violations" 0 report.Campaign.violated;
+  check_int "timely sweep: no liveness losses" 0 report.Campaign.liveness_lost
 
 (* ------------------------------------------------------------------ *)
 (* Backend conformance (certified family)                              *)

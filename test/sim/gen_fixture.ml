@@ -25,16 +25,7 @@ open Rmt_attack
 open Rmt_sim
 
 let shrink_and_write ~rmt protocol inst ~x_dealer program (r, sched) =
-  let keep =
-    Sim_exec.keep_verdict protocol ~x_dealer ~verdict:r.Campaign.verdict inst
-      program
-  in
-  let sched' = Sim_shrink.minimize ~keep sched in
-  let r' =
-    Sim_exec.execute
-      ~policy:(Policy.of_schedule sched')
-      protocol inst ~x_dealer program
-  in
+  let r', sched' = Sweep.shrink_violation protocol ~x_dealer inst (r, sched) in
   let replay =
     Replay.make ~expected:r'.Campaign.verdict ~protocol ~x_dealer inst program
   in
@@ -66,8 +57,9 @@ let gen_strawman () =
       ]
   in
   let sync_r =
-    Sim_exec.execute ~policy:Policy.sync Campaign.Strawman inst ~x_dealer
-      program
+    Campaign.execute
+      ~runner:(Sim_exec.runner ~policy:Policy.sync)
+      Campaign.Strawman inst ~x_dealer program
   in
   (match sync_r.Campaign.verdict with
    | Campaign.Delivered -> ()
@@ -129,16 +121,16 @@ let gen_pka_boundary ~name ~params ~witness =
         then begin
           (* the violation must be the scheduler's doing *)
           let sync_r =
-            Sim_exec.execute ~policy:Policy.sync Campaign.Pka inst ~x_dealer p
+            Campaign.execute
+              ~runner:(Sim_exec.runner ~policy:Policy.sync)
+              Campaign.Pka inst ~x_dealer p
           in
           match sync_r.Campaign.verdict with
           | Campaign.Violated _ -> ()
           | Campaign.Delivered | Campaign.Silenced ->
-            let keep =
-              Sim_exec.keep_verdict Campaign.Pka ~x_dealer
-                ~verdict:r.Campaign.verdict inst p
+            let _, sched' =
+              Sweep.shrink_violation Campaign.Pka ~x_dealer inst (r, sched)
             in
-            let sched' = Sim_shrink.minimize ~keep sched in
             if witness sched' then result := Some (inst, p, r, sched)
         end
       end

@@ -269,8 +269,9 @@ let test_sync_equivalence_pinned () =
                 Campaign.execute_traced protocol inst ~x_dealer:7 p
               in
               let sim_r, sim_trace =
-                Sim_exec.execute_traced ~policy:Policy.sync protocol inst
-                  ~x_dealer:7 p
+                Campaign.execute_traced
+                  ~runner:(Sim_exec.runner ~policy:Policy.sync)
+                  protocol inst ~x_dealer:7 p
               in
               check (label ^ ": identical report") true (engine_r = sim_r);
               check (label ^ ": identical trace") true
@@ -336,7 +337,9 @@ let sync_equivalence_random protocol name =
         Campaign.execute_traced protocol inst ~x_dealer:7 p
       in
       let sim_r, sim_trace =
-        Sim_exec.execute_traced ~policy:Policy.sync protocol inst ~x_dealer:7 p
+        Campaign.execute_traced
+          ~runner:(Sim_exec.runner ~policy:Policy.sync)
+          protocol inst ~x_dealer:7 p
       in
       engine_r = sim_r && engine_trace = sim_trace)
 
@@ -393,8 +396,9 @@ let test_sim_recorded_deterministic () =
       check (name ^ ": same schedule") true (Schedule.equal s1 s2);
       (* replaying the recorded schedule reproduces the recorded run *)
       let r3 =
-        Sim_exec.execute ~policy:(Policy.of_schedule s1) protocol inst
-          ~x_dealer:7 p
+        Campaign.execute
+          ~runner:(Sim_exec.runner ~policy:(Policy.of_schedule s1))
+          protocol inst ~x_dealer:7 p
       in
       check (name ^ ": replay reproduces") true (r1 = r3))
     all_protocols
@@ -490,8 +494,9 @@ let fixture_replays ~rmt () =
     (* the violation belongs to the scheduler, not the program: the same
        attack under the synchronous schedule is harmless *)
     let sync_r =
-      Sim_exec.execute ~policy:Policy.sync r.Replay.protocol
-        r.Replay.instance ~x_dealer:r.Replay.x_dealer r.Replay.program
+      Campaign.execute
+        ~runner:(Sim_exec.runner ~policy:Policy.sync)
+        r.Replay.protocol r.Replay.instance ~x_dealer:r.Replay.x_dealer r.Replay.program
     in
     (match sync_r.Campaign.verdict with
      | Campaign.Violated _ ->
@@ -507,9 +512,12 @@ let fixture_is_shrunk ~rmt () =
       | Some v -> v
       | None -> Alcotest.fail "fixture lacks an expected verdict"
     in
-    let keep =
-      Sim_exec.keep_verdict r.Replay.protocol ~x_dealer:r.Replay.x_dealer
-        ~verdict:expected r.Replay.instance r.Replay.program
+    let keep sched =
+      Campaign.reproduces ~verdict:expected
+        (Campaign.execute
+           ~runner:(Sim_exec.runner ~policy:(Policy.of_schedule sched))
+           r.Replay.protocol r.Replay.instance ~x_dealer:r.Replay.x_dealer
+           r.Replay.program)
     in
     let sched' = Sim_shrink.minimize ~keep sched in
     check "pinned schedule is a shrinking fixpoint" true

@@ -38,6 +38,9 @@ open Rmt_adversary
 open Rmt_knowledge
 open Rmt_core
 open Rmt_workloads
+module Campaign = Rmt_attack.Campaign
+module Program = Rmt_attack.Program
+module Strategy_gen = Rmt_attack.Strategy_gen
 
 (* global flag, set by the driver before experiments run *)
 let domains_override = ref None
@@ -189,7 +192,7 @@ let e1 () =
   Table.print ~title:"paper claim: 0 violations everywhere" t
 
 (* ------------------------------------------------------------------ *)
-(* E2 — safety under the full strategy battery                         *)
+(* E2 — safety under the fixed attack battery                          *)
 (* ------------------------------------------------------------------ *)
 
 let e2_instances () =
@@ -224,29 +227,21 @@ let e2 () =
     Table.create
       [ "instance"; "protocol"; "runs"; "correct"; "undecided"; "wrong"; "trunc" ]
   in
-  let rng = Prng.create 203 in
   List.iter
     (fun (label, inst) ->
-      let p = Solvability.probe_rmt_pka inst ~x_dealer:5 ~x_fake:6 in
-      Table.add_row t
-        [
-          label; "RMT-PKA";
-          Table.cell_int p.total_runs;
-          Table.cell_int p.correct_runs;
-          Table.cell_int p.undecided_runs;
-          Table.cell_int p.wrong_runs;
-          Table.cell_int p.truncated_runs;
-        ];
-      let z = Solvability.probe_zcpa rng inst ~x_dealer:5 ~x_fake:6 in
-      Table.add_row t
-        [
-          label; "Z-CPA";
-          Table.cell_int z.total_runs;
-          Table.cell_int z.correct_runs;
-          Table.cell_int z.undecided_runs;
-          Table.cell_int z.wrong_runs;
-          "0";
-        ])
+      List.iter
+        (fun (name, protocol) ->
+          let r = Campaign.battery protocol inst ~x_dealer:5 ~x_fake:6 in
+          Table.add_row t
+            [
+              label; name;
+              Table.cell_int r.trials;
+              Table.cell_int r.delivered;
+              Table.cell_int r.silenced;
+              Table.cell_int r.violated;
+              Table.cell_int r.truncated;
+            ])
+        [ ("RMT-PKA", Campaign.Pka); ("Z-CPA", Campaign.Zcpa) ])
     (e2_instances ());
   Table.print
     ~title:
@@ -325,6 +320,12 @@ let e2b () =
 (* E3 / E4 — tightness sweeps                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* correct under the honest run and every (maximal corruption set ×
+   menu entry) combination of the E2 battery *)
+let resilient protocol inst =
+  let r = Campaign.battery protocol inst ~x_dealer:1 ~x_fake:2 in
+  r.delivered = r.trials
+
 (* Per-instance classification runs on all cores (Parsweep); the classify
    function must be pure, so any randomness is pre-split per instance
    before the sweep.  Aggregation of the (in solvable class?, behavior
@@ -358,9 +359,7 @@ let e3_classify { Workload.instance; _ } =
     Solvability.partial_knowledge instance = Solvability.Solvable
   in
   let agree =
-    if solvable then
-      Solvability.all_correct
-        (Solvability.probe_rmt_pka instance ~x_dealer:1 ~x_fake:2)
+    if solvable then resilient Campaign.Pka instance
     else
       match (Cut.find_rmt_cut instance).cut_found with
       | None -> false
@@ -385,18 +384,10 @@ let e3 () =
 let e4 () =
   section "E4 — tightness of the RMT Z-pp cut for 𝒵-CPA (Thm 7 + Thm 8)";
   let suite = Workload.ad_hoc_suite (Prng.create 404) ~count:120 ~n:10 in
-  let rng = Prng.create 405 in
-  (* split one stream per instance, sequentially, so the parallel map sees
-     independent deterministic streams whatever the domain interleaving *)
-  let jobs =
-    Array.of_list (List.map (fun li -> (li, Prng.split rng)) suite)
-  in
-  let classify ({ Workload.instance; _ }, rng) =
+  let classify { Workload.instance; _ } =
     let solvable = Solvability.ad_hoc instance = Solvability.Solvable in
     let agree =
-      if solvable then
-        Solvability.all_correct
-          (Solvability.probe_zcpa rng instance ~x_dealer:1 ~x_fake:2)
+      if solvable then resilient Campaign.Zcpa instance
       else
         match (Cut.find_rmt_zpp_cut instance).cut_found with
         | None -> false
@@ -406,7 +397,9 @@ let e4 () =
     in
     (solvable, agree)
   in
-  let results = Parsweep.map ~domains:(sweep_domains ()) classify jobs in
+  let results =
+    Parsweep.map ~domains:(sweep_domains ()) classify (Array.of_list suite)
+  in
   print_tightness ~title:"paper claim: 100% agreement in both classes"
     (tightness_rows results)
 
@@ -444,8 +437,7 @@ let e5 () =
   let zcpa_count =
     par_count (fun structure ->
         let inst = Instance.ad_hoc_of ~graph:g ~structure ~dealer:0 ~receiver in
-        Solvability.all_correct
-          (Solvability.probe_zcpa (Prng.create 50) inst ~x_dealer:1 ~x_fake:2))
+        resilient Campaign.Zcpa inst)
   in
   List.iter
     (fun k ->
@@ -457,8 +449,7 @@ let e5 () =
               Instance.make ~graph:g ~structure ~view ~dealer:0 ~receiver
             in
             ( Solvability.partial_knowledge inst = Solvability.Solvable,
-              Solvability.all_correct
-                (Solvability.probe_rmt_pka inst ~x_dealer:1 ~x_fake:2) ))
+              resilient Campaign.Pka inst ))
           structures_arr
       in
       let solvable =
@@ -701,11 +692,12 @@ let e10 () =
           (Nodeset.remove 0 (Nodeset.remove 11 (Graph.nodes g)))
           k
       in
-      row "silent" corrupted (Strategies.pka_silent corrupted);
-      row "topology-liar" corrupted
-        (Strategies.pka_topology_liar inst ~x_dealer:0 corrupted);
-      row "fuzz" corrupted
-        (Strategies.pka_fuzz (Prng.split rng) inst ~x_dealer:0 corrupted))
+      let menu = Strategy_gen.pka_menu g ~x_fake:1 corrupted in
+      List.iter
+        (fun label ->
+          row label corrupted
+            (Strategy_gen.compile_pka (List.assoc label menu) inst ~x_dealer:0))
+        [ "silent"; "topology-liar"; "fuzz" ])
     [ 1; 2; 3 ];
   Table.print
     ~title:
@@ -751,8 +743,7 @@ let e11 () =
           match Solvability.partial_knowledge inst with
           | Solvability.Solvable ->
             incr solvable;
-            let probe = Solvability.probe_rmt_pka inst ~x_dealer:1 ~x_fake:2 in
-            if not (Solvability.all_correct probe) then incr mismatches
+            if not (resilient Campaign.Pka inst) then incr mismatches
           | Solvability.Unsolvable ->
             incr unsolvable;
             (match (Cut.find_rmt_cut inst).cut_found with
@@ -867,7 +858,12 @@ let ablations () =
   List.iter
     (fun subset_budget ->
       (* mimic-based strategies are single-run values: rebuild per run *)
-      let adversary = Strategies.pka_topology_liar inst ~x_dealer:5 corrupted in
+      let adversary =
+        Strategy_gen.compile_pka
+          (Program.uniform ~seed:0 corrupted Program.Honest
+             [ Program.Lie_topology ])
+          inst ~x_dealer:5
+      in
       let budgets = { Rmt_pka.default_budgets with subset_budget } in
       let (r, secs) =
         Timing.time_it (fun () -> Rmt_pka.run ~budgets ~adversary inst ~x_dealer:5)
@@ -1345,7 +1341,6 @@ let core () =
 (* ATTACK — adversarial fuzzing campaigns over the checked-in instances *)
 (* ------------------------------------------------------------------ *)
 
-module Campaign = Rmt_attack.Campaign
 
 let attack_seed = 2016
 let attack_count = 60

@@ -184,12 +184,28 @@ let protocol_t =
 let corrupt_t =
   Arg.(value & opt_all int [] & info [ "corrupt" ] ~docv:"NODE")
 
+(* a menu's labels do not depend on its arguments: read them off the
+   empty graph *)
+let menu_labels menu =
+  List.map fst (menu Graph.empty ~x_fake:0 Nodeset.empty)
+let pka_labels = menu_labels Rmt_attack.Strategy_gen.pka_menu
+let value_labels = menu_labels Rmt_attack.Strategy_gen.value_menu
+
 let strategy_t =
   Arg.(
     value
     & opt string "value-flip"
     & info [ "strategy" ]
-        ~docv:"silent|mimic|value-flip|trail-forge|topology-liar|fictitious-node")
+        ~docv:
+          (String.concat "|"
+             (pka_labels
+             @ List.filter (fun l -> not (List.mem l pka_labels)) value_labels))
+        ~doc:
+          (Printf.sprintf
+             "What the corrupted nodes do: an entry of the attack menu, %s \
+              against pka and %s against zcpa/zcpa-sim."
+             (String.concat "|" pka_labels)
+             (String.concat "|" value_labels)))
 
 let trace_t =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print the delivery timeline.")
@@ -210,79 +226,90 @@ let run_cmd file seed topology adversary knowledge dealer receiver value
   with
   | Error e -> parse_error "%s" e
   | Ok inst ->
-    let corrupted = Nodeset.of_list corrupt in
-    (match protocol with
-     | `Pka ->
-       let adversary =
-         if Nodeset.is_empty corrupted then Rmt_net.Engine.no_adversary
-         else
-           match
-             List.assoc_opt strategy
-               (Strategies.pka_full_menu inst ~x_dealer:value
-                  ~x_fake:(value + 1) corrupted)
-           with
-           | Some a -> a
-           | None -> Strategies.pka_silent corrupted
-       in
-       let tr, on_deliver = Rmt_net.Trace.create ~pp_payload:pka_payload_summary () in
-       let auto = Rmt_pka.automaton inst ~x_dealer:value in
-       let outcome =
-         Rmt_net.Engine.run ~size_of:Rmt_pka.msg_size
-           ~on_deliver:(if trace then on_deliver else fun ~round:_ ~src:_ ~dst:_ _ -> ())
-           ~stop_when:(fun dec -> dec inst.receiver <> None)
-           ~graph:inst.graph ~adversary auto
-       in
-       let decided = Rmt_net.Engine.decision_of outcome inst.receiver in
-       if trace then print_string (Rmt_net.Trace.render tr);
-       Printf.printf
-         "RMT-PKA: decided %s  correct=%b  rounds=%d  messages=%d  bits=%d  \
-          truncated=%b\n"
-         (dec_str decided) (decided = Some value) outcome.stats.rounds
-         outcome.stats.messages outcome.stats.bits outcome.stats.truncated;
-       `Ok ()
-     | (`Zcpa | `Zcpa_sim) as p ->
-       let adversary =
-         if Nodeset.is_empty corrupted then Rmt_net.Engine.no_adversary
-         else
-           match
-             List.assoc_opt strategy
-               (Strategies.value_full_menu (Prng.create seed)
-                  ~x_fake:(value + 1) inst.graph corrupted)
-           with
-           | Some a -> a
-           | None -> Strategies.value_silent corrupted
-       in
-       let decider =
-         match p with
-         | `Zcpa -> None
-         | `Zcpa_sim -> Some (Self_reduction.simulated_decider inst)
-       in
-       let tr, on_deliver =
-         Rmt_net.Trace.create ~pp_payload:(fun (x : int) -> string_of_int x) ()
-       in
-       let calls, counted =
-         Zcpa.counting_oracle (Zcpa.direct_oracle inst)
-       in
-       let decider =
-         match decider with
-         | Some d -> d
-         | None -> Zcpa.decider_of_oracle counted
-       in
-       let auto = Zcpa.automaton ~decider inst ~x_dealer:value in
-       let outcome =
-         Rmt_net.Engine.run
-           ~on_deliver:(if trace then on_deliver else fun ~round:_ ~src:_ ~dst:_ _ -> ())
-           ~graph:inst.graph ~adversary auto
-       in
-       let decided = Rmt_net.Engine.decision_of outcome inst.receiver in
-       if trace then print_string (Rmt_net.Trace.render tr);
-       Printf.printf
-         "Z-CPA%s: decided %s  correct=%b  rounds=%d  messages=%d  oracle \
-          calls=%d\n"
-         (match p with `Zcpa -> "" | `Zcpa_sim -> " (simulated oracle)")
-         (dec_str decided) (decided = Some value) outcome.stats.rounds
-         outcome.stats.messages !calls;
-       `Ok ())
+    (* checked on the raw ids: [Nodeset] rejects negative ones itself *)
+    let outside =
+      List.filter
+        (fun v ->
+          v < 0
+          || (not (Graph.mem_node v inst.graph))
+          || v = inst.dealer || v = inst.receiver)
+        corrupt
+    in
+    let menu corrupted =
+      (match protocol with
+       | `Pka -> Rmt_attack.Strategy_gen.pka_menu
+       | `Zcpa | `Zcpa_sim -> Rmt_attack.Strategy_gen.value_menu)
+        inst.graph ~x_fake:(value + 1) corrupted
+    in
+    let labels = List.map fst (menu Nodeset.empty) in
+    (match (List.mem strategy labels, outside) with
+     | false, _ ->
+       parse_error "unknown strategy %S for this protocol (%s)" strategy
+         (String.concat "|" labels)
+     | true, _ :: _ ->
+       parse_error
+         "--corrupt %s: corrupted nodes must be graph nodes other than the \
+          dealer %d and the receiver %d"
+         (String.concat "," (List.map string_of_int outside))
+         inst.dealer inst.receiver
+     | true, [] ->
+       let program = List.assoc strategy (menu (Nodeset.of_list corrupt)) in
+       (match protocol with
+        | `Pka ->
+          let adversary =
+            Rmt_attack.Strategy_gen.compile_pka program inst ~x_dealer:value
+          in
+          let tr, on_deliver = Rmt_net.Trace.create ~pp_payload:pka_payload_summary () in
+          let auto = Rmt_pka.automaton inst ~x_dealer:value in
+          let outcome =
+            Rmt_net.Engine.run ~size_of:Rmt_pka.msg_size
+              ~on_deliver:(if trace then on_deliver else fun ~round:_ ~src:_ ~dst:_ _ -> ())
+              ~stop_when:(fun dec -> dec inst.receiver <> None)
+              ~graph:inst.graph ~adversary auto
+          in
+          let decided = Rmt_net.Engine.decision_of outcome inst.receiver in
+          if trace then print_string (Rmt_net.Trace.render tr);
+          Printf.printf
+            "RMT-PKA: decided %s  correct=%b  rounds=%d  messages=%d  bits=%d  \
+             truncated=%b\n"
+            (dec_str decided) (decided = Some value) outcome.stats.rounds
+            outcome.stats.messages outcome.stats.bits outcome.stats.truncated;
+          `Ok ()
+        | (`Zcpa | `Zcpa_sim) as p ->
+          let adversary =
+            Rmt_attack.Strategy_gen.compile_zcpa program inst ~x_dealer:value
+          in
+          let decider =
+            match p with
+            | `Zcpa -> None
+            | `Zcpa_sim -> Some (Self_reduction.simulated_decider inst)
+          in
+          let tr, on_deliver =
+            Rmt_net.Trace.create ~pp_payload:(fun (x : int) -> string_of_int x) ()
+          in
+          let calls, counted =
+            Zcpa.counting_oracle (Zcpa.direct_oracle inst)
+          in
+          let decider =
+            match decider with
+            | Some d -> d
+            | None -> Zcpa.decider_of_oracle counted
+          in
+          let auto = Zcpa.automaton ~decider inst ~x_dealer:value in
+          let outcome =
+            Rmt_net.Engine.run
+              ~on_deliver:(if trace then on_deliver else fun ~round:_ ~src:_ ~dst:_ _ -> ())
+              ~graph:inst.graph ~adversary auto
+          in
+          let decided = Rmt_net.Engine.decision_of outcome inst.receiver in
+          if trace then print_string (Rmt_net.Trace.render tr);
+          Printf.printf
+            "Z-CPA%s: decided %s  correct=%b  rounds=%d  messages=%d  oracle \
+             calls=%d\n"
+            (match p with `Zcpa -> "" | `Zcpa_sim -> " (simulated oracle)")
+            (dec_str decided) (decided = Some value) outcome.stats.rounds
+            outcome.stats.messages !calls;
+          `Ok ()))
 
 (* ------------------------------------------------------------------ *)
 (* attack                                                              *)

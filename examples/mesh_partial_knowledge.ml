@@ -26,6 +26,7 @@ open Rmt_graph
 open Rmt_adversary
 open Rmt_knowledge
 open Rmt_core
+open Rmt_attack
 
 let printf = Printf.printf
 let dec = function None -> "⊥" | Some x -> string_of_int x
@@ -65,12 +66,10 @@ let () =
      not resilient: some admissible corruption defeats it. *)
   let ad_hoc_inst = Instance.ad_hoc_of ~graph:g ~structure ~dealer ~receiver in
   let z = Zcpa.run ad_hoc_inst ~x_dealer:7 in
-  let zp =
-    Solvability.probe_zcpa (Prng.create 3) ad_hoc_inst ~x_dealer:7 ~x_fake:13
-  in
+  let zp = Campaign.battery Campaign.Zcpa ad_hoc_inst ~x_dealer:7 ~x_fake:13 in
   printf "Z-CPA (ad hoc), honest network:  %s\n" (dec z.decided);
   printf "Z-CPA under attack:              correct in %d/%d runs — not resilient\n"
-    zp.correct_runs zp.total_runs;
+    zp.delivered zp.trials;
 
   (* RMT-PKA with 2-hop views succeeds — honestly and under attack. *)
   let inst =
@@ -83,10 +82,11 @@ let () =
     (fun corrupted ->
       let worst = ref (Some 7) in
       List.iter
-        (fun (_, adversary) ->
+        (fun (_, program) ->
+          let adversary = Strategy_gen.compile_pka program inst ~x_dealer:7 in
           let r = Rmt_pka.run ~adversary inst ~x_dealer:7 in
           if r.decided <> Some 7 then worst := r.decided)
-        (Strategies.pka_full_menu inst ~x_dealer:7 ~x_fake:13 corrupted);
+        (Strategy_gen.pka_menu g ~x_fake:13 corrupted);
       printf "RMT-PKA vs compromised %-8s %s\n"
         (Nodeset.to_string corrupted ^ ":")
         (dec !worst))

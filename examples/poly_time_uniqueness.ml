@@ -19,6 +19,7 @@ open Rmt_graph
 open Rmt_adversary
 open Rmt_knowledge
 open Rmt_core
+open Rmt_attack
 
 let printf = Printf.printf
 let dec = function None -> "⊥" | Some x -> string_of_int x
@@ -105,7 +106,10 @@ let () =
   printf "  honest network: direct=%s simulated=%s\n" (dec direct.decided)
     (dec sim.decided);
   let corrupted = Nodeset.singleton 1 in
-  let attack () = Strategies.value_flip ~x_fake:9 g corrupted in
+  let flip =
+    Program.uniform ~seed:0 corrupted Program.Silent [ Program.Forge_trail 9 ]
+  in
+  let attack () = Strategy_gen.compile_zcpa flip inst ~x_dealer:5 in
   let d = Zcpa.run ~adversary:(attack ()) inst ~x_dealer:5 in
   let s =
     Zcpa.run ~decider:(Self_reduction.simulated_decider inst)

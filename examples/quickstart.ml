@@ -13,6 +13,7 @@ open Rmt_graph
 open Rmt_adversary
 open Rmt_knowledge
 open Rmt_core
+open Rmt_attack
 
 let dec = function
   | None -> "⊥ (no decision)"
@@ -41,9 +42,13 @@ let () =
   Printf.printf "RMT-PKA, honest network:   %s  (%d rounds, %d messages)\n"
     (dec r.decided) r.rounds r.messages;
 
-  (* Now corrupt node 1 and make it flip every relayed value to 666. *)
-  let corrupted = Nodeset.singleton 1 in
-  let adv = Strategies.pka_value_flip inst ~x_dealer:42 ~x_fake:666 corrupted in
+  (* Now corrupt node 1 and make it flip every relayed value to 666: an
+     attack program, compiled against RMT-PKA. *)
+  let flip =
+    Program.uniform ~seed:0 (Nodeset.singleton 1) Program.Honest
+      [ Program.Flip_value 666 ]
+  in
+  let adv = Strategy_gen.compile_pka flip inst ~x_dealer:42 in
   let r = Rmt_pka.run ~adversary:adv inst ~x_dealer:42 in
   Printf.printf "RMT-PKA vs value flipper:  %s  (safety: never 666)\n"
     (dec r.decided);

@@ -23,6 +23,7 @@ open Rmt_graph
 open Rmt_adversary
 open Rmt_knowledge
 open Rmt_core
+open Rmt_attack
 
 let printf = Printf.printf
 let dec = function None -> "⊥" | Some x -> string_of_int x
@@ -54,9 +55,9 @@ let () =
   let c = Rmt_protocols.Cpa.run g ~dealer:base ~receiver:actuator ~t:1 ~x_dealer:1 in
   printf "Z-CPA, honest network: %s    CPA: %s  (they coincide on t-local)\n"
     (dec z.decided) (dec c.decided);
-  let probe = Solvability.probe_zcpa (Prng.create 5) inst ~x_dealer:1 ~x_fake:9 in
-  printf "Against silence/flip/spam x every corruption pattern: %d/%d correct\n\n"
-    probe.correct_runs probe.total_runs;
+  let b = Campaign.battery Campaign.Zcpa inst ~x_dealer:1 ~x_fake:9 in
+  printf "Against the value menu x every corruption pattern: %d/%d correct\n\n"
+    b.delivered b.trials;
 
   (* Step 2: the tight analysis disagrees. *)
   printf "Feasibility (RMT Z-pp cut decider): %s\n"
@@ -96,9 +97,9 @@ let () =
     (Structure.num_maximal structure');
 
   (* and now resilience is real: *)
-  let probe = Solvability.probe_zcpa (Prng.create 6) inst' ~x_dealer:1 ~x_fake:9 in
+  let b = Campaign.battery Campaign.Zcpa inst' ~x_dealer:1 ~x_fake:9 in
   printf "Z-CPA after hardening: %d/%d correct under the full battery\n"
-    probe.correct_runs probe.total_runs;
+    b.delivered b.trials;
   match (Cut.find_rmt_zpp_cut inst').cut_found with
   | Some _ -> printf "(unexpected: still cut)\n"
   | None -> printf "No RMT Z-pp cut remains: reliability is guaranteed.\n"

@@ -320,9 +320,8 @@ type 'w report = {
 let max_examples = 5
 
 let run_trials ?domains ?(batch = 16) ?(should_stop = fun () -> false) ~draw
-    ~exec ~seed ~trials protocol (inst : Instance.t) =
+    ~exec ~solvability:solv ~seed ~trials protocol (inst : Instance.t) =
   let rng = Prng.create seed in
-  let solv = solvability protocol inst in
   let executed = ref 0
   and delivered = ref 0
   and silenced = ref 0
@@ -386,8 +385,35 @@ let run_trials ?domains ?(batch = 16) ?(should_stop = fun () -> false) ~draw
 let run ?domains ?max_messages ?batch ?should_stop ?(x_dealer = 7)
     ?(x_fake = 8) ~seed ~attacks protocol inst =
   run_trials ?domains ?batch ?should_stop ~seed ~trials:attacks protocol inst
+    ~solvability:(solvability protocol inst)
     ~draw:(fun rng -> Strategy_gen.random rng inst ~x_dealer ~x_fake)
     ~exec:(fun p -> (execute ?max_messages protocol inst ~x_dealer p, ()))
+
+let battery_programs protocol (inst : Instance.t) ~x_fake =
+  let menu =
+    match protocol with
+    | Zcpa | Strawman -> Strategy_gen.value_menu
+    | Pka | Ppa | Cert_pka | Cert_ppa -> Strategy_gen.pka_menu
+  in
+  ("honest", Program.make ~seed:Strategy_gen.menu_seed [])
+  :: List.concat_map
+       (fun z ->
+         if Nodeset.is_empty z || Nodeset.mem inst.receiver z then []
+         else menu inst.graph ~x_fake z)
+       (Instance.corruption_sets inst)
+
+let battery protocol inst ~x_dealer ~x_fake =
+  let trials = Array.of_list (battery_programs protocol inst ~x_fake) in
+  (* the trials are fixed: [draw] walks them in order *)
+  let next = ref 0 in
+  (* callers decide solvability themselves when they need it *)
+  run_trials ~domains:1 ~seed:Strategy_gen.menu_seed
+    ~trials:(Array.length trials) protocol inst ~solvability:Solvability.Unknown
+    ~draw:(fun _ ->
+      let t = trials.(!next) in
+      incr next;
+      t)
+    ~exec:(fun (label, p) -> (execute protocol inst ~x_dealer p, label))
 
 let pp_trials ~title ~count ppf r =
   Format.fprintf ppf

@@ -1,7 +1,8 @@
 (** Fuzzing campaigns — fan attack programs across a protocol, classify
     every run against the paper's safety/liveness claims.
 
-    A campaign draws seeded random programs ({!Strategy_gen.random}),
+    A campaign draws seeded random programs ({!Strategy_gen.random}) —
+    or, for the fixed E2 {!battery}, walks the labelled menu programs —
     executes each against the chosen protocol on the instance, and sorts
     the outcomes into a three-point classification lattice:
 
@@ -139,12 +140,13 @@ val execute_traced :
 
 (** {1 Trial loops}
 
-    A campaign and a schedule sweep ([Rmt_sim.Sweep]) are the same loop:
-    draw a batch of trials from one seeded PRNG, execute them through
-    {!Rmt_workloads.Parsweep.map}, classify and tally.  They differ in
-    how a trial is drawn and executed, and in the witness kept with each
-    safety violation: nothing for an engine campaign, the recorded
-    schedule for a sweep. *)
+    A campaign, a schedule sweep ([Rmt_sim.Sweep]) and the fixed battery
+    are the same loop: draw a batch of trials from one seeded PRNG,
+    execute them through {!Rmt_workloads.Parsweep.map}, classify and
+    tally.  They differ in how a trial is drawn and executed, and in the
+    witness kept with each safety violation: nothing for an engine
+    campaign, the recorded schedule for a sweep, the menu label for the
+    battery. *)
 
 type 'w report = {
   protocol : protocol;
@@ -172,6 +174,7 @@ val run_trials :
   ?should_stop:(unit -> bool) ->
   draw:(Prng.t -> 'a) ->
   exec:('a -> run_report * 'w) ->
+  solvability:Solvability.feasibility ->
   seed:int ->
   trials:int ->
   protocol ->
@@ -181,8 +184,11 @@ val run_trials :
     sequentially with [draw] from the PRNG seeded with [seed], then
     executed with [exec] through {!Rmt_workloads.Parsweep.map};
     [should_stop] is polled between batches, so a time budget overshoots
-    by at most one batch.  Deterministic in (seed, trials, draw, exec),
-    independent of [domains]. *)
+    by at most one batch.  [solvability] is the instance's feasibility
+    for the protocol (see {!solvability}); it is copied into the report
+    and decides which silenced runs count as [liveness_lost].
+    Deterministic in (seed, trials, draw, exec), independent of
+    [domains]. *)
 
 val run :
   ?domains:int ->
@@ -199,6 +205,26 @@ val run :
 (** A campaign: {!run_trials} over [attacks] programs from
     {!Strategy_gen.random}, each run once with {!execute} on the
     engine. *)
+
+val battery_programs :
+  protocol -> Instance.t -> x_fake:int -> (string * Program.t) list
+(** The fixed E2 battery, labelled: the honest run (the empty program,
+    ["honest"]), then for every maximal corruption set of the instance
+    that avoids the receiver, every entry of the protocol's menu —
+    {!Strategy_gen.value_menu} for the bare-value protocols (Z-CPA and
+    the strawman), {!Strategy_gen.pka_menu} for the rest. *)
+
+val battery :
+  protocol -> Instance.t -> x_dealer:int -> x_fake:int -> string report
+(** {!run_trials} over {!battery_programs}, each run once with
+    {!execute} on the engine; every safety violation carries its menu
+    label.  The empirical side of Theorem 4 and of the tightness
+    experiments: [violated = 0] is safety, [delivered = trials] is
+    resilience against everything the menu throws.  Runs on one domain,
+    since callers already fan instances out over {!Rmt_workloads.Parsweep}.
+    The battery does not run a cut decider: the report's [solvability] is
+    [Unknown] and [liveness_lost] is 0, and callers that need the
+    feasibility (the tightness sweeps) decide it themselves. *)
 
 val pp_trials :
   title:string -> count:string -> Format.formatter -> 'w report -> unit

@@ -34,6 +34,10 @@ let make ~seed nodes =
   in
   { seed; nodes = dedup sorted }
 
+let uniform ~seed corrupted base injects =
+  make ~seed
+    (Nodeset.fold (fun node acc -> { node; base; injects } :: acc) corrupted [])
+
 let corrupted t = Nodeset.of_list (List.map (fun np -> np.node) t.nodes)
 
 let size t =

@@ -51,6 +51,9 @@ type t = {
 val make : seed:int -> node_program list -> t
 (** Sorts the entries by node and drops duplicates (first wins). *)
 
+val uniform : seed:int -> Nodeset.t -> base -> inject list -> t
+(** Every node of the set runs the same base and injections. *)
+
 val corrupted : t -> Nodeset.t
 
 val size : t -> int

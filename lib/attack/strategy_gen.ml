@@ -10,12 +10,6 @@ open Rmt_core
    program never perturbs the surviving nodes' streams. *)
 let node_rng (p : Program.t) v = Prng.create ((p.seed * 1_000_003) + v)
 
-let broadcast_msg g v m =
-  Nodeset.fold
-    (fun u acc -> Engine.{ dst = u; payload = m } :: acc)
-    (Graph.neighbors v g)
-    []
-
 let phantom_id g =
   match Nodeset.max_elt_opt (Graph.nodes g) with
   | Some m -> m + 1
@@ -75,16 +69,16 @@ let pka_map_value f (s : Rmt_pka.msg Engine.send) =
         };
     }
 
-(* Structurally random garbage, the vocabulary of Strategies.pka_fuzz:
-   random values, random (possibly phantom) trails, random forged reports
-   with random claimed graphs and structures. *)
+(* mostly real ids, sometimes a phantom *)
+let random_node rng g =
+  if Prng.int rng 5 = 0 then Graph.num_nodes g + Prng.int rng 3
+  else Prng.pick rng (Nodeset.to_array (Graph.nodes g))
+
+(* Structurally random garbage: random values, random (possibly phantom)
+   trails, random forged reports with random claimed graphs and
+   structures. *)
 let pka_spam_payload rng g =
-  let nodes = Graph.nodes g in
-  let n = Graph.num_nodes g in
-  let random_node () =
-    if Prng.int rng 5 = 0 then n + Prng.int rng 3
-    else Prng.pick rng (Nodeset.to_array nodes)
-  in
+  let random_node () = random_node rng g in
   if Prng.bool rng then Rmt_pka.Value (Prng.int rng 100)
   else begin
     let gamma = ref Graph.empty in
@@ -108,13 +102,7 @@ let pka_spam_payload rng g =
   end
 
 let pka_random_trail rng g v =
-  let nodes = Graph.nodes g in
-  let n = Graph.num_nodes g in
-  let random_node () =
-    if Prng.int rng 5 = 0 then n + Prng.int rng 3
-    else Prng.pick rng (Nodeset.to_array nodes)
-  in
-  List.init (1 + Prng.int rng 4) (fun _ -> random_node ()) @ [ v ]
+  List.init (1 + Prng.int rng 4) (fun _ -> random_node rng g) @ [ v ]
 
 let pka_inject (inst : Instance.t) =
   let g = inst.graph in
@@ -125,7 +113,7 @@ let pka_inject (inst : Instance.t) =
     | Program.Forge_trail x ->
       if round = 1 then
         sends
-        @ broadcast_msg g v
+        @ Flood.broadcast g v
             Flood.{ payload = Rmt_pka.Value x; trail = [ inst.dealer; v ] }
       else sends
     | Program.Lie_topology ->
@@ -139,7 +127,7 @@ let pka_inject (inst : Instance.t) =
             { origin = v; gamma = fake_gamma; zeta = permissive_structure ground }
         in
         sends
-        @ broadcast_msg g v
+        @ Flood.broadcast g v
             Flood.{ payload = Rmt_pka.Info report; trail = [ v ] }
       end
       else sends
@@ -159,9 +147,9 @@ let pka_inject (inst : Instance.t) =
             }
         in
         sends
-        @ broadcast_msg g v
+        @ Flood.broadcast g v
             Flood.{ payload = Rmt_pka.Info phantom_report; trail = [ phantom; v ] }
-        @ broadcast_msg g v
+        @ Flood.broadcast g v
             Flood.
               { payload = Rmt_pka.Value x; trail = [ inst.dealer; phantom; v ] }
       end
@@ -188,11 +176,11 @@ let pka_inject (inst : Instance.t) =
             { origin = v; gamma = fake_gamma; zeta = permissive_structure ground }
         in
         sends
-        @ broadcast_msg g v
+        @ Flood.broadcast g v
             Flood.{ payload = Rmt_pka.Info report; trail = [ v ] }
         @ Nodeset.fold
             (fun u acc ->
-              broadcast_msg g v
+              Flood.broadcast g v
                 Flood.
                   { payload = Rmt_pka.Value x; trail = [ inst.dealer; u; v ] }
               @ acc)
@@ -207,7 +195,7 @@ let pka_inject (inst : Instance.t) =
         sends
         @ List.concat
             (List.init burst (fun _ ->
-                 broadcast_msg g v
+                 Flood.broadcast g v
                    Flood.
                      {
                        payload = pka_spam_payload srng g;
@@ -237,13 +225,13 @@ let ppa_inject (inst : Instance.t) =
     | Program.Forge_trail x ->
       if round = 1 then
         sends
-        @ broadcast_msg g v Flood.{ payload = x; trail = [ inst.dealer; v ] }
+        @ Flood.broadcast g v Flood.{ payload = x; trail = [ inst.dealer; v ] }
       else sends
     | Program.Lie_topology -> sends (* no knowledge channel in PPA *)
     | Program.Phantom x ->
       if round = 1 then
         sends
-        @ broadcast_msg g v
+        @ Flood.broadcast g v
             Flood.{ payload = x; trail = [ inst.dealer; phantom_id g; v ] }
       else sends
     | Program.Forge_edges x ->
@@ -251,7 +239,8 @@ let ppa_inject (inst : Instance.t) =
         sends
         @ Nodeset.fold
             (fun u acc ->
-              broadcast_msg g v Flood.{ payload = x; trail = [ inst.dealer; u; v ] }
+              Flood.broadcast g v
+                Flood.{ payload = x; trail = [ inst.dealer; u; v ] }
               @ acc)
             (Graph.neighbors v g) []
       else sends
@@ -263,7 +252,7 @@ let ppa_inject (inst : Instance.t) =
         sends
         @ List.concat
             (List.init burst (fun _ ->
-                 broadcast_msg g v
+                 Flood.broadcast g v
                    Flood.
                      {
                        payload = Prng.int srng 100;
@@ -288,7 +277,7 @@ let compile_ppa (p : Program.t) (inst : Instance.t) ~x_dealer =
    plain ints (Z-CPA and the strawman): trail/report forgeries degrade
    to pushing the fake value. *)
 let int_inject g =
-  let push v x sends = sends @ broadcast_msg g v x in
+  let push v x sends = sends @ Flood.broadcast g v x in
   fun v rng ~round i sends ->
     match i with
     | Program.Flip_value x ->
@@ -354,7 +343,8 @@ let cert_echo_flood g v =
   Nodeset.fold
     (fun u acc ->
       let trail = if u = v then [ v ] else [ u; v ] in
-      broadcast_msg g v Flood.{ payload = Rmt_protocols.Certified.Echo u; trail }
+      Flood.broadcast g v
+        Flood.{ payload = Rmt_protocols.Certified.Echo u; trail }
       @ acc)
     (Graph.nodes g) []
 
@@ -405,6 +395,44 @@ let compile_cert_ppa (p : Program.t) (inst : Instance.t) ~x_dealer =
       (Rmt_protocols.Certified.ppa inst.graph ~structure:inst.structure
          ~dealer:inst.dealer ~receiver:inst.receiver ~x_dealer)
     p
+
+(* ------------------------------------------------------------------ *)
+(* The fixed menus                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let menu_seed = 424242
+
+let labelled corrupted entries =
+  List.map
+    (fun (label, base, injects) ->
+      (label, Program.uniform ~seed:menu_seed corrupted base injects))
+    entries
+
+(* the random entries spam for |V| rounds *)
+let spam g = Program.Spam { spam_seed = menu_seed; rounds = Graph.num_nodes g }
+
+let pka_menu g ~x_fake corrupted =
+  labelled corrupted
+    Program.
+      [
+        ("silent", Silent, []);
+        ("mimic", Honest, []);
+        ("value-flip", Honest, [ Flip_value x_fake ]);
+        ("trail-forge", Honest, [ Forge_trail x_fake ]);
+        ("topology-liar", Honest, [ Lie_topology ]);
+        ("fictitious-node", Honest, [ Phantom x_fake ]);
+        ("edge-forger", Honest, [ Forge_edges x_fake ]);
+        ("fuzz", Honest, [ spam g ]);
+      ]
+
+let value_menu g ~x_fake corrupted =
+  labelled corrupted
+    Program.
+      [
+        ("silent", Silent, []);
+        ("value-flip", Silent, [ Forge_trail x_fake ]);
+        ("value-spam", Silent, [ spam g ]);
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Random program generation                                           *)

@@ -62,6 +62,30 @@ val compile_cert_ppa :
   Rmt_protocols.Certified.ppa_msg Engine.strategy
 (** The PPA vocabulary lifted the same way. *)
 
+(** {1 The fixed menus}
+
+    The E2 safety battery ({!Campaign.battery}) as labelled programs.
+    Every corrupted node runs the same entry.  The random entries spam
+    for [|V|] rounds of the given graph, and every program carries
+    {!menu_seed}, so the menus are deterministic. *)
+
+val menu_seed : int
+
+val pka_menu :
+  Rmt_graph.Graph.t -> x_fake:int -> Nodeset.t -> (string * Program.t) list
+(** Against the trail-carrying protocols: [silent] (block), [mimic]
+    (honest baseline), [value-flip] ({!Program.Flip_value}),
+    [trail-forge], [topology-liar], [fictitious-node], [edge-forger]
+    (one injection each, on top of honest relaying) and [fuzz]
+    ({!Program.Spam} on top of honest relaying). *)
+
+val value_menu :
+  Rmt_graph.Graph.t -> x_fake:int -> Nodeset.t -> (string * Program.t) list
+(** Against the bare-value protocols: [silent], [value-flip] (push the
+    fake value once, relay nothing) and [value-spam] (relay nothing;
+    push values drawn uniformly from [\[0, 100)], which may include the
+    dealer's value, so this entry can help delivery). *)
+
 val random :
   Prng.t -> Instance.t -> x_dealer:int -> x_fake:int -> Program.t
 (** One random attack program.  The corrupted set is drawn from the

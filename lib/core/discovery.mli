@@ -33,9 +33,9 @@ val observe :
   observer:int ->
   db
 (** Runs the type-2 flood on the instance's graph and collects at the
-    observer.  The observer's own view seeds the database.  RMT-PKA
-    adversary strategies ({!Strategies}) plug in directly — the message
-    type is shared. *)
+    observer.  The observer's own view seeds the database.  Attack
+    programs compiled against RMT-PKA ([Rmt_attack.Strategy_gen.compile_pka])
+    plug in directly — the message type is shared. *)
 
 val confirmed : db -> Graph.t
 (** Bilaterally confirmed edges over non-conflicted reporters.  Nodes

@@ -1,6 +1,3 @@
-open Rmt_base
-open Rmt_knowledge
-
 type feasibility =
   | Solvable
   | Unsolvable
@@ -27,83 +24,3 @@ let of_verdict (v : Cut.verdict) =
 let partial_knowledge ?budget inst = of_verdict (Cut.find_rmt_cut ?budget inst)
 
 let ad_hoc ?budget inst = of_verdict (Cut.find_rmt_zpp_cut ?budget inst)
-
-type probe = {
-  total_runs : int;
-  correct_runs : int;
-  undecided_runs : int;
-  wrong_runs : int;
-  truncated_runs : int;
-  failures : (Nodeset.t * string) list;
-}
-
-let all_correct p = p.correct_runs = p.total_runs
-
-let empty_probe =
-  {
-    total_runs = 0;
-    correct_runs = 0;
-    undecided_runs = 0;
-    wrong_runs = 0;
-    truncated_runs = 0;
-    failures = [];
-  }
-
-let note probe ~corrupted ~label ~decided ~x_dealer ~truncated =
-  let correct = Option.equal Int.equal decided (Some x_dealer) in
-  let wrong = decided <> None && not correct in
-  {
-    total_runs = probe.total_runs + 1;
-    correct_runs = (probe.correct_runs + if correct then 1 else 0);
-    undecided_runs = (probe.undecided_runs + if decided = None then 1 else 0);
-    wrong_runs = (probe.wrong_runs + if wrong then 1 else 0);
-    truncated_runs = (probe.truncated_runs + if truncated then 1 else 0);
-    failures =
-      (if correct then probe.failures
-       else (corrupted, label) :: probe.failures);
-  }
-
-let corruption_sets (inst : Instance.t) =
-  (* every maximal admissible set, and the honest run *)
-  Nodeset.empty
-  :: List.filter
-       (fun s -> not (Nodeset.is_empty s))
-       (Instance.corruption_sets inst)
-
-let probe_rmt_pka ?budgets ?max_messages (inst : Instance.t) ~x_dealer ~x_fake =
-  List.fold_left
-    (fun probe corrupted ->
-      if Nodeset.mem inst.receiver corrupted then probe
-      else if Nodeset.is_empty corrupted then begin
-        let r = Rmt_pka.run ?budgets ?max_messages inst ~x_dealer in
-        note probe ~corrupted ~label:"honest" ~decided:r.decided ~x_dealer
-          ~truncated:r.truncated
-      end
-      else
-        List.fold_left
-          (fun probe (label, adversary) ->
-            let r = Rmt_pka.run ?budgets ?max_messages ~adversary inst ~x_dealer in
-            note probe ~corrupted ~label ~decided:r.decided ~x_dealer
-              ~truncated:r.truncated)
-          probe
-          (Strategies.pka_full_menu inst ~x_dealer ~x_fake corrupted))
-    empty_probe (corruption_sets inst)
-
-let probe_zcpa ?oracle rng (inst : Instance.t) ~x_dealer ~x_fake =
-  List.fold_left
-    (fun probe corrupted ->
-      if Nodeset.mem inst.receiver corrupted then probe
-      else if Nodeset.is_empty corrupted then begin
-        let r = Zcpa.run ?oracle inst ~x_dealer in
-        note probe ~corrupted ~label:"honest" ~decided:r.decided ~x_dealer
-          ~truncated:false
-      end
-      else
-        List.fold_left
-          (fun probe (label, adversary) ->
-            let r = Zcpa.run ?oracle ~adversary inst ~x_dealer in
-            note probe ~corrupted ~label ~decided:r.decided ~x_dealer
-              ~truncated:false)
-          probe
-          (Strategies.value_full_menu rng ~x_fake inst.graph corrupted))
-    empty_probe (corruption_sets inst)

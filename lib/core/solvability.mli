@@ -1,13 +1,11 @@
-(** Instance-level feasibility predicates and empirical resilience probes.
+(** Instance-level feasibility predicates.
 
     The deciders answer "is RMT solvable here?" from the cut
-    characterizations; the probes answer "did the protocol actually
-    withstand everything we threw at it?" by running it against every
-    maximal corruption set crossed with the strategy battery, plus the
-    indistinguishability attack when a cut witness exists.  Experiments
-    E3/E4 check that the two notions coincide. *)
+    characterizations.  Whether a protocol actually withstands every
+    admissible corruption is the empirical side, answered by
+    [Rmt_attack.Campaign.battery]; experiments E3/E4 check that the two
+    notions coincide. *)
 
-open Rmt_base
 open Rmt_knowledge
 
 type feasibility =
@@ -34,26 +32,3 @@ val partial_knowledge : ?budget:int -> Instance.t -> feasibility
 
 val ad_hoc : ?budget:int -> Instance.t -> feasibility
 (** RMT 𝒵-pp cut characterization (Theorems 7 + 8). *)
-
-type probe = {
-  total_runs : int;
-  correct_runs : int;
-  undecided_runs : int;
-  wrong_runs : int;  (** safety violations — must stay 0 for safe protocols *)
-  truncated_runs : int;
-  failures : (Nodeset.t * string) list;
-      (** (corruption set, strategy) pairs where the receiver failed to
-          decide correctly *)
-}
-
-val all_correct : probe -> bool
-
-val probe_rmt_pka :
-  ?budgets:Rmt_pka.budgets -> ?max_messages:int ->
-  Instance.t -> x_dealer:int -> x_fake:int -> probe
-(** Runs RMT-PKA on the honest network and against
-    [Strategies.pka_full_menu] for every maximal corruption set. *)
-
-val probe_zcpa :
-  ?oracle:Zcpa.oracle -> Prng.t -> Instance.t -> x_dealer:int -> x_fake:int -> probe
-(** Same for 𝒵-CPA with [Strategies.value_full_menu]. *)

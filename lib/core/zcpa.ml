@@ -47,12 +47,7 @@ let decision = function
 
 let automaton ?(forward_all = false) ~decider (inst : Instance.t) ~x_dealer =
   let g = inst.graph in
-  let broadcast v x =
-    Nodeset.fold
-      (fun u acc -> Engine.{ dst = u; payload = x } :: acc)
-      (Graph.neighbors v g)
-      []
-  in
+  let broadcast v x = Flood.broadcast g v x in
   let init v =
     if v = inst.dealer then (Dealer, broadcast v x_dealer)
     else

@@ -1,5 +1,3 @@
-open Rmt_base
-
 type 'm t = 'm Engine.strategy
 
 let silent corrupted =
@@ -37,46 +35,3 @@ let mimic_states automaton =
 
 let mimic_honest corrupted automaton =
   Engine.{ corrupted; act = mimic_states automaton }
-
-let crash_after corrupted automaton k =
-  let act = mimic_states automaton in
-  Engine.
-    {
-      corrupted;
-      act =
-        (fun v ~round ~inbox -> if round > k then [] else act v ~round ~inbox);
-    }
-
-let drop_randomly rng corrupted automaton p =
-  let act = mimic_states automaton in
-  Engine.
-    {
-      corrupted;
-      act =
-        (fun v ~round ~inbox ->
-          List.filter (fun _ -> Prng.float rng 1.0 >= p) (act v ~round ~inbox));
-    }
-
-let transform corrupted automaton f =
-  let act = mimic_states automaton in
-  Engine.
-    {
-      corrupted;
-      act =
-        (fun v ~round ~inbox ->
-          List.concat_map (fun s -> f v ~round s) (act v ~round ~inbox));
-    }
-
-let per_node ~default overrides =
-  let extra = Nodeset.of_list (List.map fst overrides) in
-  Engine.
-    {
-      corrupted = Nodeset.union default.corrupted extra;
-      act =
-        (fun v ~round ~inbox ->
-          match List.assoc_opt v overrides with
-          | Some act -> act ~round ~inbox
-          | None -> default.act v ~round ~inbox);
-    }
-
-let of_fun corrupted act = Engine.{ corrupted; act }

@@ -1,10 +1,10 @@
-(** Generic Byzantine strategy combinators.
+(** Protocol-agnostic Byzantine building blocks: silence and honest
+    mimicry.
 
-    Protocol-specific attacks (value flipping inside RMT messages, forged
-    propagation trails, fictitious topology) are built next to the
-    protocols; this module provides the protocol-agnostic scaffolding:
-    silence, crash, honest mimicry, probabilistic dropping, per-node
-    dispatch. *)
+    Every other behavior — crashing, dropping, altering relayed values,
+    forging trails and reports, inventing nodes — is an attack program
+    ([Rmt_attack.Program]) compiled over {!mimic_honest} by
+    [Rmt_attack.Strategy_gen]. *)
 
 open Rmt_base
 
@@ -19,31 +19,9 @@ val mimic_honest : Nodeset.t -> ('s, 'm) Engine.automaton -> 'm t
     constructions where one side is honest-in-the-other-run).
 
     {b Single-run value:} the mimicked protocol state lives inside the
-    strategy, so a value built with this (or any combinator derived from
-    it — {!crash_after}, {!drop_randomly}, {!transform}) must be used for
-    exactly one {!Engine.run}; build a fresh strategy per run.  Reuse is
-    detected — a second run's round 0 finding leftover state — and
+    strategy, so a value built with this (or any compiled attack program
+    built over it) must be used for exactly one {!Engine.run}; build a
+    fresh strategy per run.  Reuse is detected — a second run's round 0
+    finding leftover state — and
     @raise Invalid_argument rather than silently replaying stale
     protocol state from the previous run. *)
-
-val crash_after : Nodeset.t -> ('s, 'm) Engine.automaton -> int -> 'm t
-(** Honest behavior through round [k], silence afterwards. *)
-
-val drop_randomly :
-  Prng.t -> Nodeset.t -> ('s, 'm) Engine.automaton -> float -> 'm t
-(** Honest behavior, but each outgoing message is dropped independently
-    with the given probability. *)
-
-val transform :
-  Nodeset.t -> ('s, 'm) Engine.automaton ->
-  (int -> round:int -> 'm Engine.send -> 'm Engine.send list) -> 'm t
-(** Honest behavior with every outgoing send rewritten by the supplied
-    function (which may drop, alter or multiply messages). *)
-
-val per_node :
-  default:'m t -> (int * (round:int -> inbox:(int * 'm) list -> 'm Engine.send list)) list -> 'm t
-(** Dispatches to a bespoke behavior per corrupted node, falling back to
-    [default] for the rest.  The corrupted set is the union. *)
-
-val of_fun :
-  Nodeset.t -> (int -> round:int -> inbox:(int * 'm) list -> 'm Engine.send list) -> 'm t

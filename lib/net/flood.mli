@@ -19,8 +19,9 @@ val trail_ok : self:int -> src:int -> Paths.path -> bool
 (** The receiving-side validity check: [self ∉ p], [tail p = src], and
     [p] is simple. *)
 
-val broadcast : Graph.t -> int -> 'p msg -> 'p msg Engine.send list
-(** Send a message to every neighbor. *)
+val broadcast : Graph.t -> int -> 'm -> 'm Engine.send list
+(** [broadcast g v m] sends [m] to every neighbor of [v] — the one
+    neighbour-multicast helper, for any message type. *)
 
 val originate : Graph.t -> int -> 'p -> 'p msg Engine.send list
 (** [originate g v a] broadcasts [(a, [v])]. *)

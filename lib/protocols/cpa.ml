@@ -1,5 +1,4 @@
 open Rmt_base
-open Rmt_graph
 open Rmt_net
 
 type player = {
@@ -18,12 +17,7 @@ let decision = function
   | Player p -> p.decided
 
 let automaton g ~dealer ~receiver ~t ~x_dealer =
-  let broadcast v x =
-    Nodeset.fold
-      (fun u acc -> Engine.{ dst = u; payload = x } :: acc)
-      (Graph.neighbors v g)
-      []
-  in
+  let broadcast v x = Flood.broadcast g v x in
   let init v =
     if v = dealer then (Dealer, broadcast v x_dealer)
     else

@@ -1,5 +1,4 @@
 open Rmt_base
-open Rmt_graph
 open Rmt_net
 
 type player = {
@@ -17,15 +16,9 @@ let decision = function
   | Dealer -> None
   | Player p -> p.decided
 
-let broadcast g v x =
-  Nodeset.fold
-    (fun u acc -> Engine.{ dst = u; payload = x } :: acc)
-    (Graph.neighbors v g)
-    []
-
 let make g ~dealer ~x_dealer ~adopt =
   let init v =
-    if v = dealer then (Dealer, broadcast g v x_dealer)
+    if v = dealer then (Dealer, Flood.broadcast g v x_dealer)
     else
       ( Player
           { self = v; decided = None; sent = false; votes = Hashtbl.create 4 },
@@ -48,14 +41,14 @@ let make g ~dealer ~x_dealer ~adopt =
       match p.decided with
       | Some x when not p.sent ->
         p.sent <- true;
-        (st, broadcast g p.self x)
+        (st, Flood.broadcast g p.self x)
       | _ -> (st, [])
   in
   Engine.{ init; step; decision }
 
 let first_delivery g ~dealer ~receiver:_ ~x_dealer =
   let init v =
-    if v = dealer then (Dealer, broadcast g v x_dealer)
+    if v = dealer then (Dealer, Flood.broadcast g v x_dealer)
     else
       ( Player
           { self = v; decided = None; sent = false; votes = Hashtbl.create 1 },
@@ -72,7 +65,7 @@ let first_delivery g ~dealer ~receiver:_ ~x_dealer =
       (match p.decided with
        | Some x when not p.sent ->
          p.sent <- true;
-         (st, broadcast g p.self x)
+         (st, Flood.broadcast g p.self x)
        | _ -> (st, []))
   in
   Engine.{ init; step; decision }

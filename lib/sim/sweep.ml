@@ -7,7 +7,7 @@ let run ?domains ?max_messages ?batch ?should_stop ?(x_dealer = 7)
     ?(x_fake = 8) ?(params = Policy.timely_params) ~seed ~schedules protocol
     inst =
   Campaign.run_trials ?domains ?batch ?should_stop ~seed ~trials:schedules
-    protocol inst
+    protocol inst ~solvability:(Campaign.solvability protocol inst)
     ~draw:(fun rng ->
       let p = Strategy_gen.random rng inst ~x_dealer ~x_fake in
       (p, Prng.int rng 1_073_741_823))

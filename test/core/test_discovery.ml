@@ -5,10 +5,17 @@ open Rmt_graph
 open Rmt_adversary
 open Rmt_knowledge
 open Rmt_core
+open Rmt_attack
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let ns = Nodeset.of_list
+
+(* every corrupted node runs the same attack program entry *)
+let attack inst corrupted base injects =
+  Strategy_gen.compile_pka
+    (Program.uniform ~seed:0 corrupted base injects)
+    inst ~x_dealer:0
 
 let instance g ~receiver =
   Instance.ad_hoc_of ~graph:g
@@ -31,7 +38,9 @@ let test_liar_not_confirmed () =
   let inst = instance g ~receiver:7 in
   let corrupted = ns [ 4 ] in
   (* node 4 claims a direct edge to the dealer's far side *)
-  let adversary = Strategies.pka_topology_liar inst ~x_dealer:0 corrupted in
+  let adversary =
+    attack inst corrupted Program.Honest [ Program.Lie_topology ]
+  in
   let db = Discovery.observe ~adversary inst ~observer:7 in
   let acc = Discovery.score inst db in
   check_int "no fake edge survives confirmation" 0 acc.confirmed_false;
@@ -42,7 +51,7 @@ let test_silent_node_hole () =
   let g = Generators.grid 3 3 in
   let inst = instance g ~receiver:8 in
   let corrupted = ns [ 4 ] in
-  let adversary = Strategies.pka_silent corrupted in
+  let adversary = Rmt_net.Byzantine.silent corrupted in
   let db = Discovery.observe ~adversary inst ~observer:8 in
   let conf = Discovery.confirmed db in
   (* the silent node's edges cannot be confirmed... *)
@@ -62,7 +71,7 @@ let test_fictitious_detected () =
   let g = Generators.layered ~width:3 ~depth:2 in
   let inst = instance g ~receiver:7 in
   let corrupted = ns [ 4 ] in
-  let adversary = Strategies.pka_fictitious inst ~x_dealer:0 ~x_fake:9 corrupted in
+  let adversary = attack inst corrupted Program.Honest [ Program.Phantom 9 ] in
   let db = Discovery.observe ~adversary inst ~observer:7 in
   let acc = Discovery.score inst db in
   check "phantom reported" true (acc.phantom_nodes >= 1);
@@ -91,7 +100,10 @@ let qcheck_soundness =
           (Nodeset.remove 0 (Nodeset.remove (n - 1) (Graph.nodes g)))
           (1 + Prng.int rng 2)
       in
-      let adversary = Strategies.pka_fuzz (Prng.split rng) inst ~x_dealer:0 corrupted in
+      let adversary =
+        attack inst corrupted Program.Honest
+          [ Program.Spam { spam_seed = Prng.int rng 1_000_000; rounds = n } ]
+      in
       let db = Discovery.observe ~adversary inst ~observer:(n - 1) in
       let honest = Nodeset.diff (Graph.nodes g) corrupted in
       List.for_all
@@ -116,7 +128,7 @@ let qcheck_completeness =
           (Nodeset.remove 0 (Nodeset.remove observer (Graph.nodes g)))
           (1 + Prng.int rng 2)
       in
-      let adversary = Strategies.pka_silent corrupted in
+      let adversary = Rmt_net.Byzantine.silent corrupted in
       let db = Discovery.observe ~adversary inst ~observer in
       let conf = Discovery.confirmed db in
       let reachable =

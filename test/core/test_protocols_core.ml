@@ -7,12 +7,17 @@ open Rmt_graph
 open Rmt_adversary
 open Rmt_knowledge
 open Rmt_core
+open Rmt_attack
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let ns = Nodeset.of_list
 
 let dec = Alcotest.(option int)
+
+(* every corrupted node runs the same attack program entry *)
+let uniform corrupted base injects =
+  Program.uniform ~seed:0 corrupted base injects
 
 let ad_hoc g ~t ~dealer ~receiver =
   Instance.ad_hoc_of ~graph:g
@@ -35,7 +40,11 @@ let test_pka_dealer_rule () =
   let g = Generators.complete 4 in
   let inst = ad_hoc g ~t:2 ~dealer:0 ~receiver:1 in
   let corrupted = ns [ 2; 3 ] in
-  let adv = Strategies.pka_value_flip inst ~x_dealer:7 ~x_fake:9 corrupted in
+  let adv =
+    Strategy_gen.compile_pka
+      (uniform corrupted Program.Honest [ Program.Flip_value 9 ])
+      inst ~x_dealer:7
+  in
   let r = Rmt_pka.run ~adversary:adv inst ~x_dealer:7 in
   Alcotest.check dec "dealer rule" (Some 7) r.decided;
   check "fast" true (r.rounds <= 3)
@@ -103,15 +112,15 @@ let test_pka_safety_battery () =
      zero wrong decisions *)
   List.iter
     (fun inst ->
-      let probe = Solvability.probe_rmt_pka inst ~x_dealer:5 ~x_fake:6 in
-      check_int "no wrong decisions" 0 probe.wrong_runs)
+      let r = Campaign.battery Campaign.Pka inst ~x_dealer:5 ~x_fake:6 in
+      check_int "no wrong decisions" 0 r.violated)
     [ k4_t1; layered3; path4 ]
 
 let qcheck_pka_safety =
   QCheck.Test.make ~count:25 ~name:"RMT-PKA never decides wrong (Thm 4)"
     arb_small_instance (fun inst ->
-      let probe = Solvability.probe_rmt_pka inst ~x_dealer:5 ~x_fake:6 in
-      probe.wrong_runs = 0)
+      let r = Campaign.battery Campaign.Pka inst ~x_dealer:5 ~x_fake:6 in
+      r.violated = 0)
 
 (* ------------------------------------------------------------------ *)
 (* RMT-PKA tightness (Thm 3 + Thm 5)                                   *)
@@ -123,8 +132,8 @@ let qcheck_pka_sufficiency =
     (fun inst ->
       match Solvability.partial_knowledge inst with
       | Solvability.Solvable ->
-        let probe = Solvability.probe_rmt_pka inst ~x_dealer:5 ~x_fake:6 in
-        Solvability.all_correct probe
+        let r = Campaign.battery Campaign.Pka inst ~x_dealer:5 ~x_fake:6 in
+        r.delivered = r.trials
       | Solvability.Unsolvable | Solvability.Unknown -> true)
 
 let qcheck_pka_necessity =
@@ -157,11 +166,10 @@ let test_zcpa_decider_of_oracle () =
   Alcotest.check dec "none certified" None (d ~v:0 [ (9, ns [ 1 ]) ])
 
 let test_zcpa_safety_battery () =
-  let rng = Prng.create 31 in
   List.iter
     (fun inst ->
-      let probe = Solvability.probe_zcpa rng inst ~x_dealer:5 ~x_fake:6 in
-      check_int "no wrong decisions" 0 probe.wrong_runs)
+      let r = Campaign.battery Campaign.Zcpa inst ~x_dealer:5 ~x_fake:6 in
+      check_int "no wrong decisions" 0 r.violated)
     [ k4_t1; layered3; path4 ]
 
 let qcheck_zcpa_sufficiency =
@@ -170,9 +178,8 @@ let qcheck_zcpa_sufficiency =
     (fun inst ->
       match Solvability.ad_hoc inst with
       | Solvability.Solvable ->
-        let rng = Prng.create 7 in
-        let probe = Solvability.probe_zcpa rng inst ~x_dealer:5 ~x_fake:6 in
-        Solvability.all_correct probe
+        let r = Campaign.battery Campaign.Zcpa inst ~x_dealer:5 ~x_fake:6 in
+        r.delivered = r.trials
       | Solvability.Unsolvable | Solvability.Unknown -> true)
 
 let qcheck_zcpa_necessity =
@@ -323,16 +330,21 @@ let test_forged_structure_indistinguishable () =
 let test_strategy_menu_runs () =
   let corrupted = ns [ 1 ] in
   List.iter
-    (fun (label, adv) ->
+    (fun (label, program) ->
+      let adv = Strategy_gen.compile_pka program layered3 ~x_dealer:5 in
       let r = Rmt_pka.run ~adversary:adv layered3 ~x_dealer:5 in
       check (label ^ " safe") true (r.decided = None || r.decided = Some 5))
-    (Strategies.pka_full_menu layered3 ~x_dealer:5 ~x_fake:6 corrupted)
+    (Strategy_gen.pka_menu layered3.graph ~x_fake:6 corrupted)
 
 let test_fictitious_node_ignored () =
   (* the phantom report must not trick the receiver into a wrong value,
      and on a solvable instance the true value still gets through *)
   let corrupted = ns [ 1 ] in
-  let adv = Strategies.pka_fictitious layered3 ~x_dealer:5 ~x_fake:66 corrupted in
+  let adv =
+    Strategy_gen.compile_pka
+      (uniform corrupted Program.Honest [ Program.Phantom 66 ])
+      layered3 ~x_dealer:5
+  in
   let r = Rmt_pka.run ~adversary:adv layered3 ~x_dealer:5 in
   Alcotest.check dec "correct despite phantom" (Some 5) r.decided
 
@@ -405,7 +417,14 @@ let qcheck_pka_fuzz_safety =
           (Nodeset.remove 0 (Nodeset.remove (n - 1) (Graph.nodes g)))
           (1 + Prng.int rng 2)
       in
-      let adversary = Strategies.pka_fuzz (Prng.split rng) inst ~x_dealer:5 corrupted in
+      let spam =
+        Program.Spam { spam_seed = Prng.int rng 1_000_000; rounds = n }
+      in
+      let adversary =
+        Strategy_gen.compile_pka
+          (uniform corrupted Program.Honest [ spam ])
+          inst ~x_dealer:5
+      in
       let r = Rmt_pka.run ~adversary inst ~x_dealer:5 in
       (* safety: whatever happens, never a value other than the dealer's;
          and when the actual corruption is admissible and the instance
@@ -472,19 +491,29 @@ let test_ppa_solvable_and_runs () =
 let test_ppa_safety_under_flip () =
   let g = Generators.layered ~width:3 ~depth:2 in
   let structure = Builders.global_threshold g ~dealer:0 1 in
-  let auto = Rmt_protocols.Ppa.automaton g ~structure ~dealer:0 ~receiver:7 ~x_dealer:2 in
   let adv =
-    Rmt_net.Byzantine.transform (ns [ 1 ]) auto (fun _ ~round:_ s ->
-        [
-          Rmt_net.Engine.
-            {
-              s with
-              payload = { s.payload with Rmt_net.Flood.payload = 99 };
-            };
-        ])
+    Strategy_gen.compile_ppa
+      (uniform (ns [ 1 ]) Program.Honest [ Program.Flip_value 99 ])
+      (Instance.ad_hoc_of ~graph:g ~structure ~dealer:0 ~receiver:7)
+      ~x_dealer:2
   in
   let r = Rmt_protocols.Ppa.run ~adversary:adv g ~structure ~dealer:0 ~receiver:7 ~x_dealer:2 in
   Alcotest.check dec "correct under flip" (Some 2) r.decided
+
+(* Dolev has no attack-program compiler: relay honestly, but replace
+   every relayed value with 99 *)
+let flip_relays corrupted auto =
+  let honest = Rmt_net.Byzantine.mimic_honest corrupted auto in
+  Rmt_net.Engine.
+    {
+      honest with
+      act =
+        (fun v ~round ~inbox ->
+          List.map
+            (fun s ->
+              { s with payload = { s.payload with Rmt_net.Flood.payload = 99 } })
+            (honest.act v ~round ~inbox));
+    }
 
 let test_dolev_routes_disjoint () =
   let g = Generators.layered ~width:3 ~depth:2 in
@@ -514,13 +543,7 @@ let test_dolev_delivers () =
 let test_dolev_survives_flip () =
   let g = Generators.layered ~width:3 ~depth:2 in
   let auto = Rmt_protocols.Dolev.automaton g ~dealer:0 ~receiver:7 ~x_dealer:5 in
-  let adv =
-    Rmt_net.Byzantine.transform (ns [ 1 ]) auto (fun _ ~round:_ s ->
-        [
-          Rmt_net.Engine.
-            { s with payload = { s.payload with Rmt_net.Flood.payload = 99 } };
-        ])
-  in
+  let adv = flip_relays (ns [ 1 ]) auto in
   let r = Rmt_protocols.Dolev.run ~adversary:adv g ~dealer:0 ~receiver:7 ~x_dealer:5 in
   Alcotest.check dec "2 honest routes out of 3 win" (Some 5) r.decided
 
@@ -528,13 +551,7 @@ let test_dolev_beyond_tolerance () =
   (* two corruptions against three routes: majority can be faked away *)
   let g = Generators.layered ~width:3 ~depth:2 in
   let auto = Rmt_protocols.Dolev.automaton g ~dealer:0 ~receiver:7 ~x_dealer:5 in
-  let adv =
-    Rmt_net.Byzantine.transform (ns [ 1; 2 ]) auto (fun _ ~round:_ s ->
-        [
-          Rmt_net.Engine.
-            { s with payload = { s.payload with Rmt_net.Flood.payload = 99 } };
-        ])
-  in
+  let adv = flip_relays (ns [ 1; 2 ]) auto in
   let r = Rmt_protocols.Dolev.run ~adversary:adv g ~dealer:0 ~receiver:7 ~x_dealer:5 in
   check "wrong majority possible beyond t" true (r.decided = Some 99)
 

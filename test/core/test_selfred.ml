@@ -1,17 +1,25 @@
 (* Tests for the Section 5 machinery: basic instances (Figure 1), the
    simulation-based decision protocol (Theorem 9), minimal knowledge, the
-   solvability probes, and the workload generators. *)
+   attack-battery counts, and the workload generators. *)
 
 open Rmt_base
 open Rmt_graph
 open Rmt_adversary
 open Rmt_knowledge
 open Rmt_core
+open Rmt_attack
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let ns = Nodeset.of_list
 let dec = Alcotest.(option int)
+
+(* the value menu against one corrupted set, compiled for Z-CPA *)
+let value_attacks inst ~x_dealer ~x_fake corrupted =
+  List.map
+    (fun (label, program) ->
+      (label, Strategy_gen.compile_zcpa program inst ~x_dealer))
+    (Strategy_gen.value_menu inst.graph ~x_fake corrupted)
 
 (* ------------------------------------------------------------------ *)
 (* Basic instances                                                     *)
@@ -130,27 +138,28 @@ let qcheck_simulated_agrees =
           ~structure:(Builders.global_threshold g ~dealer:0 1)
           ~dealer:0 ~receiver:(n - 1)
       in
-      let adversaries =
-        Rmt_net.Engine.no_adversary
-        :: List.map snd
-             (Strategies.value_full_menu (Prng.split rng) ~x_fake:9 g
-                (Prng.sample rng
-                   (Nodeset.remove 0 (Nodeset.remove (n - 1) (Graph.nodes g)))
-                   1))
+      let corrupted =
+        Prng.sample rng
+          (Nodeset.remove 0 (Nodeset.remove (n - 1) (Graph.nodes g)))
+          1
       in
-      List.for_all
-        (fun adversary ->
-          let direct = Zcpa.run ~adversary inst ~x_dealer:5 in
+      (* compiled strategies are single-run values: one list per side *)
+      let adversaries () =
+        Rmt_net.Engine.no_adversary
+        :: List.map snd (value_attacks inst ~x_dealer:5 ~x_fake:9 corrupted)
+      in
+      List.for_all2
+        (fun for_direct for_sim ->
+          let direct = Zcpa.run ~adversary:for_direct inst ~x_dealer:5 in
           let sim =
             Zcpa.run ~decider:(Self_reduction.simulated_decider inst)
-              ~adversary inst ~x_dealer:5
+              ~adversary:for_sim inst ~x_dealer:5
           in
           direct.decided = sim.decided)
-        adversaries)
+        (adversaries ()) (adversaries ()))
 
 (* safety of the simulated decider: never a wrong decision *)
 let test_simulated_decider_safe () =
-  let rng = Prng.create 91 in
   let corrupted = ns [ 1 ] in
   List.iter
     (fun (label, adversary) ->
@@ -159,7 +168,7 @@ let test_simulated_decider_safe () =
           ~adversary layered3 ~x_dealer:5
       in
       check (label ^ " safe") true (r.decided = None || r.decided = Some 5))
-    (Strategies.value_full_menu rng ~x_fake:6 layered3.graph corrupted)
+    (value_attacks layered3 ~x_dealer:5 ~x_fake:6 corrupted)
 
 (* ------------------------------------------------------------------ *)
 (* Minimal knowledge                                                   *)
@@ -273,7 +282,9 @@ let test_broadcast_run () =
   check "all honest decided" true r.complete;
   check_int "no wrong" 0 r.wrong;
   (* under a flipping corrupted node, the rest still completes *)
-  let adversary = Strategies.value_flip ~x_fake:9 g (ns [ 1 ]) in
+  let adversary =
+    List.assoc "value-flip" (value_attacks inst ~x_dealer:6 ~x_fake:9 (ns [ 1 ]))
+  in
   let r = Broadcast.run ~adversary inst ~x_dealer:6 in
   check "complete under flip" true r.complete;
   check_int "honest count excludes corrupt+dealer" 6 r.honest
@@ -298,8 +309,7 @@ let qcheck_broadcast_tightness =
                 (fun (_, adversary) ->
                   let r = Broadcast.run ~adversary inst ~x_dealer:3 in
                   r.wrong = 0 && r.complete)
-                (Strategies.value_full_menu (Prng.split rng) ~x_fake:4 g
-                   corrupted))
+                (value_attacks inst ~x_dealer:3 ~x_fake:4 corrupted))
           (Nodeset.empty :: Instance.corruption_sets inst)
       | Solvability.Unsolvable | Solvability.Unknown -> true)
 
@@ -363,14 +373,16 @@ let test_scaling_family_solvable () =
     (Rmt_workloads.Workload.scaling_family ~width:3 ~max_depth:3)
 
 let test_probe_counts () =
-  let probe = Solvability.probe_zcpa (Prng.create 1) layered3 ~x_dealer:5 ~x_fake:6 in
-  (* honest run + strategies x maximal sets not containing the receiver *)
-  check "positive runs" true (probe.total_runs > 1);
-  check_int "outcomes partition the runs" probe.total_runs
-    (probe.correct_runs + probe.undecided_runs + probe.wrong_runs);
-  check_int "failures = incorrect runs"
-    (probe.total_runs - probe.correct_runs)
-    (List.length probe.failures)
+  let r = Campaign.battery Campaign.Zcpa layered3 ~x_dealer:5 ~x_fake:6 in
+  (* honest run + menu entries x maximal sets not containing the receiver *)
+  check "positive runs" true (r.trials > 1);
+  check_int "every battery program ran"
+    (List.length (Campaign.battery_programs Campaign.Zcpa layered3 ~x_fake:6))
+    r.trials;
+  check_int "outcomes partition the runs" r.trials
+    (r.delivered + r.silenced + r.violated);
+  check_int "failures = incorrect runs" (r.trials - r.delivered)
+    (r.silenced + r.violated)
 
 let () =
   Alcotest.run "self-reduction"

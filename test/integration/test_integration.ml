@@ -7,6 +7,7 @@ open Rmt_base
 open Rmt_knowledge
 open Rmt_core
 open Rmt_workloads
+module Campaign = Rmt_attack.Campaign
 
 let check = Alcotest.(check bool)
 
@@ -21,11 +22,10 @@ let test_tightness_partial_knowledge () =
     (fun { Workload.label; instance } ->
       match Solvability.partial_knowledge instance with
       | Solvability.Solvable ->
-        let probe = Solvability.probe_rmt_pka instance ~x_dealer:1 ~x_fake:2 in
+        let r = Campaign.battery Campaign.Pka instance ~x_dealer:1 ~x_fake:2 in
         check
           (label ^ ": solvable => RMT-PKA resilient")
-          true
-          (Solvability.all_correct probe)
+          true (r.delivered = r.trials)
       | Solvability.Unsolvable ->
         (match (Cut.find_rmt_cut instance).cut_found with
          | None -> Alcotest.fail "unsolvable without witness"
@@ -44,12 +44,10 @@ let test_tightness_ad_hoc () =
     (fun { Workload.label; instance } ->
       match Solvability.ad_hoc instance with
       | Solvability.Solvable ->
-        let rng = Prng.create 99 in
-        let probe = Solvability.probe_zcpa rng instance ~x_dealer:1 ~x_fake:2 in
+        let r = Campaign.battery Campaign.Zcpa instance ~x_dealer:1 ~x_fake:2 in
         check
           (label ^ ": solvable => Z-CPA resilient")
-          true
-          (Solvability.all_correct probe)
+          true (r.delivered = r.trials)
       | Solvability.Unsolvable ->
         (match (Cut.find_rmt_zpp_cut instance).cut_found with
          | None -> Alcotest.fail "unsolvable without witness"
@@ -173,7 +171,29 @@ let test_cli_smoke () =
   Alcotest.(check int) "dot" 0 (run "dot --topology cycle:6");
   Alcotest.(check int) "bad spec fails" 124
     (let c = run "analyze --topology warp:9" in
-     if c <> 0 then 124 else 0)
+     if c <> 0 then 124 else 0);
+  (* a bad --strategy or --corrupt is a usage error, not a silent
+     fallback or an uncaught exception *)
+  let run_pka args =
+    run ("run --protocol pka --topology layered:3x2 --receiver 7 " ^ args)
+  in
+  Alcotest.(check int) "unknown strategy rejected" 124
+    (run_pka "--corrupt 1 --strategy bogus");
+  Alcotest.(check int) "strategy outside the protocol's menu rejected" 124
+    (run "run --protocol zcpa --topology layered:3x2 --receiver 7 --corrupt 1 \
+          --strategy mimic");
+  Alcotest.(check int) "corrupted node outside the graph rejected" 124
+    (run_pka "--corrupt 99");
+  Alcotest.(check int) "negative corrupted node rejected" 124
+    (run_pka "--corrupt=-3");
+  Alcotest.(check int) "corrupted dealer rejected" 124 (run_pka "--corrupt 0");
+  Alcotest.(check int) "corrupted receiver rejected" 124
+    (run_pka "--corrupt 7");
+  Alcotest.(check int) "edge-forger runs against pka" 0
+    (run_pka "--corrupt 1 --strategy edge-forger");
+  Alcotest.(check int) "value-spam runs against zcpa" 0
+    (run "run --protocol zcpa --topology layered:3x2 --receiver 7 --corrupt 1 \
+          --strategy value-spam")
 
 let () =
   Alcotest.run "integration"

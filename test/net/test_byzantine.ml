@@ -1,8 +1,9 @@
 open Rmt_base
 open Rmt_graph
 open Rmt_net
+open Rmt_attack
 
-(* The Byzantine combinators derived from mimic_honest carry the
+(* mimic_honest, and every attack program compiled over it, carries the
    mimicked protocol state inside the strategy value, so each value is
    good for exactly one Engine.run.  These properties pin the
    documented contract: the first run works, a second run with the
@@ -19,12 +20,7 @@ type gossip = {
 }
 
 let gossip_automaton g ~origin ~value =
-  let broadcast v x =
-    Nodeset.fold
-      (fun u acc -> Engine.{ dst = u; payload = x } :: acc)
-      (Graph.neighbors v g)
-      []
-  in
+  let broadcast = Flood.broadcast g in
   let init v =
     if v = origin then ({ value = Some value; forwarded = true }, broadcast v value)
     else ({ value = None; forwarded = false }, [])
@@ -70,20 +66,43 @@ let guard_mimic =
   single_run_guard "mimic_honest" (fun _g auto ~corrupted ~seed:_ ->
       Byzantine.mimic_honest corrupted auto)
 
+(* An attack program compiled against the strawman: first-delivery
+   gossip, the same protocol as [gossip_automaton] above. *)
+let compiled g ~corrupted ~seed base injects =
+  let inst =
+    Rmt_knowledge.Instance.ad_hoc_of ~graph:g
+      ~structure:(Rmt_adversary.Builders.global_threshold g ~dealer:0 1)
+      ~dealer:0
+      ~receiver:(Graph.num_nodes g - 1)
+  in
+  Strategy_gen.compile_strawman
+    (Program.uniform ~seed corrupted base injects)
+    inst ~x_dealer:7
+
+let crash_after g ~corrupted ~seed =
+  compiled g ~corrupted ~seed (Program.Crash_after (seed mod 4)) []
+
+let drop_randomly g ~corrupted ~seed =
+  compiled g ~corrupted ~seed (Program.Drop 0.5) []
+
+(* honest relaying with every send rewritten *)
+let transform g ~corrupted ~seed =
+  compiled g ~corrupted ~seed Program.Honest [ Program.Flip_value 8 ]
+
 let guard_crash_after =
-  single_run_guard "crash_after" (fun _g auto ~corrupted ~seed ->
-      Byzantine.crash_after corrupted auto (seed mod 4))
+  single_run_guard "crash_after" (fun g _auto ~corrupted ~seed ->
+      crash_after g ~corrupted ~seed)
 
 let guard_drop_randomly =
-  single_run_guard "drop_randomly" (fun _g auto ~corrupted ~seed ->
-      Byzantine.drop_randomly (Prng.create seed) corrupted auto 0.5)
+  single_run_guard "drop_randomly" (fun g _auto ~corrupted ~seed ->
+      drop_randomly g ~corrupted ~seed)
 
 let guard_transform =
-  single_run_guard "transform" (fun _g auto ~corrupted ~seed:_ ->
-      Byzantine.transform corrupted auto (fun _ ~round:_ send -> [ send ]))
+  single_run_guard "transform" (fun g _auto ~corrupted ~seed ->
+      transform g ~corrupted ~seed)
 
 (* fresh values keep working: the guard fires on reuse, not on the
-   combinator itself *)
+   strategy itself *)
 let fresh_strategies_fine =
   QCheck.Test.make ~count:50 ~name:"a fresh strategy per run never raises"
     arb_scenario
@@ -91,20 +110,24 @@ let fresh_strategies_fine =
       let g = Generators.path_graph n in
       let auto = gossip_automaton g ~origin:0 ~value:7 in
       let run adv = ignore (run_with g adv auto) in
-      run (Byzantine.mimic_honest (ns [ c ]) auto);
-      run (Byzantine.crash_after (ns [ c ]) auto (seed mod 4));
-      run (Byzantine.drop_randomly (Prng.create seed) (ns [ c ]) auto 0.5);
-      run (Byzantine.transform (ns [ c ]) auto (fun _ ~round:_ s -> [ s ]));
+      let corrupted = ns [ c ] in
+      run (Byzantine.mimic_honest corrupted auto);
+      run (crash_after g ~corrupted ~seed);
+      run (drop_randomly g ~corrupted ~seed);
+      run (transform g ~corrupted ~seed);
       true)
 
 let test_stateless_strategies_reusable () =
-  (* silent and of_fun hold no protocol state, so reuse is legal *)
+  (* silent and a hand-written stateless strategy hold no protocol
+     state, so reuse is legal *)
   let g = Generators.path_graph 4 in
   let auto = gossip_automaton g ~origin:0 ~value:3 in
   let silent = Byzantine.silent (ns [ 2 ]) in
   ignore (run_with g silent auto);
   ignore (run_with g silent auto);
-  let forward = Byzantine.of_fun (ns [ 2 ]) (fun _ ~round:_ ~inbox:_ -> []) in
+  let forward =
+    Engine.{ corrupted = ns [ 2 ]; act = (fun _ ~round:_ ~inbox:_ -> []) }
+  in
   ignore (run_with g forward auto);
   ignore (run_with g forward auto);
   check "reusable" true true
@@ -123,7 +146,7 @@ let () =
         ] );
       ( "stateless",
         [
-          Alcotest.test_case "silent and of_fun reusable" `Quick
+          Alcotest.test_case "silent and stateless reusable" `Quick
             test_stateless_strategies_reusable;
         ] );
     ]

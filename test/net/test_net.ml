@@ -1,6 +1,7 @@
 open Rmt_base
 open Rmt_graph
 open Rmt_net
+open Rmt_attack
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -14,12 +15,7 @@ type gossip = {
 }
 
 let gossip_automaton g ~origin ~value =
-  let broadcast v x =
-    Nodeset.fold
-      (fun u acc -> Engine.{ dst = u; payload = x } :: acc)
-      (Graph.neighbors v g)
-      []
-  in
+  let broadcast = Flood.broadcast g in
   let init v =
     if v = origin then ({ value = Some value; forwarded = true }, broadcast v value)
     else ({ value = None; forwarded = false }, [])
@@ -80,8 +76,13 @@ let test_honest_non_neighbor_send_rejected () =
 let test_adversary_non_neighbor_send_dropped () =
   let g = Generators.path_graph 3 in
   let adv =
-    Byzantine.of_fun (ns [ 0 ]) (fun _ ~round ~inbox:_ ->
-        if round = 0 then [ Engine.{ dst = 2; payload = 9 } ] else [])
+    Engine.
+      {
+        corrupted = ns [ 0 ];
+        act =
+          (fun _ ~round ~inbox:_ ->
+            if round = 0 then [ { dst = 2; payload = 9 } ] else []);
+      }
   in
   let outcome =
     Engine.run ~max_rounds:3 ~graph:g ~adversary:adv
@@ -115,12 +116,7 @@ let test_max_messages_truncation () =
   (* a babbling honest protocol: everyone rebroadcasts every message *)
   let g = Generators.complete 5 in
   let babble =
-    let broadcast v x =
-      Nodeset.fold
-        (fun u acc -> Engine.{ dst = u; payload = x } :: acc)
-        (Graph.neighbors v g)
-        []
-    in
+    let broadcast = Flood.broadcast g in
     Engine.
       {
         init = (fun v -> ((), if v = 0 then broadcast 0 1 else []));
@@ -162,43 +158,60 @@ let test_mimic_equals_honest () =
           (Engine.decision_of mimic v))
     honest.decisions
 
+(* An attack program compiled against the strawman: first-delivery
+   gossip, the same protocol as [gossip_automaton] above. *)
+let compiled g ~origin ~value nodes =
+  let inst =
+    Rmt_knowledge.Instance.ad_hoc_of ~graph:g
+      ~structure:(Rmt_adversary.Builders.global_threshold g ~dealer:origin 1)
+      ~dealer:origin
+      ~receiver:(Graph.num_nodes g - 1)
+  in
+  Strategy_gen.compile_strawman (Program.make ~seed:0 nodes) inst
+    ~x_dealer:value
+
 let test_crash_after () =
   let g = Generators.path_graph 4 in
-  let auto = gossip_automaton g ~origin:0 ~value:2 in
+  let crash k =
+    compiled g ~origin:0 ~value:2
+      [ { Program.node = 1; base = Program.Crash_after k; injects = [] } ]
+  in
   (* node 1 crashes before it can forward (it would forward in round 1) *)
   let outcome =
-    Engine.run ~max_rounds:10 ~graph:g
-      ~adversary:(Byzantine.crash_after (ns [ 1 ]) auto 0)
+    Engine.run ~max_rounds:10 ~graph:g ~adversary:(crash 0)
       (gossip_automaton g ~origin:0 ~value:2)
   in
   check "blocked" true (Engine.decision_of outcome 3 = None);
   (* crashing later lets the value through *)
   let outcome2 =
-    Engine.run ~max_rounds:10 ~graph:g
-      ~adversary:(Byzantine.crash_after (ns [ 1 ]) auto 5)
+    Engine.run ~max_rounds:10 ~graph:g ~adversary:(crash 5)
       (gossip_automaton g ~origin:0 ~value:2)
   in
   Alcotest.(check (option int)) "delivered" (Some 2)
     (Engine.decision_of outcome2 3)
 
 let test_per_node_dispatch () =
-  let g = Generators.path_graph 5 in
+  (* one program, a different behavior per corrupted node: node 1 relays
+     a flipped value, node 4 stays silent *)
+  let g = Generators.path_graph 6 in
   let adv =
-    Byzantine.per_node
-      ~default:(Byzantine.silent (ns [ 1 ]))
+    compiled g ~origin:0 ~value:7
       [
-        ( 3,
-          fun ~round ~inbox:_ ->
-            if round = 0 then [ Engine.{ dst = 4; payload = 42 } ] else [] );
+        {
+          Program.node = 1;
+          base = Program.Honest;
+          injects = [ Program.Flip_value 42 ];
+        };
+        { Program.node = 4; base = Program.Silent; injects = [] };
       ]
   in
   let outcome =
-    Engine.run ~max_rounds:8 ~graph:g ~adversary:adv
+    Engine.run ~max_rounds:10 ~graph:g ~adversary:adv
       (gossip_automaton g ~origin:0 ~value:7)
   in
-  (* node 4 gets 42 from corrupted 3; node 2 gets nothing through silent 1 *)
-  Alcotest.(check (option int)) "forged" (Some 42) (Engine.decision_of outcome 4);
-  Alcotest.(check (option int)) "blocked" None (Engine.decision_of outcome 2)
+  (* node 3 adopts node 1's forgery; node 5 hears nothing through node 4 *)
+  Alcotest.(check (option int)) "forged" (Some 42) (Engine.decision_of outcome 3);
+  Alcotest.(check (option int)) "blocked" None (Engine.decision_of outcome 5)
 
 let test_stats_per_round () =
   let g = Generators.path_graph 3 in

@@ -93,13 +93,22 @@ sim-smoke:
 
 # Replay the committed delta/query stream through the solvability
 # service and diff against the golden transcript, as the CI
-# service-smoke job runs it.
+# service-smoke job runs it.  Then replay the malformed stream (huge and
+# negative ids, an unknown command, truncated lines): it must exit
+# non-zero and answer every line exactly as its golden transcript says.
 service-smoke:
 	dune exec bin/rmt_cli.exe -- serve-solve \
 	  --instance instances/onion_solvable.rmt \
 	  --replay instances/onion_solvable.stream \
 	  > /tmp/rmt_service_smoke.out
 	diff -u instances/onion_solvable.golden /tmp/rmt_service_smoke.out
+	if dune exec bin/rmt_cli.exe -- serve-solve \
+	  --instance instances/onion_solvable.rmt \
+	  --replay instances/onion_malformed.stream \
+	  > /tmp/rmt_service_malformed.out; then \
+	  echo "service-smoke: malformed stream exited 0"; exit 1; \
+	fi
+	diff -u instances/onion_malformed.golden /tmp/rmt_service_malformed.out
 
 # Regenerate every gated record and compare it against the committed
 # baseline; which rows are gated, and at what ratio, is the table in

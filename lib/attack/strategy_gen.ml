@@ -98,7 +98,7 @@ let pka_spam_payload rng g =
       if Prng.bool rng then Structure.trivial ~ground
       else Structure.of_sets ~ground [ Prng.subset rng ground 0.5 ]
     in
-    Rmt_pka.Info { origin; gamma; zeta }
+    Rmt_pka.Info (Rmt_pka.report ~origin ~gamma ~zeta)
   end
 
 let pka_random_trail rng g v =
@@ -123,8 +123,8 @@ let pka_inject (inst : Instance.t) =
         in
         let ground = Nodeset.remove inst.dealer (Graph.nodes fake_gamma) in
         let report =
-          Rmt_pka.
-            { origin = v; gamma = fake_gamma; zeta = permissive_structure ground }
+          Rmt_pka.report ~origin:v ~gamma:fake_gamma
+            ~zeta:(permissive_structure ground)
         in
         sends
         @ Flood.broadcast g v
@@ -139,12 +139,8 @@ let pka_inject (inst : Instance.t) =
             (Graph.add_edge phantom inst.dealer Graph.empty)
         in
         let phantom_report =
-          Rmt_pka.
-            {
-              origin = phantom;
-              gamma = phantom_gamma;
-              zeta = Structure.trivial ~ground:Nodeset.empty;
-            }
+          Rmt_pka.report ~origin:phantom ~gamma:phantom_gamma
+            ~zeta:(Structure.trivial ~ground:Nodeset.empty)
         in
         sends
         @ Flood.broadcast g v
@@ -172,8 +168,8 @@ let pka_inject (inst : Instance.t) =
         in
         let ground = Nodeset.remove inst.dealer (Graph.nodes fake_gamma) in
         let report =
-          Rmt_pka.
-            { origin = v; gamma = fake_gamma; zeta = permissive_structure ground }
+          Rmt_pka.report ~origin:v ~gamma:fake_gamma
+            ~zeta:(permissive_structure ground)
         in
         sends
         @ Flood.broadcast g v

@@ -35,12 +35,9 @@ let observe ?(adversary = Engine.no_adversary) (inst : Instance.t) ~observer =
     invalid_arg "Discovery.observe: observer not in the graph";
   let g = inst.graph in
   let db = { observer; versions = Hashtbl.create 16 } in
-  let own v : Rmt_pka.report =
-    {
-      origin = v;
-      gamma = Instance.local_view inst v;
-      zeta = Instance.local_structure inst v;
-    }
+  let own v =
+    Rmt_pka.report ~origin:v ~gamma:(Instance.local_view inst v)
+      ~zeta:(Instance.local_structure inst v)
   in
   Hashtbl.replace db.versions observer [ own observer ];
   let init v =
@@ -76,9 +73,8 @@ let reported_nodes db =
   Hashtbl.fold (fun v _ acc -> Nodeset.add v acc) db.versions Nodeset.empty
 
 let claimed db =
-  List.fold_left
-    (fun acc (r : Rmt_pka.report) -> Graph.union acc r.gamma)
-    Graph.empty (clean_reports db)
+  Graph.union_all
+    (List.map (fun (r : Rmt_pka.report) -> r.gamma) (clean_reports db))
 
 let confirmed db =
   let reports = clean_reports db in

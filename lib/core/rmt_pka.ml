@@ -8,12 +8,33 @@ type report = {
   origin : int;
   gamma : Graph.t;
   zeta : Structure.t;
+  size : int;
 }
 
+(* The encoding-size estimate of a type-2 payload: a tag, the claimed
+   view's nodes and edge endpoints, and per maximal set a length and its
+   members.  Computed once here; every copy of the report that floods
+   through the network is the same object. *)
+let report ~origin ~gamma ~zeta =
+  let size =
+    1 + Graph.num_nodes gamma
+    + (2 * Graph.num_edges gamma)
+    + List.fold_left
+        (fun acc s -> acc + 1 + Nodeset.size s)
+        0
+        (Structure.maximal_sets zeta)
+  in
+  { origin; gamma; zeta; size }
+
+(* Relays forward the originator's object, so most comparisons are
+   physical; [size] is a function of the other fields, so a differing size
+   is a cheap reject. *)
 let report_equal r1 r2 =
-  r1.origin = r2.origin
-  && Graph.equal r1.gamma r2.gamma
-  && Structure.equal r1.zeta r2.zeta
+  r1 == r2
+  || r1.origin = r2.origin
+     && r1.size = r2.size
+     && Graph.equal r1.gamma r2.gamma
+     && Structure.equal r1.zeta r2.zeta
 
 type payload =
   | Value of int
@@ -23,16 +44,7 @@ type msg = payload Flood.msg
 
 let msg_size (m : msg) =
   List.length m.Flood.trail
-  +
-  match m.Flood.payload with
-  | Value _ -> 1
-  | Info r ->
-    1 + Graph.num_nodes r.gamma
-    + (2 * Graph.num_edges r.gamma)
-    + List.fold_left
-        (fun acc s -> acc + 1 + Nodeset.size s)
-        0
-        (Structure.maximal_sets r.zeta)
+  + match m.Flood.payload with Value _ -> 1 | Info r -> r.size
 
 type budgets = {
   path_budget : int;
@@ -59,6 +71,14 @@ module Set_tbl = Hashtbl.Make (struct
 
   let equal = Nodeset.equal
   let hash = Nodeset.hash
+end)
+
+(* Claimed D–R paths, with int-list equality. *)
+module Path_tbl = Hashtbl.Make (struct
+  type t = Paths.path
+
+  let equal = List.equal Int.equal
+  let hash = List.fold_left (fun h v -> (h * 31) + v) 0
 end)
 
 (* A distinct claimed report together with every propagation trail it
@@ -94,7 +114,7 @@ type recv = {
   own : version;
   budgets : budgets;
   (* x ↦ set of claimed D–R paths (trail with the receiver appended) *)
-  values : (int, (Paths.path, unit) Hashtbl.t) Hashtbl.t;
+  values : (int, unit Path_tbl.t) Hashtbl.t;
   (* node ↦ distinct reports received about it, with their trails *)
   reports : (int, version list) Hashtbl.t;
   mutable next_vid : int;
@@ -133,12 +153,12 @@ let record_value rs x full_path =
     match Hashtbl.find_opt rs.values x with
     | Some t -> t
     | None ->
-      let t = Hashtbl.create 16 in
+      let t = Path_tbl.create 16 in
       Hashtbl.replace rs.values x t;
       t
   in
-  if not (Hashtbl.mem tbl full_path) then begin
-    Hashtbl.replace tbl full_path ();
+  if not (Path_tbl.mem tbl full_path) then begin
+    Path_tbl.replace tbl full_path ();
     rs.dirty <- true
   end
 
@@ -213,24 +233,61 @@ let conflict_branches rs =
   if !truncated then rs.truncated <- true;
   !branches
 
+(* Undirected edges as hash keys, smaller endpoint first. *)
+module Edge_tbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((a, b) : t) (c, d) = a = c && b = d
+  let hash ((a, b) : t) = (a * 65599) + b
+end)
+
+let edge_key (a : int) b = if a < b then (a, b) else (b, a)
+
 (* One conflict branch: node ↦ selected version, the receiver's own
-   report included. *)
+   report included, and — built on first use, once per branch per search —
+   the index from each claimed edge to the members whose selected view
+   reports it. *)
+type branch = {
+  info : (int, version) Hashtbl.t;
+  reporters : Nodeset.t Edge_tbl.t Lazy.t;
+}
+
 let branch_info rs selection =
   let info = Hashtbl.create 16 in
   List.iter (fun (v, ver) -> Hashtbl.replace info v ver) selection;
   Hashtbl.replace info rs.self rs.own;
-  info
-
-let build_gm info vset =
-  let joint =
-    Nodeset.fold
-      (fun v acc ->
-        match Hashtbl.find_opt info v with
-        | Some ver -> Graph.union ver.rep.gamma acc
-        | None -> acc)
-      vset Graph.empty
+  let reporters =
+    lazy
+      (let idx = Edge_tbl.create 64 in
+       Hashtbl.iter
+         (fun w ver ->
+           let gamma = ver.rep.gamma in
+           Nodeset.iter
+             (fun a ->
+               Nodeset.iter
+                 (fun b ->
+                   if a < b then
+                     let prev =
+                       Option.value
+                         (Edge_tbl.find_opt idx (a, b))
+                         ~default:Nodeset.empty
+                     in
+                     Edge_tbl.replace idx (a, b) (Nodeset.add w prev))
+                 (Graph.neighbors a gamma))
+             (Graph.nodes gamma))
+         info;
+       idx)
   in
-  Graph.induced vset joint
+  { info; reporters }
+
+let build_gm br vset =
+  Graph.induced_union vset
+    (Nodeset.fold
+       (fun v acc ->
+         match Hashtbl.find_opt br.info v with
+         | Some ver -> ver.rep.gamma :: acc
+         | None -> acc)
+       vset [])
 
 (* Adversary cover search (Definition 6) on the claimed graph: enumerate
    connected B ∋ R avoiding the dealer's closed neighborhood; C = N(B);
@@ -336,14 +393,14 @@ let has_cover rs gm =
    flushed, and a flushed entry is recomputed to the same answers. *)
 let gm_memo_cap = 1 lsl 14
 
-let gm_entry_of rs info vset ids =
+let gm_entry_of rs br vset ids =
   match Set_tbl.find_opt rs.gm_memo ids with
   | Some e -> e
   | None ->
     if Set_tbl.length rs.gm_memo >= gm_memo_cap then Set_tbl.reset rs.gm_memo;
     let e =
       {
-        gm = build_gm info vset;
+        gm = build_gm br vset;
         missing = [];
         cover = Unknown;
         cover_epoch = -1;
@@ -352,16 +409,20 @@ let gm_entry_of rs info vset ids =
     Set_tbl.replace rs.gm_memo ids e;
     e
 
+let rec assoc_int (x : int) = function
+  | [] -> None
+  | (y, found) :: rest -> if y = x then Some found else assoc_int x rest
+
 let missing_path rs e x paths_x =
-  match List.assoc_opt x e.missing with
+  match assoc_int x e.missing with
   | Some ((None, _) as found) -> found
-  | Some ((Some q, _) as found) when not (Hashtbl.mem paths_x q) -> found
+  | Some ((Some q, _) as found) when not (Path_tbl.mem paths_x q) -> found
   | Some (Some _, _) | None ->
     let found =
       Paths.find_simple_path ~budget:rs.budgets.path_budget e.gm rs.dealer
-        rs.self (fun q -> not (Hashtbl.mem paths_x q))
+        rs.self (fun q -> not (Path_tbl.mem paths_x q))
     in
-    e.missing <- (x, found) :: List.remove_assoc x e.missing;
+    e.missing <- (x, found) :: List.filter (fun (y, _) -> y <> x) e.missing;
     found
 
 let cover_of rs e =
@@ -374,22 +435,21 @@ let cover_of rs e =
     e.cover_epoch <- rs.epoch;
     c
 
-let path_interior q =
-  match q with
-  | [] | [ _ ] -> []
-  | _ :: rest -> List.rev (List.tl (List.rev rest))
+let edge_reporters br vset a b =
+  match Edge_tbl.find_opt (Lazy.force br.reporters) (edge_key a b) with
+  | Some ws -> Nodeset.inter vset ws
+  | None -> Nodeset.empty
 
-let edge_reporters info vset (a, b) =
-  Nodeset.filter
-    (fun w ->
-      match Hashtbl.find_opt info w with
-      | Some ver -> Graph.mem_edge a b ver.rep.gamma
-      | None -> false)
-    vset
-
-let rec path_edges = function
-  | a :: (b :: _ as rest) -> (a, b) :: path_edges rest
-  | [ _ ] | [] -> []
+(* The nodes whose removal from V_M destroys the D–R path [q] of G_M:
+   its nodes, and every reporter of one of its edges.  [q]'s ends (the
+   dealer and the receiver) are in the set too; the caller drops them. *)
+let rec destroyers br vset acc = function
+  | a :: (b :: _ as rest) ->
+    destroyers br vset
+      (Nodeset.add a (Nodeset.union acc (edge_reporters br vset a b)))
+      rest
+  | [ b ] -> Nodeset.add b acc
+  | [] -> acc
 
 (* Search for a valid full message set with value [x] and no adversary
    cover, over subsets V_M of the reported nodes.  Pruning: a missing D–R
@@ -398,12 +458,13 @@ let rec path_edges = function
    edges; we branch on all single-node candidates.  Covers are hereditary
    downward (see DESIGN.md), so only maximal full subsets need a cover
    check. *)
-let try_value rs info x =
+let try_value rs br x =
   let paths_x =
     match Hashtbl.find_opt rs.values x with
     | Some t -> t
-    | None -> Hashtbl.create 1
+    | None -> Path_tbl.create 1
   in
+  let info = br.info in
   if not (Hashtbl.mem info rs.dealer) then false
   else begin
     let visited = Set_tbl.create 64 in
@@ -419,7 +480,7 @@ let try_value rs info x =
         end
         else begin
           decr budget;
-          let entry = gm_entry_of rs info vset ids in
+          let entry = gm_entry_of rs br vset ids in
           let gm = entry.gm in
           let missing, complete = missing_path rs entry x paths_x in
           match (missing, complete) with
@@ -452,13 +513,8 @@ let try_value rs info x =
           | Some q, _ ->
             (* not full: branch on ways to destroy q *)
             let candidates =
-              List.fold_left
-                (fun acc e -> Nodeset.union acc (edge_reporters info vset e))
-                (Nodeset.of_list (path_interior q))
-                (path_edges q)
-            in
-            let candidates =
-              Nodeset.remove rs.dealer (Nodeset.remove rs.self candidates)
+              Nodeset.remove rs.dealer
+                (Nodeset.remove rs.self (destroyers br vset Nodeset.empty q))
             in
             Nodeset.exists
               (fun w ->
@@ -492,7 +548,7 @@ let try_decide rs =
     let direct =
       Hashtbl.fold
         (fun x tbl acc ->
-          if Hashtbl.mem tbl [ rs.dealer; rs.self ] then x :: acc else acc)
+          if Path_tbl.mem tbl [ rs.dealer; rs.self ] then x :: acc else acc)
         rs.values []
       |> List.sort Int.compare
     in
@@ -523,11 +579,8 @@ let try_decide rs =
 let automaton ?(budgets = default_budgets) (inst : Instance.t) ~x_dealer =
   let g = inst.graph in
   let own_report v =
-    {
-      origin = v;
-      gamma = Instance.local_view inst v;
-      zeta = Instance.local_structure inst v;
-    }
+    report ~origin:v ~gamma:(Instance.local_view inst v)
+      ~zeta:(Instance.local_structure inst v)
   in
   let init v =
     if v = inst.dealer then
@@ -584,7 +637,7 @@ let receiver_trace st =
     Hashtbl.iter
       (fun x tbl ->
         Buffer.add_string buf
-          (Printf.sprintf "  value %d via %d path(s)\n" x (Hashtbl.length tbl)))
+          (Printf.sprintf "  value %d via %d path(s)\n" x (Path_tbl.length tbl)))
       rs.values;
     Buffer.add_string buf
       (Printf.sprintf "  reports about %d node(s)\n" (Hashtbl.length rs.reports));

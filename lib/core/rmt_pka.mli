@@ -30,12 +30,21 @@ open Rmt_adversary
 open Rmt_knowledge
 open Rmt_net
 
-(** A node's claimed initial information, as carried by type-2 messages. *)
-type report = {
+(** A node's claimed initial information, as carried by type-2 messages.
+    The type is private: a report is built only by {!report}, which
+    computes [size] from the other fields, so no report — forged ones
+    included — can carry a size that disagrees with its contents. *)
+type report = private {
   origin : int;
   gamma : Graph.t;
   zeta : Structure.t;
+  size : int;
+      (** encoding-size estimate of the type-2 payload:
+          [1 + |V(γ)| + 2|E(γ)| + Σ_{S ∈ max 𝒵} (1 + |S|)] *)
 }
+
+val report : origin:int -> gamma:Graph.t -> zeta:Structure.t -> report
+(** The report [(origin, γ, 𝒵)], with its [size] computed once. *)
 
 type payload =
   | Value of int  (** type 1 *)
@@ -46,7 +55,9 @@ type msg = payload Flood.msg
 
 val msg_size : msg -> int
 (** Size proxy for bit-complexity accounting: trail length plus an
-    encoding-size estimate of the payload. *)
+    encoding-size estimate of the payload — [1] for a value, the report's
+    precomputed [size] for a report.  Constant-time apart from the trail
+    length, since every delivery is charged. *)
 
 type budgets = {
   path_budget : int;  (** DFS extensions per fullness check *)

@@ -91,21 +91,23 @@ type command =
   | Query_cut
   | Query_stats
 
-let parse_int w =
-  match int_of_string_opt w with
-  | Some v when v >= 0 -> Ok v
-  | _ -> Error (Printf.sprintf "expected a node id, got %S" w)
-
 let parse_set w =
   let parts = String.split_on_char ',' w in
   let rec go acc = function
     | [] -> Ok acc
     | p :: rest -> (
-      match parse_int p with
+      match Codec.parse_node_id p with
       | Ok v -> go (Nodeset.add v acc) rest
-      | Error _ -> Error (Printf.sprintf "expected a node set N[,N..], got %S" w))
+      | Error e ->
+        Error (Printf.sprintf "expected a node set N[,N..], got %S (%s)" w e))
   in
   go Nodeset.empty parts
+
+let command_words =
+  [
+    "solvable?"; "cut?"; "stats?"; "add-edge"; "remove-edge"; "add-node";
+    "remove-node"; "add-set"; "remove-set";
+  ]
 
 let parse_command line =
   let line =
@@ -124,22 +126,22 @@ let parse_command line =
   | [ "cut?" ] -> Ok (Some Query_cut)
   | [ "stats?" ] -> Ok (Some Query_stats)
   | [ "add-edge"; u; v ] ->
-    let* u = parse_int u in
-    let* v = parse_int v in
+    let* u = Codec.parse_node_id u in
+    let* v = Codec.parse_node_id v in
     Ok (Some (Update (Delta.Add_edge (u, v))))
   | [ "remove-edge"; u; v ] ->
-    let* u = parse_int u in
-    let* v = parse_int v in
+    let* u = Codec.parse_node_id u in
+    let* v = Codec.parse_node_id v in
     Ok (Some (Update (Delta.Remove_edge (u, v))))
   | [ "add-node"; v ] ->
-    let* v = parse_int v in
+    let* v = Codec.parse_node_id v in
     Ok (Some (Update (Delta.Add_node (v, Nodeset.empty))))
   | [ "add-node"; v; links ] ->
-    let* v = parse_int v in
+    let* v = Codec.parse_node_id v in
     let* links = parse_set links in
     Ok (Some (Update (Delta.Add_node (v, links))))
   | [ "remove-node"; v ] ->
-    let* v = parse_int v in
+    let* v = Codec.parse_node_id v in
     Ok (Some (Update (Delta.Remove_node v)))
   | [ "add-set"; z ] ->
     let* z = parse_set z in
@@ -147,6 +149,8 @@ let parse_command line =
   | [ "remove-set"; z ] ->
     let* z = parse_set z in
     Ok (Some (Update (Delta.Remove_set z)))
+  | w :: _ when List.exists (String.equal w) command_words ->
+    Error (Printf.sprintf "wrong number of arguments to %S" w)
   | w :: _ -> Error (Printf.sprintf "unknown command %S" w)
 
 let set_compact z =

@@ -75,7 +75,11 @@ type command =
   | Query_stats
 
 val parse_command : string -> (command option, string) result
-(** [Ok None] for blank/comment lines. *)
+(** [Ok None] for blank/comment lines.  Node ids go through
+    {!Rmt_knowledge.Codec.parse_node_id}, so an id above
+    {!Rmt_knowledge.Codec.max_node_id} is an [Error], as are negative
+    ids, unknown commands and a known command with the wrong number of
+    arguments. *)
 
 val exec : ?budget:int -> t -> command -> string
 (** Execute one command, returning its single deterministic output line

@@ -105,6 +105,29 @@ let union g h =
     both;
   { nodes = both; adj }
 
+(* Union of [gs] restricted to [keep], when given, in one adjacency
+   allocation: each node's neighbourhood is accumulated across the graphs
+   and cut down to [keep] once at the end. *)
+let union_within keep gs =
+  let all = List.fold_left (fun acc g -> Nodeset.union acc g.nodes) Nodeset.empty gs in
+  let nodes = match keep with Some s -> Nodeset.inter s all | None -> all in
+  let cap = match Nodeset.max_elt_opt nodes with Some v -> v + 1 | None -> 0 in
+  let adj = Array.make cap Nodeset.empty in
+  List.iter
+    (fun g ->
+      Nodeset.iter
+        (fun v -> adj.(v) <- Nodeset.union adj.(v) g.adj.(v))
+        (Nodeset.inter g.nodes nodes))
+    gs;
+  (match keep with
+   | Some _ -> Nodeset.iter (fun v -> adj.(v) <- Nodeset.inter adj.(v) nodes) nodes
+   | None -> ());
+  { nodes; adj }
+
+let union_all gs = union_within None gs
+
+let induced_union s gs = union_within (Some s) gs
+
 let is_subgraph h g =
   Nodeset.subset h.nodes g.nodes
   && Nodeset.for_all (fun v -> Nodeset.subset (neighbors v h) (neighbors v g)) h.nodes

@@ -67,6 +67,16 @@ val induced : Nodeset.t -> t -> t
 val union : t -> t -> t
 (** Union of node sets and edge sets — the joint view [γ(S)] operation. *)
 
+val union_all : t list -> t
+(** Union of every graph in the list ([empty] for none) — the joint view
+    of a set of nodes — built with one adjacency allocation rather than a
+    chain of persistent {!union}s. *)
+
+val induced_union : Nodeset.t -> t list -> t
+(** [induced_union s gs] is [induced s (union_all gs)], built in one pass:
+    the claimed graph [G_M] of a message set is the union of its members'
+    reported views, induced on its members. *)
+
 val is_subgraph : t -> t -> bool
 (** [is_subgraph h g]: every node and edge of [h] is in [g]. *)
 

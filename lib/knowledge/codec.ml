@@ -61,24 +61,31 @@ let tokens line =
   strip_comment line |> String.split_on_char ' '
   |> List.filter (fun s -> s <> "")
 
-let parse_int ~ctx s =
+let max_node_id = 65535
+
+let parse_node_id s =
   match int_of_string_opt s with
-  | Some v when v >= 0 -> Ok v
-  | _ -> Error (Printf.sprintf "%s: expected a node id, got %S" ctx s)
+  | Some v when v >= 0 && v <= max_node_id -> Ok v
+  | Some v when v > max_node_id ->
+    Error (Printf.sprintf "node id %d exceeds the limit %d" v max_node_id)
+  | _ -> Error (Printf.sprintf "expected a node id, got %S" s)
+
+let parse_id ~ctx s =
+  Result.map_error (fun e -> ctx ^ ": " ^ e) (parse_node_id s)
 
 let parse_ints ~ctx ss =
   List.fold_left
     (fun acc s ->
       let* acc = acc in
-      let* v = parse_int ~ctx s in
+      let* v = parse_id ~ctx s in
       Ok (v :: acc))
     (Ok []) ss
 
 let parse_edge ~ctx s =
   match String.split_on_char '-' s with
   | [ a; b ] ->
-    let* a = parse_int ~ctx a in
-    let* b = parse_int ~ctx b in
+    let* a = parse_id ~ctx a in
+    let* b = parse_id ~ctx b in
     Ok (a, b)
   | _ -> Error (Printf.sprintf "%s: expected an edge u-v, got %S" ctx s)
 
@@ -99,11 +106,11 @@ let parse_line draft lineno line =
         Ok ())
       (Ok ()) rest
   | [ "dealer"; d ] ->
-    let* d = parse_int ~ctx d in
+    let* d = parse_id ~ctx d in
     draft.dealer <- Some d;
     Ok ()
   | [ "receiver"; r ] ->
-    let* r = parse_int ~ctx r in
+    let* r = parse_id ~ctx r in
     draft.receiver <- Some r;
     Ok ()
   | "view" :: spec ->

@@ -22,6 +22,16 @@
 
 
 
+val max_node_id : int
+(** The largest node id a text input may name: 65535.  Ids index bitsets
+    and adjacency arrays, so one line naming a huge id would otherwise
+    allocate gigabytes before any other check ran. *)
+
+val parse_node_id : string -> (int, string) result
+(** A node id in [\[0, max_node_id\]]; [Error] names the token otherwise.
+    The one node-id parser of the text inputs: [.rmt] files here and the
+    solvability service's command lines ([Rmt_core.Service]). *)
+
 val to_string : Instance.t -> (string, string) result
 (** [Error _] when the view is custom. *)
 

@@ -62,7 +62,7 @@ let view t v = if Graph.mem_node v t.g then t.assign v else Graph.empty
 let view_nodes t v = Graph.nodes (view t v)
 
 let joint t s =
-  Nodeset.fold (fun v acc -> Graph.union (view t v) acc) s Graph.empty
+  Graph.union_all (Nodeset.fold (fun v acc -> view t v :: acc) s [])
 
 let joint_nodes t s = Graph.nodes (joint t s)
 

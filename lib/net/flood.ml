@@ -6,15 +6,16 @@ type 'p msg = {
   trail : Paths.path;
 }
 
-let rec tail_of = function
-  | [] -> None
-  | [ v ] -> Some v
-  | _ :: rest -> tail_of rest
+let rec mem_int (v : int) = function
+  | [] -> false
+  | u :: rest -> u = v || mem_int v rest
 
-let trail_ok ~self ~src trail =
-  (not (List.mem self trail))
-  && tail_of trail = Some src
-  && Paths.is_simple trail
+(* One allocation-free pass over the (short) trail: no node is [self] or
+   repeats, and the last one is [src]. *)
+let rec trail_ok ~(self : int) ~src = function
+  | [] -> false
+  | [ v ] -> v <> self && v = src
+  | v :: rest -> v <> self && (not (mem_int v rest)) && trail_ok ~self ~src rest
 
 let broadcast g v m =
   Nodeset.fold

@@ -291,11 +291,8 @@ let pka ?budgets ?(envelope = Envelope.default) (inst : Rmt_knowledge.Instance.t
   let open Rmt_knowledge in
   let inner = Rmt_core.Rmt_pka.automaton ?budgets inst ~x_dealer in
   let report v =
-    {
-      Rmt_core.Rmt_pka.origin = v;
-      gamma = Instance.local_view inst v;
-      zeta = Instance.local_structure inst v;
-    }
+    Rmt_core.Rmt_pka.report ~origin:v ~gamma:(Instance.local_view inst v)
+      ~zeta:(Instance.local_structure inst v)
   in
   make ~graph:inst.graph ~receiver:inst.receiver ~structure:inst.structure
     ~envelope

@@ -108,6 +108,40 @@ let test_mimic_reuse_raises () =
 (* shared across suites: test/gen *)
 let arb_instance_and_seed = Rmt_test_gen.Gen.arb_instance_and_seed
 
+(* [Rmt_pka.msg_size] against the size formula written out, on every
+   message delivered in the PKA battery of a random instance — honest
+   reports, and the forged, phantom and spam reports of the menu's
+   topology-liar, edge-forger, fictitious-node and fuzz entries. *)
+let reference_size (m : Rmt_core.Rmt_pka.msg) =
+  List.length m.trail
+  +
+  match m.payload with
+  | Rmt_core.Rmt_pka.Value _ -> 1
+  | Info r ->
+    1 + Graph.num_nodes r.gamma
+    + (2 * Graph.num_edges r.gamma)
+    + Util.sum_by
+        (fun s -> 1 + Nodeset.size s)
+        (Structure.maximal_sets r.zeta)
+
+let msg_size_is_reference =
+  QCheck.Test.make ~count:30
+    ~name:"RMT-PKA msg_size = reference formula on every delivered message"
+    Rmt_test_gen.Gen.arb_instance (fun (inst : Instance.t) ->
+      List.for_all
+        (fun (_, program) ->
+          let ok = ref true in
+          ignore
+            (Rmt_net.Engine.run ~size_of:Rmt_core.Rmt_pka.msg_size
+               ~on_deliver:(fun ~round:_ ~src:_ ~dst:_ m ->
+                 if Rmt_core.Rmt_pka.msg_size m <> reference_size m then
+                   ok := false)
+               ~graph:inst.graph
+               ~adversary:(Strategy_gen.compile_pka program inst ~x_dealer:7)
+               (Rmt_core.Rmt_pka.automaton inst ~x_dealer:7));
+          !ok)
+        (Campaign.battery_programs Campaign.Pka inst ~x_fake:8))
+
 let never_wrong_on_solvable protocol name =
   QCheck.Test.make ~count:40
     ~name:
@@ -395,6 +429,7 @@ let () =
           qt (never_wrong_on_solvable Campaign.Ppa "PPA");
           qt (never_wrong_on_solvable Campaign.Zcpa "Z-CPA");
         ] );
+      ("accounting", [ qt msg_size_is_reference ]);
       ( "campaign",
         [
           Alcotest.test_case "acceptance over instances/" `Quick

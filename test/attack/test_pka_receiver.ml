@@ -10,6 +10,11 @@
        dune build test/attack/test_pka_receiver.exe
        (cd _build/default/test/attack && ./test_pka_receiver.exe --print) \
          > test/attack/fixtures/pka_receiver.golden
+   - A second golden of the bits ([msg_size] summed over deliveries) of
+     the same 600 runs, read from the backend's outcome through a runner
+     wrapper.  It pins the message-size accounting, which the first table
+     does not see.  Regenerate with [--print-bits] into
+     test/attack/fixtures/pka_bits.golden.
    - A differential property: a fresh receiver handed every message the
      round-by-round receiver saw, in one inbox, decides the same value.
      The one-shot receiver has no earlier rounds to reuse work from. *)
@@ -24,6 +29,7 @@ module Sim_exec = Rmt_sim.Sim_exec
 
 let instances_dir = "../../instances"
 let golden_path = "fixtures/pka_receiver.golden"
+let bits_path = "fixtures/pka_bits.golden"
 let x_dealer = 7
 let x_fake = 8
 let programs_per_instance = 100
@@ -38,8 +44,26 @@ let report_line name i backend (r : Campaign.run_report) =
     (Campaign.verdict_to_string r.verdict)
     r.rounds r.messages r.truncated
 
-let golden_table () =
+(* [runner] that also records the bits of the last run it executed. *)
+let keeping_bits (runner : Campaign.runner) =
+  let bits = ref 0 in
+  ( {
+      Campaign.run =
+        (fun ?max_messages ?size_of ?stop_when ?on_deliver ~graph ~adversary
+             auto ->
+          let o =
+            runner.run ?max_messages ?size_of ?stop_when ?on_deliver ~graph
+              ~adversary auto
+          in
+          bits := o.stats.bits;
+          o);
+    },
+    bits )
+
+(* Both tables: the receiver golden and the bits golden. *)
+let golden_tables () =
   let buf = Buffer.create 8192 in
+  let bits_buf = Buffer.create 4096 in
   List.iteri
     (fun k name ->
       let inst = load name in
@@ -47,23 +71,33 @@ let golden_table () =
       for i = 0 to programs_per_instance - 1 do
         let program = Strategy_gen.random rng inst ~x_dealer ~x_fake in
         let sched_seed = Prng.int rng 0x3fffffff in
-        let engine = Campaign.execute Campaign.Pka inst ~x_dealer program in
+        let runner, engine_bits = keeping_bits Campaign.engine_runner in
+        let engine = Campaign.execute ~runner Campaign.Pka inst ~x_dealer program in
         let policy =
           Policy.random (Prng.create sched_seed) Policy.timely_params
         in
-        let sim =
-          Campaign.execute ~runner:(Sim_exec.runner ~policy) Campaign.Pka inst
-            ~x_dealer program
-        in
+        let runner, sim_bits = keeping_bits (Sim_exec.runner ~policy) in
+        let sim = Campaign.execute ~runner Campaign.Pka inst ~x_dealer program in
         Buffer.add_string buf (report_line name i "engine" engine ^ "\n");
-        Buffer.add_string buf (report_line name i "sim" sim ^ "\n")
+        Buffer.add_string buf (report_line name i "sim" sim ^ "\n");
+        Printf.bprintf bits_buf "%s %d engine %d\n%s %d sim %d\n" name i
+          !engine_bits name i !sim_bits
       done)
     [ "onion_solvable"; "figure1_basic"; "path4_unsolvable" ];
-  Buffer.contents buf
+  (Buffer.contents buf, Buffer.contents bits_buf)
+
+let tables = lazy (golden_tables ())
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let test_golden () =
-  let expected = In_channel.with_open_bin golden_path In_channel.input_all in
-  Alcotest.(check string) "receiver golden" expected (golden_table ())
+  Alcotest.(check string)
+    "receiver golden" (read_file golden_path)
+    (fst (Lazy.force tables))
+
+let test_bits () =
+  Alcotest.(check string)
+    "bits golden" (read_file bits_path)
+    (snd (Lazy.force tables))
 
 (* ------------------------------------------------------------------ *)
 (* One-shot vs round-by-round                                          *)
@@ -102,12 +136,17 @@ let prop_one_shot_agrees =
         (Rmt_pka.decision one_shot))
 
 let () =
-  if Array.length Sys.argv > 1 && String.equal Sys.argv.(1) "--print" then
-    print_string (golden_table ())
-  else
+  match Sys.argv with
+  | [| _; "--print" |] -> print_string (fst (golden_tables ()))
+  | [| _; "--print-bits" |] -> print_string (snd (golden_tables ()))
+  | _ ->
     Alcotest.run "pka-receiver"
       [
-        ("golden", [ Alcotest.test_case "engine and sim" `Quick test_golden ]);
+        ( "golden",
+          [
+            Alcotest.test_case "engine and sim" `Quick test_golden;
+            Alcotest.test_case "bits" `Quick test_bits;
+          ] );
         ( "differential",
           [ QCheck_alcotest.to_alcotest prop_one_shot_agrees ] );
       ]

@@ -154,6 +154,27 @@ let test_protocol_roundtrip () =
   check "blank skipped" true (Service.parse_command "   " = Ok None);
   check "bad command rejected" true
     (Result.is_error (Service.parse_command "frobnicate 3"));
+  (* node ids share the .rmt parser's limit; nothing sized by a refused id
+     is built *)
+  let big = string_of_int (Rmt_knowledge.Codec.max_node_id + 1) in
+  List.iter
+    (fun line ->
+      check ("rejected: " ^ line) true
+        (Result.is_error (Service.parse_command line)))
+    [
+      "add-node 1000000000";
+      "add-node " ^ big;
+      "add-node 3 0," ^ big;
+      "add-edge 0 " ^ big;
+      "remove-node -1";
+      "add-set 4,99999999999";
+      "remove-set 4,";
+      "add-edge 4";
+    ];
+  check "limit id accepted" true
+    (Result.is_ok
+       (Service.parse_command
+          ("add-node " ^ string_of_int Rmt_knowledge.Codec.max_node_id)));
   let g = Rmt_graph.Generators.layered ~width:3 ~depth:2 in
   let inst =
     Instance.ad_hoc_of ~graph:g

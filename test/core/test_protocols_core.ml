@@ -67,12 +67,8 @@ let test_pka_message_sizes () =
   in
   check "type-1 size" true (Rmt_pka.msg_size m1 >= 3);
   let report =
-    Rmt_pka.
-      {
-        origin = 1;
-        gamma = Generators.path_graph 3;
-        zeta = Structure.threshold ~ground:(ns [ 1; 2 ]) 1;
-      }
+    Rmt_pka.report ~origin:1 ~gamma:(Generators.path_graph 3)
+      ~zeta:(Structure.threshold ~ground:(ns [ 1; 2 ]) 1)
   in
   let m2 : Rmt_pka.msg =
     Rmt_net.Flood.{ payload = Rmt_pka.Info report; trail = [ 1 ] }

@@ -81,6 +81,42 @@ let test_union () =
   check_int "union edges" 2 (Graph.num_edges u);
   check "commutes" true (Graph.equal u (Graph.union b a))
 
+(* A few graphs over a sparse id pool (ids up to 300, including ones past
+   a word boundary of the bitsets), some with isolated nodes, and a subset
+   of the pool to induce on. *)
+let arb_graphs_and_subset =
+  let gen st =
+    let rng = Prng.create (QCheck.Gen.int_bound 1_000_000 st) in
+    let pool =
+      Array.init (3 + Prng.int rng 8) (fun _ -> Prng.int rng 301)
+    in
+    let node () = Prng.pick rng pool in
+    let graph () =
+      let g = ref Graph.empty in
+      for _ = 0 to Prng.int rng 8 do
+        let a = node () and b = node () in
+        g := if a <> b then Graph.add_edge a b !g else Graph.add_node a !g
+      done;
+      !g
+    in
+    let gs = List.init (Prng.int rng 5) (fun _ -> graph ()) in
+    let s = Nodeset.filter (fun _ -> Prng.bool rng) (Nodeset.of_array pool) in
+    (gs, s)
+  in
+  QCheck.make
+    ~print:(fun (gs, s) ->
+      Printf.sprintf "S=%s\n%s" (Nodeset.to_string s)
+        (String.concat "\n" (List.map Graph.to_string gs)))
+    gen
+
+let qcheck_one_pass_union =
+  QCheck.Test.make ~count:300
+    ~name:"union_all / induced_union = folded union / its induced subgraph"
+    arb_graphs_and_subset (fun (gs, s) ->
+      let folded = List.fold_left Graph.union Graph.empty gs in
+      Graph.equal (Graph.union_all gs) folded
+      && Graph.equal (Graph.induced_union s gs) (Graph.induced s folded))
+
 let test_radius_restrict () =
   let g = Generators.path_graph 6 in
   let b0 = Graph.restrict_to_radius 2 0 g in
@@ -418,6 +454,7 @@ let () =
           Alcotest.test_case "neighborhoods" `Quick test_neighborhoods;
           Alcotest.test_case "induced" `Quick test_induced;
           Alcotest.test_case "union" `Quick test_union;
+          QCheck_alcotest.to_alcotest qcheck_one_pass_union;
           Alcotest.test_case "radius restrict" `Quick test_radius_restrict;
         ] );
       ( "connectivity",

@@ -215,6 +215,29 @@ let test_codec_errors () =
   | Ok inst -> check "clipped dealer" true (Instance.admissible inst (ns [ 1 ]))
   | Error m -> Alcotest.fail m
 
+(* Every id-carrying line refuses ids above [Codec.max_node_id], before
+   anything sized by the id is allocated; the limit itself is accepted. *)
+let test_codec_huge_ids () =
+  let limit = Codec.max_node_id in
+  let big = string_of_int (limit + 1) in
+  List.iter
+    (fun text -> expect_error text "exceeds the limit")
+    [
+      "edges 0-1 1-1000000000\ndealer 0\nreceiver 1\n";
+      "nodes 0 1 " ^ big ^ "\nedges 0-1\ndealer 0\nreceiver 1\n";
+      "edges 0-1\ndealer " ^ big ^ "\nreceiver 1\n";
+      "edges 0-1\ndealer 0\nreceiver " ^ string_of_int max_int ^ "\n";
+      "edges 0-1\ndealer 0\nreceiver 1\nground 1 " ^ big ^ "\n";
+      "edges 0-1\ndealer 0\nreceiver 1\nset 1 99999999999\n";
+    ];
+  expect_error "edges 0-1\ndealer 0\nreceiver -1\n" "node id";
+  match
+    Codec.of_string
+      (Printf.sprintf "edges 0-%d\ndealer 0\nreceiver %d\n" limit limit)
+  with
+  | Ok inst -> check_int "limit id accepted" 2 (Instance.num_nodes inst)
+  | Error m -> Alcotest.fail m
+
 let test_codec_custom_rejected () =
   let view = View.of_assignment triangle_plus (fun v -> View.view (View.ad_hoc triangle_plus) v) in
   let structure = Structure.threshold ~ground:(ns [ 1; 2 ]) 1 in
@@ -322,6 +345,7 @@ let () =
           Alcotest.test_case "radius roundtrip" `Quick test_codec_radius_roundtrip;
           Alcotest.test_case "parse" `Quick test_codec_parse;
           Alcotest.test_case "errors" `Quick test_codec_errors;
+          Alcotest.test_case "huge ids" `Quick test_codec_huge_ids;
           Alcotest.test_case "custom rejected" `Quick test_codec_custom_rejected;
           Alcotest.test_case "file roundtrip" `Quick test_codec_file_roundtrip;
           Alcotest.test_case "golden fixture" `Quick test_codec_golden_fixture;

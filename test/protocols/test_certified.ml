@@ -507,14 +507,11 @@ let test_no_change_golden () =
    a forger re-sending one report each round produces. *)
 let forged ?(edges = [ (0, 1); (1, 4) ]) ?(sets = [ [ 2 ] ]) () =
   Rmt_core.Rmt_pka.Info
-    {
-      Rmt_core.Rmt_pka.origin = 1;
-      gamma = Graph.of_edges edges;
-      zeta =
-        Structure.of_sets
-          ~ground:(Nodeset.of_list [ 0; 1; 2; 3; 4 ])
-          (List.map Nodeset.of_list sets);
-    }
+    (Rmt_core.Rmt_pka.report ~origin:1 ~gamma:(Graph.of_edges edges)
+       ~zeta:
+         (Structure.of_sets
+            ~ground:(Nodeset.of_list [ 0; 1; 2; 3; 4 ])
+            (List.map Nodeset.of_list sets)))
 
 let evidence_after deliveries =
   let inst =

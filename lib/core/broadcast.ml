@@ -1,72 +1,33 @@
 open Rmt_base
 open Rmt_graph
-open Rmt_adversary
 open Rmt_knowledge
 
 (* Definition 10: unlike the RMT variant, the shielded side B may sit
    anywhere in the graph.  It suffices to consider connected B with
    C = N(B) (the conditions on C₂ are monotone and a full cut dominates
-   its component-wise boundary); to enumerate each candidate exactly once
-   we anchor B at its minimum element. *)
+   its component-wise boundary), so this is Cut's boundary search under
+   the ad hoc view, run from every seed outside N[D].  To enumerate each
+   candidate exactly once, B is anchored at its minimum element: the seed's
+   search forbids every smaller node.  One restriction cache serves all
+   seeds. *)
 let find_zpp_cut ?budget (inst : Instance.t) =
   let g = inst.graph in
-  let d = inst.dealer in
-  let forbidden_base = Graph.closed_neighborhood d g in
-  let maximal = Structure.maximal_sets inst.structure in
-  let condition b c2 =
-    Nodeset.for_all
-      (fun u ->
-        let nu = Graph.neighbors u g in
-        Structure.mem (Nodeset.inter nu c2)
-          (Structure.restrict (Nodeset.add u nu) inst.structure))
-      b
-  in
-  let found = ref None in
-  let complete = ref true in
-  let visited = ref 0 in
-  let seeds =
-    Nodeset.elements (Nodeset.diff (Graph.nodes g) forbidden_base)
-  in
-  List.iter
-    (fun seed ->
-      if !found = None then begin
-        let forbidden =
-          (* anchor: no member smaller than the seed *)
-          Nodeset.union forbidden_base (Nodeset.range 0 seed)
+  let forbidden_base = Graph.closed_neighborhood inst.dealer g in
+  let local = Joint.restriction_cache (View.ad_hoc g) inst.structure in
+  List.fold_left
+    (fun (acc : Cut.verdict) seed ->
+      if Option.is_some acc.cut_found then acc
+      else
+        let v =
+          Cut.boundary_search ?budget g inst.structure ~local ~seed
+            ~forbidden:(Nodeset.union forbidden_base (Nodeset.range 0 seed))
         in
-        let outcome =
-          Subset_enum.connected_supersets ?budget g ~seed ~forbidden (fun b ->
-              let c = Graph.neighborhood_of_set b g in
-              List.exists
-                (fun m ->
-                  let c2 = Nodeset.diff c m in
-                  if condition b c2 then begin
-                    found :=
-                      Some
-                        Cut.
-                          {
-                            b_side = b;
-                            cut = c;
-                            c1 = Nodeset.inter c m;
-                            c2;
-                          };
-                    true
-                  end
-                  else false)
-                maximal)
-        in
-        visited := !visited + outcome.visited;
-        if not outcome.complete then complete := false
-      end)
-    seeds;
-  Cut.{ cut_found = !found; complete = !complete; visited = !visited }
+        { v with complete = acc.complete && v.complete;
+          visited = acc.visited + v.visited })
+    { cut_found = None; complete = true; visited = 0 }
+    (Nodeset.elements (Nodeset.diff (Graph.nodes g) forbidden_base))
 
-let solvable ?budget inst =
-  let v = find_zpp_cut ?budget inst in
-  match (v.cut_found, v.complete) with
-  | Some _, _ -> Solvability.Unsolvable
-  | None, true -> Solvability.Solvable
-  | None, false -> Solvability.Unknown
+let solvable ?budget inst = Solvability.of_verdict (find_zpp_cut ?budget inst)
 
 let blocked_nodes ?budget (inst : Instance.t) =
   Nodeset.filter

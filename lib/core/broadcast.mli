@@ -10,17 +10,25 @@
     protocol with only the output rule localized — so this module reuses
     it and merely changes the success criterion and the cut decider
     (the receiver side [B] now ranges over {e every} component, not just
-    the receiver's). *)
+    the receiver's).  That decider is {!Cut.boundary_search} under the
+    ad hoc view, run once per possible seed of [B]. *)
 
 open Rmt_base
 open Rmt_knowledge
 
 val find_zpp_cut : ?budget:int -> Instance.t -> Cut.verdict
-(** Definition 10's cut.  The instance's receiver is irrelevant here; only
-    the graph, structure and dealer matter. *)
+(** Definition 10's cut: {!Cut.boundary_search} under
+    [View.ad_hoc inst.graph] from each node outside [N[D]] in increasing
+    order, with [B] anchored at its minimum element (the seed's search
+    forbids every smaller node), one restriction cache shared by all
+    seeds, stopping at the first witness.  [visited] sums the searches
+    run; [complete] is [false] if any of them ran out of budget (each
+    gets its own).  The instance's receiver and view are irrelevant here;
+    only the graph, structure and dealer matter. *)
 
 val solvable : ?budget:int -> Instance.t -> Solvability.feasibility
-(** Broadcast feasibility in the ad hoc model (tight, per [13]). *)
+(** Broadcast feasibility in the ad hoc model (tight, per [13]):
+    [Solvability.of_verdict (find_zpp_cut inst)]. *)
 
 val blocked_nodes : ?budget:int -> Instance.t -> Nodeset.t
 (** The union of all receiver-side components over the 𝒵-pp cuts found —

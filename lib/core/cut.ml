@@ -20,115 +20,96 @@ let exists_certainly v = v.cut_found <> None
 
 let absent_certainly v = v.cut_found = None && v.complete
 
-(* Shared driver: enumerate connected B ∋ R with D ∉ B ∪ N(B); candidate
-   cut C = N(B); for each maximal M ∈ 𝒵 try the split C₁ = C ∩ M,
-   C₂ = C ∖ M and test the model-specific condition on C₂ and B. *)
-let search ?budget (inst : Instance.t) ~condition =
-  let g = inst.graph in
-  let d = inst.dealer and r = inst.receiver in
-  let forbidden = Graph.closed_neighborhood d g in
-  if Nodeset.mem r forbidden then
-    (* R is the dealer's neighbor or the dealer itself: no cut can avoid
-       the dealer and separate them *)
+(* C₁ = C ∩ M, C₂ = C ∖ M for the first maximal M whose C₂ passes [ok] *)
+let first_split maximal b c ok =
+  List.find_map
+    (fun m ->
+      let c2 = Nodeset.diff c m in
+      if ok c2 then Some { b_side = b; cut = c; c1 = Nodeset.inter c m; c2 }
+      else None)
+    maximal
+
+(* The one boundary search behind every cut notion: enumerate connected
+   B ∋ seed avoiding [forbidden]; candidate cut C = N(B); for each maximal
+   M ∈ 𝒵 try the split C₁ = C ∩ M, C₂ = C ∖ M and accept when
+   C₂ ∩ V(γ(B)) ∈ 𝒵_B.  V(γ(B)) and the members' local structures
+   𝒵^{V(γ(v))} are threaded along the enumeration, and 𝒵_B is never built:
+   membership is one test per member of B (Joint.mem_joint, exact by the
+   candidate formula and ⊕'s associativity).  [local] is a
+   Joint.restriction_cache, so each node's view and restriction are
+   computed once per cache, not once per branch of the enumeration tree. *)
+let boundary_search ?budget g z ~local ~seed ~forbidden =
+  if Nodeset.mem seed forbidden then
     { cut_found = None; complete = true; visited = 0 }
   else begin
     let found = ref None in
-    let maximal = Structure.maximal_sets inst.structure in
-    let outcome =
-      Subset_enum.connected_supersets ?budget g ~seed:r ~forbidden (fun b ->
-          let c = Graph.neighborhood_of_set b g in
-          let hit =
-            List.exists
-              (fun m ->
-                let c2 = Nodeset.diff c m in
-                if condition b c2 then begin
-                  found :=
-                    Some { b_side = b; cut = c; c1 = Nodeset.inter c m; c2 };
-                  true
-                end
-                else false)
-              maximal
-          in
-          hit)
-    in
-    { cut_found = !found; complete = outcome.complete;
-      visited = outcome.visited }
-  end
-
-let zb_condition inst b c2 =
-  let zb = Joint.joint_structure inst.Instance.view inst.structure b in
-  let vgb = View.joint_nodes inst.view b in
-  Structure.mem (Nodeset.inter c2 vgb) zb
-
-let local_condition inst =
-  (* per-node local structures are reused across every enumerated
-     component: restrict once per node, memoized for the whole search *)
-  let tbl = Hashtbl.create 16 in
-  let local u =
-    match Hashtbl.find_opt tbl u with
-    | Some cached -> cached
-    | None ->
-      let nu = Graph.neighbors u inst.Instance.graph in
-      let cached = (nu, Structure.restrict (Nodeset.add u nu) inst.structure) in
-      Hashtbl.add tbl u cached;
-      cached
-  in
-  fun b c2 ->
-    Nodeset.for_all
-      (fun u ->
-        let nu, zu = local u in
-        Structure.mem (Nodeset.inter nu c2) zu)
-      b
-
-(* Specialized driver for RMT-cuts: V(γ(B)) and the members' local
-   structures 𝒵^{V(γ(v))} are threaded along the enumeration, and 𝒵_B is
-   never built: C₂ ∩ V(γ(B)) ∈ 𝒵_B is decided by one membership test per
-   member of B (Joint.mem_joint, exact by the candidate formula and ⊕'s
-   associativity).  Each node's view nodes and restriction come from one
-   per-search memo, so a view is built once per search, not once per
-   branch of the enumeration tree. *)
-let find_rmt_cut ?budget (inst : Instance.t) =
-  let g = inst.graph in
-  let d = inst.dealer and r = inst.receiver in
-  let forbidden = Graph.closed_neighborhood d g in
-  if Nodeset.mem r forbidden then
-    { cut_found = None; complete = true; visited = 0 }
-  else begin
-    let found = ref None in
-    let maximal = Structure.maximal_sets inst.structure in
-    let local = Joint.restriction_cache inst.view inst.structure in
+    let maximal = Structure.maximal_sets z in
     let init =
-      let vr, zr = local r in
-      (vr, [ zr ])
+      let vs, zs = local seed in
+      (vs, [ zs ])
     in
     let extend (vgb, parts) c =
       let vc, zc = local c in
       (Nodeset.union vgb vc, zc :: parts)
     in
     let outcome =
-      Subset_enum.connected_supersets_acc ?budget g ~seed:r ~forbidden ~init
+      Subset_enum.connected_supersets_acc ?budget g ~seed ~forbidden ~init
         ~extend (fun b (vgb, parts) ->
-          let c = Graph.neighborhood_of_set b g in
-          List.exists
-            (fun m ->
-              let c2 = Nodeset.diff c m in
-              if Joint.mem_joint (Nodeset.inter c2 vgb) parts then begin
-                found :=
-                  Some { b_side = b; cut = c; c1 = Nodeset.inter c m; c2 };
-                true
-              end
-              else false)
-            maximal)
+          found :=
+            first_split maximal b (Graph.neighborhood_of_set b g) (fun c2 ->
+                Joint.mem_joint (Nodeset.inter c2 vgb) parts);
+          Option.is_some !found)
     in
     { cut_found = !found; complete = outcome.complete;
       visited = outcome.visited }
   end
 
-let find_rmt_cut_naive ?budget inst =
-  search ?budget inst ~condition:(zb_condition inst)
+(* RMT-cuts under [view]: B is the receiver's component, and B ∪ N(B)
+   avoids the dealer's closed neighbourhood.  When R lies in it (R is the
+   dealer or its neighbour) no cut separates them: the search stops at
+   once. *)
+let receiver_search ?budget (inst : Instance.t) view =
+  boundary_search ?budget inst.graph inst.structure
+    ~local:(Joint.restriction_cache view inst.structure)
+    ~seed:inst.receiver
+    ~forbidden:(Graph.closed_neighborhood inst.dealer inst.graph)
 
-let find_rmt_zpp_cut ?budget inst =
-  search ?budget inst ~condition:(local_condition inst)
+let find_rmt_cut ?budget (inst : Instance.t) =
+  receiver_search ?budget inst inst.view
+
+(* Definition 7 is Definition 3 with γ(u) the star of u: under the ad hoc
+   view mem_joint's per-member test (C₂ ∩ V(γ(B))) ∩ N[u] ∈ 𝒵^{N[u]} is
+   N(u) ∩ C₂ ∈ 𝒵_u (u ∈ B and B ∩ C₂ = ∅), and its coverage test holds
+   trivially. *)
+let find_rmt_zpp_cut ?budget (inst : Instance.t) =
+  receiver_search ?budget inst (View.ad_hoc inst.graph)
+
+let zb_condition inst b c2 =
+  let zb = Joint.joint_structure inst.Instance.view inst.structure b in
+  let vgb = View.joint_nodes inst.view b in
+  Structure.mem (Nodeset.inter c2 vgb) zb
+
+(* The independent oracle: the same candidate cuts, but 𝒵_B joined by ⊕
+   and V(γ(B)) recomputed from scratch for every enumerated component. *)
+let find_rmt_cut_naive ?budget (inst : Instance.t) =
+  let g = inst.graph in
+  let forbidden = Graph.closed_neighborhood inst.dealer g in
+  if Nodeset.mem inst.receiver forbidden then
+    { cut_found = None; complete = true; visited = 0 }
+  else begin
+    let found = ref None in
+    let maximal = Structure.maximal_sets inst.structure in
+    let outcome =
+      Subset_enum.connected_supersets ?budget g ~seed:inst.receiver
+        ~forbidden (fun b ->
+          found :=
+            first_split maximal b (Graph.neighborhood_of_set b g)
+              (zb_condition inst b);
+          Option.is_some !found)
+    in
+    { cut_found = !found; complete = outcome.complete;
+      visited = outcome.visited }
+  end
 
 let split_ok (inst : Instance.t) c1 c2 ~condition =
   let g = inst.graph in
@@ -141,8 +122,14 @@ let split_ok (inst : Instance.t) c1 c2 ~condition =
 
 let is_rmt_cut inst c1 c2 = split_ok inst c1 c2 ~condition:(zb_condition inst)
 
-let is_rmt_zpp_cut inst c1 c2 =
-  split_ok inst c1 c2 ~condition:(local_condition inst)
+let is_rmt_zpp_cut (inst : Instance.t) c1 c2 =
+  split_ok inst c1 c2 ~condition:(fun b c2 ->
+      Nodeset.for_all
+        (fun u ->
+          let nu = Graph.neighbors u inst.graph in
+          Structure.mem (Nodeset.inter nu c2)
+            (Structure.restrict (Nodeset.add u nu) inst.structure))
+        b)
 
 (* Incremental re-decision after an instance delta.  Two regimes:
 

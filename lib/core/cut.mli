@@ -9,16 +9,22 @@
       second condition becomes [∀u ∈ B, N(u) ∩ C₂ ∈ 𝒵_u].  Z-CPA solves
       RMT iff no such cut exists (Theorems 7 and 8).
 
-    Both deciders enumerate receiver-side components: it suffices to
-    consider cuts of the form [C = N(B)] for connected [B ∋ R] with
-    [D ∉ B ∪ N(B)] (any other cut dominates one of these — conditions on
-    [C₂] are monotone and [C₁] can absorb arbitrary extra nodes only when
-    they fit in an admissible set anyway), and for the [C₁]/[C₂] split it
-    suffices to try [C₁ = C ∩ M] for each maximal [M ∈ 𝒵].  Enumeration is
-    exponential in the worst case: every verdict carries a completeness
-    flag tied to an explicit budget. *)
+    Every cut notion here, and Reliable Broadcast's Definition 10 in
+    {!Broadcast}, is decided by one boundary enumeration,
+    {!boundary_search}: it suffices to consider cuts of the form
+    [C = N(B)] for connected [B] containing a seed with [D ∉ B ∪ N(B)]
+    (any other cut dominates one of these — conditions on [C₂] are
+    monotone and [C₁] can absorb arbitrary extra nodes only when they fit
+    in an admissible set anyway), and for the [C₁]/[C₂] split it suffices
+    to try [C₁ = C ∩ M] for each maximal [M ∈ 𝒵].  The notions differ
+    only in the view the [𝒵_B] test reads: the instance's own for
+    RMT-cuts, {!View.ad_hoc} for 𝒵-pp cuts.  Enumeration is exponential
+    in the worst case: every verdict carries a completeness flag tied to
+    an explicit budget. *)
 
 open Rmt_base
+open Rmt_graph
+open Rmt_adversary
 open Rmt_knowledge
 
 type witness = {
@@ -43,13 +49,30 @@ val exists_certainly : verdict -> bool
 
 val absent_certainly : verdict -> bool
 
+val boundary_search :
+  ?budget:int ->
+  Graph.t ->
+  Structure.t ->
+  local:(int -> Nodeset.t * Structure.t) ->
+  seed:int ->
+  forbidden:Nodeset.t ->
+  verdict
+(** [boundary_search g 𝒵 ~local ~seed ~forbidden] enumerates connected
+    [B ∋ seed] in [nodes g − forbidden] ({!Subset_enum.connected_supersets_acc}),
+    and for each, with [C = N(B)] and each maximal [M ∈ 𝒵] in turn, accepts
+    the split [C₁ = C ∩ M], [C₂ = C ∖ M] when [C₂ ∩ V(γ(B)) ∈ 𝒵_B].  [𝒵_B]
+    is never built: [V(γ(B))] and the members' restrictions
+    [𝒵^{V(γ(v))}] are threaded along the enumeration and the test is
+    {!Joint.mem_joint}.  [local] must be a {!Joint.restriction_cache} of
+    [γ] and [𝒵]; callers that search from several seeds share one.  The
+    first accepted split is the witness; [budget] caps the components
+    visited.  A seed inside [forbidden] gives a complete, empty verdict. *)
+
 val find_rmt_cut : ?budget:int -> Instance.t -> verdict
-(** RMT-cut existence in the partial knowledge model (Definition 3).
-    [𝒵_B] is never built: [V(γ(B))] and the members' local structures
-    [𝒵^{V(γ(v))}] are threaded through the enumeration, and
-    [C₂ ∩ V(γ(B)) ∈ 𝒵_B] is decided by one membership test per member of
-    [B] ({!Joint.mem_joint}).  Each node's view nodes and restriction are
-    computed once per search ({!Joint.restriction_cache}). *)
+(** RMT-cut existence in the partial knowledge model (Definition 3):
+    {!boundary_search} from [R], avoiding [N[D]], under the instance's
+    view.  Each node's view nodes and restriction are computed once per
+    search. *)
 
 val find_rmt_cut_naive : ?budget:int -> Instance.t -> verdict
 (** Same verdict as {!find_rmt_cut}, computed independently: joins
@@ -58,10 +81,11 @@ val find_rmt_cut_naive : ?budget:int -> Instance.t -> verdict
     and the ablation baseline for experiment A1; prefer {!find_rmt_cut}. *)
 
 val find_rmt_zpp_cut : ?budget:int -> Instance.t -> verdict
-(** RMT 𝒵-pp cut existence (Definition 7).  Local structures [𝒵_u] are
-    taken from the instance's view function, which in the ad hoc model is
-    the star of [u]; the decider itself only consults [N(u)]-restrictions,
-    matching the definition. *)
+(** RMT 𝒵-pp cut existence (Definition 7): the RMT-cut search under
+    [View.ad_hoc inst.graph], whatever [inst.view] is.  With [γ(u)] the
+    star of [u], {!Joint.mem_joint}'s test for member [u] reads
+    [N(u) ∩ C₂ ∈ 𝒵_u] (as [u ∈ B] and [B ∩ C₂ = ∅]), which is the
+    definition. *)
 
 val update :
   ?budget:int ->
@@ -85,6 +109,8 @@ val is_rmt_cut : Instance.t -> Nodeset.t -> Nodeset.t -> bool
     [c2 ∩ V(γ(B)) ∈ 𝒵_B] for [B] the receiver-side component. *)
 
 val is_rmt_zpp_cut : Instance.t -> Nodeset.t -> Nodeset.t -> bool
-(** Same for Definition 7. *)
+(** Same for Definition 7, literally: [∀u ∈ B, N(u) ∩ C₂ ∈ 𝒵^{N[u]}],
+    restricting afresh per call.  It shares no code with
+    {!find_rmt_zpp_cut}'s membership test and is its reference. *)
 
 val pp_witness : Format.formatter -> witness -> unit

@@ -32,11 +32,12 @@
       compute outside and re-lock to store).  A new entry point that
       forgets [locked] is a finding.  The domain-safety property is also
       tested at runtime in test/core/test_hc.ml.
-    - Callers: the cut deciders reach [memo_restrict] through
+    - Callers: every cut decider (RMT-cut, RMT 𝒵-pp cut and Broadcast,
+      all through {!Cut.boundary_search}) reaches [memo_restrict] through
       {!Joint.restriction_cache}; the benchmark harnesses read {!stats}
-      and call {!clear}.  There is no join memo: the RMT-cut
-      decider and the RMT-PKA receiver's cover check decide [𝒵_B]
-      membership locally ({!Joint.mem_joint}) and never build a join. *)
+      and call {!clear}.  There is no join memo: the cut deciders and the
+      RMT-PKA receiver's cover check decide [𝒵_B] membership locally
+      ({!Joint.mem_joint}) and never build a join. *)
 
 open Rmt_base
 open Rmt_adversary

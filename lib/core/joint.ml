@@ -88,8 +88,8 @@ let join_list = function
   | s :: rest -> List.fold_left join s rest
 
 (* Per-call node-indexed front cache over the global content-addressed
-   memo: the int key avoids re-deriving the view (a star graph or a BFS
-   ball) and re-consing its node set on every probe of the same search,
+   memo: the int key avoids re-deriving the view's node set (N[v] or a
+   BFS ball) and re-consing it on every probe of the same search,
    while distinct searches (and service generations) still share one
    restriction per distinct (view nodes, structure) pair through Hc. *)
 let restriction_cache view z =

@@ -52,9 +52,11 @@ val identity : Structure.t
 val restriction_cache : View.t -> Structure.t -> int -> Nodeset.t * Structure.t
 (** [restriction_cache γ 𝒵] is a memoized [v ↦ (V(γ(v)), 𝒵^{V(γ(v))})]:
     the first call per node derives the view's node set and restricts
-    [𝒵] to it, later calls return the cached pair.  The RMT-cut decider
-    threads one cache through its whole connected-subset enumeration, so
-    each node's view is built (a star graph or a BFS ball) and its
+    [𝒵] to it, later calls return the cached pair.  Every cut decider
+    ({!Cut.boundary_search}, behind the RMT-cut, RMT 𝒵-pp cut and
+    Broadcast deciders) threads one cache through its whole
+    connected-subset enumeration, so each node's view nodes are derived
+    ([N[v]] for an ad hoc view, a BFS ball for a radius view) and its
     structure restricted once per search instead of once per enumerated
     component; the pairs feed [V(γ(B))] and the [parts] of {!mem_joint}.
     The per-call table is only a node-indexed front: the restriction

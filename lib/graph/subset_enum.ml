@@ -12,37 +12,6 @@ exception Out_of_budget
    for each boundary candidate c (in a fixed order) recurse on B ∪ {c},
    excluding c from all later branches at this level.  This is the standard
    polynomial-delay connected-subgraph enumeration. *)
-let connected_supersets ?(budget = 2_000_000) g ~seed ~forbidden f =
-  if (not (Graph.mem_node seed g)) || Nodeset.mem seed forbidden then
-    { complete = true; visited = 0 }
-  else begin
-    let visited = ref 0 in
-    let rec go b excluded =
-      incr visited;
-      if !visited > budget then raise Out_of_budget;
-      if f b then raise Stop;
-      let candidates =
-        Nodeset.diff (Nodeset.diff (Graph.neighborhood_of_set b g) excluded)
-          forbidden
-      in
-      let excluded = ref excluded in
-      Nodeset.iter
-        (fun c ->
-          excluded := Nodeset.add c !excluded;
-          go (Nodeset.add c b) !excluded)
-        candidates
-    in
-    let complete =
-      try
-        go (Nodeset.singleton seed) Nodeset.empty;
-        true
-      with
-      | Stop -> true
-      | Out_of_budget -> false
-    in
-    { complete; visited = !visited }
-  end
-
 let connected_supersets_acc ?(budget = 2_000_000) g ~seed ~forbidden ~init
     ~extend f =
   if (not (Graph.mem_node seed g)) || Nodeset.mem seed forbidden then
@@ -75,14 +44,7 @@ let connected_supersets_acc ?(budget = 2_000_000) g ~seed ~forbidden ~init
     { complete; visited = !visited }
   end
 
-let find_connected_superset ?budget g ~seed ~forbidden pred =
-  let found = ref None in
-  let outcome =
-    connected_supersets ?budget g ~seed ~forbidden (fun b ->
-        if pred b then begin
-          found := Some b;
-          true
-        end
-        else false)
-  in
-  (!found, outcome.complete)
+let connected_supersets ?budget g ~seed ~forbidden f =
+  connected_supersets_acc ?budget g ~seed ~forbidden ~init:()
+    ~extend:(fun () _ -> ())
+    (fun b () -> f b)

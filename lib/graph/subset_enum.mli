@@ -44,15 +44,5 @@ val connected_supersets_acc :
     to maintain per-[B] data (joint views, the members' local structures)
     incrementally instead of recomputing them from scratch for every
     enumerated subset.  [init] is the accumulator for [{seed}] — i.e. it
-    must already account for the seed node. *)
-
-val find_connected_superset :
-  ?budget:int ->
-  Graph.t ->
-  seed:int ->
-  forbidden:Nodeset.t ->
-  (Nodeset.t -> bool) ->
-  Nodeset.t option * bool
-(** First [B] satisfying the predicate, if any; the boolean is the
-    completeness flag (a [None] with [false] means "unknown: budget ran
-    out"). *)
+    must already account for the seed node.  This is the module's one
+    recursion: {!connected_supersets} is it with a unit accumulator. *)

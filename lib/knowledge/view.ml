@@ -59,7 +59,11 @@ let graph t = t.g
 
 let view t v = if Graph.mem_node v t.g then t.assign v else Graph.empty
 
-let view_nodes t v = Graph.nodes (view t v)
+(* an ad hoc view's node set is N[v]: no star graph needs building *)
+let view_nodes t v =
+  match t.kind with
+  | Ad_hoc when Graph.mem_node v t.g -> Graph.closed_neighborhood v t.g
+  | _ -> Graph.nodes (view t v)
 
 let joint t s =
   Graph.union_all (Nodeset.fold (fun v acc -> view t v :: acc) s [])

@@ -50,7 +50,8 @@ val view : t -> int -> Graph.t
 (** [γ(v)].  For ids outside the graph, the empty graph. *)
 
 val view_nodes : t -> int -> Nodeset.t
-(** [V(γ(v))]. *)
+(** [V(γ(v))].  For an ad hoc view this is [N[v]], read straight off the
+    graph. *)
 
 val joint : t -> Nodeset.t -> Graph.t
 (** [γ(S)]: union of the views of the members of [S]. *)

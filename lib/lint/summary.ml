@@ -97,6 +97,7 @@ let heavy_names =
     "Cut.find_rmt_cut";
     "Cut.find_rmt_zpp_cut";
     "Subset_enum.connected_supersets";
+    "Subset_enum.connected_supersets_acc";
     "Parsweep.map";
     "Parsweep.map_list";
   ]

@@ -76,6 +76,27 @@ let test_asymmetric_structure () =
   check "full knowledge solvable" true
     (Cut.absent_certainly (Cut.find_rmt_cut full))
 
+(* D = 0 reaches R = 6 along three disjoint paths 0-1-4-6, 0-2-5-6, 0-3-6.
+   With t = 1 and full knowledge no split of a 3-node cut puts both halves
+   in 𝒵, so there is no RMT-cut; but C = {1, 2, 3} with C₁ = {3} is a Z-pp
+   cut, since 4 and 5 each see one node of C₂ = {1, 2}.  The Z-pp decider
+   must find it whatever the instance's view. *)
+let test_zpp_ignores_view () =
+  let g =
+    Graph.of_edges
+      [ (0, 1); (0, 2); (0, 3); (1, 4); (2, 5); (3, 6); (4, 6); (5, 6) ]
+  in
+  let inst =
+    Instance.make ~graph:g
+      ~structure:(Builders.global_threshold g ~dealer:0 1)
+      ~view:(View.full g) ~dealer:0 ~receiver:6
+  in
+  check "no RMT-cut under full knowledge" true
+    (Cut.absent_certainly (Cut.find_rmt_cut inst));
+  match (Cut.find_rmt_zpp_cut inst).cut_found with
+  | Some w -> check "Z-pp witness checks out" true (Cut.is_rmt_zpp_cut inst w.c1 w.c2)
+  | None -> Alcotest.fail "expected a Z-pp cut"
+
 let test_is_rmt_cut_direct () =
   let g = Generators.path_graph 4 in
   let inst = ad_hoc_instance g ~t:1 ~dealer:0 ~receiver:3 in
@@ -118,6 +139,14 @@ let qcheck_brute =
         && Cut.exists_certainly v = brute_exists inst Cut.is_rmt_cut);
     QCheck.Test.make ~count:70 ~name:"Z-pp decider = brute force"
       arb_ad_hoc_instance (fun inst ->
+        let v = Cut.find_rmt_zpp_cut inst in
+        v.complete
+        && Cut.exists_certainly v = brute_exists inst Cut.is_rmt_zpp_cut);
+    (* the Z-pp decider searches under the ad hoc view whatever the
+       instance's own view is; the literal Definition 7 check never reads
+       it either *)
+    QCheck.Test.make ~count:70 ~name:"Z-pp decider = brute force, any view"
+      arb_instance (fun inst ->
         let v = Cut.find_rmt_zpp_cut inst in
         v.complete
         && Cut.exists_certainly v = brute_exists inst Cut.is_rmt_zpp_cut);
@@ -204,6 +233,8 @@ let () =
           Alcotest.test_case "is_rmt_cut direct" `Quick test_is_rmt_cut_direct;
           Alcotest.test_case "budget reported" `Quick test_budget_reported;
           Alcotest.test_case "visited counts" `Quick test_visited_counts;
+          Alcotest.test_case "Z-pp ignores the view" `Quick
+            test_zpp_ignores_view;
         ] );
       ("brute-force", List.map QCheck_alcotest.to_alcotest qcheck_brute);
       ("theory", List.map QCheck_alcotest.to_alcotest qcheck_theory);

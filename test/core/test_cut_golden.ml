@@ -10,7 +10,13 @@
    behaviour change is intended, from the repository root with
      dune build test/core/test_cut_golden.exe
      (cd _build/default/test/core && ./test_cut_golden.exe --print) \
-       > test/core/fixtures/cut_verdicts.golden *)
+       > test/core/fixtures/cut_verdicts.golden
+
+   A second golden pins Reliable Broadcast's Definition 10 decider on the
+   same 400 suite instances: [Broadcast.find_zpp_cut]'s witness
+   (b_side, c1, c2), completeness flag and visited count, and
+   [Broadcast.blocked_nodes].  Regenerate with [--print-broadcast] into
+   test/core/fixtures/broadcast_verdicts.golden. *)
 
 open Rmt_base
 open Rmt_knowledge
@@ -18,22 +24,29 @@ open Rmt_core
 
 let instances_dir = "../../instances"
 let golden_path = "fixtures/cut_verdicts.golden"
+let broadcast_golden_path = "fixtures/broadcast_verdicts.golden"
 let suite_count = 200
+
+let witness_string (v : Cut.verdict) =
+  match v.cut_found with
+  | None -> "none"
+  | Some w ->
+    Printf.sprintf "B=%s C1=%s C2=%s" (Nodeset.to_string w.b_side)
+      (Nodeset.to_string w.c1) (Nodeset.to_string w.c2)
 
 let verdict_line name (inst : Instance.t) =
   let rmt = Cut.find_rmt_cut inst and zpp = Cut.find_rmt_zpp_cut inst in
-  let witness =
-    match rmt.cut_found with
-    | None -> "none"
-    | Some w ->
-      Printf.sprintf "B=%s C1=%s C2=%s" (Nodeset.to_string w.b_side)
-        (Nodeset.to_string w.c1) (Nodeset.to_string w.c2)
-  in
   Printf.sprintf "%s rmt %b %s %b %d zpp %b %d" name
     (Option.is_some rmt.cut_found)
-    witness rmt.complete rmt.visited
+    (witness_string rmt) rmt.complete rmt.visited
     (Option.is_some zpp.cut_found)
     zpp.visited
+
+let broadcast_line name (inst : Instance.t) =
+  let v = Broadcast.find_zpp_cut inst in
+  Printf.sprintf "%s bc %s %b %d blocked=%s" name (witness_string v)
+    v.complete v.visited
+    (Nodeset.to_string (Broadcast.blocked_nodes inst))
 
 let checked_in () =
   Sys.readdir instances_dir |> Array.to_list
@@ -44,27 +57,43 @@ let checked_in () =
          | Ok inst -> (Filename.chop_suffix f ".rmt", inst)
          | Error e -> failwith (Printf.sprintf "cannot load %s: %s" f e))
 
-let golden_table () =
-  let buf = Buffer.create 65536 in
-  let add name inst = Buffer.add_string buf (verdict_line name inst ^ "\n") in
-  List.iter
+let suite () =
+  List.concat_map
     (fun n ->
-      List.iteri
+      List.mapi
         (fun i (l : Rmt_workloads.Workload.labelled) ->
-          add (Printf.sprintf "n%d/%d/%s" n i l.label) l.instance)
+          (Printf.sprintf "n%d/%d/%s" n i l.label, l.instance))
         (Rmt_workloads.Workload.tightness_suite (Prng.create (1700 + n))
            ~count:suite_count ~n))
-    [ 10; 14 ];
-  List.iter (fun (name, inst) -> add name inst) (checked_in ());
+    [ 10; 14 ]
+
+let table line instances =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (name, inst) -> Buffer.add_string buf (line name inst ^ "\n"))
+    instances;
   Buffer.contents buf
 
-let test_golden () =
-  let expected = In_channel.with_open_bin golden_path In_channel.input_all in
-  Alcotest.(check string) "cut verdict golden" expected (golden_table ())
+let golden_table () = table verdict_line (suite () @ checked_in ())
+let broadcast_table () = table broadcast_line (suite ())
+
+let check_golden msg path actual =
+  let expected = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string) msg expected (actual ())
 
 let () =
-  if Array.length Sys.argv > 1 && String.equal Sys.argv.(1) "--print" then
-    print_string (golden_table ())
-  else
+  match Sys.argv with
+  | [| _; "--print" |] -> print_string (golden_table ())
+  | [| _; "--print-broadcast" |] -> print_string (broadcast_table ())
+  | _ ->
     Alcotest.run "cut-golden"
-      [ ("golden", [ Alcotest.test_case "deciders" `Quick test_golden ]) ]
+      [
+        ( "golden",
+          [
+            Alcotest.test_case "deciders" `Quick (fun () ->
+                check_golden "cut verdict golden" golden_path golden_table);
+            Alcotest.test_case "broadcast" `Quick (fun () ->
+                check_golden "broadcast verdict golden" broadcast_golden_path
+                  broadcast_table);
+          ] );
+      ]

@@ -271,6 +271,45 @@ let qcheck_broadcast_pointwise =
       let blocked = Broadcast.blocked_nodes inst in
       cut = not (Nodeset.is_empty blocked))
 
+(* Definition 10 by brute force, independent of the boundary search: some
+   cut C ∌ D, some maximal M and some component B ∌ D of G − C with
+   ∀u ∈ B, N(u) ∩ (C ∖ M) ∈ 𝒵_u *)
+let brute_broadcast_cut (inst : Instance.t) =
+  let g = inst.graph and z = inst.structure in
+  let local_ok c2 u =
+    let nu = Graph.neighbors u g in
+    Structure.mem (Nodeset.inter nu c2) (Structure.restrict (Nodeset.add u nu) z)
+  in
+  let found = ref false in
+  Nodeset.subsets_iter (Nodeset.remove inst.dealer (Graph.nodes g)) (fun c ->
+      let d_side = Connectivity.component_of ~avoiding:c g inst.dealer in
+      let rest = Nodeset.diff (Graph.nodes g) (Nodeset.union c d_side) in
+      Nodeset.iter
+        (fun v ->
+          let b = Connectivity.component_of ~avoiding:c g v in
+          List.iter
+            (fun m ->
+              if Nodeset.for_all (local_ok (Nodeset.diff c m)) b then
+                found := true)
+            (Structure.maximal_sets z))
+        rest);
+  !found
+
+let qcheck_broadcast_brute =
+  QCheck.Test.make ~count:100 ~name:"broadcast cut decider = brute force"
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000) ~print:string_of_int)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let n = 5 + Prng.int rng 4 in
+      let g = Generators.random_connected_gnp rng n 0.45 in
+      let structure =
+        if Prng.bool rng then Builders.global_threshold g ~dealer:0 1
+        else Builders.random_antichain rng g ~dealer:0 ~sets:4 ~max_size:2
+      in
+      let inst = Instance.ad_hoc_of ~graph:g ~structure ~dealer:0 ~receiver:(n - 1) in
+      let v = Broadcast.find_zpp_cut inst in
+      v.complete && Cut.exists_certainly v = brute_broadcast_cut inst)
+
 let test_broadcast_run () =
   let g = Generators.layered ~width:3 ~depth:2 in
   let inst =
@@ -418,6 +457,7 @@ let () =
           Alcotest.test_case "known instances" `Quick
             test_broadcast_known_instances;
           QCheck_alcotest.to_alcotest qcheck_broadcast_pointwise;
+          QCheck_alcotest.to_alcotest qcheck_broadcast_brute;
           Alcotest.test_case "run" `Quick test_broadcast_run;
           QCheck_alcotest.to_alcotest qcheck_broadcast_tightness;
           QCheck_alcotest.to_alcotest qcheck_broadcast_necessity;

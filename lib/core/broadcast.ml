@@ -29,17 +29,19 @@ let find_zpp_cut ?budget (inst : Instance.t) =
 
 let solvable ?budget inst = Solvability.of_verdict (find_zpp_cut ?budget inst)
 
+(* Node v is blocked iff an RMT 𝒵-pp cut shields it as the receiver: Cut's
+   boundary search from v avoiding N[D] under the ad hoc view, the search
+   find_rmt_zpp_cut runs.  One restriction cache serves every v. *)
 let blocked_nodes ?budget (inst : Instance.t) =
+  let g = inst.graph in
+  let forbidden = Graph.closed_neighborhood inst.dealer g in
+  let local = Joint.restriction_cache (View.ad_hoc g) inst.structure in
   Nodeset.filter
     (fun v ->
-      v <> inst.dealer
-      &&
-      let inst_v =
-        Instance.make ~graph:inst.graph ~structure:inst.structure
-          ~view:inst.view ~dealer:inst.dealer ~receiver:v
-      in
-      Cut.exists_certainly (Cut.find_rmt_zpp_cut ?budget inst_v))
-    (Graph.nodes inst.graph)
+      Cut.exists_certainly
+        (Cut.boundary_search ?budget g inst.structure ~local ~seed:v
+           ~forbidden))
+    (Graph.nodes g)
 
 type run_result = {
   deciders : int;

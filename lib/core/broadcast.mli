@@ -33,8 +33,12 @@ val solvable : ?budget:int -> Instance.t -> Solvability.feasibility
 val blocked_nodes : ?budget:int -> Instance.t -> Nodeset.t
 (** The union of all receiver-side components over the 𝒵-pp cuts found —
     players that some admissible adversary can starve.  Empty iff
-    {!solvable}.  (Computed by treating every node in turn as the RMT
-    receiver; a node is blocked iff an RMT 𝒵-pp cut shields it.) *)
+    {!solvable}.  A node [v] is blocked iff an RMT 𝒵-pp cut shields it as
+    the receiver: {!Cut.boundary_search} from [v] avoiding [N[D]] under
+    [View.ad_hoc inst.graph] (the search {!Cut.find_rmt_zpp_cut} runs for
+    receiver [v]) finds a witness.  One search per node, all sharing one
+    restriction cache; each gets its own [budget], and a search that runs
+    out of it leaves its node unblocked. *)
 
 type run_result = {
   deciders : int;  (** honest players that decided *)

@@ -29,35 +29,35 @@ let first_split maximal b c ok =
       else None)
     maximal
 
-(* The one boundary search behind every cut notion: enumerate connected
-   B ∋ seed avoiding [forbidden]; candidate cut C = N(B); for each maximal
-   M ∈ 𝒵 try the split C₁ = C ∩ M, C₂ = C ∖ M and accept when
-   C₂ ∩ V(γ(B)) ∈ 𝒵_B.  V(γ(B)) and the members' local structures
-   𝒵^{V(γ(v))} are threaded along the enumeration, and 𝒵_B is never built:
+(* B's joint knowledge, member by member: V(γ(B)) and the members' local
+   structures 𝒵^{V(γ(v))}, each read from a Joint.restriction_cache.
+   [joint_ok] is Definition 3's C₂ ∩ V(γ(B)) ∈ 𝒵_B without building 𝒵_B:
    membership is one test per member of B (Joint.mem_joint, exact by the
-   candidate formula and ⊕'s associativity).  [local] is a
-   Joint.restriction_cache, so each node's view and restriction are
-   computed once per cache, not once per branch of the enumeration tree. *)
+   candidate formula and ⊕'s associativity). *)
+let add_member local (vgb, parts) v =
+  let vv, zv = local v in
+  (Nodeset.union vgb vv, zv :: parts)
+
+let joint_ok (vgb, parts) c2 = Joint.mem_joint (Nodeset.inter c2 vgb) parts
+
+(* The one boundary search behind every cut notion: enumerate connected
+   B ∋ seed avoiding [forbidden]; candidate cut C = N(B), handed down by
+   the enumeration; for each maximal M ∈ 𝒵 try the split C₁ = C ∩ M,
+   C₂ = C ∖ M and accept when [joint_ok].  B's joint knowledge is threaded
+   along the enumeration.  [local] is a Joint.restriction_cache, so each
+   node's view and restriction are computed once per cache, not once per
+   branch of the enumeration tree. *)
 let boundary_search ?budget g z ~local ~seed ~forbidden =
   if Nodeset.mem seed forbidden then
     { cut_found = None; complete = true; visited = 0 }
   else begin
     let found = ref None in
     let maximal = Structure.maximal_sets z in
-    let init =
-      let vs, zs = local seed in
-      (vs, [ zs ])
-    in
-    let extend (vgb, parts) c =
-      let vc, zc = local c in
-      (Nodeset.union vgb vc, zc :: parts)
-    in
     let outcome =
-      Subset_enum.connected_supersets_acc ?budget g ~seed ~forbidden ~init
-        ~extend (fun b (vgb, parts) ->
-          found :=
-            first_split maximal b (Graph.neighborhood_of_set b g) (fun c2 ->
-                Joint.mem_joint (Nodeset.inter c2 vgb) parts);
+      Subset_enum.connected_supersets_acc ?budget g ~seed ~forbidden
+        ~init:(add_member local (Nodeset.empty, []) seed)
+        ~extend:(add_member local) (fun b nb known ->
+          found := first_split maximal b nb (joint_ok known);
           Option.is_some !found)
     in
     { cut_found = !found; complete = outcome.complete;
@@ -89,8 +89,9 @@ let zb_condition inst b c2 =
   let vgb = View.joint_nodes inst.view b in
   Structure.mem (Nodeset.inter c2 vgb) zb
 
-(* The independent oracle: the same candidate cuts, but 𝒵_B joined by ⊕
-   and V(γ(B)) recomputed from scratch for every enumerated component. *)
+(* The independent oracle: the same candidate cuts, but N(B) and V(γ(B))
+   recomputed from scratch and 𝒵_B joined by ⊕ for every enumerated
+   component. *)
 let find_rmt_cut_naive ?budget (inst : Instance.t) =
   let g = inst.graph in
   let forbidden = Graph.closed_neighborhood inst.dealer g in
@@ -101,7 +102,7 @@ let find_rmt_cut_naive ?budget (inst : Instance.t) =
     let maximal = Structure.maximal_sets inst.structure in
     let outcome =
       Subset_enum.connected_supersets ?budget g ~seed:inst.receiver
-        ~forbidden (fun b ->
+        ~forbidden (fun b _ ->
           found :=
             first_split maximal b (Graph.neighborhood_of_set b g)
               (zb_condition inst b);
@@ -134,29 +135,39 @@ let is_rmt_zpp_cut (inst : Instance.t) c1 c2 =
 (* Incremental re-decision after an instance delta.  Two regimes:
 
    - the previous witness still satisfies Definition 3 on the new
-     instance (checked directly by [is_rmt_cut], which re-derives 𝒵_B for
-     the new receiver-side component): answer in one membership-style
-     check, no enumeration.  The witness is re-rooted — its B side and
-     component may have changed — and its [cut] is [c1 ∪ c2], which can
-     be a superset of N(B) when the delta moved nodes of the old cut away
-     from the component boundary; [is_rmt_cut] accepts any separating
-     C₁ ∪ C₂, so the verdict is still exact.
+     instance: answer in one check, no enumeration.  [recheck] is the
+     search's own test (separation, C₁ ∈ 𝒵, [joint_ok] over the
+     receiver's new component B), so 𝒵_B is never joined; [is_rmt_cut] is
+     the oracle it is tested against.  The witness is re-rooted on B, and
+     its [cut] is [c1 ∪ c2], which can be a superset of N(B) when the
+     delta moved nodes of the old cut away from the component boundary;
+     Definition 3 accepts any separating C₁ ∪ C₂, so the verdict is still
+     exact.
    - otherwise a full re-search.  No structural monotonicity is assumed
      (an added edge can both create and destroy RMT-cuts depending on the
      view function), but the re-search still amortizes through the global
      restriction memo (Hc), so repeated searches over a churning instance
      pay far less than cold ones. *)
+let recheck (inst : Instance.t) w =
+  let g = inst.graph in
+  let c = Nodeset.union w.c1 w.c2 in
+  if
+    Connectivity.is_cut g inst.dealer inst.receiver c
+    && Structure.mem w.c1 inst.structure
+  then
+    let b = Connectivity.component_of ~avoiding:c g inst.receiver in
+    let local = Joint.restriction_cache inst.view inst.structure in
+    let known =
+      Nodeset.fold (fun v k -> add_member local k v) b (Nodeset.empty, [])
+    in
+    if joint_ok known w.c2 then Some { w with b_side = b; cut = c } else None
+  else None
+
 let update ?budget ~prev (inst : Instance.t) =
-  match prev.cut_found with
-  | Some w when is_rmt_cut inst w.c1 w.c2 ->
-    let c = Nodeset.union w.c1 w.c2 in
-    let b = Connectivity.component_of ~avoiding:c inst.graph inst.receiver in
-    ( { cut_found = Some { b_side = b; cut = c; c1 = w.c1; c2 = w.c2 };
-        complete = true;
-        visited = 0;
-      },
-      `Witness_reused )
-  | _ -> (find_rmt_cut ?budget inst, `Researched)
+  match Option.bind prev.cut_found (recheck inst) with
+  | Some w ->
+    ({ cut_found = Some w; complete = true; visited = 0 }, `Witness_reused)
+  | None -> (find_rmt_cut ?budget inst, `Researched)
 
 let pp_witness ppf w =
   Format.fprintf ppf "@[<hov 2>cut %a = C1 %a ∪ C2 %a shielding B %a@]"

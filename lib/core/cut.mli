@@ -59,7 +59,9 @@ val boundary_search :
   verdict
 (** [boundary_search g 𝒵 ~local ~seed ~forbidden] enumerates connected
     [B ∋ seed] in [nodes g − forbidden] ({!Subset_enum.connected_supersets_acc}),
-    and for each, with [C = N(B)] and each maximal [M ∈ 𝒵] in turn, accepts
+    and for each, with [C = N(B)] as the enumeration hands it down (kept
+    incrementally, never refolded over [B]) and each maximal [M ∈ 𝒵] in
+    turn, accepts
     the split [C₁ = C ∩ M], [C₂ = C ∖ M] when [C₂ ∩ V(γ(B)) ∈ 𝒵_B].  [𝒵_B]
     is never built: [V(γ(B))] and the members' restrictions
     [𝒵^{V(γ(v))}] are threaded along the enumeration and the test is
@@ -76,8 +78,8 @@ val find_rmt_cut : ?budget:int -> Instance.t -> verdict
 
 val find_rmt_cut_naive : ?budget:int -> Instance.t -> verdict
 (** Same verdict as {!find_rmt_cut}, computed independently: joins
-    [𝒵_B] by [⊕] and recomputes [V(γ(B))] from scratch for every
-    enumerated component.  The oracle the fast decider is checked against
+    [𝒵_B] by [⊕] and recomputes [N(B)] and [V(γ(B))] from scratch for
+    every enumerated component.  The oracle the fast decider is checked against
     and the ablation baseline for experiment A1; prefer {!find_rmt_cut}. *)
 
 val find_rmt_zpp_cut : ?budget:int -> Instance.t -> verdict
@@ -94,19 +96,30 @@ val update :
   verdict * [ `Witness_reused | `Researched ]
 (** [update ~prev inst] re-decides RMT-cut existence after [inst] changed,
     reusing [prev] (the verdict for the pre-delta instance) when possible.
-    If [prev]'s witness still satisfies Definition 3 on the new instance —
-    checked exactly via {!is_rmt_cut} — the verdict is rebuilt around it
-    in one check ([`Witness_reused], [visited = 0]; the reused witness's
-    [cut] field is [c1 ∪ c2], which may strictly contain [N(b_side)]).
-    Otherwise a full {!find_rmt_cut} runs ([`Researched]), itself
-    amortized across calls by the global restriction memo.  Either way
-    the verdict's meaning is identical to a from-scratch search:
-    solvability conclusions agree (test/core/test_incremental.ml). *)
+    If [prev]'s witness still satisfies Definition 3 on the new instance,
+    the verdict is rebuilt around it in one check ([`Witness_reused],
+    [visited = 0]).  The check is {!boundary_search}'s own test, with no
+    ⊕ join: [c1 ∪ c2] separates [D] from [R]
+    ({!Connectivity.is_cut}), [c1 ∈ 𝒵], and
+    [Joint.mem_joint (c2 ∩ V(γ(B))) parts] where [B] is the receiver's
+    component of [G − (c1 ∪ c2)], computed once, and [V(γ(B))] and
+    [parts] (the members' [𝒵^{V(γ(v))}]) come from one
+    {!Joint.restriction_cache}.  It decides exactly what {!is_rmt_cut}
+    decides (test/core/test_incremental.ml pins the two on arbitrary
+    splits).  The reused witness's [b_side] is that [B] and its [cut] is
+    [c1 ∪ c2], which may strictly contain [N(b_side)].  Otherwise a full
+    {!find_rmt_cut} runs ([`Researched]), itself amortized across calls
+    by the global restriction memo.  Either way the verdict's meaning is
+    identical to a from-scratch search: solvability conclusions agree. *)
 
 val is_rmt_cut : Instance.t -> Nodeset.t -> Nodeset.t -> bool
 (** [is_rmt_cut inst c1 c2]: checks Definition 3 directly for a concrete
     split — [c1 ∪ c2] separates [D] from [R], [c1 ∈ 𝒵], and
-    [c2 ∩ V(γ(B)) ∈ 𝒵_B] for [B] the receiver-side component. *)
+    [c2 ∩ V(γ(B)) ∈ 𝒵_B] for [B] the receiver-side component, with [𝒵_B]
+    built by the ⊕ join ({!Joint.joint_structure}) and [V(γ(B))] as the
+    union of the members' view graphs — the test {!find_rmt_cut_naive}
+    runs per component.  The independent oracle: tests and benchmarks
+    check witnesses with it; the deciders and {!update} do not call it. *)
 
 val is_rmt_zpp_cut : Instance.t -> Nodeset.t -> Nodeset.t -> bool
 (** Same for Definition 7, literally: [∀u ∈ B, N(u) ∩ C₂ ∈ 𝒵^{N[u]}],

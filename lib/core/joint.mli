@@ -52,13 +52,19 @@ val identity : Structure.t
 val restriction_cache : View.t -> Structure.t -> int -> Nodeset.t * Structure.t
 (** [restriction_cache γ 𝒵] is a memoized [v ↦ (V(γ(v)), 𝒵^{V(γ(v))})]:
     the first call per node derives the view's node set and restricts
-    [𝒵] to it, later calls return the cached pair.  Every cut decider
-    ({!Cut.boundary_search}, behind the RMT-cut, RMT 𝒵-pp cut and
-    Broadcast deciders) threads one cache through its whole
-    connected-subset enumeration, so each node's view nodes are derived
-    ([N[v]] for an ad hoc view, a BFS ball for a radius view) and its
-    structure restricted once per search instead of once per enumerated
-    component; the pairs feed [V(γ(B))] and the [parts] of {!mem_joint}.
+    [𝒵] to it, later calls return the cached pair.  Callers:
+    - every cut decider ({!Cut.boundary_search}, behind the RMT-cut,
+      RMT 𝒵-pp cut and Broadcast deciders) threads one cache through its
+      whole connected-subset enumeration, so each node's view nodes are
+      derived ([N[v]] for an ad hoc view, a BFS ball for a radius view)
+      and its structure restricted once per search instead of once per
+      enumerated component; [Broadcast.find_zpp_cut] and
+      [Broadcast.blocked_nodes] share one ad hoc cache across all their
+      searches;
+    - [Cut.update]'s witness re-check reads the receiver component's
+      members from one cache;
+    - {!joint_structure}, the join-based oracle.
+    The pairs feed [V(γ(B))] and the [parts] of {!mem_joint}.
     The per-call table is only a node-indexed front: the restriction
     itself comes from the global content-addressed memo
     ({!Hc.memo_restrict}), so repeated searches over the same instance —

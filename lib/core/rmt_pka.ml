@@ -334,8 +334,7 @@ let has_cover rs gm =
       let covered = ref false in
       let outcome =
         Subset_enum.connected_supersets ~budget:rs.budgets.cover_budget gm
-          ~seed:rs.self ~forbidden (fun b ->
-            let c = Graph.neighborhood_of_set b gm in
+          ~seed:rs.self ~forbidden (fun b c ->
             let rec check vgb zetas = function
               | [] -> Joint.mem_joint (Nodeset.inter c vgb) zetas
               | u :: rest ->

@@ -19,16 +19,22 @@ val connected_supersets :
   Graph.t ->
   seed:int ->
   forbidden:Nodeset.t ->
-  (Nodeset.t -> bool) ->
+  (Nodeset.t -> Nodeset.t -> bool) ->
   outcome
-(** [connected_supersets g ~seed ~forbidden f] applies [f] to every
+(** [connected_supersets g ~seed ~forbidden f] applies [f b nb] to every
     connected subset [B] of [nodes g − forbidden] with [seed ∈ B], each
-    exactly once.  Stops early (with [complete = true]) as soon as [f]
+    exactly once, where [nb] is its boundary [N(B)] in [g] (forbidden
+    nodes included: the boundary is [B]'s, not the enumeration's
+    frontier).  Stops early (with [complete = true]) as soon as [f]
     returns [true].  The default budget is [2_000_000] visited subsets.
 
     The enumeration is the standard binary-choice recursion on the
     frontier: grow [B] one boundary node at a time, branching on
-    include/exclude, which yields every connected superset exactly once. *)
+    include/exclude, which yields every connected superset exactly once.
+    The boundary is kept along the same recursion rather than recomputed:
+    [N({seed})] is the seed's neighbourhood, and a growth step by
+    [c ∈ N(B)] sets [N(B ∪ {c}) = (N(B) ∪ N(c)) ∖ (B ∪ {c})] — one union
+    and one difference, not a fold over [B]. *)
 
 val connected_supersets_acc :
   ?budget:int ->
@@ -37,9 +43,10 @@ val connected_supersets_acc :
   forbidden:Nodeset.t ->
   init:'acc ->
   extend:('acc -> int -> 'acc) ->
-  (Nodeset.t -> 'acc -> bool) ->
+  (Nodeset.t -> Nodeset.t -> 'acc -> bool) ->
   outcome
-(** Like {!connected_supersets}, threading an accumulator along each
+(** Like {!connected_supersets} (the callback gets [B], [N(B)] and the
+    accumulator), threading an accumulator along each
     growth branch: [extend acc c] is called when node [c] joins [B].  Used
     to maintain per-[B] data (joint views, the members' local structures)
     incrementally instead of recomputing them from scratch for every

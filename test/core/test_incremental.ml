@@ -40,6 +40,24 @@ let grow rng s k =
           acc)
     s (List.init k Fun.id)
 
+(* An arbitrary (C₁, C₂), not only a witness some search produced: C
+   mostly avoids D and R (so it can separate them), and C₁ is C cut down
+   to a maximal admissible set or a random part of C. *)
+let arbitrary_split rng (inst : Instance.t) =
+  let nodes = Rmt_graph.Graph.nodes inst.graph in
+  let pool =
+    if Prng.int rng 8 = 0 then nodes
+    else Nodeset.remove inst.dealer (Nodeset.remove inst.receiver nodes)
+  in
+  let c = Prng.subset rng pool (0.2 +. Prng.float rng 0.6) in
+  let c1 =
+    match Structure.maximal_sets inst.structure with
+    | _ :: _ as maximal when Prng.bool rng ->
+      Nodeset.inter c (Prng.pick_list rng maximal)
+    | _ -> Prng.subset rng c 0.5
+  in
+  (c1, Nodeset.diff c c1)
+
 let qcheck_props =
   [
     QCheck.Test.make ~count:150
@@ -88,6 +106,30 @@ let qcheck_props =
               && go inst' upd rest)
         in
         go inst0 (Cut.find_rmt_cut inst0) stream);
+    QCheck.Test.make ~count:300
+      ~name:"Cut.update reuses an arbitrary split iff is_rmt_cut holds"
+      (QCheck.pair Rmt_test_gen.Gen.arb_instance
+         (QCheck.make QCheck.Gen.(int_bound 1_000_000)))
+      (fun (inst, seed) ->
+        let c1, c2 = arbitrary_split (Prng.create seed) inst in
+        let c = Nodeset.union c1 c2 in
+        let prev =
+          { Cut.cut_found =
+              Some { Cut.b_side = Nodeset.empty; cut = Nodeset.empty; c1; c2 };
+            complete = false;
+            visited = 0 }
+        in
+        let oracle = Cut.is_rmt_cut inst c1 c2 in
+        match Cut.update ~prev inst with
+        | { Cut.cut_found = Some w; complete; visited }, `Witness_reused ->
+          oracle && complete && visited = 0
+          && Nodeset.equal w.Cut.c1 c1 && Nodeset.equal w.Cut.c2 c2
+          && Nodeset.equal w.Cut.cut c
+          && Nodeset.equal w.Cut.b_side
+               (Rmt_graph.Connectivity.component_of ~avoiding:c inst.graph
+                  inst.receiver)
+        | { Cut.cut_found = None; _ }, `Witness_reused -> false
+        | _, `Researched -> not oracle);
     QCheck.Test.make ~count:60
       ~name:"Service feasibility = one-shot Solvability at every generation"
       Rmt_test_gen.Gen.arb_instance_with_stream

@@ -269,7 +269,7 @@ let test_shortest_path () =
 let count_connected g seed forbidden =
   let count = ref 0 in
   let outcome =
-    Subset_enum.connected_supersets g ~seed ~forbidden (fun _ ->
+    Subset_enum.connected_supersets g ~seed ~forbidden (fun _ _ ->
         incr count;
         false)
   in
@@ -297,7 +297,7 @@ let test_subset_enum_unique () =
   let dup = ref false in
   ignore
     (Subset_enum.connected_supersets g ~seed:0 ~forbidden:Nodeset.empty
-       (fun b ->
+       (fun b _ ->
          let key = Nodeset.to_string b in
          if Hashtbl.mem seen key then dup := true;
          Hashtbl.replace seen key ();
@@ -320,7 +320,7 @@ let test_subset_enum_budget () =
   let g = Generators.complete 12 in
   let outcome =
     Subset_enum.connected_supersets ~budget:100 g ~seed:0
-      ~forbidden:Nodeset.empty (fun _ -> false)
+      ~forbidden:Nodeset.empty (fun _ _ -> false)
   in
   check "budget exhaustion flagged" false outcome.complete
 
@@ -328,7 +328,7 @@ let test_subset_enum_early_stop () =
   let g = Generators.complete 12 in
   let outcome =
     Subset_enum.connected_supersets g ~seed:0 ~forbidden:Nodeset.empty
-      (fun b -> Nodeset.size b = 3)
+      (fun b _ -> Nodeset.size b = 3)
   in
   check "stop is complete" true outcome.complete;
   check "visited small" true (outcome.visited < 100)
@@ -341,7 +341,7 @@ let test_subset_enum_acc () =
     (Subset_enum.connected_supersets_acc g ~seed:0 ~forbidden:Nodeset.empty
        ~init:(Nodeset.singleton 0)
        ~extend:(fun acc c -> Nodeset.add c acc)
-       (fun b acc ->
+       (fun b _ acc ->
          if not (Nodeset.equal b acc) then ok := false;
          false));
   check "acc tracks set" true !ok
@@ -351,12 +351,39 @@ let test_subset_enum_acc_same_count () =
   let plain = ref 0 and accd = ref 0 in
   ignore
     (Subset_enum.connected_supersets g ~seed:2 ~forbidden:(ns [ 5 ])
-       (fun _ -> incr plain; false));
+       (fun _ _ -> incr plain; false));
   ignore
     (Subset_enum.connected_supersets_acc g ~seed:2 ~forbidden:(ns [ 5 ])
        ~init:() ~extend:(fun () _ -> ())
-       (fun _ () -> incr accd; false));
+       (fun _ _ () -> incr accd; false));
   check_int "same enumeration" !plain !accd
+
+(* The boundary handed to the callback is N(B), kept incrementally by the
+   enumeration; check it against the from-scratch fold on graphs with
+   isolated nodes, random seeds (possibly forbidden) and forbidden sets. *)
+let qcheck_subset_enum_boundary =
+  let gen st =
+    let rng = Prng.create (QCheck.Gen.int_bound 1_000_000 st) in
+    let n = 1 + Prng.int rng 11 in
+    let g = Generators.random_gnp rng n (0.15 +. Prng.float rng 0.5) in
+    let forbidden = Prng.subset rng (Graph.nodes g) 0.25 in
+    (g, Prng.int rng n, forbidden)
+  in
+  QCheck.Test.make ~count:200
+    ~name:"callback boundary = neighborhood_of_set for every enumerated B"
+    (QCheck.make
+       ~print:(fun (g, seed, forbidden) ->
+         Printf.sprintf "seed=%d forbidden=%s\n%s" seed
+           (Nodeset.to_string forbidden) (Graph.to_string g))
+       gen)
+    (fun (g, seed, forbidden) ->
+      let ok = ref true in
+      ignore
+        (Subset_enum.connected_supersets g ~seed ~forbidden (fun b nb ->
+             if not (Nodeset.equal nb (Graph.neighborhood_of_set b g)) then
+               ok := false;
+             false));
+      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Generators                                                          *)
@@ -485,6 +512,7 @@ let () =
           Alcotest.test_case "early stop" `Quick test_subset_enum_early_stop;
           Alcotest.test_case "accumulator" `Quick test_subset_enum_acc;
           Alcotest.test_case "acc same count" `Quick test_subset_enum_acc_same_count;
+          QCheck_alcotest.to_alcotest qcheck_subset_enum_boundary;
         ] );
       ( "generators",
         [

@@ -322,18 +322,24 @@ let attack file seed topology adversary knowledge dealer receiver =
   with
   | Error e -> parse_error "%s" e
   | Ok inst ->
-    (match (Cut.find_rmt_cut inst).cut_found with
-     | None ->
+    let verdict = Cut.find_rmt_cut inst in
+    (match (verdict.cut_found, Solvability.of_verdict verdict) with
+     | None, Solvability.Unknown ->
+       Printf.printf
+         "RMT-cut search: unknown (budget exhausted); no attack mounted.\n";
+       `Ok ()
+     | None, _ ->
        Printf.printf
          "No RMT-cut: this instance is solvable, no attack can succeed.\n";
        `Ok ()
-     | Some w ->
+     | Some w, _ ->
        Printf.printf "Witness: %s\n" (Format.asprintf "%a" Cut.pp_witness w);
        let show name (v : Attack.verdict) =
          Printf.printf
-           "%-10s run e: %-6s run e': %-6s views agree: %-5b safety broken: %b\n"
+           "%-10s run e: %-6s run e': %-6s views agree: %-5b safety broken: \
+            %-5b truncated: %b\n"
            name (dec_str v.decision_e) (dec_str v.decision_e') v.views_agree
-           v.safety_broken
+           v.safety_broken v.truncated
        in
        show "RMT-PKA" (Attack.against_rmt_pka inst w ~x0:0 ~x1:1);
        show "Z-CPA" (Attack.against_zcpa inst w ~x0:0 ~x1:1);

@@ -10,149 +10,99 @@ type verdict = {
   views_agree : bool;
   safety_broken : bool;
   observed : (int * (int option * int option)) list;
+  truncated : bool;
 }
 
-(* One side of the paired execution. *)
-type ('s, 'm) side = {
-  corrupted : Nodeset.t;
-  states : (int, 's) Hashtbl.t;
-  mutable in_flight : (int * int * 'm) list;
-}
+(* A message of the paired execution: sent in run e, in run e', or in
+   both — the last by a node corrupted in one run, which sends there
+   exactly what its honest twin sends in the other. *)
+type 'm tagged = E of 'm | E' of 'm | Both of 'm
 
-let co_simulate ?max_rounds ?(observers = []) ~graph ~c1 ~c2 auto_e auto_e'
-    ~receiver =
+let co_simulate ~graph ~c1 ~c2 (auto_e : _ Engine.automaton)
+    (auto_e' : _ Engine.automaton) ~receiver =
+  let nodes = Graph.nodes graph in
   if not (Nodeset.disjoint c1 c2) then
     invalid_arg "Attack.co_simulate: C1 and C2 must be disjoint";
   if Nodeset.mem receiver c1 || Nodeset.mem receiver c2 then
     invalid_arg "Attack.co_simulate: the receiver must be honest";
-  if not (Nodeset.subset (Nodeset.union c1 c2) (Graph.nodes graph)) then
-    invalid_arg "Attack.co_simulate: corruption sets outside the graph";
-  let nodes = Graph.nodes graph in
-  let max_rounds =
-    match max_rounds with
-    | Some r -> r
-    | None -> (4 * Graph.num_nodes graph) + 8
-  in
-  let side corrupted =
-    { corrupted; states = Hashtbl.create 16; in_flight = [] }
-  in
-  let e = side c1 and e' = side c2 in
-  let enqueue sd src sends =
-    List.iter
-      (fun Engine.{ dst; payload } ->
-        if Graph.mem_edge src dst graph then
-          sd.in_flight <- (src, dst, payload) :: sd.in_flight)
-      sends
-  in
-  (* Initialization: every node is initialized in the run(s) where it is
-     honest; a node corrupted in one run replays, there, its honest twin's
-     sends from the other run. *)
-  let init_sends auto sd v =
-    let st, sends = auto.Engine.init v in
-    Hashtbl.replace sd.states v st;
-    sends
-  in
-  Nodeset.iter
-    (fun v ->
-      let sends_e = if Nodeset.mem v c1 then None else Some (init_sends auto_e e v) in
-      let sends_e' =
-        if Nodeset.mem v c2 then None else Some (init_sends auto_e' e' v)
-      in
-      (match (sends_e, sends_e') with
-       | Some s, Some s' ->
-         enqueue e v s;
-         enqueue e' v s'
-       | Some s, None ->
-         (* honest in e, corrupted in e': mirror e-sends into e' *)
-         enqueue e v s;
-         enqueue e' v s
-       | None, Some s' ->
-         enqueue e v s';
-         enqueue e' v s'
-       | None, None -> assert false (* c1 ∩ c2 = ∅ *)))
-    nodes;
-  (* Rounds *)
-  let inbox_of sd =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (src, dst, p) ->
-        let cur = try Hashtbl.find tbl dst with Not_found -> [] in
-        Hashtbl.replace tbl dst ((src, p) :: cur))
-      sd.in_flight;
-    sd.in_flight <- [];
-    fun v -> try Hashtbl.find tbl v with Not_found -> []
-  in
-  let round = ref 1 in
-  while
-    !round <= max_rounds && (e.in_flight <> [] || e'.in_flight <> [])
-  do
-    let inbox_e = inbox_of e and inbox_e' = inbox_of e' in
-    let step auto sd inbox v =
-      let st = Hashtbl.find sd.states v in
-      let st', sends = auto.Engine.step v st ~round:!round ~inbox:(inbox v) in
-      Hashtbl.replace sd.states v st';
-      sends
+  if not (Nodeset.subset (Nodeset.add receiver (Nodeset.union c1 c2)) nodes)
+  then invalid_arg "Attack.co_simulate: nodes outside the graph";
+  (* [v]'s product (state, sends) from its (state, sends) per honest run *)
+  let emit v side_e side_e' =
+    let tag wrap = function
+      | None -> []
+      | Some (_, sends) ->
+        List.map
+          (fun (s : _ Engine.send) -> { s with payload = wrap s.payload })
+          sends
     in
-    Nodeset.iter
-      (fun v ->
-        let honest_e = not (Nodeset.mem v c1) in
-        let honest_e' = not (Nodeset.mem v c2) in
-        let sends_e = if honest_e then Some (step auto_e e inbox_e v) else None in
-        let sends_e' =
-          if honest_e' then Some (step auto_e' e' inbox_e' v) else None
-        in
-        match (sends_e, sends_e') with
-        | Some s, Some s' ->
-          enqueue e v s;
-          enqueue e' v s'
-        | Some s, None ->
-          enqueue e v s;
-          enqueue e' v s
-        | None, Some s' ->
-          enqueue e v s';
-          enqueue e' v s'
-        | None, None -> assert false)
-      nodes;
-    incr round
-  done;
-  let decision_in sd auto v =
-    match Hashtbl.find_opt sd.states v with
-    | None -> None
-    | Some st -> auto.Engine.decision st
+    ( (Option.map fst side_e, Option.map fst side_e'),
+      tag (fun m -> if Nodeset.mem v c2 then Both m else E m) side_e
+      @ tag (fun m -> if Nodeset.mem v c1 then Both m else E' m) side_e' )
   in
-  let de = decision_in e auto_e receiver in
-  let de' = decision_in e' auto_e' receiver in
+  let init v =
+    emit v
+      (if Nodeset.mem v c1 then None else Some (auto_e.init v))
+      (if Nodeset.mem v c2 then None else Some (auto_e'.init v))
+  in
+  let step v (st_e, st_e') ~round ~inbox =
+    (* each side is stepped as Engine.run steps it: in round 1 and
+       whenever its run delivers it a message *)
+    let side (auto : _ Engine.automaton) st in_run =
+      Option.map
+        (fun st ->
+          match List.filter_map in_run inbox with
+          | [] when round > 1 -> (st, [])
+          | inbox -> auto.step v st ~round ~inbox)
+        st
+    in
+    emit v
+      (side auto_e st_e (function
+         | u, (E m | Both m) -> Some (u, m)
+         | _, E' _ -> None))
+      (side auto_e' st_e' (function
+         | u, (E' m | Both m) -> Some (u, m)
+         | _, E _ -> None))
+  in
+  let outcome =
+    Engine.run ~graph ~adversary:Engine.no_adversary
+      { init; step; decision = (fun _ -> None) }
+  in
+  let decisions (st_e, st_e') =
+    (Option.bind st_e auto_e.decision, Option.bind st_e' auto_e'.decision)
+  in
+  let de, de' = decisions (List.assoc receiver outcome.states) in
   {
     decision_e = de;
     decision_e' = de';
     views_agree = de = de';
     safety_broken = de <> None && de = de';
     observed =
-      List.map
-        (fun v -> (v, (decision_in e auto_e v, decision_in e' auto_e' v)))
-        observers;
+      List.filter_map
+        (function
+          | v, ((Some _, Some _) as st) -> Some (v, decisions st)
+          | _ -> None)
+        outcome.states;
+    truncated = outcome.stats.truncated;
   }
 
 let forged_structure (inst : Instance.t) c2 =
   let z' = Structure.add_set (Nodeset.remove inst.dealer c2) inst.structure in
   Instance.with_structure inst z'
 
-let against_rmt_pka ?budgets ?observers (inst : Instance.t) (w : Cut.witness)
-    ~x0 ~x1 =
-  let inst' = forged_structure inst w.c2 in
-  co_simulate ?observers ~graph:inst.graph ~c1:w.c1 ~c2:w.c2
-    (Rmt_pka.automaton ?budgets inst ~x_dealer:x0)
-    (Rmt_pka.automaton ?budgets inst' ~x_dealer:x1)
+(* The pair run e (real instance, x0) / e' (forged instance, x1) of one
+   protocol, given its automaton per instance. *)
+let against automaton (inst : Instance.t) (w : Cut.witness) ~x0 ~x1 =
+  co_simulate ~graph:inst.graph ~c1:w.c1 ~c2:w.c2
+    (automaton inst ~x_dealer:x0)
+    (automaton (forged_structure inst w.c2) ~x_dealer:x1)
     ~receiver:inst.receiver
 
-let against_zcpa ?(oracle_of = fun inst -> Zcpa.direct_oracle inst) ?observers
-    (inst : Instance.t) (w : Cut.witness) ~x0 ~x1 =
-  let inst' = forged_structure inst w.c2 in
-  co_simulate ?observers ~graph:inst.graph ~c1:w.c1 ~c2:w.c2
-    (Zcpa.automaton
-       ~decider:(Zcpa.decider_of_oracle (oracle_of inst))
-       inst ~x_dealer:x0)
-    (Zcpa.automaton
-       ~decider:(Zcpa.decider_of_oracle (oracle_of inst'))
-       inst' ~x_dealer:x1)
-    ~receiver:inst.receiver
+let against_rmt_pka =
+  against (fun inst ~x_dealer -> Rmt_pka.automaton inst ~x_dealer)
+
+let against_zcpa =
+  against (fun inst ~x_dealer ->
+      Zcpa.automaton
+        ~decider:(Zcpa.decider_of_oracle (Zcpa.direct_oracle inst))
+        inst ~x_dealer)

@@ -17,9 +17,15 @@
     the dealer's value differs: a protocol that decides in run [e] is
     unsafe, and a safe protocol must stay undecided.
 
-    The co-simulation is exact: each player is honest in at least one of
-    the two runs (C₁ ∩ C₂ = ∅); its state evolves there and its outgoing
-    messages are replayed verbatim in the other run. *)
+    The pair is one product automaton run by {!Rmt_net.Engine.run}
+    (C₁ ∩ C₂ = ∅, so every player is honest in some run): a player keeps
+    a state per run where it is honest, and tags each send for run [e],
+    run [e'], or both when it replays its honest twin's sends.  So each
+    side is stepped as [Engine.run] steps it (in round 1, then whenever
+    its run delivers it a message), the pair shares the engine's round
+    budget and 2,000,000-message cap (a message of both runs counted
+    once; a capped pair is [truncated]), and an honest send to a
+    non-neighbor raises [Invalid_argument]. *)
 
 open Rmt_base
 open Rmt_graph
@@ -36,24 +42,21 @@ type verdict = {
       (** the receiver decided on the same value in both runs — since the
           dealer's values differ, the decision is wrong in one of them *)
   observed : (int * (int option * int option)) list;
-      (** decisions of the requested observers in runs [e] and [e'];
-          observers inside the shielded component [B] must agree across
-          the runs — their entire views coincide, not just the
-          receiver's *)
+      (** decisions in [e] and [e'] of every player honest in both runs,
+          in node order; those in the shielded component [B] must agree
+          across the runs — their entire views coincide *)
+  truncated : bool;
+      (** the message cap stopped the pair: missing decisions prove
+          nothing *)
 }
 
 val co_simulate :
-  ?max_rounds:int ->
-  ?observers:int list ->
-  graph:Graph.t ->
-  c1:Nodeset.t ->
-  c2:Nodeset.t ->
-  ('s, 'm) Engine.automaton ->
-  ('s, 'm) Engine.automaton ->
-  receiver:int ->
-  verdict
+  graph:Graph.t -> c1:Nodeset.t -> c2:Nodeset.t ->
+  ('s, 'm) Engine.automaton -> ('s, 'm) Engine.automaton ->
+  receiver:int -> verdict
 (** [co_simulate ~graph ~c1 ~c2 auto_e auto_e' ~receiver] runs the paired
-    execution.  [c1] and [c2] must be disjoint and exclude the receiver.
+    execution.  [c1] and [c2] must be disjoint node sets of [graph]
+    excluding [receiver], a node of [graph].
     @raise Invalid_argument otherwise. *)
 
 val forged_structure : Instance.t -> Nodeset.t -> Instance.t
@@ -61,13 +64,9 @@ val forged_structure : Instance.t -> Nodeset.t -> Instance.t
     [𝒵' = 𝒵 ∪ ↓{c2}] — the structure the [B]-side cannot tell from [𝒵]
     when [c2] satisfies the cut's second condition. *)
 
-val against_rmt_pka :
-  ?budgets:Rmt_pka.budgets -> ?observers:int list ->
-  Instance.t -> Cut.witness -> x0:int -> x1:int -> verdict
+val against_rmt_pka : Instance.t -> Cut.witness -> x0:int -> x1:int -> verdict
 (** Mounts the two-face attack on RMT-PKA using an RMT-cut witness. *)
 
-val against_zcpa :
-  ?oracle_of:(Instance.t -> Zcpa.oracle) -> ?observers:int list ->
-  Instance.t -> Cut.witness -> x0:int -> x1:int -> verdict
-(** Same against 𝒵-CPA (with its oracle built per instance — the forged
-    run must consult the forged structure). *)
+val against_zcpa : Instance.t -> Cut.witness -> x0:int -> x1:int -> verdict
+(** Same against 𝒵-CPA (with the direct oracle built per instance — the
+    forged run must consult the forged structure). *)

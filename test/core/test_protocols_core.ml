@@ -303,7 +303,93 @@ let test_attack_validation () =
             (Rmt_pka.automaton path4 ~x_dealer:1)
             ~receiver:3);
        false
+     with Invalid_argument _ -> true);
+  check "corruption outside the graph rejected" true
+    (try
+       ignore
+         (Attack.co_simulate ~graph:path4.graph ~c1:(ns [ 9 ]) ~c2:Nodeset.empty
+            (Rmt_pka.automaton path4 ~x_dealer:0)
+            (Rmt_pka.automaton path4 ~x_dealer:1)
+            ~receiver:3);
+       false
+     with Invalid_argument _ -> true);
+  check "receiver outside the graph rejected" true
+    (try
+       ignore
+         (Attack.co_simulate ~graph:path4.graph ~c1:Nodeset.empty
+            ~c2:Nodeset.empty
+            (Rmt_pka.automaton path4 ~x_dealer:0)
+            (Rmt_pka.automaton path4 ~x_dealer:1)
+            ~receiver:9);
+       false
      with Invalid_argument _ -> true)
+
+(* Node 1 sends to its non-neighbor 3 in run e, where it is honest; it is
+   corrupted in e', where it mirrors the send.  Channels are fixed by
+   the topology, so an honest send off the graph is a protocol bug. *)
+let test_attack_non_neighbor_send () =
+  let stray : (unit, int) Rmt_net.Engine.automaton =
+    {
+      init =
+        (fun v ->
+          ( (),
+            if v = 1 then [ Rmt_net.Engine.{ dst = 3; payload = 0 } ] else [] ));
+      step = (fun _ st ~round:_ ~inbox:_ -> (st, []));
+      decision = (fun () -> None);
+    }
+  in
+  check "non-neighbor send raises" true
+    (try
+       ignore
+         (Attack.co_simulate ~graph:path4.graph ~c1:Nodeset.empty
+            ~c2:(ns [ 1 ]) stray stray ~receiver:3);
+       false
+     with Invalid_argument _ -> true)
+
+(* With nothing corrupted the pair is two independent runs: every node's
+   decision in each run is the one Engine.run gives the same automaton. *)
+let qcheck_cosim_without_corruption =
+  QCheck.Test.make ~count:20
+    ~name:"C1 = C2 = empty: co-simulated runs = Engine.run"
+    Rmt_test_gen.Gen.arb_instance (fun inst ->
+      let agree auto_of =
+        let engine x =
+          Rmt_net.Engine.run ~graph:inst.Instance.graph
+            ~adversary:Rmt_net.Engine.no_adversary (auto_of x)
+        in
+        let e = engine 0 and e' = engine 1 in
+        let v =
+          Attack.co_simulate ~graph:inst.graph ~c1:Nodeset.empty
+            ~c2:Nodeset.empty (auto_of 0) (auto_of 1) ~receiver:inst.receiver
+        in
+        v.decision_e = Rmt_net.Engine.decision_of e inst.receiver
+        && v.decision_e' = Rmt_net.Engine.decision_of e' inst.receiver
+        && List.for_all
+             (fun (u, (de, de')) ->
+               de = Rmt_net.Engine.decision_of e u
+               && de' = Rmt_net.Engine.decision_of e' u)
+             v.observed
+        && List.length v.observed = Graph.num_nodes inst.graph
+      in
+      agree (fun x -> Rmt_pka.automaton inst ~x_dealer:x)
+      && agree (fun x ->
+             Zcpa.automaton
+               ~decider:(Zcpa.decider_of_oracle (Zcpa.direct_oracle inst))
+               inst ~x_dealer:x))
+
+(* The pair shares the engine's message cap: RMT-PKA's path flooding on a
+   5x6 grid exceeds it, and the verdict says so instead of reading as a
+   clean "no decision". *)
+let test_attack_truncated () =
+  let g = Generators.grid 5 6 in
+  let inst = ad_hoc g ~t:1 ~dealer:0 ~receiver:29 in
+  match (Cut.find_rmt_cut inst).cut_found with
+  | None -> Alcotest.fail "expected witness"
+  | Some w ->
+    let v = Attack.against_rmt_pka inst w ~x0:0 ~x1:1 in
+    check "truncated" true v.truncated;
+    let z = Attack.against_zcpa inst w ~x0:0 ~x1:1 in
+    check "Z-CPA pair completes" false z.truncated
 
 let test_forged_structure_indistinguishable () =
   (* B-side locals agree between Z and Z' = Z u down{C2} (the premise of
@@ -385,9 +471,10 @@ let qcheck_bside_agreement =
       match (Cut.find_rmt_zpp_cut inst).cut_found with
       | None -> true
       | Some w ->
-        let observers = Nodeset.elements w.b_side in
-        let v = Attack.against_zcpa ~observers inst w ~x0:0 ~x1:1 in
-        List.for_all (fun (_, (de, de')) -> de = de') v.observed)
+        let v = Attack.against_zcpa inst w ~x0:0 ~x1:1 in
+        List.for_all
+          (fun (u, (de, de')) -> (not (Nodeset.mem u w.b_side)) || de = de')
+          v.observed)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzzing                                                             *)
@@ -621,6 +708,10 @@ let () =
         [
           Alcotest.test_case "fools naive" `Quick test_attack_fools_naive;
           Alcotest.test_case "validation" `Quick test_attack_validation;
+          Alcotest.test_case "non-neighbor send" `Quick
+            test_attack_non_neighbor_send;
+          QCheck_alcotest.to_alcotest qcheck_cosim_without_corruption;
+          Alcotest.test_case "truncated" `Quick test_attack_truncated;
           Alcotest.test_case "forged structure" `Quick
             test_forged_structure_indistinguishable;
           Alcotest.test_case "strategy menu" `Quick test_strategy_menu_runs;

@@ -168,6 +168,19 @@ let test_cli_smoke () =
   Alcotest.(check int) "run zcpa traced" 0
     (run "run --protocol zcpa --topology complete:5 --trace");
   Alcotest.(check int) "attack" 0 (run "attack --topology path:4");
+  (* a cut search that runs out of budget proves nothing: attack must
+     say "unknown", as analyze does, not "solvable" *)
+  let out = Filename.temp_file "rmt_attack" ".out" in
+  Alcotest.(check int) "attack, exhausted search" 0
+    (Sys.command
+       (Filename.quote exe
+      ^ " attack --topology grid:5x6 --adversary thr:0 > "
+      ^ Filename.quote out));
+  let printed = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check string) "attack reads the exhausted search as unknown"
+    "RMT-cut search: unknown (budget exhausted); no attack mounted.\n"
+    printed;
   Alcotest.(check int) "dot" 0 (run "dot --topology cycle:6");
   Alcotest.(check int) "bad spec fails" 124
     (let c = run "analyze --topology warp:9" in

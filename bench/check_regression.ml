@@ -41,7 +41,7 @@ let schema = "rmt-bench/2"
 
 (* Fail above candidate/baseline = limit.  The join/reduce kernels are
    bechamel-sampled and stable, so they are gated tightly; the hash-cons
-   and incremental-⊕ rows are sub-microsecond; the rest are protocol runs
+   rows are sub-microsecond; the rest are protocol runs
    or single-shot wall-clock timings exposed to shared-host drift.  Of
    the cut deciders only the thr-2 RMT-cut row is gated: local 𝒵_B
    membership made it ~20× faster than building ⊕ joins, so a 3× limit
@@ -49,7 +49,7 @@ let schema = "rmt-bench/2"
 let limits =
   [
     ("rmt/join/", 1.25); ("rmt/reduce/", 1.25);
-    ("rmt/hc/", 2.0); ("rmt/delta/", 2.0); ("rmt/cut/rmt-thr2", 3.0);
+    ("rmt/hc/", 2.0); ("rmt/cut/rmt-thr2", 3.0);
     ("rmt/lint/", 3.0); ("rmt/sim/", 3.0); ("rmt/net/", 3.0);
     ("rmt/cert/", 3.0);
   ]

@@ -590,14 +590,15 @@ let e8 () =
         (fun (sname, structure) ->
           let k =
             Minimal_knowledge.minimal_radius ~graph:g ~structure ~dealer
-              ~receiver ()
+              ~receiver
           in
           Table.add_row t
             [
               name; sname; Table.cell_int diam;
               (match k with
-               | Some k -> Table.cell_int k
-               | None -> "unsolvable");
+               | Minimal_knowledge.Radius k -> Table.cell_int k
+               | Minimal_knowledge.Unsolvable -> "unsolvable"
+               | Minimal_knowledge.Unknown -> "unknown");
             ])
         structures)
     (Workload.named_topologies ());
@@ -979,7 +980,7 @@ let bechamel () =
         (Staged.stage (fun () ->
              Minimal_knowledge.minimal_radius
                ~graph:grid_inst.Instance.graph
-               ~structure:grid_inst.Instance.structure ~dealer:0 ~receiver:8 ()));
+               ~structure:grid_inst.Instance.structure ~dealer:0 ~receiver:8));
     ]
   in
   print_bechamel_rows (run_bechamel tests)
@@ -1153,29 +1154,13 @@ let core () =
              List.iter (fun z -> ignore (Hc.set z)) hc_sets));
     ]
   in
-  let delta_tests =
-    (* single-set growth delta against the 128-antichain: the acceptance
-       comparison for join_delta is this row vs rmt/join/packed/128 *)
-    let s128 = List.assoc 128 packed in
-    let prev = Joint.join s128 s128 in
-    (* a 9-element sample can never be dominated by the size-8 antichain,
-       so the delta genuinely adds one maximal set *)
-    let s128' =
-      Structure.add_set (Prng.sample rng (Structure.ground s128) 9) s128
-    in
-    [
-      Test.make ~name:"delta/join/128"
-        (Staged.stage (fun () ->
-             Joint.join_delta ~prev ~e:s128 ~f:s128 ~e':s128' ~f':s128));
-    ]
-  in
   (* 2s quota (vs the 0.5s default): the 16-set mem/reduce rows finish in
      tens of ns, and at 0.5s the OLS fit on them was mush (r² ≈ 0.1).  The
      cut deciders get 5s: at 2s the 20–80 µs rmt/cut/rmt fit read r² 0.87
      on a noisy host *)
   let rows =
     List.sort compare
-      (run_bechamel ~quota:2.0 (tests @ hc_tests @ delta_tests)
+      (run_bechamel ~quota:2.0 (tests @ hc_tests)
       @ run_bechamel ~quota:5.0 decider_tests)
   in
   print_bechamel_rows rows;
@@ -1206,14 +1191,6 @@ let core () =
         ])
     speedups;
   Table.print ~title:"packed antichain kernels vs the list baseline" t;
-  (* incremental ⊕ headline: join_delta on a single-set growth delta vs
-     recomputing the 128-antichain join from scratch *)
-  let delta_ns = ns_of "delta/join/128" in
-  let join128_ns = ns_of "join/packed/128" in
-  let delta_speedup = join128_ns /. delta_ns in
-  Printf.printf
-    "\njoin_delta (1 added set) %s vs join/packed/128 %s — %.1fx\n"
-    (pretty_ns delta_ns) (pretty_ns join128_ns) delta_speedup;
   (* multicore sweep scaling on the E3 classification workload *)
   let suite =
     Array.of_list (Workload.tightness_suite (Prng.create 303) ~count:60 ~n:9)
@@ -1840,12 +1817,13 @@ let certified () =
       Printf.printf "  (no frontier: %s: %s)\n" boundary_instance_path e;
       (name, inst)
   in
-  let schedules = 60 in
   let rows_f, secs =
     Timing.time_it (fun () ->
-        Rmt_sim.Frontier.run ~domains:(sweep_domains ()) ~seed:19 ~schedules
-          ~x_dealer:7 ~x_fake:8 ~envelope:Rmt_protocols.Envelope.default
+        Rmt_sim.Frontier.run ~domains:(sweep_domains ()) ~seed:19
           Campaign.Cert_pka frontier_inst Rmt_sim.Frontier.default_grid)
+  in
+  let schedules =
+    match rows_f with r :: _ -> r.Rmt_sim.Frontier.schedules | [] -> 0
   in
   let total = schedules * List.length rows_f in
   let inside_viol, outside_viol =

@@ -165,10 +165,14 @@ let analyze file seed topology adversary knowledge dealer receiver =
        | None, false -> "unknown (budget exhausted)");
     (match
        Minimal_knowledge.minimal_radius ~graph:inst.graph
-         ~structure:inst.structure ~dealer:inst.dealer ~receiver:inst.receiver ()
+         ~structure:inst.structure ~dealer:inst.dealer ~receiver:inst.receiver
      with
-     | Some k -> Printf.printf "Minimal uniform view radius: %d\n" k
-     | None -> Printf.printf "Minimal uniform view radius: none (unsolvable)\n");
+     | Minimal_knowledge.Radius k ->
+       Printf.printf "Minimal uniform view radius: %d\n" k
+     | Minimal_knowledge.Unsolvable ->
+       Printf.printf "Minimal uniform view radius: none (unsolvable)\n"
+     | Minimal_knowledge.Unknown ->
+       print_endline "Minimal uniform view radius: unknown (budget exhausted)");
     `Ok ()
 
 (* ------------------------------------------------------------------ *)

@@ -56,10 +56,13 @@ let () =
 
   (* The minimal-knowledge machinery confirms radius 2 is the frontier. *)
   (match
-     Minimal_knowledge.minimal_radius ~graph:g ~structure ~dealer ~receiver ()
+     Minimal_knowledge.minimal_radius ~graph:g ~structure ~dealer ~receiver
    with
-   | Some k -> printf "\nMinimal uniform view radius: %d\n\n" k
-   | None -> printf "\nUnsolvable at every radius\n\n");
+   | Minimal_knowledge.Radius k ->
+     printf "\nMinimal uniform view radius: %d\n\n" k
+   | Minimal_knowledge.Unsolvable -> printf "\nUnsolvable at every radius\n\n"
+   | Minimal_knowledge.Unknown ->
+     printf "\nUndecided: a search ran out of budget\n\n");
 
   (* Z-CPA is stuck: it only ever uses neighborhood knowledge.  On this
      instance it still delivers when nobody actually attacks — but it is

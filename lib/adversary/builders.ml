@@ -27,20 +27,3 @@ let random_antichain rng g ~dealer ~sets ~max_size =
         Prng.sample rng ground size)
   in
   Structure.of_sets ~ground candidates
-
-let random_nonsolvable_bias rng g ~dealer ~receiver ~sets =
-  let ground = non_dealer_nodes g ~dealer in
-  let base =
-    List.init sets (fun _ ->
-        let size = 1 + Prng.int rng (max 1 (Nodeset.size ground / 3)) in
-        Prng.sample rng ground size)
-  in
-  (* with probability 1/2, also admit a random large chunk of the
-     receiver's neighborhood, which often forms half of a cut *)
-  let near_r = Nodeset.inter (Graph.neighbors receiver g) ground in
-  let biased =
-    if Prng.bool rng && not (Nodeset.is_empty near_r) then
-      [ Prng.subset rng near_r 0.7 ]
-    else []
-  in
-  Structure.of_sets ~ground (biased @ base)

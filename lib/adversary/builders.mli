@@ -27,9 +27,3 @@ val random_antichain :
     non-dealer nodes of size at most [max_size] (uniform in [1..max_size]);
     reduced to an antichain.  The workhorse workload for general-adversary
     experiments. *)
-
-val random_nonsolvable_bias :
-  Prng.t -> Graph.t -> dealer:int -> receiver:int -> sets:int -> Structure.t
-(** Random antichain biased to include neighborhood-covering sets around
-    the receiver, producing a healthy mix of solvable and unsolvable
-    instances for tightness experiments. *)

@@ -277,18 +277,6 @@ module Builder = struct
 
   let cardinal b = List.length b.items
 
-  (* Load a known antichain without domination checks: O(k) instead of
-     the O(k²) of [add]-ing each set against the others.  The incremental
-     ⊕ repair ([Joint.join_delta]) seeds a builder with the previous join
-     result before streaming only the delta's candidates through [add]. *)
-  let seed b sets =
-    List.iter
-      (fun z ->
-        b.items <-
-          { e_size = Nodeset.size z; e_sig = Nodeset.signature z; e_set = z }
-          :: b.items)
-      sets
-
   let to_structure ~ground b =
     (* items already form an antichain; [make] only re-sorts into canonical
        order (the cross-bucket domination scan finds nothing to drop) *)

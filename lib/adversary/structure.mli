@@ -77,13 +77,6 @@ module Builder : sig
   (** Insert, dropping the set if covered and evicting any accumulated
       sets it dominates. *)
 
-  val seed : b -> Nodeset.t list -> unit
-  (** Bulk-load sets {e assumed} to already form an antichain together
-      with the builder's current contents, skipping all domination
-      checks (O(k) instead of O(k²)).  Intended for re-seeding a builder
-      from a previously reduced result; feeding it dominated sets breaks
-      the builder's invariant and the resulting structure. *)
-
   val cardinal : b -> int
 
   val to_structure : ground:Nodeset.t -> b -> t

@@ -253,8 +253,8 @@ let verdict_of ~x_dealer = function
 (* The one run body.  Untraced runs pass no delivery hook at all, so the
    backend's per-delivery path is the bare one; their rendered trace is
    empty. *)
-let execute_gen ?max_messages ?(runner = engine_runner) ?max_lines ~traced
-    protocol (inst : Instance.t) ~x_dealer (p : Program.t) =
+let execute_gen ?(runner = engine_runner) ~traced protocol (inst : Instance.t)
+    ~x_dealer (p : Program.t) =
   match spec protocol with
   | Spec s ->
     let adversary = s.compile p inst ~x_dealer in
@@ -267,7 +267,7 @@ let execute_gen ?max_messages ?(runner = engine_runner) ?max_lines ~traced
       else None
     in
     let outcome =
-      runner.run ?max_messages ?size_of:s.size_of ?stop_when
+      runner.run ?size_of:s.size_of ?stop_when
         ?on_deliver:(Option.map snd trace) ~graph:inst.graph ~adversary auto
     in
     let receiver_truncated =
@@ -285,16 +285,14 @@ let execute_gen ?max_messages ?(runner = engine_runner) ?max_lines ~traced
         truncated = outcome.stats.truncated || receiver_truncated;
       },
       match trace with
-      | Some (t, _) -> Trace.render ?max_lines t
+      | Some (t, _) -> Trace.render t
       | None -> "" )
 
-let execute ?max_messages ?runner protocol inst ~x_dealer p =
-  fst (execute_gen ?max_messages ?runner ~traced:false protocol inst ~x_dealer p)
+let execute ?runner protocol inst ~x_dealer p =
+  fst (execute_gen ?runner ~traced:false protocol inst ~x_dealer p)
 
-let execute_traced ?max_messages ?runner ?max_lines protocol inst ~x_dealer p
-    =
-  execute_gen ?max_messages ?runner ?max_lines ~traced:true protocol inst
-    ~x_dealer p
+let execute_traced ?runner protocol inst ~x_dealer p =
+  execute_gen ?runner ~traced:true protocol inst ~x_dealer p
 
 (* ------------------------------------------------------------------ *)
 (* Trial loops                                                         *)
@@ -319,7 +317,10 @@ type 'w report = {
 
 let max_examples = 5
 
-let run_trials ?domains ?(batch = 16) ?(should_stop = fun () -> false) ~draw
+(* trials drawn and fanned out per [should_stop] poll *)
+let batch = 16
+
+let run_trials ?domains ?(should_stop = fun () -> false) ~draw
     ~exec ~solvability:solv ~seed ~trials protocol (inst : Instance.t) =
   let rng = Prng.create seed in
   let executed = ref 0
@@ -382,12 +383,12 @@ let run_trials ?domains ?(batch = 16) ?(should_stop = fun () -> false) ~draw
     stopped_early = !stopped;
   }
 
-let run ?domains ?max_messages ?batch ?should_stop ?(x_dealer = 7)
-    ?(x_fake = 8) ~seed ~attacks protocol inst =
-  run_trials ?domains ?batch ?should_stop ~seed ~trials:attacks protocol inst
+let run ?domains ?should_stop ?(x_dealer = 7) ?(x_fake = 8) ~seed ~attacks
+    protocol inst =
+  run_trials ?domains ?should_stop ~seed ~trials:attacks protocol inst
     ~solvability:(solvability protocol inst)
     ~draw:(fun rng -> Strategy_gen.random rng inst ~x_dealer ~x_fake)
-    ~exec:(fun p -> (execute ?max_messages protocol inst ~x_dealer p, ()))
+    ~exec:(fun p -> (execute protocol inst ~x_dealer p, ()))
 
 let battery_programs protocol (inst : Instance.t) ~x_fake =
   let menu =

@@ -111,7 +111,6 @@ val engine_runner : runner
 (** The synchronous engine itself — the default backend. *)
 
 val execute :
-  ?max_messages:int ->
   ?runner:runner ->
   protocol ->
   Instance.t ->
@@ -126,9 +125,7 @@ val execute :
     Deterministic in (program, instance, [x_dealer], runner). *)
 
 val execute_traced :
-  ?max_messages:int ->
   ?runner:runner ->
-  ?max_lines:int ->
   protocol ->
   Instance.t ->
   x_dealer:int ->
@@ -170,7 +167,6 @@ type 'w report = {
 
 val run_trials :
   ?domains:int ->
-  ?batch:int ->
   ?should_stop:(unit -> bool) ->
   draw:(Prng.t -> 'a) ->
   exec:('a -> run_report * 'w) ->
@@ -180,7 +176,7 @@ val run_trials :
   protocol ->
   Instance.t ->
   'w report
-(** Up to [trials] trials: batches of [batch] (default 16) are drawn
+(** Up to [trials] trials: batches of 16 are drawn
     sequentially with [draw] from the PRNG seeded with [seed], then
     executed with [exec] through {!Rmt_workloads.Parsweep.map};
     [should_stop] is polled between batches, so a time budget overshoots
@@ -192,8 +188,6 @@ val run_trials :
 
 val run :
   ?domains:int ->
-  ?max_messages:int ->
-  ?batch:int ->
   ?should_stop:(unit -> bool) ->
   ?x_dealer:int ->
   ?x_fake:int ->

@@ -86,7 +86,6 @@ val is_attack_line : string -> bool
 val pp : Format.formatter -> t -> unit
 
 val base_equal : base -> base -> bool
-val inject_equal : inject -> inject -> bool
 
 val equal : t -> t -> bool
 (** Structural equality, field by field; no polymorphic compare

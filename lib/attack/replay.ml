@@ -129,9 +129,8 @@ let of_file path =
 (* Replaying                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let replay ?max_messages ?max_lines t =
-  Campaign.execute_traced ?max_messages ?max_lines t.protocol t.instance
-    ~x_dealer:t.x_dealer t.program
+let replay t =
+  Campaign.execute_traced t.protocol t.instance ~x_dealer:t.x_dealer t.program
 
 let verdict_matches t (r : Campaign.run_report) =
   match t.expected with

@@ -45,11 +45,7 @@ val of_string : string -> (t, string) result
 val to_file : string -> t -> (unit, string) result
 val of_file : string -> (t, string) result
 
-val replay :
-  ?max_messages:int ->
-  ?max_lines:int ->
-  t ->
-  Campaign.run_report * string
+val replay : t -> Campaign.run_report * string
 (** Re-execute; returns the run report and the rendered trace.  The run
     is deterministic, so a reproducer's verdict matches [expected] unless
     the protocol implementation changed underneath it. *)

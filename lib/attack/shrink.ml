@@ -124,9 +124,9 @@ let minimize ?(budget = 400) ~keep inst p =
 (* Standard predicates                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let keep_verdict ?max_messages protocol ~x_dealer ~verdict inst p =
+let keep_verdict protocol ~x_dealer ~verdict inst p =
   let corrupted = Program.corrupted p in
   (not (Nodeset.is_empty corrupted))
   && Instance.admissible inst corrupted
   && Campaign.reproduces ~verdict
-       (Campaign.execute ?max_messages protocol inst ~x_dealer p)
+       (Campaign.execute protocol inst ~x_dealer p)

@@ -30,7 +30,6 @@ val minimize :
     The result satisfies [keep] whenever the input did. *)
 
 val keep_verdict :
-  ?max_messages:int ->
   Campaign.protocol ->
   x_dealer:int ->
   verdict:Campaign.verdict ->

@@ -23,9 +23,6 @@ val bool : t -> bool
 val float : t -> float -> float
 (** [float t x] draws uniformly from [0, x). *)
 
-val bits64 : t -> int64
-(** Raw 64 bits of the stream. *)
-
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.
     @raise Invalid_argument on an empty array. *)

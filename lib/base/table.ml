@@ -74,7 +74,7 @@ let print ?title t = print_string (to_string ?title t)
 
 let cell_int = string_of_int
 
-let cell_float ?(digits = 2) x = Printf.sprintf "%.*f" digits x
+let cell_float x = Printf.sprintf "%.2f" x
 
 let cell_pct x = Printf.sprintf "%.1f%%" (100. *. x)
 

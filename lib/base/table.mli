@@ -24,7 +24,8 @@ val to_string : ?title:string -> t -> string
 
 val cell_int : int -> string
 
-val cell_float : ?digits:int -> float -> string
+val cell_float : float -> string
+(** Two decimals: [cell_float 1.5] is ["1.50"]. *)
 
 val cell_pct : float -> string
 (** [cell_pct 0.25] is ["25.0%"]. *)

@@ -51,5 +51,3 @@ let group_by ~cmp key l =
       (k, x :: same) :: go others
   in
   go sorted
-
-let fail fmt = Format.kasprintf failwith fmt

@@ -8,8 +8,6 @@ val list_take : int -> 'a list -> 'a list
 
 val sum_by : ('a -> int) -> 'a list -> int
 
-val sum_by_f : ('a -> float) -> 'a list -> float
-
 val mean : float list -> float
 (** Arithmetic mean; 0. on the empty list. *)
 
@@ -23,6 +21,3 @@ val group_by :
   cmp:('k -> 'k -> int) -> ('a -> 'k) -> 'a list -> ('k * 'a list) list
 (** Groups adjacent-equal keys after a stable sort by key under [cmp];
     each key appears once, groups in ascending key order. *)
-
-val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
-(** [fail fmt ...] raises [Failure] with a formatted message. *)

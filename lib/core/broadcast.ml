@@ -10,7 +10,7 @@ open Rmt_knowledge
    candidate exactly once, B is anchored at its minimum element: the seed's
    search forbids every smaller node.  One restriction cache serves all
    seeds. *)
-let find_zpp_cut ?budget (inst : Instance.t) =
+let find_zpp_cut (inst : Instance.t) =
   let g = inst.graph in
   let forbidden_base = Graph.closed_neighborhood inst.dealer g in
   let local = Joint.restriction_cache (View.ad_hoc g) inst.structure in
@@ -19,7 +19,7 @@ let find_zpp_cut ?budget (inst : Instance.t) =
       if Option.is_some acc.cut_found then acc
       else
         let v =
-          Cut.boundary_search ?budget g inst.structure ~local ~seed
+          Cut.boundary_search g inst.structure ~local ~seed
             ~forbidden:(Nodeset.union forbidden_base (Nodeset.range 0 seed))
         in
         { v with complete = acc.complete && v.complete;
@@ -27,20 +27,19 @@ let find_zpp_cut ?budget (inst : Instance.t) =
     { cut_found = None; complete = true; visited = 0 }
     (Nodeset.elements (Nodeset.diff (Graph.nodes g) forbidden_base))
 
-let solvable ?budget inst = Solvability.of_verdict (find_zpp_cut ?budget inst)
+let solvable inst = Solvability.of_verdict (find_zpp_cut inst)
 
 (* Node v is blocked iff an RMT 𝒵-pp cut shields it as the receiver: Cut's
    boundary search from v avoiding N[D] under the ad hoc view, the search
    find_rmt_zpp_cut runs.  One restriction cache serves every v. *)
-let blocked_nodes ?budget (inst : Instance.t) =
+let blocked_nodes (inst : Instance.t) =
   let g = inst.graph in
   let forbidden = Graph.closed_neighborhood inst.dealer g in
   let local = Joint.restriction_cache (View.ad_hoc g) inst.structure in
   Nodeset.filter
     (fun v ->
       Cut.exists_certainly
-        (Cut.boundary_search ?budget g inst.structure ~local ~seed:v
-           ~forbidden))
+        (Cut.boundary_search g inst.structure ~local ~seed:v ~forbidden))
     (Graph.nodes g)
 
 type run_result = {
@@ -50,12 +49,9 @@ type run_result = {
   complete : bool;
 }
 
-let run ?oracle ?(adversary = Rmt_net.Engine.no_adversary) (inst : Instance.t)
+let run ?(adversary = Rmt_net.Engine.no_adversary) (inst : Instance.t)
     ~x_dealer =
-  let decider =
-    Zcpa.decider_of_oracle
-      (match oracle with Some o -> o | None -> Zcpa.direct_oracle inst)
-  in
+  let decider = Zcpa.decider_of_oracle (Zcpa.direct_oracle inst) in
   let auto = Zcpa.automaton ~forward_all:true ~decider inst ~x_dealer in
   let outcome = Rmt_net.Engine.run ~graph:inst.graph ~adversary auto in
   let honest_players =

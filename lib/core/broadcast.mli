@@ -16,29 +16,31 @@
 open Rmt_base
 open Rmt_knowledge
 
-val find_zpp_cut : ?budget:int -> Instance.t -> Cut.verdict
+val find_zpp_cut : Instance.t -> Cut.verdict
 (** Definition 10's cut: {!Cut.boundary_search} under
     [View.ad_hoc inst.graph] from each node outside [N[D]] in increasing
     order, with [B] anchored at its minimum element (the seed's search
     forbids every smaller node), one restriction cache shared by all
     seeds, stopping at the first witness.  [visited] sums the searches
-    run; [complete] is [false] if any of them ran out of budget (each
-    gets its own).  The instance's receiver and view are irrelevant here;
-    only the graph, structure and dealer matter. *)
+    run; [complete] is [false] if any of them ran out of
+    {!Cut.boundary_search}'s default budget (each gets its own).  The
+    instance's receiver and view are irrelevant here; only the graph,
+    structure and dealer matter. *)
 
-val solvable : ?budget:int -> Instance.t -> Solvability.feasibility
+val solvable : Instance.t -> Solvability.feasibility
 (** Broadcast feasibility in the ad hoc model (tight, per [13]):
     [Solvability.of_verdict (find_zpp_cut inst)]. *)
 
-val blocked_nodes : ?budget:int -> Instance.t -> Nodeset.t
+val blocked_nodes : Instance.t -> Nodeset.t
 (** The union of all receiver-side components over the 𝒵-pp cuts found —
     players that some admissible adversary can starve.  Empty iff
     {!solvable}.  A node [v] is blocked iff an RMT 𝒵-pp cut shields it as
     the receiver: {!Cut.boundary_search} from [v] avoiding [N[D]] under
     [View.ad_hoc inst.graph] (the search {!Cut.find_rmt_zpp_cut} runs for
     receiver [v]) finds a witness.  One search per node, all sharing one
-    restriction cache; each gets its own [budget], and a search that runs
-    out of it leaves its node unblocked. *)
+    restriction cache; each gets {!Cut.boundary_search}'s default
+    budget, and a search that runs out of it leaves its node
+    unblocked. *)
 
 type run_result = {
   deciders : int;  (** honest players that decided *)
@@ -48,7 +50,6 @@ type run_result = {
 }
 
 val run :
-  ?oracle:Zcpa.oracle ->
   ?adversary:int Rmt_net.Engine.strategy ->
   Instance.t ->
   x_dealer:int ->

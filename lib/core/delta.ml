@@ -94,5 +94,3 @@ let pp ppf = function
   | Remove_node v -> Format.fprintf ppf "remove-node %d" v
   | Add_set z -> Format.fprintf ppf "add-set %a" Nodeset.pp z
   | Remove_set z -> Format.fprintf ppf "remove-set %a" Nodeset.pp z
-
-let to_string d = Format.asprintf "%a" pp d

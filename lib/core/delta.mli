@@ -39,5 +39,3 @@ val apply_all : Instance.t -> t list -> (Instance.t, string) result
 (** Left fold of {!apply}; stops at the first error. *)
 
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

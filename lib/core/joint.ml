@@ -33,54 +33,6 @@ let join e f =
     (Structure.maximal_sets e);
   Structure.Builder.to_structure ~ground:(Nodeset.union a b) builder
 
-let candidate ~a ~b m1 m2 =
-  Nodeset.union
-    (Nodeset.union (Nodeset.diff m1 b) (Nodeset.diff m2 a))
-    (Nodeset.inter m1 m2)
-
-(* Candidates are monotone in both operands: M1 ⊆ M1' gives
-   candidate(M1, M2) ⊆ candidate(M1', M2) (each of the three pieces only
-   grows).  So when the operand families only GROW (same grounds, every
-   old set still admissible), every candidate of the old maximal pairs is
-   dominated by a candidate of the new maximal pairs, and the previous
-   join — itself the antichain of the old candidates — can be reused as
-   a seed: only pairs involving a genuinely new maximal set need to be
-   generated, and the builder's reduction evicts whatever the new
-   candidates dominate.  Anything else (ground change, a shrunk family)
-   falls back to the from-scratch join. *)
-let join_delta ~prev ~e ~f ~e' ~f' =
-  let grew old now =
-    Nodeset.equal (Structure.ground old) (Structure.ground now)
-    && Structure.subset_family old now
-  in
-  if not (grew e e' && grew f f') then (join e' f', `Recomputed)
-  else begin
-    let a = Structure.ground e' and b = Structure.ground f' in
-    let added old now =
-      List.filter (fun m -> not (Structure.mem m old)) (Structure.maximal_sets now)
-    in
-    let added_e = added e e' and added_f = added f f' in
-    if added_e = [] && added_f = [] then (prev, `Incremental)
-    else begin
-      let builder = Structure.Builder.create () in
-      Structure.Builder.seed builder (Structure.maximal_sets prev);
-      List.iter
-        (fun m1 ->
-          List.iter
-            (fun m2 -> Structure.Builder.add builder (candidate ~a ~b m1 m2))
-            (Structure.maximal_sets f'))
-        added_e;
-      List.iter
-        (fun m1 ->
-          List.iter
-            (fun m2 -> Structure.Builder.add builder (candidate ~a ~b m1 m2))
-            added_f)
-        (Structure.maximal_sets e');
-      ( Structure.Builder.to_structure ~ground:(Nodeset.union a b) builder,
-        `Incremental )
-    end
-  end
-
 let identity = Structure.trivial ~ground:Nodeset.empty
 
 let join_list = function

@@ -26,23 +26,6 @@ val join : Structure.t -> Structure.t -> Structure.t
 (** [join e f] is [𝓔^A ⊕ 𝓕^B] where [A], [B] are the operands' ground
     sets; the result's ground set is [A ∪ B]. *)
 
-val join_delta :
-  prev:Structure.t ->
-  e:Structure.t ->
-  f:Structure.t ->
-  e':Structure.t ->
-  f':Structure.t ->
-  Structure.t * [ `Incremental | `Recomputed ]
-(** [join_delta ~prev ~e ~f ~e' ~f'] is [join e' f'], repaired from
-    [prev = join e f] when the operands only {e grew} — same ground sets,
-    [subset_family e e'] and [subset_family f f'].  Candidates of the ⊕
-    antichain algorithm are monotone in both operands, so under growth the
-    previous antichain seeds the reduction ({!Structure.Builder.seed}) and
-    only pairs involving an added maximal set are generated:
-    O((|Δ𝓔|·|𝓕'| + |𝓔'|·|Δ𝓕|)) candidates instead of |𝓔'|·|𝓕'|.  Any other
-    delta falls back to the from-scratch join; the tag reports which path
-    ran.  Either way the result is exactly [join e' f']. *)
-
 val join_list : Structure.t list -> Structure.t
 (** Folds {!join}; the empty list yields the identity [{∅}^∅]. *)
 

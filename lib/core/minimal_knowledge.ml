@@ -5,16 +5,32 @@ open Rmt_knowledge
 let instance_with_radius ~graph ~structure ~dealer ~receiver k =
   Instance.make ~graph ~structure ~view:(View.radius k graph) ~dealer ~receiver
 
-let radius_frontier ?budget ~graph ~structure ~dealer ~receiver () =
+let radius_frontier ~graph ~structure ~dealer ~receiver =
   let diam = Option.value (Connectivity.diameter graph) ~default:0 in
   List.init (diam + 1) (fun k ->
       let inst = instance_with_radius ~graph ~structure ~dealer ~receiver k in
-      (k, Solvability.partial_knowledge ?budget inst))
+      (k, Solvability.partial_knowledge inst))
 
-let minimal_radius ?budget ~graph ~structure ~dealer ~receiver () =
-  List.find_map
-    (fun (k, f) -> if Solvability.is_solvable f then Some k else None)
-    (radius_frontier ?budget ~graph ~structure ~dealer ~receiver ())
+type minimal =
+  | Radius of int
+  | Unsolvable
+  | Unknown
+
+let minimal_radius ~graph ~structure ~dealer ~receiver =
+  let frontier = radius_frontier ~graph ~structure ~dealer ~receiver in
+  match
+    List.find_map
+      (fun (k, f) -> if Solvability.is_solvable f then Some k else None)
+      frontier
+  with
+  | Some k -> Radius k
+  | None ->
+    if
+      List.exists
+        (fun (_, f) -> Solvability.feasibility_equal f Solvability.Unknown)
+        frontier
+    then Unknown
+    else Unsolvable
 
 let views_of_radii graph radii =
   View.of_assignment graph (fun v ->
@@ -22,14 +38,14 @@ let views_of_radii graph radii =
       | Some k -> Graph.restrict_to_radius v k graph
       | None -> Graph.restrict_to_radius v 0 graph)
 
-let greedy_minimal_views ?budget (inst : Instance.t) =
+let greedy_minimal_views (inst : Instance.t) =
   let graph = inst.graph in
   let diam = Option.value (Connectivity.diameter graph) ~default:0 in
   let nodes = Nodeset.elements (Graph.nodes graph) in
   let solvable radii =
     let view = views_of_radii graph radii in
     let inst' = Instance.with_view inst view in
-    Solvability.is_solvable (Solvability.partial_knowledge ?budget inst')
+    Solvability.is_solvable (Solvability.partial_knowledge inst')
   in
   let full = List.map (fun v -> (v, diam)) nodes in
   if not (solvable full) then None

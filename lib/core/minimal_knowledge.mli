@@ -13,20 +13,25 @@ open Rmt_graph
 open Rmt_knowledge
 
 val radius_frontier :
-  ?budget:int -> graph:Graph.t -> structure:Rmt_adversary.Structure.t ->
-  dealer:int -> receiver:int -> unit -> (int * Solvability.feasibility) list
+  graph:Graph.t -> structure:Rmt_adversary.Structure.t ->
+  dealer:int -> receiver:int -> (int * Solvability.feasibility) list
 (** Feasibility at every radius [0 .. diameter]; the frontier is the first
     [Solvable] entry (if any). *)
 
-val minimal_radius :
-  ?budget:int -> graph:Graph.t -> structure:Rmt_adversary.Structure.t ->
-  dealer:int -> receiver:int -> unit -> int option
-(** Smallest [k] with no RMT-cut under [radius k] views; [None] when even
-    full knowledge does not make the instance solvable (or a budget ran
-    out before certainty). *)
+type minimal =
+  | Radius of int  (** the first [Solvable] entry of {!radius_frontier} *)
+  | Unsolvable  (** every radius reads [Unsolvable] *)
+  | Unknown
+      (** no radius reads [Solvable] and some search ran out of budget:
+          an instance this leaves undecided may still be solvable *)
 
-val greedy_minimal_views :
-  ?budget:int -> Instance.t -> (int * int) list option
+val minimal_radius :
+  graph:Graph.t -> structure:Rmt_adversary.Structure.t ->
+  dealer:int -> receiver:int -> minimal
+(** Smallest [k] with no RMT-cut under [radius k] views, read off
+    {!radius_frontier}. *)
+
+val greedy_minimal_views : Instance.t -> (int * int) list option
 (** Starting from per-node radii equal to the graph's diameter, repeatedly
     shrink one node's radius while no RMT-cut appears.  Returns the
     resulting per-node radii [(node, radius)], or [None] when the instance

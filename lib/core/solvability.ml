@@ -21,6 +21,6 @@ let of_verdict (v : Cut.verdict) =
   | None, true -> Solvable
   | None, false -> Unknown
 
-let partial_knowledge ?budget inst = of_verdict (Cut.find_rmt_cut ?budget inst)
+let partial_knowledge inst = of_verdict (Cut.find_rmt_cut inst)
 
-let ad_hoc ?budget inst = of_verdict (Cut.find_rmt_zpp_cut ?budget inst)
+let ad_hoc inst = of_verdict (Cut.find_rmt_zpp_cut inst)

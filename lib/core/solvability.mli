@@ -27,8 +27,10 @@ val of_verdict : Cut.verdict -> feasibility
     Shared by the one-shot deciders below and the streaming
     {!Service}. *)
 
-val partial_knowledge : ?budget:int -> Instance.t -> feasibility
-(** RMT-cut characterization (Theorems 3 + 5). *)
+val partial_knowledge : Instance.t -> feasibility
+(** RMT-cut characterization (Theorems 3 + 5), with
+    {!Cut.find_rmt_cut}'s default budget. *)
 
-val ad_hoc : ?budget:int -> Instance.t -> feasibility
-(** RMT 𝒵-pp cut characterization (Theorems 7 + 8). *)
+val ad_hoc : Instance.t -> feasibility
+(** RMT 𝒵-pp cut characterization (Theorems 7 + 8), with
+    {!Cut.find_rmt_zpp_cut}'s default budget. *)

@@ -25,10 +25,6 @@ val distances_from : Graph.t -> int -> (int * int) list
 val distance : Graph.t -> int -> int -> int option
 (** Hop distance, [None] when disconnected. *)
 
-val eccentricity : Graph.t -> int -> int option
-(** Max distance from the node to any other; [None] when the graph is
-    disconnected from it. *)
-
 val diameter : Graph.t -> int option
 (** [None] when disconnected or empty. *)
 

@@ -1,8 +1,8 @@
 open Rmt_base
 
-let to_dot ?(highlight = []) ?(graph_name = "g") g =
+let to_dot ?(highlight = []) g =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "graph %s {\n" graph_name);
+  Buffer.add_string buf "graph g {\n";
   Buffer.add_string buf "  node [shape=circle];\n";
   Nodeset.iter
     (fun v ->

@@ -5,11 +5,11 @@ open Rmt_base
 
 val to_dot :
   ?highlight:(int * string) list ->
-  ?graph_name:string ->
   Graph.t ->
   string
-(** [to_dot g] renders an undirected DOT graph.  [highlight] assigns fill
-    colors to specific nodes (e.g. dealer, receiver, a corruption set). *)
+(** [to_dot g] renders an undirected DOT graph named [g].  [highlight]
+    assigns fill colors to specific nodes (e.g. dealer, receiver, a
+    corruption set). *)
 
 val instance_dot :
   dealer:int -> receiver:int -> ?corrupted:Nodeset.t -> Graph.t -> string

@@ -87,10 +87,6 @@ let find_simple_path ?(budget = 200_000) g s t pred =
     | Budget_exhausted -> (None, false)
   end
 
-let count_simple_paths ?budget g s t =
-  let ps, complete = all_simple_paths ?budget g s t in
-  (List.length ps, complete)
-
 let shortest_path g s t =
   if not (Graph.mem_node s g && Graph.mem_node t g) then None
   else begin
@@ -117,11 +113,6 @@ let shortest_path g s t =
       Some (build t [])
     end
   end
-
-let pp_path ppf p =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.fprintf ppf "->")
-    Format.pp_print_int ppf p
 
 let disjoint_paths_lower_bound g s t =
   let rec go g count =

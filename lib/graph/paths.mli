@@ -11,8 +11,6 @@ open Rmt_base
 
 type path = int list
 
-val is_simple : path -> bool
-
 val is_path_in : Graph.t -> path -> bool
 (** Consecutive nodes adjacent, all nodes present, no repetition. *)
 
@@ -35,14 +33,9 @@ val find_simple_path :
     completeness flag: [None, false] means the budget ran out before the
     space was covered. *)
 
-val count_simple_paths : ?budget:int -> Graph.t -> int -> int -> int * bool
-(** Number of simple paths, with the same budget/completeness contract. *)
-
 val shortest_path : Graph.t -> int -> int -> path option
 (** One BFS shortest path. *)
 
 val disjoint_paths_lower_bound : Graph.t -> int -> int -> int
 (** Greedy lower bound on the number of internally node-disjoint [s]–[t]
     paths (repeatedly extracts a shortest path and removes its interior). *)
-
-val pp_path : Format.formatter -> path -> unit

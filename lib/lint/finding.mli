@@ -59,6 +59,11 @@ val to_text : t -> string
 (** [file:line:col: [rule] message  (in context)] — one line, plus an
     indented [call chain:] line when the finding carries one. *)
 
+val json_escape : string -> string
+(** The body of a JSON string literal (no surrounding quotes): quote,
+    backslash, newline and tab escaped by name, other control
+    characters as [\u00XX].  Every lint JSON writer escapes through it. *)
+
 val to_json : t -> string
 (** A self-contained JSON object (no trailing newline). *)
 

@@ -187,8 +187,10 @@ let render_text r =
 let render_json r =
   let stale_json (e : Baseline.entry) =
     Printf.sprintf
-      "{\"rule\":\"%s\",\"fingerprint\":\"%s\",\"file\":\"%s\"}" e.rule
-      e.fingerprint e.file
+      "{\"rule\":\"%s\",\"fingerprint\":\"%s\",\"file\":\"%s\"}"
+      (Finding.json_escape e.rule)
+      (Finding.json_escape e.fingerprint)
+      (Finding.json_escape e.file)
   in
   Printf.sprintf
     "{\n\

@@ -1115,21 +1115,7 @@ let render_text ?only t =
      end);
   Buffer.contents buf
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let json_string s = "\"" ^ Finding.json_escape s ^ "\""
 
 let json_list l = "[" ^ String.concat ", " (List.map json_string l) ^ "]"
 

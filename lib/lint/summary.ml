@@ -478,21 +478,6 @@ let render_text ?only st =
        (List.length es) (store_fingerprint st));
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_json ?only st =
   let es = selected ?only st in
   let one e =
@@ -504,13 +489,13 @@ let render_json ?only st =
        \"connectivity_sanitized\": %s, \"locks\": %s, \"heavy\": %s, \
        \"spawns\": %s, \"may_raise\": %s, \"locked_only\": %s, \
        \"inst\": [%s]}"
-      (json_escape e.s_fn)
-      (json_escape (Finding.normalize_path e.s_file))
+      (Finding.json_escape e.s_fn)
+      (Finding.json_escape (Finding.normalize_path e.s_file))
       e.s_line (fingerprint e) (b e.s_mutates) (b e.s_nondet) (b e.s_source)
       e.s_sinks (b e.s_cover) (b e.s_conn) (b e.s_locks) (b e.s_heavy)
       (b e.s_spawns) (b e.s_may_raise) (b e.s_locked_only)
       (String.concat ", "
-         (List.map (fun i -> "\"" ^ json_escape i ^ "\"") e.s_inst))
+         (List.map (fun i -> "\"" ^ Finding.json_escape i ^ "\"") e.s_inst))
   in
   Printf.sprintf
     "{\n\

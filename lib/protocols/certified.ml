@@ -286,16 +286,15 @@ let pka_key (p : Rmt_core.Rmt_pka.payload) =
     Printf.sprintf "I:%d:%s:%s" r.Rmt_core.Rmt_pka.origin
       (Graph.to_string r.gamma) (structure_sig r.zeta)
 
-let pka ?budgets ?(envelope = Envelope.default) (inst : Rmt_knowledge.Instance.t)
-    ~x_dealer =
+let pka (inst : Rmt_knowledge.Instance.t) ~x_dealer =
   let open Rmt_knowledge in
-  let inner = Rmt_core.Rmt_pka.automaton ?budgets inst ~x_dealer in
+  let inner = Rmt_core.Rmt_pka.automaton inst ~x_dealer in
   let report v =
     Rmt_core.Rmt_pka.report ~origin:v ~gamma:(Instance.local_view inst v)
       ~zeta:(Instance.local_structure inst v)
   in
   make ~graph:inst.graph ~receiver:inst.receiver ~structure:inst.structure
-    ~envelope
+    ~envelope:Envelope.default
     ~inject_value:(fun v ->
       if v = inst.dealer then Some (Rmt_core.Rmt_pka.Value x_dealer) else None)
     ~inject_report:(fun v ->
@@ -313,19 +312,12 @@ let pka_msg_size (m : pka_msg) =
 
 type ppa_msg = int msg
 
-let ppa ?(envelope = Envelope.default) g ~structure ~dealer ~receiver ~x_dealer
-    =
+let ppa g ~structure ~dealer ~receiver ~x_dealer =
   let inner = Ppa.automaton g ~structure ~dealer ~receiver ~x_dealer in
-  make ~graph:g ~receiver ~structure ~envelope
+  make ~graph:g ~receiver ~structure ~envelope:Envelope.default
     ~inject_value:(fun v -> if v = dealer then Some x_dealer else None)
     ~inject_report:(fun _ -> None)
     ~key:string_of_int ~inner
     ~inner_truncated:(fun _ -> false)
 
 let ppa_msg_size (m : ppa_msg) = 1 + List.length m.Flood.trail
-
-let pp_body pp_payload ppf body =
-  match body with
-  | Load p -> Format.fprintf ppf "load(%a)" pp_payload p
-  | Echo origin -> Format.fprintf ppf "echo(%d)" origin
-  | Tick -> Format.fprintf ppf "tick"

@@ -108,30 +108,26 @@ val evidence_count : 'p state -> int
 type pka_msg = Rmt_core.Rmt_pka.payload msg
 
 val pka :
-  ?budgets:Rmt_core.Rmt_pka.budgets ->
-  ?envelope:Envelope.t ->
   Instance.t ->
   x_dealer:int ->
   (Rmt_core.Rmt_pka.payload state, pka_msg) Engine.automaton
-(** Certified RMT-PKA: the partial-knowledge automaton behind the
-    quorum/commit gate.  Defaults to {!Envelope.default}, which
-    contains both pinned Theorem-4 boundary schedules. *)
+(** Certified RMT-PKA: the partial-knowledge automaton (with
+    {!Rmt_core.Rmt_pka.default_budgets}) behind the quorum/commit gate
+    of {!Envelope.default}, which contains both pinned Theorem-4
+    boundary schedules. *)
 
 val pka_msg_size : pka_msg -> int
 
 type ppa_msg = int msg
 
 val ppa :
-  ?envelope:Envelope.t ->
   Graph.t ->
   structure:Structure.t ->
   dealer:int ->
   receiver:int ->
   x_dealer:int ->
   (int state, ppa_msg) Engine.automaton
-(** Certified PPA: the full-knowledge baseline behind the same gate. *)
+(** Certified PPA: the full-knowledge baseline behind the same
+    {!Envelope.default} gate. *)
 
 val ppa_msg_size : ppa_msg -> int
-
-val pp_body :
-  (Format.formatter -> 'p -> unit) -> Format.formatter -> 'p body -> unit

@@ -24,7 +24,3 @@ let of_string s =
   | Some (d, l) when d >= 1 && l >= 0 && l <= max_drop_budget ->
     Some { delay_bound = d; drop_budget = l }
   | _ -> None
-
-let pp ppf t =
-  Format.fprintf ppf "envelope(delay<=%d, drops<=%d)" t.delay_bound
-    t.drop_budget

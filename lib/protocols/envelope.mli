@@ -51,5 +51,3 @@ val to_string : t -> string
 (** ["d<delay>l<drops>"], e.g. ["d3l2"]; parsed back by {!of_string}. *)
 
 val of_string : string -> t option
-
-val pp : Format.formatter -> t -> unit

@@ -114,11 +114,11 @@ type run_result = {
   truncated : bool;
 }
 
-let run ?(adversary = Engine.no_adversary) ?max_messages g ~structure ~dealer
-    ~receiver ~x_dealer =
+let run ?(adversary = Engine.no_adversary) g ~structure ~dealer ~receiver
+    ~x_dealer =
   let auto = automaton g ~structure ~dealer ~receiver ~x_dealer in
   let outcome =
-    Engine.run ?max_messages
+    Engine.run
       ~size_of:(fun (m : msg) -> 1 + List.length m.trail)
       ~stop_when:(fun dec -> dec receiver <> None)
       ~graph:g ~adversary auto

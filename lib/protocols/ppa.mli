@@ -41,6 +41,5 @@ type run_result = {
 
 val run :
   ?adversary:msg Engine.strategy ->
-  ?max_messages:int ->
   Graph.t -> structure:Structure.t -> dealer:int -> receiver:int ->
   x_dealer:int -> run_result

@@ -37,18 +37,19 @@ let params_of_point pt =
     drop_budget = pt.drop_budget;
   }
 
-let run ?domains ?(schedules = 60) ?x_dealer ?x_fake ~seed ~envelope protocol
-    inst grid =
+let schedules = 60
+
+let run ?domains ~seed protocol inst grid =
   List.map
     (fun pt ->
       let params = params_of_point pt in
       let (report : Sweep.report) =
-        Sweep.run ?domains ?x_dealer ?x_fake ~params ~seed ~schedules protocol
-          inst
+        Sweep.run ?domains ~params ~seed ~schedules protocol inst
       in
       {
         point = pt;
-        in_envelope = Envelope_check.params_within params envelope;
+        in_envelope =
+          Envelope_check.params_within params Rmt_protocols.Envelope.default;
         schedules = report.trials;
         delivered = report.delivered;
         silenced = report.silenced;

@@ -10,7 +10,7 @@
     column must be zero, and the point where violations first appear
     traces the empirical frontier next to the declared one.
 
-    Deterministic in (seed, schedules, grid) and independent of the
+    Deterministic in (seed, grid) and independent of the
     domain count — the rendered table is goldenable. *)
 
 open Rmt_knowledge
@@ -37,28 +37,23 @@ val default_grid : point list
 (** An escalating diagonal through (delay, drops) space crossing
     {!Rmt_protocols.Envelope.default} — three points inside, two out. *)
 
-val params_of_point : point -> Policy.params
-(** {!Policy.default_params} with the point's delay bound and drop
+val run :
+  ?domains:int ->
+  seed:int ->
+  Campaign.protocol ->
+  Instance.t ->
+  point list ->
+  row list
+(** One {!Sweep.run} per grid point, 60 trials each with dealer value 7
+    and fake value 8, classifying each point against
+    {!Rmt_protocols.Envelope.default}.  Each point's schedules are drawn
+    from {!Policy.default_params} with the point's delay bound and drop
     budget and {e aggressive} exploration probabilities (lateness 0.6,
     loss 0.4) — envelope conformance constrains delay and drops only,
     so harsh probabilities sharpen both sides of the frontier.  Loss
     and lateness are switched off when the point's budget (resp. delay
     headroom) is zero, so the point's schedule space is exactly what it
     advertises. *)
-
-val run :
-  ?domains:int ->
-  ?schedules:int ->
-  ?x_dealer:int ->
-  ?x_fake:int ->
-  seed:int ->
-  envelope:Rmt_protocols.Envelope.t ->
-  Campaign.protocol ->
-  Instance.t ->
-  point list ->
-  row list
-(** One {!Sweep.run} per grid point ([schedules] trials each, default
-    60), classifying each point against [envelope]. *)
 
 val to_table : row list -> string
 (** Fixed-width rendering, one line per row — the pinned-golden and

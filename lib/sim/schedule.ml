@@ -122,11 +122,6 @@ let tokens line =
   strip_comment line |> String.split_on_char ' '
   |> List.filter (fun s -> s <> "")
 
-let is_sched_line line =
-  match tokens line with
-  | ("sched" | "sched-bound") :: _ -> true
-  | _ -> false
-
 let ( let* ) = Result.bind
 
 let parse_int ~ctx s =

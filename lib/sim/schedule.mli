@@ -37,10 +37,6 @@ val drop_decision : decision
 val decision_is_sync : decision -> bool
 val decision_equal : decision -> decision -> bool
 
-val decision_size : decision -> int
-(** Shrinking measure of one decision: 0 iff synchronous, and strictly
-    decreased by every {!Sim_shrink} move. *)
-
 type t
 
 val max_bound : int
@@ -72,19 +68,17 @@ val decision_for : t -> int -> decision
     pre-hashes the entries instead when replaying. *)
 
 val size : t -> int
-(** Sum of {!decision_size} over the entries; 0 iff synchronous. *)
+(** The shrinking measure: summed over the entries, a drop counts 1 and
+    any other decision its extra delay plus 1 each for a non-zero key
+    and a duplicate.  0 iff synchronous, and strictly decreased by every
+    {!Sim_shrink} move. *)
 
 val equal : t -> t -> bool
 
 val to_lines : t -> string list
-val of_lines : string list -> (t, string) result
 val to_string : t -> string
 val of_string : string -> (t, string) result
 val to_file : string -> t -> (unit, string) result
 val of_file : string -> (t, string) result
-
-val is_sched_line : string -> bool
-(** Does the line belong to the schedule vocabulary?  (Mirrors
-    {!Rmt_attack.Program.is_attack_line}.) *)
 
 val pp : Format.formatter -> t -> unit

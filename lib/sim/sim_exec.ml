@@ -10,18 +10,16 @@ let runner ~policy =
           ~adversary auto);
   }
 
-let execute_recorded ?max_messages ~params ~sched_seed protocol inst ~x_dealer
-    p =
+let execute_recorded ~params ~sched_seed protocol inst ~x_dealer p =
   let rng = Prng.create sched_seed in
   let policy, freeze = Policy.record (Policy.random rng params) in
   let r =
-    Campaign.execute ?max_messages ~runner:(runner ~policy) protocol inst
-      ~x_dealer p
+    Campaign.execute ~runner:(runner ~policy) protocol inst ~x_dealer p
   in
   (r, freeze ())
 
-let replay ?max_messages ?max_lines (r : Replay.t) sched =
-  Campaign.execute_traced ?max_messages ?max_lines
+let replay (r : Replay.t) sched =
+  Campaign.execute_traced
     ~runner:(runner ~policy:(Policy.of_schedule sched))
     r.Replay.protocol r.Replay.instance ~x_dealer:r.Replay.x_dealer
     r.Replay.program

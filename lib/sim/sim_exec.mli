@@ -17,7 +17,6 @@ val runner : policy:Policy.t -> Campaign.runner
     per execution. *)
 
 val execute_recorded :
-  ?max_messages:int ->
   params:Policy.params ->
   sched_seed:int ->
   Campaign.protocol ->
@@ -30,12 +29,7 @@ val execute_recorded :
     decision taken.  Deterministic in (params, sched_seed, protocol,
     instance, x_dealer, program). *)
 
-val replay :
-  ?max_messages:int ->
-  ?max_lines:int ->
-  Replay.t ->
-  Schedule.t ->
-  Campaign.run_report * string
+val replay : Replay.t -> Schedule.t -> Campaign.run_report * string
 (** Replay a reproducer pair: the [.rmt] run under the [.sched]
     schedule.  Bit-identical to the recorded execution. *)
 

@@ -21,8 +21,6 @@ type report = Schedule.t Campaign.report
 
 val run :
   ?domains:int ->
-  ?max_messages:int ->
-  ?batch:int ->
   ?should_stop:(unit -> bool) ->
   ?x_dealer:int ->
   ?x_fake:int ->
@@ -34,8 +32,8 @@ val run :
   report
 (** Up to [schedules] (program, schedule) trials drawn from [seed] —
     {!Campaign.run_trials} with a program and a schedule seed drawn per
-    trial, each executed by {!Sim_exec.execute_recorded}; batches of
-    [batch] (default 16), [should_stop] polled between batches.
+    trial, each executed by {!Sim_exec.execute_recorded}; batches of 16,
+    [should_stop] polled between batches.
     Deterministic in (seed, schedules, params), independent of
     [domains].  [params] defaults to {!Policy.timely_params} — the
     schedule space where Theorem 4's safety is scheduler-independent;
@@ -45,7 +43,6 @@ val run :
 
 val shrink_violation :
   ?budget:int ->
-  ?max_messages:int ->
   Campaign.protocol ->
   x_dealer:int ->
   Instance.t ->

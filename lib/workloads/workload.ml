@@ -47,7 +47,6 @@ let knowledge_label = function
 
 type adversary_kind =
   | Threshold of int
-  | Local of int
   | Random_antichain of {
       sets : int;
       max_size : int;
@@ -56,13 +55,11 @@ type adversary_kind =
 let structure_of rng kind g ~dealer =
   match kind with
   | Threshold t -> Builders.global_threshold g ~dealer t
-  | Local t -> Builders.t_local g ~dealer t
   | Random_antichain { sets; max_size } ->
     Builders.random_antichain rng g ~dealer ~sets ~max_size
 
 let adversary_label = function
   | Threshold t -> Printf.sprintf "thr-%d" t
-  | Local t -> Printf.sprintf "local-%d" t
   | Random_antichain { sets; max_size } ->
     Printf.sprintf "rand-%dx%d" sets max_size
 
@@ -122,12 +119,3 @@ let scaling_family ~width ~max_depth =
       let structure = Builders.global_threshold g ~dealer:0 t in
       ( Graph.num_nodes g,
         Instance.ad_hoc_of ~graph:g ~structure ~dealer:0 ~receiver ))
-
-let random_structures rng ~universe ~sets ~max_size ~count =
-  let ground = Nodeset.range 0 universe in
-  List.init count (fun _ ->
-      let candidates =
-        List.init sets (fun _ ->
-            Prng.sample rng ground (1 + Prng.int rng (max 1 max_size)))
-      in
-      Structure.of_sets ~ground candidates)

@@ -5,7 +5,6 @@
 
 open Rmt_base
 open Rmt_graph
-open Rmt_adversary
 open Rmt_knowledge
 
 type labelled = {
@@ -20,32 +19,7 @@ val named_topologies : unit -> (string * Graph.t * int * int) list
     [(name, graph, dealer, receiver)] used across experiments: grid,
     layered, ladder, cycle, wheel-ish communities, random-regular. *)
 
-type knowledge =
-  | Ad_hoc
-  | Radius of int
-  | Full
-
-val view_of : knowledge -> Graph.t -> View.t
-
-val knowledge_label : knowledge -> string
-
-(** {1 Adversary structures} *)
-
-type adversary_kind =
-  | Threshold of int  (** global-[t] *)
-  | Local of int  (** Koo's [t]-locally-bounded *)
-  | Random_antichain of { sets : int; max_size : int }
-
-val structure_of :
-  Prng.t -> adversary_kind -> Graph.t -> dealer:int -> Structure.t
-
-val adversary_label : adversary_kind -> string
-
 (** {1 Instance suites} *)
-
-val make_instance :
-  Prng.t -> Graph.t -> dealer:int -> receiver:int -> knowledge ->
-  adversary_kind -> Instance.t
 
 val tightness_suite : Prng.t -> count:int -> n:int -> labelled list
 (** Random connected [G(n, p)] instances with mixed adversary kinds and
@@ -59,9 +33,3 @@ val scaling_family : width:int -> max_depth:int -> (int * Instance.t) list
 (** Layered instances of growing depth (ad hoc, global threshold
     [t = width - 1 ... ] chosen solvable) keyed by node count — the E6
     workload. *)
-
-val random_structures :
-  Prng.t -> universe:int -> sets:int -> max_size:int -> count:int ->
-  Structure.t list
-(** Random antichains over [{0..universe-1}] for the ⊕ micro-benchmarks
-    (E1/B-series). *)

@@ -1,8 +1,7 @@
 (* Equivalence of the incremental operators with their from-scratch
-   counterparts: Joint.join_delta vs Joint.join under operand growth,
-   Cut.update vs Cut.find_rmt_cut along random delta streams, and the
-   Service giving the same feasibility answers as one-shot Solvability
-   at every generation. *)
+   counterparts: Cut.update vs Cut.find_rmt_cut along random delta
+   streams, and the Service giving the same feasibility answers as
+   one-shot Solvability at every generation. *)
 
 open Rmt_base
 open Rmt_adversary
@@ -11,34 +10,6 @@ open Rmt_core
 
 let check = Alcotest.(check bool)
 let ns = Nodeset.of_list
-
-let structure_gen universe =
-  QCheck.Gen.(
-    let* seed = int_bound 1_000_000 in
-    let rng = Prng.create seed in
-    let all = Nodeset.range 0 universe in
-    let ground = Prng.subset rng all 0.7 in
-    let* k = int_range 1 4 in
-    let sets =
-      List.init k (fun _ ->
-          Prng.sample rng ground (Prng.int rng (1 + Nodeset.size ground)))
-    in
-    return (Structure.of_sets ~ground sets))
-
-let arb_structure u = QCheck.make ~print:Structure.to_string (structure_gen u)
-
-(* grow a structure in place: add random subsets of its own ground set,
-   keeping the ground fixed (the join_delta fast-path precondition) *)
-let grow rng s k =
-  let ground = Structure.ground s in
-  List.fold_left
-    (fun acc _ ->
-      if Nodeset.is_empty ground then acc
-      else
-        Structure.add_set
-          (Prng.sample rng ground (1 + Prng.int rng (Nodeset.size ground)))
-          acc)
-    s (List.init k Fun.id)
 
 (* An arbitrary (C₁, C₂), not only a witness some search produced: C
    mostly avoids D and R (so it can separate them), and C₁ is C cut down
@@ -60,31 +31,6 @@ let arbitrary_split rng (inst : Instance.t) =
 
 let qcheck_props =
   [
-    QCheck.Test.make ~count:150
-      ~name:"join_delta (growth) = join from scratch, incremental path"
-      (QCheck.triple (arb_structure 7) (arb_structure 7)
-         (QCheck.make QCheck.Gen.(int_bound 1_000_000)))
-      (fun (e, f, seed) ->
-        let rng = Prng.create seed in
-        let e' = grow rng e (1 + Prng.int rng 3) in
-        let f' = grow rng f (Prng.int rng 3) in
-        let prev = Joint.join e f in
-        let j, tag = Joint.join_delta ~prev ~e ~f ~e' ~f' in
-        Structure.equal j (Joint.join e' f') && tag = `Incremental);
-    QCheck.Test.make ~count:100
-      ~name:"join_delta falls back (and is exact) on non-growth deltas"
-      (QCheck.triple (arb_structure 6) (arb_structure 6) (arb_structure 6))
-      (fun (e, f, e') ->
-        let prev = Joint.join e f in
-        let j, _ = Joint.join_delta ~prev ~e ~f ~e' ~f':f in
-        Structure.equal j (Joint.join e' f));
-    QCheck.Test.make ~count:150
-      ~name:"join_delta: unchanged operands return prev itself"
-      (QCheck.pair (arb_structure 7) (arb_structure 7))
-      (fun (e, f) ->
-        let prev = Joint.join e f in
-        let j, tag = Joint.join_delta ~prev ~e ~f ~e':e ~f':f in
-        j == prev && tag = `Incremental);
     QCheck.Test.make ~count:60
       ~name:"Cut.update agrees with find_rmt_cut at every stream step"
       Rmt_test_gen.Gen.arb_instance_with_stream

@@ -178,7 +178,7 @@ let test_radius_frontier_monotone () =
   let g = Generators.grid 3 3 in
   let structure = Builders.global_threshold g ~dealer:0 1 in
   let frontier =
-    Minimal_knowledge.radius_frontier ~graph:g ~structure ~dealer:0 ~receiver:8 ()
+    Minimal_knowledge.radius_frontier ~graph:g ~structure ~dealer:0 ~receiver:8
   in
   (* once solvable, stays solvable *)
   let rec monotone seen_solvable = function
@@ -193,9 +193,10 @@ let test_minimal_radius_consistent () =
   let g = Generators.grid 3 3 in
   let structure = Builders.global_threshold g ~dealer:0 1 in
   match
-    Minimal_knowledge.minimal_radius ~graph:g ~structure ~dealer:0 ~receiver:8 ()
+    Minimal_knowledge.minimal_radius ~graph:g ~structure ~dealer:0 ~receiver:8
   with
-  | None ->
+  | Minimal_knowledge.Unknown -> Alcotest.fail "budget exhausted on a 3x3 grid"
+  | Minimal_knowledge.Unsolvable ->
     (* grid 3x3 is 2-connected only, so t=1 may genuinely be unsolvable
        even with full knowledge; verify against the cut decider *)
     let inst =
@@ -204,7 +205,7 @@ let test_minimal_radius_consistent () =
     in
     check "full knowledge also unsolvable" true
       (Cut.exists_certainly (Cut.find_rmt_cut inst))
-  | Some k ->
+  | Minimal_knowledge.Radius k ->
     let inst =
       Instance.make ~graph:g ~structure ~view:(View.radius k g) ~dealer:0
         ~receiver:8

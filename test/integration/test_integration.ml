@@ -181,6 +181,20 @@ let test_cli_smoke () =
   Alcotest.(check string) "attack reads the exhausted search as unknown"
     "RMT-cut search: unknown (budget exhausted); no attack mounted.\n"
     printed;
+  (* nothing is corruptible, so the instance is solvable; the radius
+     searches run out of budget, which must read as unknown too *)
+  let out = Filename.temp_file "rmt_analyze" ".out" in
+  Alcotest.(check int) "analyze, exhausted searches" 0
+    (Sys.command
+       (Filename.quote exe
+      ^ " analyze --topology grid:5x6 --adversary thr:0 > "
+      ^ Filename.quote out));
+  let printed = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check bool) "analyze reads the exhausted radius searches as unknown"
+    true
+    (List.mem "Minimal uniform view radius: unknown (budget exhausted)"
+       (String.split_on_char '\n' printed));
   Alcotest.(check int) "dot" 0 (run "dot --topology cycle:6");
   Alcotest.(check int) "bad spec fails" 124
     (let c = run "analyze --topology warp:9" in

@@ -366,7 +366,7 @@ let test_sim_sync_backend () =
 (* Frontier golden                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Frontier.run is deterministic in (seed, schedules, grid) and
+(* Frontier.run is deterministic in (seed, grid) and
    independent of the domain count, so the rendered table pins the
    whole experiment: zero violations inside the envelope, and the
    outermost point exhibiting the violation that keeps the boundary
@@ -382,8 +382,7 @@ let frontier_golden =
 let test_frontier_golden () =
   let inst = boundary_instance () in
   let rows =
-    Frontier.run ~seed:19 ~schedules:60 ~x_dealer:7 ~x_fake:8
-      ~envelope:Envelope.default Campaign.Cert_pka inst Frontier.default_grid
+    Frontier.run ~seed:19 Campaign.Cert_pka inst Frontier.default_grid
   in
   List.iter
     (fun r ->

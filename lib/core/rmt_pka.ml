@@ -98,12 +98,24 @@ type version = {
 
 type cover = Covered | Uncovered | Unknown
 
-(* G_M for one selection of versions, with the last fullness check per
-   candidate value and the last adversary-cover verdict, stamped with the
-   search ([recv.epoch]) that computed it. *)
+(* One fullness check of G_M for a candidate value: the first D–R path of
+   G_M that the value's type-1 messages lack ([None] when there is none
+   within [path_budget]), whether that enumeration completed, and the
+   members other than D and R whose removal from V_M destroys the path. *)
+type fullness = {
+  first_missing : Paths.path option;
+  complete : bool;
+  candidates : Nodeset.t;
+}
+
+(* G_M for one selection of versions, whether it has a D–R path at all,
+   the last fullness check per candidate value, and the last
+   adversary-cover verdict, stamped with the search ([recv.epoch]) that
+   computed it. *)
 type gm_entry = {
   gm : Graph.t;
-  mutable missing : (int * (Paths.path option * bool)) list;
+  dr_connected : bool Lazy.t;
+  mutable missing : (int * fullness) list;
   mutable cover : cover;
   mutable cover_epoch : int;
 }
@@ -252,10 +264,9 @@ type branch = {
   reporters : Nodeset.t Edge_tbl.t Lazy.t;
 }
 
-let branch_info rs selection =
+let branch_of selection =
   let info = Hashtbl.create 16 in
   List.iter (fun (v, ver) -> Hashtbl.replace info v ver) selection;
-  Hashtbl.replace info rs.self rs.own;
   let reporters =
     lazy
       (let idx = Edge_tbl.create 64 in
@@ -288,6 +299,47 @@ let build_gm br vset =
          | Some ver -> ver.rep.gamma :: acc
          | None -> acc)
        vset [])
+
+let edge_reporters br vset a b =
+  match Edge_tbl.find_opt (Lazy.force br.reporters) (edge_key a b) with
+  | Some ws -> Nodeset.inter vset ws
+  | None -> Nodeset.empty
+
+(* G_M of [vset] = V_M ∖ {w}, from [parent], the G_M of V_M.  Every
+   member is in its own view (ingestion drops reports that are not), so
+   the nodes of G_M are V_M and removing [w] removes one node.  An edge
+   between two remaining members survives iff some remaining member
+   reports it, so besides [w]'s incident edges exactly the edges of γ(w)
+   that no other member of [vset] reports are lost. *)
+let derive_gm br vset parent w =
+  let gamma = (Hashtbl.find br.info w).rep.gamma in
+  let lost =
+    Nodeset.fold
+      (fun a acc ->
+        Nodeset.fold
+          (fun b acc ->
+            if a < b && Nodeset.is_empty (edge_reporters br vset a b) then
+              (a, b) :: acc
+            else acc)
+          (Nodeset.inter (Graph.neighbors a gamma) vset)
+          acc)
+      (Nodeset.inter (Graph.nodes gamma) vset)
+      []
+  in
+  Graph.remove_edges lost (Graph.remove_node w parent)
+
+(* The two constructions of G_M, over a selection of one report per
+   member. *)
+let branch_of_reports reports =
+  branch_of
+    (List.mapi
+       (fun vid r -> (r.origin, { vid; rep = r; trail_sets = [] }))
+       reports)
+
+let claimed_graph reports vset = build_gm (branch_of_reports reports) vset
+
+let claimed_graph_without reports ~parent vset w =
+  derive_gm (branch_of_reports reports) (Nodeset.remove w vset) parent w
 
 (* Adversary cover search (Definition 6) on the claimed graph: enumerate
    connected B ∋ R avoiding the dealer's closed neighborhood; C = N(B);
@@ -369,16 +421,24 @@ let has_cover rs gm =
    from, so the key names the same G_M in every branch and every search,
    and a stored G_M is exact for good.
 
+   The search descends from V_M to V_M ∖ {w}, so a missed entry is
+   derived from its parent's G_M ([derive_gm]: drop [w], its edges and
+   the edges only [w] reported); only the root, which has no parent, is
+   built as the join of the selected views.  A derived G_M is the built
+   one, so where an entry came from does not matter.
+
    What is stored about G_M stays exact across searches (rounds) because
    ingestion only ever adds: [record_value] adds D–R paths to a value and
    [record_report] adds versions and trail sets.
 
+   - D–R connectivity: a function of G_M alone, computed on first use.
    - Fullness for value [x]: the D–R path enumeration over a fixed G_M is
      fixed, and paths only arrive.  A stored first missing path that is
      still missing is still the first, found after the same number of
      steps; a [None] (full, or no missing path within [path_budget]) stays
      [None].  Only a stored missing path that has since arrived forces a
-     new check.
+     new check.  The path's destroyers depend on it and on the selected
+     reports alone, so they are stored with it.
    - Adversary cover: the versions eligible for a given B only grow.  That
      keeps a covering B covering — a member with one eligible version keeps
      it or gains a second, and conflicting versions count as covered — and
@@ -392,14 +452,23 @@ let has_cover rs gm =
    flushed, and a flushed entry is recomputed to the same answers. *)
 let gm_memo_cap = 1 lsl 14
 
-let gm_entry_of rs br vset ids =
+let gm_entry_of rs br vset ids parent =
   match Set_tbl.find_opt rs.gm_memo ids with
   | Some e -> e
   | None ->
     if Set_tbl.length rs.gm_memo >= gm_memo_cap then Set_tbl.reset rs.gm_memo;
+    let gm =
+      match parent with
+      | Some (parent_gm, w) -> derive_gm br vset parent_gm w
+      | None -> build_gm br vset
+    in
     let e =
       {
-        gm = build_gm br vset;
+        gm;
+        dr_connected =
+          lazy
+            (Connectivity.connected_avoiding gm rs.dealer rs.self
+               Nodeset.empty);
         missing = [];
         cover = Unknown;
         cover_epoch = -1;
@@ -412,18 +481,6 @@ let rec assoc_int (x : int) = function
   | [] -> None
   | (y, found) :: rest -> if y = x then Some found else assoc_int x rest
 
-let missing_path rs e x paths_x =
-  match assoc_int x e.missing with
-  | Some ((None, _) as found) -> found
-  | Some ((Some q, _) as found) when not (Path_tbl.mem paths_x q) -> found
-  | Some (Some _, _) | None ->
-    let found =
-      Paths.find_simple_path ~budget:rs.budgets.path_budget e.gm rs.dealer
-        rs.self (fun q -> not (Path_tbl.mem paths_x q))
-    in
-    e.missing <- (x, found) :: List.filter (fun (y, _) -> y <> x) e.missing;
-    found
-
 let cover_of rs e =
   match e.cover with
   | Covered -> Covered
@@ -433,11 +490,6 @@ let cover_of rs e =
     e.cover <- c;
     e.cover_epoch <- rs.epoch;
     c
-
-let edge_reporters br vset a b =
-  match Edge_tbl.find_opt (Lazy.force br.reporters) (edge_key a b) with
-  | Some ws -> Nodeset.inter vset ws
-  | None -> Nodeset.empty
 
 (* The nodes whose removal from V_M destroys the D–R path [q] of G_M:
    its nodes, and every reporter of one of its edges.  [q]'s ends (the
@@ -449,6 +501,28 @@ let rec destroyers br vset acc = function
       rest
   | [ b ] -> Nodeset.add b acc
   | [] -> acc
+
+let fullness_of rs br vset e x paths_x =
+  match assoc_int x e.missing with
+  | Some ({ first_missing = None; _ } as f) -> f
+  | Some ({ first_missing = Some q; _ } as f) when not (Path_tbl.mem paths_x q)
+    ->
+    f
+  | Some { first_missing = Some _; _ } | None ->
+    let first_missing, complete =
+      Paths.find_simple_path ~budget:rs.budgets.path_budget e.gm rs.dealer
+        rs.self (fun q -> not (Path_tbl.mem paths_x q))
+    in
+    let candidates =
+      match first_missing with
+      | None -> Nodeset.empty
+      | Some q ->
+        Nodeset.remove rs.dealer
+          (Nodeset.remove rs.self (destroyers br vset Nodeset.empty q))
+    in
+    let f = { first_missing; complete; candidates } in
+    e.missing <- (x, f) :: List.filter (fun (y, _) -> y <> x) e.missing;
+    f
 
 (* Search for a valid full message set with value [x] and no adversary
    cover, over subsets V_M of the reported nodes.  Pruning: a missing D–R
@@ -469,7 +543,7 @@ let try_value rs br x =
     let visited = Set_tbl.create 64 in
     let budget = ref rs.budgets.subset_budget in
     let vid v = (Hashtbl.find info v).vid in
-    let rec explore vset ids =
+    let rec explore vset ids parent =
       if Set_tbl.mem visited ids then false
       else begin
         Set_tbl.replace visited ids ();
@@ -479,16 +553,13 @@ let try_value rs br x =
         end
         else begin
           decr budget;
-          let entry = gm_entry_of rs br vset ids in
-          let gm = entry.gm in
-          let missing, complete = missing_path rs entry x paths_x in
-          match (missing, complete) with
+          let entry = gm_entry_of rs br vset ids parent in
+          let f = fullness_of rs br vset entry x paths_x in
+          match (f.first_missing, f.complete) with
           | None, false ->
             rs.truncated <- true;
             false
-          | None, true when
-              not (Connectivity.connected_avoiding gm rs.dealer rs.self
-                     Nodeset.empty) ->
+          | None, true when not (Lazy.force entry.dr_connected) ->
             (* Fullness is vacuous: G_M has no D–R path at all, so M
                contains no type-1 message and determines no value.  The
                FUZZ campaign found a spam program exploiting this — prune
@@ -509,16 +580,14 @@ let try_value rs br x =
              | Unknown ->
                rs.truncated <- true;
                false)
-          | Some q, _ ->
-            (* not full: branch on ways to destroy q *)
-            let candidates =
-              Nodeset.remove rs.dealer
-                (Nodeset.remove rs.self (destroyers br vset Nodeset.empty q))
-            in
+          | Some _, _ ->
+            (* not full: branch on ways to destroy the missing path *)
             Nodeset.exists
               (fun w ->
-                explore (Nodeset.remove w vset) (Nodeset.remove (vid w) ids))
-              candidates
+                explore (Nodeset.remove w vset)
+                  (Nodeset.remove (vid w) ids)
+                  (Some (entry.gm, w)))
+              f.candidates
         end
       end
     in
@@ -527,14 +596,15 @@ let try_value rs br x =
         (fun v ver (vs, ids) -> (Nodeset.add v vs, Nodeset.add ver.vid ids))
         info (Nodeset.empty, Nodeset.empty)
     in
-    explore all all_ids
+    explore all all_ids None
   end
 
 (* One decision search.  Work is shared at three levels: each conflict
    branch's selection table is built once per search and serves every
-   candidate value; the receiver's [gm_memo] carries G_M, fullness
-   checks and cover verdicts across values, branches and searches
-   (rounds); and the cover check decides 𝒵_B membership locally
+   candidate value; the receiver's [gm_memo] carries G_M (each derived
+   from its parent's), D–R connectivity, fullness checks with their
+   destroyer sets and cover verdicts across values, branches and
+   searches (rounds); and the cover check decides 𝒵_B membership locally
    ([Joint.mem_joint]) without building ⊕ joins.  The enumeration orders
    and budgets are those of the plain search, so decisions and truncation
    flags are too. *)
@@ -561,7 +631,11 @@ let try_decide rs =
       in
       if xs <> [] then begin
         rs.epoch <- rs.epoch + 1;
-        let branches = List.map (branch_info rs) (conflict_branches rs) in
+        let branches =
+          List.map
+            (fun selection -> branch_of ((rs.self, rs.own) :: selection))
+            (conflict_branches rs)
+        in
         List.iter
           (fun x ->
             if rs.decided = None then

@@ -25,6 +25,7 @@
     under explicit budgets; exhausting a budget can only suppress a
     decision (a liveness loss), never produce a wrong one. *)
 
+open Rmt_base
 open Rmt_graph
 open Rmt_adversary
 open Rmt_knowledge
@@ -89,6 +90,24 @@ val receiver_trace : state -> string
     fired: the dealer rule, or the full message set behind the value —
     its [V_M] and, per member, the reported view and local structure that
     [M] selected — which is what auditing a decision needs. *)
+
+(** {1 The claimed graph}
+
+    The receiver's two constructions of [G_M], over a selection of one
+    report per member; each member must be a node of its own reported
+    view, as the receiver's ingestion ensures. *)
+
+val claimed_graph : report list -> Nodeset.t -> Graph.t
+(** [claimed_graph reports vset]: the union of the members' views,
+    induced on [vset] — [G_M] built from scratch. *)
+
+val claimed_graph_without :
+  report list -> parent:Graph.t -> Nodeset.t -> int -> Graph.t
+(** [claimed_graph_without reports ~parent vset w], where [parent] is
+    [claimed_graph reports vset], is [claimed_graph reports (vset ∖ {w})]
+    derived from [parent] as the receiver's search derives it: [w] and
+    its edges go, and so does each edge of [w]'s view that no other
+    member of [vset] reports. *)
 
 (** {1 Running RMT-PKA on an instance} *)
 

@@ -54,6 +54,18 @@ let remove_node v g =
     { nodes = Nodeset.remove v g.nodes; adj }
   end
 
+let remove_edges es g =
+  match List.filter (fun (u, v) -> mem_edge u v g) es with
+  | [] -> g
+  | present ->
+    let adj = Array.copy g.adj in
+    List.iter
+      (fun (u, v) ->
+        adj.(u) <- Nodeset.remove v adj.(u);
+        adj.(v) <- Nodeset.remove u adj.(v))
+      present;
+    { g with adj }
+
 let of_edges es = List.fold_left (fun g (u, v) -> add_edge u v g) empty es
 
 let of_nodes_edges ns es = add_nodes ns (of_edges es)

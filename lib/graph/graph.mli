@@ -26,6 +26,10 @@ val add_edge : int -> int -> t -> t
 val remove_node : int -> t -> t
 (** Removes the node and all incident edges. *)
 
+val remove_edges : (int * int) list -> t -> t
+(** Removes each listed edge, in either orientation; absent edges are
+    ignored and every node stays. *)
+
 val of_edges : (int * int) list -> t
 
 val of_nodes_edges : Nodeset.t -> (int * int) list -> t

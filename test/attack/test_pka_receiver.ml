@@ -15,6 +15,12 @@
      wrapper.  It pins the message-size accounting, which the first table
      does not see.  Regenerate with [--print-bits] into
      test/attack/fixtures/pka_bits.golden.
+   - A third golden of the receiver's final [Rmt_pka.receiver_trace] on
+     the same 600 runs: the decided V_M and the reports M selects for it.
+     The search derives and memoises G_M and what is known of it; a G_M
+     that differed from the join of the selected reports would first show
+     here, as different evidence.  Regenerate with [--print-evidence]
+     into test/attack/fixtures/pka_evidence.golden.
    - A differential property: a fresh receiver handed every message the
      round-by-round receiver saw, in one inbox, decides the same value.
      The one-shot receiver has no earlier rounds to reuse work from. *)
@@ -30,6 +36,7 @@ module Sim_exec = Rmt_sim.Sim_exec
 let instances_dir = "../../instances"
 let golden_path = "fixtures/pka_receiver.golden"
 let bits_path = "fixtures/pka_bits.golden"
+let evidence_path = "fixtures/pka_evidence.golden"
 let x_dealer = 7
 let x_fake = 8
 let programs_per_instance = 100
@@ -60,10 +67,24 @@ let keeping_bits (runner : Campaign.runner) =
     },
     bits )
 
-(* Both tables: the receiver golden and the bits golden. *)
+(* The receiver's final trace after running [program] on [runner] the way
+   [Campaign.execute] runs [Campaign.Pka]. *)
+let receiver_evidence (runner : Campaign.runner) (inst : Instance.t) program =
+  let outcome =
+    runner.run ~size_of:Rmt_pka.msg_size
+      ~stop_when:(fun dec -> dec inst.receiver <> None)
+      ~graph:inst.graph
+      ~adversary:(Strategy_gen.compile_pka program inst ~x_dealer)
+      (Rmt_pka.automaton inst ~x_dealer)
+  in
+  Rmt_pka.receiver_trace (List.assoc inst.receiver outcome.states)
+
+(* All three tables: the receiver golden, the bits golden and the evidence
+   golden. *)
 let golden_tables () =
   let buf = Buffer.create 8192 in
   let bits_buf = Buffer.create 4096 in
+  let evidence_buf = Buffer.create 65536 in
   List.iteri
     (fun k name ->
       let inst = load name in
@@ -81,23 +102,33 @@ let golden_tables () =
         Buffer.add_string buf (report_line name i "engine" engine ^ "\n");
         Buffer.add_string buf (report_line name i "sim" sim ^ "\n");
         Printf.bprintf bits_buf "%s %d engine %d\n%s %d sim %d\n" name i
-          !engine_bits name i !sim_bits
+          !engine_bits name i !sim_bits;
+        let sim_runner =
+          Sim_exec.runner
+            ~policy:(Policy.random (Prng.create sched_seed) Policy.timely_params)
+        in
+        Printf.bprintf evidence_buf "%s %d engine\n%s%s %d sim\n%s" name i
+          (receiver_evidence Campaign.engine_runner inst program)
+          name i
+          (receiver_evidence sim_runner inst program)
       done)
     [ "onion_solvable"; "figure1_basic"; "path4_unsolvable" ];
-  (Buffer.contents buf, Buffer.contents bits_buf)
+  (Buffer.contents buf, Buffer.contents bits_buf, Buffer.contents evidence_buf)
 
 let tables = lazy (golden_tables ())
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let test_golden () =
-  Alcotest.(check string)
-    "receiver golden" (read_file golden_path)
-    (fst (Lazy.force tables))
+  let receiver, _, _ = Lazy.force tables in
+  Alcotest.(check string) "receiver golden" (read_file golden_path) receiver
 
 let test_bits () =
-  Alcotest.(check string)
-    "bits golden" (read_file bits_path)
-    (snd (Lazy.force tables))
+  let _, bits, _ = Lazy.force tables in
+  Alcotest.(check string) "bits golden" (read_file bits_path) bits
+
+let test_evidence () =
+  let _, _, evidence = Lazy.force tables in
+  Alcotest.(check string) "evidence golden" (read_file evidence_path) evidence
 
 (* ------------------------------------------------------------------ *)
 (* One-shot vs round-by-round                                          *)
@@ -137,8 +168,15 @@ let prop_one_shot_agrees =
 
 let () =
   match Sys.argv with
-  | [| _; "--print" |] -> print_string (fst (golden_tables ()))
-  | [| _; "--print-bits" |] -> print_string (snd (golden_tables ()))
+  | [| _; "--print" |] ->
+    let receiver, _, _ = golden_tables () in
+    print_string receiver
+  | [| _; "--print-bits" |] ->
+    let _, bits, _ = golden_tables () in
+    print_string bits
+  | [| _; "--print-evidence" |] ->
+    let _, _, evidence = golden_tables () in
+    print_string evidence
   | _ ->
     Alcotest.run "pka-receiver"
       [
@@ -146,6 +184,7 @@ let () =
           [
             Alcotest.test_case "engine and sim" `Quick test_golden;
             Alcotest.test_case "bits" `Quick test_bits;
+            Alcotest.test_case "evidence" `Quick test_evidence;
           ] );
         ( "differential",
           [ QCheck_alcotest.to_alcotest prop_one_shot_agrees ] );

@@ -549,6 +549,66 @@ let qcheck_cover_heredity =
           (Structure.maximal_sets zb)
       end)
 
+(* The receiver's search derives each child's G_M from its parent's
+   instead of joining the selected views again.  On random conflict
+   branches — each member's selected version is its honest view or a
+   conflicting forgery with edges the honest view lacks, phantom nodes
+   past the real ids and honest edges dropped; a phantom member reports
+   too; radius-1 and full views make edges with several reporters — the
+   derived G_M of V_M ∖ {w} is the one built from scratch. *)
+let qcheck_derived_gm =
+  QCheck.Test.make ~count:300 ~name:"derived G_M = G_M built from scratch"
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000) ~print:string_of_int)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let n = 5 + Prng.int rng 4 in
+      let g = Generators.random_connected_gnp rng n 0.45 in
+      let view =
+        match Prng.int rng 3 with
+        | 0 -> View.ad_hoc g
+        | 1 -> View.radius 1 g
+        | _ -> View.full g
+      in
+      let forge v honest =
+        let dropped =
+          List.filter (fun _ -> Prng.int rng 3 = 0) (Graph.edges honest)
+        in
+        let rec add k acc =
+          if k = 0 then acc
+          else
+            let a = Prng.int rng (n + 3) and b = Prng.int rng (n + 3) in
+            add (k - 1) (if a = b then acc else Graph.add_edge a b acc)
+        in
+        Graph.add_node v
+          (add (1 + Prng.int rng 6) (Graph.remove_edges dropped honest))
+      in
+      let phantom = n + Prng.int rng 3 in
+      let members = List.init n Fun.id @ [ phantom ] in
+      let reports =
+        List.map
+          (fun v ->
+            let honest =
+              if v < n then View.view view v else Graph.add_node v Graph.empty
+            in
+            let gamma = if Prng.bool rng then honest else forge v honest in
+            Rmt_pka.report ~origin:v ~gamma
+              ~zeta:(Structure.trivial ~ground:Nodeset.empty))
+          members
+      in
+      let dealer = 0 and receiver = n - 1 in
+      let w = 1 + Prng.int rng (n - 1) in
+      let w = if w = receiver then phantom else w in
+      let vset =
+        List.fold_left
+          (fun acc v -> if Prng.bool rng then Nodeset.add v acc else acc)
+          (Nodeset.of_list [ dealer; receiver; w ])
+          members
+      in
+      let parent = Rmt_pka.claimed_graph reports vset in
+      Graph.equal
+        (Rmt_pka.claimed_graph_without reports ~parent vset w)
+        (Rmt_pka.claimed_graph reports (Nodeset.remove w vset)))
+
 (* ------------------------------------------------------------------ *)
 (* Baselines                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -688,6 +748,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_pka_necessity;
           QCheck_alcotest.to_alcotest qcheck_pka_fuzz_safety;
           QCheck_alcotest.to_alcotest qcheck_cover_heredity;
+          QCheck_alcotest.to_alcotest qcheck_derived_gm;
         ] );
       ( "zcpa",
         [

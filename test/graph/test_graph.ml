@@ -117,6 +117,25 @@ let qcheck_one_pass_union =
       Graph.equal (Graph.union_all gs) folded
       && Graph.equal (Graph.induced_union s gs) (Graph.induced s folded))
 
+(* remove_edges = rebuilding from the node set and the edges not listed;
+   the list mixes present and absent edges in either orientation. *)
+let qcheck_remove_edges =
+  QCheck.Test.make ~count:300 ~name:"remove_edges = rebuild without the edges"
+    (QCheck.pair arb_graph QCheck.small_nat)
+    (fun (g, seed) ->
+      let rng = Prng.create seed in
+      let n = Graph.num_nodes g + 2 in
+      let es =
+        List.init (Prng.int rng 8) (fun _ -> (Prng.int rng n, Prng.int rng n))
+      in
+      let listed (a, b) =
+        List.exists (fun (u, v) -> (u = a && v = b) || (u = b && v = a)) es
+      in
+      Graph.equal
+        (Graph.remove_edges es g)
+        (Graph.of_nodes_edges (Graph.nodes g)
+           (List.filter (fun e -> not (listed e)) (Graph.edges g))))
+
 let test_radius_restrict () =
   let g = Generators.path_graph 6 in
   let b0 = Graph.restrict_to_radius 2 0 g in
@@ -482,6 +501,7 @@ let () =
           Alcotest.test_case "induced" `Quick test_induced;
           Alcotest.test_case "union" `Quick test_union;
           QCheck_alcotest.to_alcotest qcheck_one_pass_union;
+          QCheck_alcotest.to_alcotest qcheck_remove_edges;
           Alcotest.test_case "radius restrict" `Quick test_radius_restrict;
         ] );
       ( "connectivity",

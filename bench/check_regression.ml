@@ -40,8 +40,8 @@
 let schema = "rmt-bench/2"
 
 (* Fail above candidate/baseline = limit.  The join/reduce kernels are
-   bechamel-sampled and stable, so they are gated tightly; the hash-cons
-   rows are sub-microsecond; the rest are protocol runs
+   bechamel-sampled and stable, so they are gated tightly; the restriction
+   memo rows are microseconds; the rest are protocol runs
    or single-shot wall-clock timings exposed to shared-host drift.  Of
    the cut deciders only the thr-2 RMT-cut row is gated: local 𝒵_B
    membership made it ~20× faster than building ⊕ joins, so a 3× limit

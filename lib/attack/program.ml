@@ -120,11 +120,8 @@ let inject_of_string s =
     else Ok (Spam { spam_seed; rounds })
   | _ -> Error (Printf.sprintf "unknown injection %S" s)
 
-let tokens line =
-  String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-
 let is_attack_line line =
-  match tokens line with
+  match Util.tokens line with
   | ("attack-seed" | "attack-node") :: _ -> true
   | _ -> false
 
@@ -134,7 +131,7 @@ let of_lines lines =
     List.fold_left
       (fun acc line ->
         let* () = acc in
-        match tokens line with
+        match Util.tokens line with
         | [] -> Ok ()
         | [ "attack-seed"; s ] ->
           (match int_of_string_opt s with

@@ -37,17 +37,8 @@ let to_string t =
        @ Program.to_lines t.program
        @ [ instance_text ]))
 
-let strip_comment line =
-  match String.index_opt line '#' with
-  | None -> line
-  | Some i -> String.sub line 0 i
-
-let tokens line =
-  String.split_on_char ' ' (strip_comment line)
-  |> List.filter (fun s -> s <> "")
-
 let is_meta_line line =
-  match tokens line with
+  match Rmt_base.Util.tokens line with
   | ("protocol" | "value" | "expect") :: _ -> true
   | _ -> false
 
@@ -80,7 +71,7 @@ let of_string text =
     List.fold_left
       (fun acc line ->
         let* () = acc in
-        match tokens line with
+        match Rmt_base.Util.tokens line with
         | [ "protocol"; p ] ->
           let* p = Campaign.protocol_of_string p in
           protocol := Some p;

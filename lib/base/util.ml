@@ -51,3 +51,13 @@ let group_by ~cmp key l =
       (k, x :: same) :: go others
   in
   go sorted
+
+let tokens line =
+  let line =
+    match String.index_opt line '#' with
+    | Some i -> String.sub line 0 i
+    | None -> line
+  in
+  String.split_on_char ' ' line
+  |> List.filter_map (fun w ->
+         match String.trim w with "" -> None | w -> Some w)

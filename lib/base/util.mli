@@ -21,3 +21,10 @@ val group_by :
   cmp:('k -> 'k -> int) -> ('a -> 'k) -> 'a list -> ('k * 'a list) list
 (** Groups adjacent-equal keys after a stable sort by key under [cmp];
     each key appears once, groups in ascending key order. *)
+
+val tokens : string -> string list
+(** The words of one line of a text format: everything from the first
+    ['#'] on is a comment and dropped, the rest is split on spaces, each
+    word trimmed of other surrounding whitespace (tabs, a trailing
+    ['\r']), and empty words dropped.  Every line-oriented codec in the
+    repository reads its lines through it. *)

@@ -36,11 +36,20 @@ let blocked_nodes (inst : Instance.t) =
   let g = inst.graph in
   let forbidden = Graph.closed_neighborhood inst.dealer g in
   let local = Joint.restriction_cache (View.ad_hoc g) inst.structure in
-  Nodeset.filter
-    (fun v ->
-      Cut.exists_certainly
-        (Cut.boundary_search g inst.structure ~local ~seed:v ~forbidden))
-    (Graph.nodes g)
+  (* A witness's B is connected, avoids N[D] and passes the cut test, so
+     it shields every member, not just the seed: mark them all and skip
+     their own searches. *)
+  Nodeset.fold
+    (fun v blocked ->
+      if Nodeset.mem v blocked then blocked
+      else
+        match
+          (Cut.boundary_search g inst.structure ~local ~seed:v ~forbidden)
+            .cut_found
+        with
+        | Some w -> Nodeset.union w.b_side blocked
+        | None -> blocked)
+    (Graph.nodes g) Nodeset.empty
 
 type run_result = {
   deciders : int;

@@ -37,10 +37,13 @@ val blocked_nodes : Instance.t -> Nodeset.t
     {!solvable}.  A node [v] is blocked iff an RMT 𝒵-pp cut shields it as
     the receiver: {!Cut.boundary_search} from [v] avoiding [N[D]] under
     [View.ad_hoc inst.graph] (the search {!Cut.find_rmt_zpp_cut} runs for
-    receiver [v]) finds a witness.  One search per node, all sharing one
-    restriction cache; each gets {!Cut.boundary_search}'s default
-    budget, and a search that runs out of it leaves its node
-    unblocked. *)
+    receiver [v]) finds a witness.  A witness's [b_side] is shielded by
+    that same cut, so all of its members are marked at once and their
+    own searches skipped; such a node counts as blocked even where its
+    own search would have run out of budget.  The remaining nodes get
+    one search each, all sharing one restriction cache, each with
+    {!Cut.boundary_search}'s default budget; a search that runs out of
+    it leaves its node unblocked. *)
 
 type run_result = {
   deciders : int;  (** honest players that decided *)

@@ -40,6 +40,12 @@ type payload =
   | Value of int
   | Info of report
 
+let payload_equal p q =
+  match (p, q) with
+  | Value x, Value y -> Int.equal x y
+  | Info r1, Info r2 -> report_equal r1 r2
+  | Value _, Info _ | Info _, Value _ -> false
+
 type msg = payload Flood.msg
 
 let msg_size (m : msg) =

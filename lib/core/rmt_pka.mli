@@ -51,6 +51,10 @@ type payload =
   | Value of int  (** type 1 *)
   | Info of report  (** type 2 *)
 
+val payload_equal : payload -> payload -> bool
+(** Equal values, or reports equal in origin, [γ] and [𝒵] (ground set
+    and maximal sets); physically equal reports short-cut. *)
+
 type msg = payload Flood.msg
 (** Trail-carrying message; see {!Rmt_net.Flood} for the relay rule. *)
 

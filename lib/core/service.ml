@@ -110,17 +110,8 @@ let command_words =
   ]
 
 let parse_command line =
-  let line =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  let words =
-    String.split_on_char ' ' (String.trim line)
-    |> List.filter (fun w -> w <> "")
-  in
   let ( let* ) = Result.bind in
-  match words with
+  match Util.tokens line with
   | [] -> Ok None
   | [ "solvable?" ] -> Ok (Some Query_solvable)
   | [ "cut?" ] -> Ok (Some Query_cut)

@@ -52,15 +52,6 @@ type draft = {
   mutable sets : Nodeset.t list;
 }
 
-let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
-
-let tokens line =
-  strip_comment line |> String.split_on_char ' '
-  |> List.filter (fun s -> s <> "")
-
 let max_node_id = 65535
 
 let parse_node_id s =
@@ -91,7 +82,7 @@ let parse_edge ~ctx s =
 
 let parse_line draft lineno line =
   let ctx = Printf.sprintf "line %d" lineno in
-  match tokens line with
+  match Util.tokens line with
   | [] -> Ok ()
   | "nodes" :: rest ->
     let* vs = parse_ints ~ctx rest in

@@ -44,8 +44,6 @@ type t = {
 
 let empty () = { entries = Hashtbl.create 64; summaries = None }
 
-let default_path = "_build/rmt-lint.cache"
-
 let load path =
   if not (Sys.file_exists path) then empty ()
   else
@@ -84,8 +82,6 @@ let lookup_summaries t ~key =
   | _ -> None
 
 let store_summaries t ~key effs = t.summaries <- Some (key, effs)
-
-let size t = Hashtbl.length t.entries
 
 let save path t =
   let bindings =

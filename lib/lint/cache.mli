@@ -24,9 +24,6 @@ type entry =
 
 type t
 
-val default_path : string
-(** [_build/rmt-lint.cache]. *)
-
 val empty : unit -> t
 
 val load : string -> t
@@ -42,8 +39,6 @@ val lookup_summaries : t -> key:string -> Summary.effects list option
     digest still matches. *)
 
 val store_summaries : t -> key:string -> Summary.effects list -> unit
-
-val size : t -> int
 
 val save : string -> t -> unit
 (** Atomic (write-then-rename), sorted, version-stamped.  A no-op when

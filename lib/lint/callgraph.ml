@@ -612,28 +612,6 @@ let callers t fn =
     t.fns
   |> List.sort_uniq String.compare
 
-(* Forward closure: every name in [mark] plus everything that reaches a
-   marked function through calls.  Classic reverse propagation to a
-   fixpoint; the graph is small (hundreds of nodes). *)
-let reaches t ~marked =
-  let state = Hashtbl.create 256 in
-  List.iter (fun f -> if marked f then Hashtbl.replace state f.fn_name ()) t.fns;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun f ->
-        if not (Hashtbl.mem state f.fn_name) then
-          if
-            List.exists (fun c -> Hashtbl.mem state c) (callees t f.fn_name)
-          then begin
-            Hashtbl.replace state f.fn_name ();
-            changed := true
-          end)
-      t.fns
-  done;
-  fun name -> Hashtbl.mem state name
-
 (* Shortest call path from [start] to any function satisfying [accept],
    visiting only functions satisfying [admit].  Deterministic: neighbors
    are explored in sorted order. *)

@@ -100,20 +100,6 @@ type unit_summary = {
 
 val sink_describe : sink_kind -> string
 
-val source_type_names : string list
-(** Adversary-payload type constructors (suffix-matched): [Flood.msg],
-    [Program.t], [Program.inject], [Engine.strategy]. *)
-
-val inbox_param_name : string
-(** ["inbox"] — the Engine step's delivery parameter. *)
-
-val fanout_names : string list
-(** Domain fan-out entry points: [Parsweep.map], [Parsweep.map_list],
-    [Timing.time_with_domains], [Domain.spawn]. *)
-
-val verdict_constructors : string list
-(** Campaign verdict constructors treated as decision sinks. *)
-
 val summarize : source:string -> Typedtree.structure -> unit_summary
 (** One pass over a typedtree.  Declaration-order independent: locals
     are collected before references are resolved. *)
@@ -140,11 +126,6 @@ val callees : t -> string -> string list
 (** Resolved, deduplicated, sorted out-edges; self-loops dropped. *)
 
 val callers : t -> string -> string list
-
-val reaches : t -> marked:(fn_summary -> bool) -> string -> bool
-(** [reaches t ~marked] precomputes the set of functions that are marked
-    or transitively call a marked function, and returns its membership
-    test. *)
 
 val shortest_path :
   t ->

@@ -64,8 +64,5 @@ val json_escape : string -> string
     backslash, newline and tab escaped by name, other control
     characters as [\u00XX].  Every lint JSON writer escapes through it. *)
 
-val to_json : t -> string
-(** A self-contained JSON object (no trailing newline). *)
-
 val list_to_json : t list -> string
-(** JSON array of {!to_json} objects, one per line. *)
+(** JSON array of self-contained finding objects, one per line. *)

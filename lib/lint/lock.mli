@@ -9,7 +9,5 @@
     hygiene (no may-raise call between [Mutex.lock] and [Mutex.unlock]
     without [Fun.protect]). *)
 
-val rule : string
-
 val analyze : Summary.store -> Finding.t list
 (** All R4 and R8 findings, sorted. *)

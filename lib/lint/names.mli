@@ -5,9 +5,6 @@
     re-exports ([Rmt_base.Nodeset]) all denote the same definition.  The
     helpers here give the passes one canonical spelling to match on. *)
 
-val strip_stdlib : string -> string
-(** Drop a leading ["Stdlib."]. *)
-
 val path_name : Path.t -> string
 (** [Path.name] with the [Stdlib.] prefix stripped. *)
 

@@ -1,6 +1,7 @@
 (** R6 — the Domain-race pass.
 
-    Flags, at every fan-out call site ({!Callgraph.fanout_names}), (a)
+    Flags, at every fan-out call site ([Parsweep.map],
+    [Parsweep.map_list], [Timing.time_with_domains], [Domain.spawn]), (a)
     mutable containers captured by the closure from outside itself, and
     (b) top-level mutable state reachable — transitively through the
     cross-module call graph — from anything the closure calls.  The
@@ -11,11 +12,6 @@
     exempt by file.  Lock-protected globals are exempt by the
     {!Summary} store's analysis — their residual obligations belong to
     R8 ({!Lock}). *)
-
-val rule : string
-(** ["R6"]. *)
-
-val exempt_file : string -> bool
 
 val analyze : Summary.store -> Finding.t list
 (** Sorted by {!Finding.compare}. *)

@@ -58,6 +58,3 @@ val check_structure :
 (** Run every typedtree rule over one compilation unit.  [file] is the
     source path used in findings and for the R3 exemption list. *)
 
-val r3_exempt : string -> bool
-(** True for files where R3 does not apply ([lib/base/prng.ml],
-    [lib/workloads/timing.ml], anything under [bench/]). *)

@@ -32,16 +32,10 @@ module Json : sig
 end
 
 val schema_uri : string
-val sarif_version : string
-(** ["2.1.0"]. *)
-
-val tool_name : string
 val fingerprint_key : string
 (** The [partialFingerprints] key, ["rmtLint/v2"]. *)
 
-val document :
-  ?store:Summary.store -> entries:Baseline.entry list -> Lint.report -> Json.t
-
 val render :
   ?store:Summary.store -> entries:Baseline.entry list -> Lint.report -> string
-(** [document] rendered to text — the payload CI uploads. *)
+(** The SARIF 2.1.0 document, rendered to text — the payload CI
+    uploads. *)

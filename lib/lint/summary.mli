@@ -69,10 +69,9 @@ val cover_sanitizers : string list
 val connectivity_sanitizers : string list
 (** The Theorem-4 sanitizer families ({!Taint} owns the rationale). *)
 
-val heavy_names : string list
+val is_heavy_name : string -> bool
 (** Allocation-heavy compute forbidden while the global mutex is held. *)
 
-val is_heavy_name : string -> bool
 val is_may_raise_name : string -> bool
 val is_raw_lock_name : string -> bool
 val is_unlock_name : string -> bool

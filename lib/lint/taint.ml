@@ -44,16 +44,9 @@ let rule = "R7"
 
 type family = Cover | Connectivity
 
-(* The name lists live in Summary (which folds them into every
+(* The sanitizer name lists live in Summary (which folds them into every
    function's [s_cover]/[s_conn] bits during inference); this module
    owns the rationale and the reporting. *)
-let cover_sanitizers = Summary.cover_sanitizers
-let connectivity_sanitizers = Summary.connectivity_sanitizers
-
-let sanitizers = function
-  | Cover -> cover_sanitizers
-  | Connectivity -> connectivity_sanitizers
-
 let family_name = function
   | Cover -> "cover/solvability"
   | Connectivity -> "positive-connectivity"

@@ -25,15 +25,7 @@
     argument's guards count).  Findings are anchored at the sink and
     carry the full witnessing chain. *)
 
-val rule : string
-(** ["R7"]. *)
-
 type family = Cover | Connectivity
-
-val sanitizers : family -> string list
-val family_name : family -> string
-
-val is_source : Callgraph.fn_summary -> bool
 
 val analyze : Summary.store -> Finding.t list
 (** Sorted by {!Finding.compare}. *)

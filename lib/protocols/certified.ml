@@ -10,30 +10,18 @@ type 'p body =
 
 type 'p msg = 'p body Flood.msg
 
-(* Dedup keys: a flooded fact's interned id paired with the trail it
-   arrived on.  Hashed as a fold over ints — no polymorphic hash. *)
-module Seen = Hashtbl.Make (struct
-  type t = int * int list
+(* Dedup table: each trail maps to the bodies already seen on it.
+   Hashed as a fold over ints — no polymorphic hash. *)
+module Trails = Hashtbl.Make (struct
+  type t = int list
 
-  let equal (a, ta) (b, tb) = Int.equal a b && List.equal Int.equal ta tb
-  let hash (id, trail) = List.fold_left (fun h x -> (h * 31) + x) id trail
+  let equal = List.equal Int.equal
+  let hash trail = List.fold_left (fun h x -> (h * 31) + x) 0 trail
 end)
-
-(* How many recently keyed payload objects a node remembers.  Relays
-   forward the originator's payload object, so every honest copy after
-   the first is a hit; a miss only costs one [key] call. *)
-let recent_cap = 32
 
 type 'p state = {
   self : int;
-  seen : unit Seen.t;
-  ids : (string, int) Hashtbl.t;
-      (** canonical serialization -> interned id (>= 0); one entry per
-          distinct fact, so never larger than [seen] *)
-  recent : ('p * int) option array;
-      (** ring of the last [recent_cap] payload objects keyed, with
-          their ids; matched by physical identity *)
-  mutable recent_next : int;
+  seen : 'p body list Trails.t;
   mutable cur_round : int;
   mutable evidence : (int * 'p Flood.msg) list;
       (** receiver-side: deduplicated [Load] arrivals, newest first *)
@@ -60,46 +48,27 @@ let echo_set st = st.echoes
 
 let evidence_count st = st.evidence_count
 
-let intern st s =
-  match Hashtbl.find_opt st.ids s with
-  | Some id -> id
-  | None ->
-    let id = Hashtbl.length st.ids in
-    Hashtbl.replace st.ids s id;
-    id
-
-(* The id of [Load p]: physically equal payloads have equal keys, so a
-   remembered object skips [key] altogether. *)
-let load_id st ~key p =
-  let rec scan i =
-    if i >= recent_cap then None
-    else
-      match st.recent.(i) with
-      | Some (q, id) when q == p -> Some id
-      | Some _ -> scan (i + 1)
-      | None -> None (* the ring fills in index order *)
+(* Whether [m] is a new fact: no equal body has arrived on its trail.
+   Relays forward the originator's payload object, so most [Load]
+   matches are physical.  [Tick] never reaches dedup. *)
+let fresh ~equal st (m : 'p msg) =
+  let same known =
+    match (m.Flood.payload, known) with
+    | Load p, Load q -> p == q || equal p q
+    | Echo a, Echo b -> Int.equal a b
+    | _ -> false
   in
-  match scan 0 with
-  | Some id -> id
-  | None ->
-    let id = intern st ("L:" ^ key p) in
-    st.recent.(st.recent_next) <- Some (p, id);
-    st.recent_next <- (st.recent_next + 1) mod recent_cap;
-    id
-
-(* A flooded body's fact id.  [Echo o] needs no serialization: [lnot o]
-   is negative for every node id, so it never meets an interned id; a
-   (forged) negative origin goes through the table like any other fact.
-   [Tick] never reaches dedup. *)
-let body_id st ~key body =
-  match body with
-  | Load p -> load_id st ~key p
-  | Echo origin when origin >= 0 -> lnot origin
-  | Echo origin -> intern st ("E:" ^ string_of_int origin)
-  | Tick -> intern st "T"
+  let known =
+    Option.value ~default:[] (Trails.find_opt st.seen m.Flood.trail)
+  in
+  (not (List.exists same known))
+  && begin
+    Trails.replace st.seen m.Flood.trail (m.Flood.payload :: known);
+    true
+  end
 
 let make ~graph ~receiver ~structure ~envelope ~inject_value ~inject_report
-    ~key ~inner ~inner_truncated =
+    ~equal ~inner ~inner_truncated =
   let commit =
     Envelope.commit_round envelope ~num_nodes:(Graph.num_nodes graph)
   in
@@ -135,10 +104,7 @@ let make ~graph ~receiver ~structure ~envelope ~inject_value ~inject_report
     let st =
       {
         self = v;
-        seen = Seen.create 64;
-        ids = Hashtbl.create 16;
-        recent = Array.make recent_cap None;
-        recent_next = 0;
+        seen = Trails.create 64;
         cur_round = 0;
         evidence = [];
         evidence_count = 0;
@@ -192,22 +158,18 @@ let make ~graph ~receiver ~structure ~envelope ~inject_value ~inject_report
             else acc
           | Load _ | Echo _ ->
             if not (Flood.trail_ok ~self:v ~src m.Flood.trail) then acc
+            else if not (fresh ~equal st m) then acc
             else begin
-              let k = (body_id st ~key m.Flood.payload, m.Flood.trail) in
-              if Seen.mem st.seen k then acc
-              else begin
-                Seen.replace st.seen k ();
-                (if v = receiver then
-                   match m.Flood.payload with
-                   | Load p ->
-                     st.evidence <-
-                       (src, { Flood.payload = p; trail = m.Flood.trail })
-                       :: st.evidence;
-                     st.evidence_count <- st.evidence_count + 1
-                   | Echo origin -> st.echoes <- Nodeset.add origin st.echoes
-                   | Tick -> ());
-                relay v m acc
-              end
+              (if v = receiver then
+                 match m.Flood.payload with
+                 | Load p ->
+                   st.evidence <-
+                     (src, { Flood.payload = p; trail = m.Flood.trail })
+                     :: st.evidence;
+                   st.evidence_count <- st.evidence_count + 1
+                 | Echo origin -> st.echoes <- Nodeset.add origin st.echoes
+                 | Tick -> ());
+              relay v m acc
             end)
         [] inbox
     in
@@ -273,19 +235,6 @@ let make ~graph ~receiver ~structure ~envelope ~inject_value ~inject_report
 
 type pka_msg = Rmt_core.Rmt_pka.payload msg
 
-let structure_sig z =
-  Structure.maximal_sets z
-  |> List.map (fun s ->
-         String.concat "." (List.map string_of_int (Nodeset.elements s)))
-  |> String.concat "|"
-
-let pka_key (p : Rmt_core.Rmt_pka.payload) =
-  match p with
-  | Value x -> "V:" ^ string_of_int x
-  | Info r ->
-    Printf.sprintf "I:%d:%s:%s" r.Rmt_core.Rmt_pka.origin
-      (Graph.to_string r.gamma) (structure_sig r.zeta)
-
 let pka (inst : Rmt_knowledge.Instance.t) ~x_dealer =
   let open Rmt_knowledge in
   let inner = Rmt_core.Rmt_pka.automaton inst ~x_dealer in
@@ -300,7 +249,7 @@ let pka (inst : Rmt_knowledge.Instance.t) ~x_dealer =
     ~inject_report:(fun v ->
       if v = inst.receiver then None
       else Some (Rmt_core.Rmt_pka.Info (report v)))
-    ~key:pka_key ~inner ~inner_truncated:Rmt_core.Rmt_pka.search_truncated
+    ~equal:Rmt_core.Rmt_pka.payload_equal ~inner ~inner_truncated:Rmt_core.Rmt_pka.search_truncated
 
 let pka_msg_size (m : pka_msg) =
   match m.Flood.payload with
@@ -317,7 +266,7 @@ let ppa g ~structure ~dealer ~receiver ~x_dealer =
   make ~graph:g ~receiver ~structure ~envelope:Envelope.default
     ~inject_value:(fun v -> if v = dealer then Some x_dealer else None)
     ~inject_report:(fun _ -> None)
-    ~key:string_of_int ~inner
+    ~equal:Int.equal ~inner
     ~inner_truncated:(fun _ -> false)
 
 let ppa_msg_size (m : ppa_msg) = 1 + List.length m.Flood.trail

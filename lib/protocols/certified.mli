@@ -74,21 +74,19 @@ val make :
   envelope:Envelope.t ->
   inject_value:(int -> 'p option) ->
   inject_report:(int -> 'p option) ->
-  key:('p -> string) ->
+  equal:('p -> 'p -> bool) ->
   inner:('is, 'p Flood.msg) Engine.automaton ->
   inner_truncated:('is -> bool) ->
   ('p state, 'p msg) Engine.automaton
 (** The generic certification wrapper.  [inject_value]/[inject_report]
     name the payloads node [v] originates at round 0 (the inner
     protocol's initial sends, reified as data so the wrapper owns every
-    send site); [key] is a canonical payload serialization for
-    per-trail deduplication: payloads with equal keys are one fact.
-    Each node interns the keys it meets into small ints and computes
-    [key] at most once per distinct payload: relays forward the
-    originator's payload object, and a node recognizes the last 32
-    objects it keyed by physical identity, so only an object outside
-    that ring (a freshly forged one, or one pushed out by 32 newer
-    objects) is serialized again.
+    send site); [equal] says when two payloads are one fact.  Each node
+    deduplicates per trail: it keeps, for every trail, the bodies
+    already seen on it, and drops a [Load p] that arrives on a trail
+    holding a [Load q] with [p == q || equal p q], or an [Echo] equal to
+    one already there.  Relays forward the originator's payload object,
+    so most matches are physical.
     [inner] is consulted only inside [decision], replaying the
     receiver's evidence in one shot. *)
 

@@ -113,15 +113,6 @@ let to_lines t =
 
 let to_string t = String.concat "\n" (to_lines t) ^ "\n"
 
-let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
-
-let tokens line =
-  strip_comment line |> String.split_on_char ' '
-  |> List.filter (fun s -> s <> "")
-
 let ( let* ) = Result.bind
 
 let parse_int ~ctx s =
@@ -156,7 +147,7 @@ let of_lines lines =
       (fun acc (lineno, line) ->
         let* bound, entries = acc in
         let ctx = Printf.sprintf "line %d" lineno in
-        match tokens line with
+        match Rmt_base.Util.tokens line with
         | [] -> Ok (bound, entries)
         | [ "sched-bound"; b ] ->
           let* b = parse_int ~ctx b in

@@ -410,6 +410,37 @@ let test_replay_rejects_node node_line () =
   | exception e ->
     Alcotest.failf "%S raised %s" node_line (Printexc.to_string e)
 
+(* A trailing comment is dropped on every kind of line: the reproducer
+   with notes parses to the same reproducer as the one without. *)
+let test_replay_trailing_comments () =
+  let instance_text =
+    In_channel.with_open_text
+      (Filename.concat instances_dir "figure1_basic.rmt")
+      In_channel.input_all
+  in
+  let parse lines =
+    match Replay.of_string (String.concat "\n" (lines @ [ instance_text ])) with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "rejected: %s" e
+  in
+  let plain =
+    parse
+      [ "protocol pka"; "value 7"; "attack-seed 1"; "attack-node 1 honest flip:80" ]
+  in
+  let noted =
+    parse
+      [
+        "protocol pka  # the raw protocol";
+        "value 7 # dealer's value";
+        "attack-seed 1";
+        "attack-node 1 honest flip:80  # note";
+      ]
+  in
+  check "protocol survives" true (noted.Replay.protocol = plain.Replay.protocol);
+  check "value survives" true (noted.Replay.x_dealer = plain.Replay.x_dealer);
+  check "program survives" true
+    (Program.equal noted.Replay.program plain.Replay.program)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -455,5 +486,7 @@ let () =
             (test_replay_rejects_node "attack-node 999 silent");
           Alcotest.test_case "negative attack node" `Quick
             (test_replay_rejects_node "attack-node -3 silent");
+          Alcotest.test_case "trailing comments" `Quick
+            test_replay_trailing_comments;
         ] );
     ]

@@ -1,7 +1,7 @@
-(* Tests for the hash-consing layer (DESIGN.md §12): canonical identity
-   coincides with the typed equalities, the global memos compute the
-   same values as the raw operations, and the tables survive a real
-   Domain fan-out (the R6 domain-safety claim rmt-lint sanctions). *)
+(* Tests for the global restriction memo (DESIGN.md §12): it is keyed by
+   content, computes the same values as the raw operation, and survives
+   a real Domain fan-out (the R6 domain-safety claim rmt-lint
+   sanctions). *)
 
 open Rmt_base
 open Rmt_adversary
@@ -31,63 +31,53 @@ let structure_gen universe =
 
 let arb_structure u = QCheck.make ~print:Structure.to_string (structure_gen u)
 
-let test_canonical () =
+let test_hits_misses_and_clear () =
   Hc.clear ();
-  let a = ns [ 1; 3; 7 ] in
-  let b = ns [ 1; 3; 7 ] in
-  check "same content, same canonical value" true (Hc.set a == Hc.set b);
-  check "same content, same id" true (Hc.set_id a = Hc.set_id b);
-  check "distinct content, distinct id" false
-    (Hc.set_id a = Hc.set_id (ns [ 1; 3 ]));
-  let s1 = Structure.of_sets ~ground:(ns [ 0; 1; 2 ]) [ ns [ 0; 1 ] ] in
-  let s2 = Structure.of_sets ~ground:(ns [ 0; 1; 2 ]) [ ns [ 0; 1 ] ] in
-  check "same structure, same canonical value" true
-    (Hc.structure s1 == Hc.structure s2);
-  check "structure ids agree" true (Hc.structure_id s1 = Hc.structure_id s2)
-
-let test_stats_and_clear () =
-  Hc.clear ();
-  ignore (Hc.set (ns [ 1; 2 ]));
-  ignore (Hc.set (ns [ 1; 2 ]));
+  let z = Structure.of_sets ~ground:(ns [ 0; 1; 2; 3 ]) [ ns [ 0; 1 ]; ns [ 2 ] ] in
+  ignore (Hc.memo_restrict (ns [ 1; 2 ]) z);
+  (* equal content, physically distinct arguments: a hit *)
+  let z' = Structure.of_sets ~ground:(ns [ 0; 1; 2; 3 ]) [ ns [ 0; 1 ]; ns [ 2 ] ] in
+  ignore (Hc.memo_restrict (ns [ 1; 2 ]) z');
+  ignore (Hc.memo_restrict (ns [ 1; 3 ]) z);
   let s = Hc.stats () in
-  check "one miss" true (s.Hc.set_misses = 1);
-  check "one hit" true (s.Hc.set_hits = 1);
+  check "two misses" true (s.Hc.restrict_misses = 2);
+  check "one hit" true (s.Hc.restrict_hits = 1);
   Hc.clear ();
   let s = Hc.stats () in
-  check "cleared" true (s.Hc.set_hits = 0 && s.Hc.set_misses = 0)
+  check "cleared" true (s.Hc.restrict_hits = 0 && s.Hc.restrict_misses = 0);
+  ignore (Hc.memo_restrict (ns [ 1; 2 ]) z);
+  check "a cleared entry misses again" true
+    ((Hc.stats ()).Hc.restrict_misses = 1)
 
-(* Four domains hammer the same value universe concurrently; afterwards
-   ids must be a function of content — exactly the property the mutex
-   protects.  (rmt-lint's R6 pass sanctions closures whose only mutable
-   reach is lib/core/hc.ml on the strength of this test.) *)
+(* Four domains hammer one pool of (set, structure) pairs concurrently;
+   every answer must still be the raw restriction, and every call is
+   counted once — exactly what the mutex protects. *)
 let test_domain_safety () =
   Hc.clear ();
+  let universe = Nodeset.range 0 12 in
+  let pool =
+    Array.init 6 (fun i ->
+        let rng = Prng.create (100 + i) in
+        Structure.of_sets ~ground:universe
+          (List.init 3 (fun _ -> Prng.sample rng universe 4)))
+  in
+  let calls = 200 in
   let work seed () =
     let rng = Prng.create seed in
-    List.init 200 (fun _ ->
-        let z = Prng.sample rng (Nodeset.range 0 12) (1 + Prng.int rng 6) in
-        (Nodeset.elements z, Hc.set_id z))
+    List.init calls (fun _ ->
+        let a = Prng.sample rng universe (1 + Prng.int rng 6) in
+        let z = pool.(Prng.int rng (Array.length pool)) in
+        Structure.equal (Hc.memo_restrict a z) (Structure.restrict a z))
   in
   let domains = List.map (fun s -> Domain.spawn (work s)) [ 1; 2; 3; 4 ] in
-  let pairs = List.concat_map Domain.join domains in
-  List.iter
-    (fun (elts1, id1) ->
-      List.iter
-        (fun (elts2, id2) ->
-          check "id iff content" true ((elts1 = elts2) = (id1 = id2)))
-        pairs)
-    pairs
+  let answers = List.concat_map Domain.join domains in
+  check "every answer is Structure.restrict" true (List.for_all Fun.id answers);
+  let s = Hc.stats () in
+  check "every call counted once" true
+    (s.Hc.restrict_hits + s.Hc.restrict_misses = 4 * calls)
 
 let qcheck_props =
   [
-    QCheck.Test.make ~count:300
-      ~name:"hash-consed set equality coincides with Nodeset.equal"
-      (QCheck.pair arb_set arb_set)
-      (fun (a, b) -> Hc.equal_set a b = Nodeset.equal a b);
-    QCheck.Test.make ~count:200
-      ~name:"hash-consed structure equality coincides with Structure.equal"
-      (QCheck.pair (arb_structure 6) (arb_structure 6))
-      (fun (s1, s2) -> Hc.equal_structure s1 s2 = Structure.equal s1 s2);
     QCheck.Test.make ~count:200
       ~name:"memo_restrict computes Structure.restrict"
       (QCheck.pair arb_set (arb_structure 8))
@@ -102,8 +92,8 @@ let () =
     [
       ( "unit",
         [
-          Alcotest.test_case "canonical cells" `Quick test_canonical;
-          Alcotest.test_case "stats and clear" `Quick test_stats_and_clear;
+          Alcotest.test_case "stats and clear" `Quick
+            test_hits_misses_and_clear;
           Alcotest.test_case "domain safety" `Quick test_domain_safety;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);

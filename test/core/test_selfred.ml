@@ -272,6 +272,31 @@ let qcheck_broadcast_pointwise =
       let blocked = Broadcast.blocked_nodes inst in
       cut = not (Nodeset.is_empty blocked))
 
+(* blocked_nodes marks a witness's whole B at once; that must agree with
+   one search per node (the searches here always finish in budget) *)
+let qcheck_blocked_per_node =
+  QCheck.Test.make ~count:60 ~name:"blocked nodes = one search per node"
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000) ~print:string_of_int)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let n = 5 + Prng.int rng 5 in
+      let g = Generators.random_connected_gnp rng n 0.4 in
+      let structure =
+        if Prng.bool rng then Builders.global_threshold g ~dealer:0 1
+        else Builders.random_antichain rng g ~dealer:0 ~sets:4 ~max_size:2
+      in
+      let inst = Instance.ad_hoc_of ~graph:g ~structure ~dealer:0 ~receiver:(n - 1) in
+      let forbidden = Graph.closed_neighborhood 0 g in
+      let local = Joint.restriction_cache (View.ad_hoc g) structure in
+      let per_node =
+        Nodeset.filter
+          (fun v ->
+            Cut.exists_certainly
+              (Cut.boundary_search g structure ~local ~seed:v ~forbidden))
+          (Graph.nodes g)
+      in
+      Nodeset.equal (Broadcast.blocked_nodes inst) per_node)
+
 (* Definition 10 by brute force, independent of the boundary search: some
    cut C ∌ D, some maximal M and some component B ∌ D of G − C with
    ∀u ∈ B, N(u) ∩ (C ∖ M) ∈ 𝒵_u *)
@@ -458,6 +483,7 @@ let () =
           Alcotest.test_case "known instances" `Quick
             test_broadcast_known_instances;
           QCheck_alcotest.to_alcotest qcheck_broadcast_pointwise;
+          QCheck_alcotest.to_alcotest qcheck_blocked_per_node;
           QCheck_alcotest.to_alcotest qcheck_broadcast_brute;
           Alcotest.test_case "run" `Quick test_broadcast_run;
           QCheck_alcotest.to_alcotest qcheck_broadcast_tightness;

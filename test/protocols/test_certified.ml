@@ -26,7 +26,7 @@
      against seeded attack programs on the engine and under in-envelope
      random schedules (fixtures/certified_runs.golden).
    - Dedup unit tests: equal payloads collapse per trail, distinct
-     trails and distinct reports never do. *)
+     trails and distinct reports (down to 𝒵's ground set) never do. *)
 
 open Rmt_base
 open Rmt_graph
@@ -504,12 +504,12 @@ let test_no_change_golden () =
    payload)].  [forged] builds its report from scratch on every call, so
    two calls give structurally equal, physically distinct payloads — what
    a forger re-sending one report each round produces. *)
-let forged ?(edges = [ (0, 1); (1, 4) ]) ?(sets = [ [ 2 ] ]) () =
+let forged ?(edges = [ (0, 1); (1, 4) ]) ?(sets = [ [ 2 ] ])
+    ?(ground = [ 0; 1; 2; 3; 4 ]) () =
   Rmt_core.Rmt_pka.Info
     (Rmt_core.Rmt_pka.report ~origin:1 ~gamma:(Graph.of_edges edges)
        ~zeta:
-         (Structure.of_sets
-            ~ground:(Nodeset.of_list [ 0; 1; 2; 3; 4 ])
+         (Structure.of_sets ~ground:(Nodeset.of_list ground)
             (List.map Nodeset.of_list sets)))
 
 let evidence_after deliveries =
@@ -550,6 +550,17 @@ let test_dedup_distinct_reports () =
        [
          (1, 1, [ 1 ], forged ());
          (2, 1, [ 1 ], forged ~edges:[ (0, 1); (1, 3) ] ());
+       ])
+
+(* 𝒵's ground set is part of the report: a serialization of the
+   maximal sets alone once made these two one fact, so a forged report
+   could mask an honest one that differed only in its ground set. *)
+let test_dedup_ground () =
+  check_int "reports differing only in zeta's ground set stay apart" 2
+    (evidence_after
+       [
+         (1, 1, [ 1 ], forged ());
+         (2, 1, [ 1 ], forged ~ground:[ 0; 1; 2; 3; 4; 5 ] ());
        ])
 
 (* ------------------------------------------------------------------ *)
@@ -607,5 +618,7 @@ let () =
             test_dedup_trails;
           Alcotest.test_case "distinct reports never collapse" `Quick
             test_dedup_distinct_reports;
+          Alcotest.test_case "ground set is part of a report" `Quick
+            test_dedup_ground;
         ] );
     ]

@@ -214,16 +214,16 @@ let test_inbox_order_oracle () =
       decision = (fun _ -> None);
     }
   in
-  let d ?(delay = 1) ?(key = 0) ?dup () =
-    { Schedule.drop = false; delay; key; dup }
+  let d ?(delay = 1) ?(order = 0) ?dup () =
+    { Schedule.drop = false; delay; key = order; dup }
   in
   let sched =
     Schedule.make ~bound:2
       [
         (0, d ~delay:2 ());
         (1, d ~dup:1 ());
-        (2, d ~delay:2 ~key:1 ());
-        (5, d ~key:2 ());
+        (2, d ~delay:2 ~order:1 ());
+        (5, d ~order:2 ());
       ]
   in
   let outcome =

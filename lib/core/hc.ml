@@ -12,17 +12,20 @@ open Rmt_adversary
    finding, not a silently widened exemption.  test/core/test_hc.ml
    exercises the same discipline under a real fan-out. *)
 
-(* Keys hash and compare by content; no polymorphic hash. *)
+(* Keys compare by content; no polymorphic hash.  The hash reads the
+   node set, the structure's ground set and its number of maximal sets
+   only: equal keys agree on all three, and it allocates nothing.  A
+   search passes one structure object throughout, so most structure
+   comparisons are physical. *)
 module Key = struct
   type t = Nodeset.t * Structure.t
 
-  let equal (a1, z1) (a2, z2) = Nodeset.equal a1 a2 && Structure.equal z1 z2
+  let equal (a1, z1) (a2, z2) =
+    Nodeset.equal a1 a2 && (z1 == z2 || Structure.equal z1 z2)
 
   let hash (a, z) =
-    List.fold_left
-      (fun acc m -> (acc * 1000003) lxor Nodeset.hash m)
-      ((Nodeset.hash a * 31) + Nodeset.hash (Structure.ground z))
-      (Structure.maximal_sets z)
+    (((Nodeset.hash a * 31) + Nodeset.hash (Structure.ground z)) * 31)
+    + Structure.num_maximal z
 end
 
 module Tab = Hashtbl.Make (Key)

@@ -20,9 +20,9 @@ let exempt_file file =
   String.ends_with ~suffix:"lib/workloads/parsweep.ml" file
   || String.equal file "parsweep.ml"
 
-(* Lock-protected mutable globals (Hc's interned tables and memo
-   caches, proven by the summary store's locked-only analysis) are not
-   race targets.  That was a hand-written file carve-out before the
+(* Lock-protected mutable globals (Hc's memo table and counters,
+   proven by the summary store's locked-only analysis) are not race
+   targets.  That was a hand-written file carve-out before the
    summary store existed; now it is an analysis result, and a
    regression — an Hc entry point that skips [locked] — resurfaces here
    as a finding. *)

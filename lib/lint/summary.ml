@@ -82,10 +82,10 @@ let connectivity_sanitizers =
   ]
 
 (* Allocation-heavy compute that must never run while the global
-   hash-consing mutex is held: the enumerative core and the fan-out
-   engines.  Structure.maximal_sets and friends are NOT here — the
-   interning hash functions use them under the lock by design, and they
-   are tag reads, not enumeration. *)
+   memo mutex is held: the enumerative core and the fan-out engines.
+   Structure.equal and friends are NOT here — the memo's key equality
+   runs them under the lock by design, and they are comparisons, not
+   enumeration. *)
 let heavy_names =
   [
     "Structure.restrict";

@@ -61,8 +61,8 @@ let fresh ~equal st (m : 'p msg) =
   let known =
     Option.value ~default:[] (Trails.find_opt st.seen m.Flood.trail)
   in
-  (not (List.exists same known))
-  && begin
+  if List.exists same known then false
+  else begin
     Trails.replace st.seen m.Flood.trail (m.Flood.payload :: known);
     true
   end

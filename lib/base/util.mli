@@ -26,5 +26,6 @@ val tokens : string -> string list
 (** The words of one line of a text format: everything from the first
     ['#'] on is a comment and dropped, the rest is split on spaces, each
     word trimmed of other surrounding whitespace (tabs, a trailing
-    ['\r']), and empty words dropped.  Every line-oriented codec in the
-    repository reads its lines through it. *)
+    ['\r']), and empty words dropped.  The instance, schedule, replay
+    and attack-program codecs and the service's command parser all read
+    their lines through it. *)

@@ -180,50 +180,54 @@ let analyze file seed topology adversary knowledge dealer receiver =
 (* ------------------------------------------------------------------ *)
 
 let protocol_t =
+  let open Rmt_attack.Campaign in
   Arg.(
     value
-    & opt (enum [ ("pka", `Pka); ("zcpa", `Zcpa); ("zcpa-sim", `Zcpa_sim) ]) `Pka
-    & info [ "protocol" ] ~docv:"pka|zcpa|zcpa-sim")
+    & opt (enum (List.map (fun p -> (protocol_to_string p, p)) protocols)) Pka
+    & info [ "protocol" ]
+        ~docv:(String.concat "|" (List.map protocol_to_string protocols)))
 
 let corrupt_t =
   Arg.(value & opt_all int [] & info [ "corrupt" ] ~docv:"NODE")
 
 (* a menu's labels do not depend on its arguments: read them off the
    empty graph *)
-let menu_labels menu =
-  List.map fst (menu Graph.empty ~x_fake:0 Nodeset.empty)
-let pka_labels = menu_labels Rmt_attack.Strategy_gen.pka_menu
-let value_labels = menu_labels Rmt_attack.Strategy_gen.value_menu
+let menu_labels p =
+  List.map fst (Rmt_attack.Campaign.menu p Graph.empty ~x_fake:0 Nodeset.empty)
 
 let strategy_t =
+  let open Rmt_attack.Campaign in
+  let groups =
+    Util.group_by ~cmp:String.compare
+      (fun p -> String.concat "|" (menu_labels p))
+      protocols
+  in
+  let labels =
+    List.fold_left
+      (fun acc l -> if List.mem l acc then acc else acc @ [ l ])
+      [] (List.concat_map menu_labels protocols)
+  in
   Arg.(
     value
     & opt string "value-flip"
-    & info [ "strategy" ]
-        ~docv:
-          (String.concat "|"
-             (pka_labels
-             @ List.filter (fun l -> not (List.mem l pka_labels)) value_labels))
+    & info [ "strategy" ] ~docv:(String.concat "|" labels)
         ~doc:
           (Printf.sprintf
-             "What the corrupted nodes do: an entry of the attack menu, %s \
-              against pka and %s against zcpa/zcpa-sim."
-             (String.concat "|" pka_labels)
-             (String.concat "|" value_labels)))
+             "What the corrupted nodes do: an entry of the protocol's attack \
+              menu, %s."
+             (String.concat "; "
+                (List.map
+                   (fun (menu, ps) ->
+                     Printf.sprintf "%s against %s" menu
+                       (String.concat ", " (List.map protocol_to_string ps)))
+                   groups))))
 
 let trace_t =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print the delivery timeline.")
 
-let pka_payload_summary (m : Rmt_pka.msg) =
-  let trail =
-    String.concat "->" (List.map string_of_int m.Rmt_net.Flood.trail)
-  in
-  match m.Rmt_net.Flood.payload with
-  | Rmt_pka.Value x -> Printf.sprintf "value %d via %s" x trail
-  | Rmt_pka.Info r -> Printf.sprintf "report(%d) via %s" r.Rmt_pka.origin trail
-
 let run_cmd file seed topology adversary knowledge dealer receiver value
     protocol corrupt strategy trace =
+  let open Rmt_attack in
   match
     build_instance ?file ~seed ~topology ~adversary ~knowledge ~dealer
       ~receiver ()
@@ -239,12 +243,7 @@ let run_cmd file seed topology adversary knowledge dealer receiver value
           || v = inst.dealer || v = inst.receiver)
         corrupt
     in
-    let menu corrupted =
-      (match protocol with
-       | `Pka -> Rmt_attack.Strategy_gen.pka_menu
-       | `Zcpa | `Zcpa_sim -> Rmt_attack.Strategy_gen.value_menu)
-        inst.graph ~x_fake:(value + 1) corrupted
-    in
+    let menu = Campaign.menu protocol inst.graph ~x_fake:(value + 1) in
     let labels = List.map fst (menu Nodeset.empty) in
     (match (List.mem strategy labels, outside) with
      | false, _ ->
@@ -258,62 +257,41 @@ let run_cmd file seed topology adversary knowledge dealer receiver value
          inst.dealer inst.receiver
      | true, [] ->
        let program = List.assoc strategy (menu (Nodeset.of_list corrupt)) in
-       (match protocol with
-        | `Pka ->
-          let adversary =
-            Rmt_attack.Strategy_gen.compile_pka program inst ~x_dealer:value
-          in
-          let tr, on_deliver = Rmt_net.Trace.create ~pp_payload:pka_payload_summary () in
-          let auto = Rmt_pka.automaton inst ~x_dealer:value in
-          let outcome =
-            Rmt_net.Engine.run ~size_of:Rmt_pka.msg_size
-              ~on_deliver:(if trace then on_deliver else fun ~round:_ ~src:_ ~dst:_ _ -> ())
-              ~stop_when:(fun dec -> dec inst.receiver <> None)
-              ~graph:inst.graph ~adversary auto
-          in
-          let decided = Rmt_net.Engine.decision_of outcome inst.receiver in
-          if trace then print_string (Rmt_net.Trace.render tr);
-          Printf.printf
-            "RMT-PKA: decided %s  correct=%b  rounds=%d  messages=%d  bits=%d  \
-             truncated=%b\n"
-            (dec_str decided) (decided = Some value) outcome.stats.rounds
-            outcome.stats.messages outcome.stats.bits outcome.stats.truncated;
-          `Ok ()
-        | (`Zcpa | `Zcpa_sim) as p ->
-          let adversary =
-            Rmt_attack.Strategy_gen.compile_zcpa program inst ~x_dealer:value
-          in
-          let decider =
-            match p with
-            | `Zcpa -> None
-            | `Zcpa_sim -> Some (Self_reduction.simulated_decider inst)
-          in
-          let tr, on_deliver =
-            Rmt_net.Trace.create ~pp_payload:(fun (x : int) -> string_of_int x) ()
-          in
-          let calls, counted =
-            Zcpa.counting_oracle (Zcpa.direct_oracle inst)
-          in
-          let decider =
-            match decider with
-            | Some d -> d
-            | None -> Zcpa.decider_of_oracle counted
-          in
-          let auto = Zcpa.automaton ~decider inst ~x_dealer:value in
-          let outcome =
-            Rmt_net.Engine.run
-              ~on_deliver:(if trace then on_deliver else fun ~round:_ ~src:_ ~dst:_ _ -> ())
-              ~graph:inst.graph ~adversary auto
-          in
-          let decided = Rmt_net.Engine.decision_of outcome inst.receiver in
-          if trace then print_string (Rmt_net.Trace.render tr);
-          Printf.printf
-            "Z-CPA%s: decided %s  correct=%b  rounds=%d  messages=%d  oracle \
-             calls=%d\n"
-            (match p with `Zcpa -> "" | `Zcpa_sim -> " (simulated oracle)")
-            (dec_str decided) (decided = Some value) outcome.stats.rounds
-            outcome.stats.messages !calls;
-          `Ok ()))
+       (* a run report carries no bits: read them off the outcome *)
+       let bits = ref 0 in
+       let runner =
+         {
+           Campaign.run =
+             (fun ?max_messages ?size_of ?stop_when ?on_deliver ~graph
+                  ~adversary auto ->
+               let o =
+                 Campaign.engine_runner.run ?max_messages ?size_of ?stop_when
+                   ?on_deliver ~graph ~adversary auto
+               in
+               bits := o.stats.bits;
+               o);
+         }
+       in
+       let r, rendered =
+         if trace then
+           Campaign.execute_traced ~runner protocol inst ~x_dealer:value program
+         else (Campaign.execute ~runner protocol inst ~x_dealer:value program, "")
+       in
+       print_string rendered;
+       let decided =
+         match r.verdict with
+         | Campaign.Delivered -> Some value
+         | Campaign.Violated x -> Some x
+         | Campaign.Silenced -> None
+       in
+       Printf.printf
+         "%s: decided %s  correct=%b  rounds=%d  messages=%d  bits=%d  \
+          truncated=%b\n"
+         (Campaign.protocol_to_string protocol)
+         (dec_str decided)
+         (Campaign.verdict_equal r.verdict Campaign.Delivered)
+         r.rounds r.messages !bits r.truncated;
+       `Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* attack                                                              *)

@@ -54,9 +54,10 @@ let () =
     (dec r.decided);
 
   (* Z-CPA — the simple certified-propagation protocol — also works here. *)
-  let z = Zcpa.run inst ~x_dealer:42 in
+  let calls, oracle = Zcpa.counting_oracle (Zcpa.direct_oracle inst) in
+  let z = Zcpa.run ~oracle inst ~x_dealer:42 in
   Printf.printf "Z-CPA, honest network:     %s  (%d membership checks)\n"
-    (dec z.decided) z.oracle_calls;
+    (dec z.decided) !calls;
 
   (* Shrink the graph to connectivity 2 and RMT becomes impossible: an
      RMT-cut appears, and the two-face attack (Fig 2) makes any safe

@@ -196,22 +196,6 @@ let restrict a s =
   make ~ground:(Nodeset.inter s.ground a)
     (Array.fold_left (fun acc m -> Nodeset.inter a m :: acc) [] s.maximal)
 
-let union_families s1 s2 =
-  make
-    ~ground:(Nodeset.union s1.ground s2.ground)
-    (maximal_sets s1 @ maximal_sets s2)
-
-let inter_families s1 s2 =
-  (* maximal sets of the intersection are among pairwise intersections *)
-  let candidates =
-    Array.fold_left
-      (fun acc m1 ->
-        Array.fold_left (fun acc m2 -> Nodeset.inter m1 m2 :: acc) acc
-          s2.maximal)
-      [] s1.maximal
-  in
-  make ~ground:(Nodeset.union s1.ground s2.ground) candidates
-
 let satisfies_qk s a k =
   (* can k maximal sets cover a?  DFS over the antichain, shrinking a *)
   let rec coverable a k =
@@ -225,9 +209,6 @@ let satisfies_qk s a k =
         s.maximal
   in
   not (coverable a k)
-
-let covers_cut s g d r =
-  Array.exists (fun m -> Rmt_graph.Connectivity.is_cut g d r m) s.maximal
 
 (* ------------------------------------------------------------------ *)
 (* Incremental antichain accumulation                                  *)

@@ -22,7 +22,6 @@
     below the naive O(k²) full-subset-check regime on large antichains. *)
 
 open Rmt_base
-open Rmt_graph
 
 type t
 
@@ -110,22 +109,12 @@ val restrict : Nodeset.t -> t -> t
 (** [restrict a s] is [𝒵^A = { Z ∩ A | Z ∈ 𝒵 }], with ground set
     [ground s ∩ a]. *)
 
-val union_families : t -> t -> t
-(** Family union; ground sets are united. *)
-
-val inter_families : t -> t -> t
-(** Family intersection (sets admissible in both); ground sets united. *)
-
 val satisfies_qk : t -> Nodeset.t -> int -> bool
 (** [satisfies_qk s a k] is the classical Hirt–Maurer Q⁽ᵏ⁾ condition on
     the node set [a]: {e no} [k] admissible sets jointly cover [a].
     Q⁽²⁾ over the middle set characterizes solvability of the paper's
     basic instances (Figure 1); Q⁽²⁾/Q⁽³⁾ over the whole player set are
     the classical feasibility thresholds for broadcast and MPC. *)
-
-val covers_cut : t -> Graph.t -> int -> int -> bool
-(** [covers_cut s g d r]: does some admissible set separate [d] from [r]
-    in [g]?  (Checked on maximal sets — separation is monotone.) *)
 
 (** {1 Formatting} *)
 

@@ -4,9 +4,9 @@ open Rmt_net
 open Rmt_core
 open Rmt_workloads
 
-type protocol = Pka | Ppa | Zcpa | Strawman | Cert_pka | Cert_ppa
+type protocol = Pka | Ppa | Zcpa | Strawman | Cert_pka | Cert_ppa | Zcpa_sim
 
-let protocols = [ Pka; Ppa; Zcpa; Strawman; Cert_pka; Cert_ppa ]
+let protocols = [ Pka; Ppa; Zcpa; Strawman; Cert_pka; Cert_ppa; Zcpa_sim ]
 
 let protocol_to_string = function
   | Pka -> "pka"
@@ -15,6 +15,7 @@ let protocol_to_string = function
   | Strawman -> "strawman"
   | Cert_pka -> "cert-pka"
   | Cert_ppa -> "cert-ppa"
+  | Zcpa_sim -> "zcpa-sim"
 
 let protocol_of_string s =
   match
@@ -112,6 +113,9 @@ type ('s, 'm) spec = {
       (** a receiver-side search budget ran out *)
   pp_msg : 'm -> string;  (** trace payload summary *)
   decider : Instance.t -> Solvability.feasibility;
+  menu :
+    Rmt_graph.Graph.t -> x_fake:int -> Nodeset.t -> (string * Program.t) list;
+      (** the labelled attack menu of the battery and [rmt run] *)
 }
 
 type spec_packed = Spec : ('s, 'm) spec -> spec_packed
@@ -122,6 +126,22 @@ let ppa_solvability (inst : Instance.t) =
       ~dealer:inst.dealer ~receiver:inst.receiver
   then Solvability.Solvable
   else Solvability.Unsolvable
+
+(* Z-CPA and zcpa-sim differ only in the rule-2 subroutine *)
+let zcpa_spec decider =
+  Spec
+    {
+      compile = Strategy_gen.compile_zcpa;
+      automaton =
+        (fun inst ~x_dealer ->
+          Zcpa.automaton ~decider:(decider inst) inst ~x_dealer);
+      size_of = None;
+      stop_on_decision = false;
+      receiver_truncated = None;
+      pp_msg = string_of_int;
+      decider = Solvability.ad_hoc;
+      menu = Strategy_gen.value_menu;
+    }
 
 let spec = function
   | Pka ->
@@ -134,6 +154,7 @@ let spec = function
         receiver_truncated = Some Rmt_pka.search_truncated;
         pp_msg = pp_pka_msg;
         decider = Solvability.partial_knowledge;
+        menu = Strategy_gen.pka_menu;
       }
   | Ppa ->
     Spec
@@ -143,29 +164,15 @@ let spec = function
           (fun (inst : Instance.t) ~x_dealer ->
             Rmt_protocols.Ppa.automaton inst.graph ~structure:inst.structure
               ~dealer:inst.dealer ~receiver:inst.receiver ~x_dealer);
-        size_of =
-          Some
-            (fun (m : Rmt_protocols.Ppa.msg) -> 1 + List.length m.Flood.trail);
+        size_of = Some Rmt_protocols.Ppa.msg_size;
         stop_on_decision = true;
         receiver_truncated = None;
         pp_msg = pp_ppa_msg;
         decider = ppa_solvability;
+        menu = Strategy_gen.pka_menu;
       }
   | Zcpa ->
-    Spec
-      {
-        compile = Strategy_gen.compile_zcpa;
-        automaton =
-          (fun inst ~x_dealer ->
-            Zcpa.automaton
-              ~decider:(Zcpa.decider_of_oracle (Zcpa.direct_oracle inst))
-              inst ~x_dealer);
-        size_of = None;
-        stop_on_decision = false;
-        receiver_truncated = None;
-        pp_msg = string_of_int;
-        decider = Solvability.ad_hoc;
-      }
+    zcpa_spec (fun inst -> Zcpa.decider_of_oracle (Zcpa.direct_oracle inst))
   | Strawman ->
     Spec
       {
@@ -182,6 +189,7 @@ let spec = function
            (expected) wrong outputs as violations exactly on PKA-solvable
            instances *)
         decider = Solvability.partial_knowledge;
+        menu = Strategy_gen.value_menu;
       }
   | Cert_pka ->
     Spec
@@ -196,6 +204,7 @@ let spec = function
         (* certification gates the inner decision; within the envelope
            the wrapped protocol's own feasibility condition applies *)
         decider = Solvability.partial_knowledge;
+        menu = Strategy_gen.pka_menu;
       }
   | Cert_ppa ->
     Spec
@@ -210,10 +219,14 @@ let spec = function
         receiver_truncated = None;
         pp_msg = pp_cert_msg pp_ppa_msg;
         decider = ppa_solvability;
+        menu = Strategy_gen.pka_menu;
       }
+  | Zcpa_sim -> zcpa_spec (fun inst -> Self_reduction.simulated_decider inst)
 
 let solvability protocol inst =
   match spec protocol with Spec s -> s.decider inst
+
+let menu protocol = match spec protocol with Spec s -> s.menu
 
 (* ------------------------------------------------------------------ *)
 (* Executing one program                                               *)
@@ -391,16 +404,11 @@ let run ?domains ?should_stop ?(x_dealer = 7) ?(x_fake = 8) ~seed ~attacks
     ~exec:(fun p -> (execute protocol inst ~x_dealer p, ()))
 
 let battery_programs protocol (inst : Instance.t) ~x_fake =
-  let menu =
-    match protocol with
-    | Zcpa | Strawman -> Strategy_gen.value_menu
-    | Pka | Ppa | Cert_pka | Cert_ppa -> Strategy_gen.pka_menu
-  in
   ("honest", Program.make ~seed:Strategy_gen.menu_seed [])
   :: List.concat_map
        (fun z ->
          if Nodeset.is_empty z || Nodeset.mem inst.receiver z then []
-         else menu inst.graph ~x_fake z)
+         else menu protocol inst.graph ~x_fake z)
        (Instance.corruption_sets inst)
 
 let battery protocol inst ~x_dealer ~x_fake =

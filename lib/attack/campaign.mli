@@ -42,6 +42,11 @@ type protocol =
           certification gate, safe over lossy/asynchronous schedules
           within the envelope. *)
   | Cert_ppa  (** {!Rmt_protocols.Certified.ppa}, likewise. *)
+  | Zcpa_sim
+      (** Z-CPA deciding through Theorem 9's
+          {!Rmt_core.Self_reduction.simulated_decider} instead of a
+          membership oracle; attacked like Z-CPA.  Not part of the default
+          fuzzing sweeps. *)
 
 val protocols : protocol list
 (** Every protocol, in declaration order. *)
@@ -75,7 +80,18 @@ val classification_to_string : classification -> string
 val solvability : protocol -> Instance.t -> Solvability.feasibility
 (** The protocol-appropriate decider: RMT-cut for PKA, the strawman and
     cert-pka; PPA's full-knowledge condition for PPA and cert-ppa; 𝒵-pp
-    cut for Z-CPA. *)
+    cut for Z-CPA and zcpa-sim. *)
+
+val menu :
+  protocol ->
+  Rmt_graph.Graph.t ->
+  x_fake:int ->
+  Nodeset.t ->
+  (string * Program.t) list
+(** The protocol's labelled attack menu: {!Strategy_gen.value_menu} for
+    the bare-value protocols (Z-CPA, zcpa-sim and the strawman),
+    {!Strategy_gen.pka_menu} for the rest.  {!battery_programs} and
+    [rmt run --strategy] read it. *)
 
 val classify :
   solvability:Solvability.feasibility ->
@@ -121,7 +137,8 @@ val execute :
     [runner] (default {!engine_runner}).  Every protocol goes through the
     same body, driven by a private per-protocol table (strategy
     compiler, automaton, message-size and stop options, receiver
-    truncation probe, trace printer, solvability decider).
+    truncation probe, trace printer, solvability decider, attack
+    menu).
     Deterministic in (program, instance, [x_dealer], runner). *)
 
 val execute_traced :
@@ -204,9 +221,7 @@ val battery_programs :
   protocol -> Instance.t -> x_fake:int -> (string * Program.t) list
 (** The fixed E2 battery, labelled: the honest run (the empty program,
     ["honest"]), then for every maximal corruption set of the instance
-    that avoids the receiver, every entry of the protocol's menu —
-    {!Strategy_gen.value_menu} for the bare-value protocols (Z-CPA and
-    the strawman), {!Strategy_gen.pka_menu} for the rest. *)
+    that avoids the receiver, every entry of the protocol's {!menu}. *)
 
 val battery :
   protocol -> Instance.t -> x_dealer:int -> x_fake:int -> string report

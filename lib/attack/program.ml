@@ -47,13 +47,6 @@ let size t =
       + (match np.base with Silent -> 0 | _ -> 1))
     0 t.nodes
 
-let weight t =
-  List.fold_left
-    (fun acc np ->
-      acc + List.length np.injects
-      + (match np.base with Honest -> 0 | _ -> 1))
-    0 t.nodes
-
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)

@@ -60,10 +60,6 @@ val size : t -> int
 (** Shrinking measure: corrupted nodes + injections + non-trivial bases.
     Strictly decreases along every {!Shrink} step. *)
 
-val weight : t -> int
-(** Crude aggressiveness measure used by campaign summaries: number of
-    injections plus one per non-honest base. *)
-
 (** {1 Serialization}
 
     One line per corrupted node:

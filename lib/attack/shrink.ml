@@ -13,14 +13,6 @@ let drop_nth l n = List.filteri (fun i _ -> i <> n) l
    Only serializable view constructors can be rebuilt; [View.of_assignment]
    instances are left graph-intact (programs still shrink). *)
 let shrink_instance (inst : Instance.t) v =
-  let rebuild_view g =
-    match String.split_on_char '-' (View.label inst.view) with
-    | [ "full" ] -> Some (View.full g)
-    | [ "ad"; "hoc" ] -> Some (View.ad_hoc g)
-    | [ "radius"; k ] ->
-      Option.map (fun k -> View.radius k g) (int_of_string_opt k)
-    | _ -> None
-  in
   let g = Graph.remove_node v inst.graph in
   if
     Graph.mem_node inst.dealer g
@@ -28,7 +20,7 @@ let shrink_instance (inst : Instance.t) v =
     && Connectivity.connected_avoiding g inst.dealer inst.receiver
          Nodeset.empty
   then
-    match rebuild_view g with
+    match View.rebuild inst.view g with
     | None -> None
     | Some view ->
       let ground = Nodeset.remove v (Structure.ground inst.structure) in
@@ -101,24 +93,27 @@ let candidates (inst : Instance.t) (p : Program.t) =
 (* Greedy fixpoint                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let minimize ?(budget = 400) ~keep inst p =
+let greedy ~budget ~keep ~candidates x =
   let evals = ref 0 in
-  let try_keep inst' p' =
+  let try_keep c =
     !evals < budget
     && begin
          incr evals;
-         keep inst' p'
+         keep c
        end
   in
-  let rec fix inst p =
-    let accepted =
-      Seq.find (fun (inst', p') -> try_keep inst' p') (candidates inst p)
-    in
-    match accepted with
-    | Some (inst', p') when !evals <= budget -> fix inst' p'
-    | _ -> (inst, p)
+  let rec fix x =
+    match Seq.find try_keep (candidates x) with
+    | Some x' -> fix x'
+    | None -> x
   in
-  fix inst p
+  fix x
+
+let minimize ?(budget = 400) ~keep inst p =
+  greedy ~budget
+    ~keep:(fun (inst', p') -> keep inst' p')
+    ~candidates:(fun (inst, p) -> candidates inst p)
+    (inst, p)
 
 (* ------------------------------------------------------------------ *)
 (* Standard predicates                                                 *)

@@ -20,6 +20,17 @@
 
 open Rmt_knowledge
 
+val drop_nth : 'a list -> int -> 'a list
+(** The list without its [n]th element (from 0). *)
+
+val greedy :
+  budget:int -> keep:('a -> bool) -> candidates:('a -> 'a Seq.t) -> 'a -> 'a
+(** The greedy fixpoint both shrinkers run (this module's and
+    [Rmt_sim.Sim_shrink]'s): move to the first of [candidates x] that
+    satisfies [keep], and repeat until none does or [budget] [keep]
+    evaluations are spent.  Deterministic when [keep] is; terminates when
+    every candidate is strictly smaller than its origin. *)
+
 val minimize :
   ?budget:int ->
   keep:(Instance.t -> Program.t -> bool) ->

@@ -1,17 +1,11 @@
-type row =
-  | Cells of string list
-  | Sep
-
 type t = {
   headers : string list;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
 let create headers = { headers; rows = [] }
 
-let add_row t cells = t.rows <- Cells cells :: t.rows
-
-let add_sep t = t.rows <- Sep :: t.rows
+let add_row t cells = t.rows <- cells :: t.rows
 
 (* column widths in displayed characters, not bytes: count UTF-8 sequence
    starts so that symbols like ⊥ or ⊕ don't skew the alignment *)
@@ -29,9 +23,7 @@ let fit n cells =
 let to_string ?title t =
   let n = List.length t.headers in
   let rows = List.rev t.rows in
-  let all_cell_rows =
-    t.headers :: List.filter_map (function Cells c -> Some (fit n c) | Sep -> None) rows
-  in
+  let all_cell_rows = t.headers :: List.map (fit n) rows in
   let widths = Array.make n 0 in
   List.iter
     (fun cells ->
@@ -66,15 +58,13 @@ let to_string ?title t =
   line '-';
   render_cells t.headers;
   line '=';
-  List.iter (function Cells c -> render_cells c | Sep -> line '-') rows;
+  List.iter render_cells rows;
   line '-';
   Buffer.contents buf
 
 let print ?title t = print_string (to_string ?title t)
 
 let cell_int = string_of_int
-
-let cell_float x = Printf.sprintf "%.2f" x
 
 let cell_pct x = Printf.sprintf "%.1f%%" (100. *. x)
 

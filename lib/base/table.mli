@@ -12,9 +12,6 @@ val add_row : t -> string list -> unit
 (** Appends a row.  Rows shorter than the header are right-padded with
     empty cells; longer rows are truncated. *)
 
-val add_sep : t -> unit
-(** Appends a horizontal separator line. *)
-
 val print : ?title:string -> t -> unit
 (** Renders to stdout. *)
 
@@ -23,9 +20,6 @@ val to_string : ?title:string -> t -> string
 (** {1 Cell formatting helpers} *)
 
 val cell_int : int -> string
-
-val cell_float : float -> string
-(** Two decimals: [cell_float 1.5] is ["1.50"]. *)
 
 val cell_pct : float -> string
 (** [cell_pct 0.25] is ["25.0%"]. *)

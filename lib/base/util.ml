@@ -1,6 +1,3 @@
-let list_product xs ys =
-  List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
-
 let list_take n l =
   let rec go n l acc =
     match (n, l) with

@@ -1,8 +1,5 @@
 (** Small general-purpose helpers shared across the repository. *)
 
-val list_product : 'a list -> 'b list -> ('a * 'b) list
-(** Cartesian product, left-major order. *)
-
 val list_take : int -> 'a list -> 'a list
 (** First [n] elements (all of them when the list is shorter). *)
 

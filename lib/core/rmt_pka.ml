@@ -740,15 +740,6 @@ let receiver_trace st =
 (* End-to-end runner                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type run_result = {
-  decided : int option;
-  correct : bool;
-  rounds : int;
-  messages : int;
-  bits : int;
-  truncated : bool;
-}
-
 let run ?budgets ?max_messages ?(adversary = Engine.no_adversary)
     (inst : Instance.t) ~x_dealer =
   let auto = automaton ?budgets inst ~x_dealer in
@@ -757,17 +748,10 @@ let run ?budgets ?max_messages ?(adversary = Engine.no_adversary)
       ~stop_when:(fun dec -> dec inst.receiver <> None)
       ~graph:inst.graph ~adversary auto
   in
-  let decided = Engine.decision_of outcome inst.receiver in
+  let r = Engine.result_of ~receiver:inst.receiver ~x_dealer outcome in
   let recv_truncated =
     match List.assoc_opt inst.receiver outcome.states with
     | Some st -> search_truncated st
     | None -> false
   in
-  {
-    decided;
-    correct = decided = Some x_dealer;
-    rounds = outcome.stats.rounds;
-    messages = outcome.stats.messages;
-    bits = outcome.stats.bits;
-    truncated = outcome.stats.truncated || recv_truncated;
-  }
+  { r with truncated = r.truncated || recv_truncated }

@@ -115,22 +115,14 @@ val claimed_graph_without :
 
 (** {1 Running RMT-PKA on an instance} *)
 
-type run_result = {
-  decided : int option;  (** the receiver's output *)
-  correct : bool;  (** decided = Some x_dealer *)
-  rounds : int;
-  messages : int;
-  bits : int;
-  truncated : bool;
-      (** engine message budget or receiver search budget exhausted *)
-}
-
 val run :
   ?budgets:budgets ->
   ?max_messages:int ->
   ?adversary:msg Engine.strategy ->
   Instance.t ->
   x_dealer:int ->
-  run_result
+  Engine.result
 (** Convenience wrapper: executes the protocol on the instance's graph
-    against the given adversary (honest network by default). *)
+    against the given adversary (honest network by default), stopping
+    once the receiver decides; bits are {!msg_size}.  [truncated] also
+    reports an exhausted receiver search budget. *)

@@ -1,5 +1,4 @@
 open Rmt_base
-open Rmt_graph
 open Rmt_adversary
 open Rmt_knowledge
 open Rmt_net
@@ -95,45 +94,14 @@ let automaton ?(forward_all = false) ~decider (inst : Instance.t) ~x_dealer =
   in
   Engine.{ init; step; decision }
 
-type run_result = {
-  decided : int option;
-  correct : bool;
-  rounds : int;
-  messages : int;
-  bits : int;
-  oracle_calls : int;
-  all_honest_decided : bool;
-}
-
 let run ?oracle ?decider ?(adversary = Engine.no_adversary) (inst : Instance.t)
     ~x_dealer =
-  let calls, decider =
-    match decider with
-    | Some d -> (ref 0, d)
-    | None ->
-      let base_oracle =
-        match oracle with Some o -> o | None -> direct_oracle inst
-      in
-      let calls, counted = counting_oracle base_oracle in
-      (calls, decider_of_oracle counted)
+  let decider =
+    match (decider, oracle) with
+    | Some d, _ -> d
+    | None, Some o -> decider_of_oracle o
+    | None, None -> decider_of_oracle (direct_oracle inst)
   in
-  let auto = automaton ~decider inst ~x_dealer in
-  let outcome = Engine.run ~graph:inst.graph ~adversary auto in
-  let decided = Engine.decision_of outcome inst.receiver in
-  let honest =
-    Nodeset.diff (Graph.nodes inst.graph) adversary.Engine.corrupted
-  in
-  let all_honest_decided =
-    Nodeset.for_all
-      (fun v -> v = inst.dealer || Engine.decision_of outcome v <> None)
-      honest
-  in
-  {
-    decided;
-    correct = decided = Some x_dealer;
-    rounds = outcome.stats.rounds;
-    messages = outcome.stats.messages;
-    bits = outcome.stats.bits;
-    oracle_calls = !calls;
-    all_honest_decided;
-  }
+  Engine.result_of ~receiver:inst.receiver ~x_dealer
+    (Engine.run ~graph:inst.graph ~adversary
+       (automaton ~decider inst ~x_dealer))

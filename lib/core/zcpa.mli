@@ -58,25 +58,13 @@ val automaton :
 
 val decision : state -> int option
 
-type run_result = {
-  decided : int option;
-  correct : bool;
-  rounds : int;
-  messages : int;
-  bits : int;
-  oracle_calls : int;
-  all_honest_decided : bool;
-      (** whether every honest player decided (the broadcast view) *)
-}
-
 val run :
   ?oracle:oracle ->
   ?decider:decider ->
   ?adversary:int Engine.strategy ->
   Instance.t ->
   x_dealer:int ->
-  run_result
+  Engine.result
 (** Runs 𝒵-CPA on the instance.  [decider] takes precedence over
-    [oracle]; the default is [direct_oracle].  [oracle_calls] counts
-    membership checks only when the oracle path is used (a custom
-    [decider] reports 0). *)
+    [oracle]; the default is [direct_oracle].  To count oracle calls,
+    pass an oracle wrapped by {!counting_oracle}. *)

@@ -23,19 +23,6 @@ let reachable_from ?(avoiding = Nodeset.empty) g src =
 
 let component_of ?avoiding g v = reachable_from ?avoiding g v
 
-let components g =
-  let remaining = ref (Graph.nodes g) in
-  let out = ref [] in
-  while not (Nodeset.is_empty !remaining) do
-    match Nodeset.choose_opt !remaining with
-    | None -> ()
-    | Some v ->
-      let comp = reachable_from g v in
-      out := comp :: !out;
-      remaining := Nodeset.diff !remaining comp
-  done;
-  List.rev !out
-
 let is_connected g =
   match Nodeset.choose_opt (Graph.nodes g) with
   | None -> true
@@ -67,9 +54,6 @@ let distances_from g src =
            let c = Int.compare v1 v2 in
            if c <> 0 then c else Int.compare d1 d2)
   end
-
-let distance g s t =
-  List.assoc_opt t (distances_from g s)
 
 let eccentricity g v =
   let ds = distances_from g v in

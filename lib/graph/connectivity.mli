@@ -1,4 +1,4 @@
-(** Reachability, components, distances. *)
+(** Reachability, distances, cuts. *)
 
 open Rmt_base
 
@@ -10,9 +10,6 @@ val reachable_from : ?avoiding:Nodeset.t -> Graph.t -> int -> Nodeset.t
 val component_of : ?avoiding:Nodeset.t -> Graph.t -> int -> Nodeset.t
 (** Synonym of [reachable_from]; the connected component of the node. *)
 
-val components : Graph.t -> Nodeset.t list
-(** All connected components, each as a node set. *)
-
 val is_connected : Graph.t -> bool
 (** True for the empty graph. *)
 
@@ -21,9 +18,6 @@ val connected_avoiding : Graph.t -> int -> int -> Nodeset.t -> bool
 
 val distances_from : Graph.t -> int -> (int * int) list
 (** BFS distances [(node, dist)] from the source, source included at 0. *)
-
-val distance : Graph.t -> int -> int -> int option
-(** Hop distance, [None] when disconnected. *)
 
 val diameter : Graph.t -> int option
 (** [None] when disconnected or empty. *)

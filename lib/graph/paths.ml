@@ -19,40 +19,7 @@ let is_path_in g p =
   in
   go p
 
-let mentions p = Nodeset.of_list p
-
 exception Budget_exhausted
-
-let all_simple_paths ?(budget = 200_000) g s t =
-  if not (Graph.mem_node s g && Graph.mem_node t g) then ([], true)
-  else begin
-    let remaining = ref budget in
-    let out = ref [] in
-    (* DFS over prefixes; [trail] is reversed. *)
-    let rec go v trail visited =
-      if !remaining <= 0 then raise Budget_exhausted;
-      decr remaining;
-      if v = t then out := List.rev (v :: trail) :: !out
-      else
-        Nodeset.iter
-          (fun u ->
-            if not (Nodeset.mem u visited) then
-              go u (v :: trail) (Nodeset.add u visited))
-          (Graph.neighbors v g)
-    in
-    let complete =
-      if s = t then begin
-        out := [ [ s ] ];
-        true
-      end
-      else
-        try
-          go s [] (Nodeset.singleton s);
-          true
-        with Budget_exhausted -> false
-    in
-    (List.rev !out, complete)
-  end
 
 exception Found of path
 
@@ -113,22 +80,3 @@ let shortest_path g s t =
       Some (build t [])
     end
   end
-
-let disjoint_paths_lower_bound g s t =
-  let rec go g count =
-    match shortest_path g s t with
-    | None -> count
-    | Some p ->
-      let interior =
-        List.filter (fun v -> v <> s && v <> t) p |> Nodeset.of_list
-      in
-      if Nodeset.is_empty interior then
-        (* the direct edge: we only remove nodes, so count it and stop *)
-        count + 1
-      else
-        let g' =
-          Nodeset.fold (fun v acc -> Graph.remove_node v acc) interior g
-        in
-        go g' (count + 1)
-  in
-  go g 0

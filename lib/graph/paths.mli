@@ -7,35 +7,18 @@
     of simple paths can be exponential, so every enumeration takes an
     explicit budget and reports whether it was exhausted. *)
 
-open Rmt_base
-
 type path = int list
 
 val is_path_in : Graph.t -> path -> bool
 (** Consecutive nodes adjacent, all nodes present, no repetition. *)
 
-val mentions : path -> Nodeset.t
-
-exception Budget_exhausted
-
-val all_simple_paths :
-  ?budget:int -> Graph.t -> int -> int -> path list * bool
-(** [all_simple_paths g s t] enumerates every simple [s]–[t] path by DFS.
-    The [budget] (default [200_000]) bounds the number of DFS edge
-    extensions; the boolean is [true] when enumeration was complete and
-    [false] when the budget ran out (in which case the returned list is a
-    prefix of the enumeration). *)
-
 val find_simple_path :
   ?budget:int -> Graph.t -> int -> int -> (path -> bool) -> path option * bool
 (** [find_simple_path g s t pred]: first simple [s]–[t] path (in DFS
-    order) satisfying [pred], enumerated lazily.  The boolean is the
-    completeness flag: [None, false] means the budget ran out before the
-    space was covered. *)
+    order) satisfying [pred], enumerated lazily.  The [budget] (default
+    [200_000]) bounds the number of DFS edge extensions; the boolean is
+    the completeness flag: [None, false] means the budget ran out before
+    the space was covered. *)
 
 val shortest_path : Graph.t -> int -> int -> path option
 (** One BFS shortest path. *)
-
-val disjoint_paths_lower_bound : Graph.t -> int -> int -> int
-(** Greedy lower bound on the number of internally node-disjoint [s]–[t]
-    paths (repeatedly extracts a shortest path and removes its interior). *)

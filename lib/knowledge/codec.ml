@@ -6,11 +6,11 @@ let ( let* ) = Result.bind
 
 let to_string (inst : Instance.t) =
   let view_line =
-    match String.split_on_char '-' (View.label inst.view) with
-    | [ "full" ] -> Ok "view full"
-    | [ "ad"; "hoc" ] -> Ok "view ad-hoc"
-    | [ "radius"; k ] -> Ok (Printf.sprintf "view radius %s" k)
-    | _ -> Error "Codec.to_string: custom views cannot be serialized"
+    match View.kind inst.view with
+    | View.Full -> Ok "view full"
+    | View.Ad_hoc -> Ok "view ad-hoc"
+    | View.Radius k -> Ok (Printf.sprintf "view radius %d" k)
+    | View.Custom -> Error "Codec.to_string: custom views cannot be serialized"
   in
   let* view_line = view_line in
   let buf = Buffer.create 256 in

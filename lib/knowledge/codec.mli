@@ -16,7 +16,7 @@
     v}
 
     The node set line is optional when every node appears in an edge.
-    Views are serialized by constructor ([View.label]); instances built
+    Views are serialized by constructor ([View.kind]); instances built
     from [View.of_assignment] cannot be serialized (the assignment is an
     arbitrary function) and [to_string] rejects them. *)
 

@@ -32,8 +32,6 @@ let admissible t z = Structure.mem z t.structure
 
 let corruption_sets t = Structure.maximal_sets t.structure
 
-let honest_nodes t corrupted = Nodeset.diff (Graph.nodes t.graph) corrupted
-
 let num_nodes t = Graph.num_nodes t.graph
 
 let with_structure t structure =

@@ -36,9 +36,6 @@ val admissible : t -> Nodeset.t -> bool
 val corruption_sets : t -> Nodeset.t list
 (** Maximal admissible corruption sets. *)
 
-val honest_nodes : t -> Nodeset.t -> Nodeset.t
-(** [honest_nodes t corrupted]: all nodes minus the corrupted set. *)
-
 val num_nodes : t -> int
 
 val with_structure : t -> Structure.t -> t

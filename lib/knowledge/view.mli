@@ -77,6 +77,7 @@ val rebuild : t -> Graph.t -> t option
 
 val label : t -> string
 (** ["full"], ["ad-hoc"], ["radius-k"], or ["custom"] — which constructor
-    built this view.  Used by {!Codec} to serialize the view compactly. *)
+    built this view, as {!pp} prints it.  Code that branches on the
+    constructor reads {!kind}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -43,3 +43,23 @@ let run ?max_rounds ?max_messages ?size_of ?stop_when ?on_deliver ~graph
   Transport.run ~who:"Engine.run" ~bound:1 ~decide:sync
     ?max_rounds ?max_messages ?size_of ?stop_when ?on_deliver ~graph
     ~adversary automaton
+
+type result = {
+  decided : int option;
+  correct : bool;
+  rounds : int;
+  messages : int;
+  bits : int;
+  truncated : bool;
+}
+
+let result_of ~receiver ~x_dealer outcome =
+  let decided = decision_of outcome receiver in
+  {
+    decided;
+    correct = decided = Some x_dealer;
+    rounds = outcome.stats.rounds;
+    messages = outcome.stats.messages;
+    bits = outcome.stats.bits;
+    truncated = outcome.stats.truncated;
+  }

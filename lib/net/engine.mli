@@ -84,3 +84,19 @@ val run :
     Honest sends to non-neighbors raise [Invalid_argument] — a protocol
     bug; adversarial ones are dropped.  @raise Invalid_argument also when
     a corrupted node id is not a node of the graph. *)
+
+(** {1 One run, seen from the receiver} *)
+
+type result = {
+  decided : int option;  (** the receiver's output *)
+  correct : bool;  (** [decided = Some x_dealer] *)
+  rounds : int;
+  messages : int;
+  bits : int;  (** [stats.bits]: [messages] when the run had no [size_of] *)
+  truncated : bool;  (** [stats.truncated] *)
+}
+(** What the protocol modules' [run] helpers return. *)
+
+val result_of : receiver:int -> x_dealer:int -> ('s, 'm) outcome -> result
+(** The receiver's decision, checked against [x_dealer], and the run's
+    stats. *)

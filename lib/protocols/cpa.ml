@@ -66,20 +66,6 @@ let automaton g ~dealer ~receiver ~t ~x_dealer =
   in
   Engine.{ init; step; decision }
 
-type run_result = {
-  decided : int option;
-  correct : bool;
-  rounds : int;
-  messages : int;
-}
-
 let run ?(adversary = Engine.no_adversary) g ~dealer ~receiver ~t ~x_dealer =
   let auto = automaton g ~dealer ~receiver ~t ~x_dealer in
-  let outcome = Engine.run ~graph:g ~adversary auto in
-  let decided = Engine.decision_of outcome receiver in
-  {
-    decided;
-    correct = decided = Some x_dealer;
-    rounds = outcome.stats.rounds;
-    messages = outcome.stats.messages;
-  }
+  Engine.result_of ~receiver ~x_dealer (Engine.run ~graph:g ~adversary auto)

@@ -20,14 +20,7 @@ val automaton :
 
 val decision : state -> int option
 
-type run_result = {
-  decided : int option;
-  correct : bool;
-  rounds : int;
-  messages : int;
-}
-
 val run :
   ?adversary:int Engine.strategy ->
   Graph.t -> dealer:int -> receiver:int -> t:int -> x_dealer:int ->
-  run_result
+  Engine.result

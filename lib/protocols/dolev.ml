@@ -114,29 +114,12 @@ let automaton g ~dealer ~receiver ~x_dealer =
   in
   Engine.{ init; step; decision }
 
-type run_result = {
-  decided : int option;
-  correct : bool;
-  rounds : int;
-  messages : int;
-  num_routes : int;
-}
-
 let run ?(adversary = Engine.no_adversary) g ~dealer ~receiver ~x_dealer =
   let auto = automaton g ~dealer ~receiver ~x_dealer in
-  let outcome =
-    Engine.run
-      ~stop_when:(fun dec -> dec receiver <> None)
-      ~graph:g ~adversary auto
-  in
-  let decided = Engine.decision_of outcome receiver in
-  {
-    decided;
-    correct = decided = Some x_dealer;
-    rounds = outcome.stats.rounds;
-    messages = outcome.stats.messages;
-    num_routes = List.length (routes g ~dealer ~receiver);
-  }
+  Engine.result_of ~receiver ~x_dealer
+    (Engine.run
+       ~stop_when:(fun dec -> dec receiver <> None)
+       ~graph:g ~adversary auto)
 
 let tolerates g ~dealer ~receiver =
   if Graph.mem_edge dealer receiver g then max_int

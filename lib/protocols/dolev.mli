@@ -34,17 +34,10 @@ val automaton :
 
 val decision : state -> int option
 
-type run_result = {
-  decided : int option;
-  correct : bool;
-  rounds : int;
-  messages : int;
-  num_routes : int;
-}
-
 val run :
   ?adversary:msg Engine.strategy ->
-  Graph.t -> dealer:int -> receiver:int -> x_dealer:int -> run_result
+  Graph.t -> dealer:int -> receiver:int -> x_dealer:int -> Engine.result
+(** One run on the engine, stopping once the receiver decides. *)
 
 val tolerates : Graph.t -> dealer:int -> receiver:int -> int
 (** Largest global threshold [t] this instance supports:

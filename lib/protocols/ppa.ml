@@ -106,28 +106,12 @@ let solvable g ~structure ~dealer ~receiver =
            ms)
        ms)
 
-type run_result = {
-  decided : int option;
-  correct : bool;
-  rounds : int;
-  messages : int;
-  truncated : bool;
-}
+let msg_size (m : msg) = 1 + List.length m.trail
 
 let run ?(adversary = Engine.no_adversary) g ~structure ~dealer ~receiver
     ~x_dealer =
   let auto = automaton g ~structure ~dealer ~receiver ~x_dealer in
-  let outcome =
-    Engine.run
-      ~size_of:(fun (m : msg) -> 1 + List.length m.trail)
-      ~stop_when:(fun dec -> dec receiver <> None)
-      ~graph:g ~adversary auto
-  in
-  let decided = Engine.decision_of outcome receiver in
-  {
-    decided;
-    correct = decided = Some x_dealer;
-    rounds = outcome.stats.rounds;
-    messages = outcome.stats.messages;
-    truncated = outcome.stats.truncated;
-  }
+  Engine.result_of ~receiver ~x_dealer
+    (Engine.run ~size_of:msg_size
+       ~stop_when:(fun dec -> dec receiver <> None)
+       ~graph:g ~adversary auto)

@@ -31,15 +31,12 @@ val solvable : Graph.t -> structure:Structure.t -> dealer:int -> receiver:int ->
 (** The full-knowledge feasibility condition: no two admissible sets
     jointly separate [D] from [R]. *)
 
-type run_result = {
-  decided : int option;
-  correct : bool;
-  rounds : int;
-  messages : int;
-  truncated : bool;
-}
+val msg_size : msg -> int
+(** [1 + |trail|]: the value and one unit per trail node. *)
 
 val run :
   ?adversary:msg Engine.strategy ->
   Graph.t -> structure:Structure.t -> dealer:int -> receiver:int ->
-  x_dealer:int -> run_result
+  x_dealer:int -> Engine.result
+(** One run on the engine, stopping once the receiver decides; bits are
+    {!msg_size}. *)

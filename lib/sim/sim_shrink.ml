@@ -1,12 +1,10 @@
-(* Greedy delta-debugging over a recorded schedule, mirroring
-   Rmt_attack.Shrink over programs.  Every move strictly decreases
-   Schedule.size (an entry is removed, a duplication or key vanishes, or
-   a delay shortens), so the greedy fixpoint terminates without the
-   budget; the budget only caps re-execution cost.  Candidates are
+(* Greedy delta-debugging over a recorded schedule: the candidate moves
+   below, run by Rmt_attack.Shrink's greedy fixpoint.  Every move
+   strictly decreases Schedule.size (an entry is removed, a duplication or
+   key vanishes, or a delay shortens), so the fixpoint terminates without
+   the budget; the budget only caps re-execution cost.  Candidates are
    enumerated in a fixed order and the first acceptable one is taken, so
    the result is deterministic in (schedule, keep). *)
-
-let drop_nth l n = List.filteri (fun i _ -> i <> n) l
 
 let candidates (s : Schedule.t) =
   let entries = Schedule.entries s in
@@ -15,7 +13,9 @@ let candidates (s : Schedule.t) =
   let rebuild entries' = Schedule.make ~bound entries' in
   (* removing an entry makes that message synchronous — the biggest
      simplification, tried first *)
-  let remove = Seq.init n (fun i -> rebuild (drop_nth entries i)) in
+  let remove =
+    Seq.init n (fun i -> rebuild (Rmt_attack.Shrink.drop_nth entries i))
+  in
   let weaken =
     Seq.concat_map
       (fun i ->
@@ -44,17 +44,4 @@ let candidates (s : Schedule.t) =
   Seq.append remove weaken
 
 let minimize ?(budget = 400) ~keep sched =
-  let evals = ref 0 in
-  let try_keep s =
-    !evals < budget
-    && begin
-         incr evals;
-         keep s
-       end
-  in
-  let rec fix s =
-    match Seq.find try_keep (candidates s) with
-    | Some s' when !evals <= budget -> fix s'
-    | _ -> s
-  in
-  fix sched
+  Rmt_attack.Shrink.greedy ~budget ~keep ~candidates sched

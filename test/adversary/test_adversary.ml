@@ -105,24 +105,10 @@ let test_add_set () =
 let test_family_ops () =
   let ground = Nodeset.range 0 5 in
   let a = Structure.of_sets ~ground [ ns [ 0; 1 ] ] in
-  let b = Structure.of_sets ~ground [ ns [ 1; 2 ] ] in
-  let u = Structure.union_families a b in
-  check "union has both" true
-    (Structure.mem (ns [ 0; 1 ]) u && Structure.mem (ns [ 1; 2 ]) u);
-  let i = Structure.inter_families a b in
-  check "inter has overlap" true (Structure.mem (ns [ 1 ]) i);
-  check "inter drops sides" false (Structure.mem (ns [ 0; 1 ]) i);
+  let u = Structure.of_sets ~ground [ ns [ 0; 1 ]; ns [ 1; 2 ] ] in
+  let i = Structure.of_sets ~ground [ ns [ 1 ] ] in
   check "subset_family" true (Structure.subset_family i a);
   check "subset_family strict" false (Structure.subset_family u a)
-
-let test_covers_cut () =
-  let g = Generators.path_graph 4 in
-  let s =
-    Structure.of_sets ~ground:(ns [ 1; 2 ]) [ ns [ 1 ] ]
-  in
-  check "singleton 1 cuts" true (Structure.covers_cut s g 0 3);
-  let s2 = Structure.trivial ~ground:(ns [ 1; 2 ]) in
-  check "trivial does not cut" false (Structure.covers_cut s2 g 0 3)
 
 (* ------------------------------------------------------------------ *)
 (* Structure properties                                                *)
@@ -151,14 +137,6 @@ let qcheck_props =
     QCheck.Test.make ~count:150 ~name:"restrict to ground is identity"
       arb_structure (fun s ->
         Structure.equal s (Structure.restrict (Structure.ground s) s));
-    QCheck.Test.make ~count:150 ~name:"union_families is upper bound"
-      (QCheck.pair arb_structure arb_structure) (fun (a, b) ->
-        let u = Structure.union_families a b in
-        Structure.subset_family a u && Structure.subset_family b u);
-    QCheck.Test.make ~count:150 ~name:"inter_families is lower bound"
-      (QCheck.pair arb_structure arb_structure) (fun (a, b) ->
-        let i = Structure.inter_families a b in
-        Structure.subset_family i a && Structure.subset_family i b);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -233,7 +211,6 @@ let () =
           Alcotest.test_case "restrict" `Quick test_restrict;
           Alcotest.test_case "add_set" `Quick test_add_set;
           Alcotest.test_case "family ops" `Quick test_family_ops;
-          Alcotest.test_case "covers_cut" `Quick test_covers_cut;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
       ( "builders",

@@ -105,7 +105,8 @@ let golden_table () =
           (match protocol with
            | Campaign.Cert_pka | Campaign.Cert_ppa ->
              sweep_lines buf "envelope" envelope_params protocol inst
-           | Campaign.Pka | Campaign.Ppa | Campaign.Zcpa | Campaign.Strawman ->
+           | Campaign.Pka | Campaign.Ppa | Campaign.Zcpa | Campaign.Strawman
+           | Campaign.Zcpa_sim ->
              ());
           Buffer.add_string buf
             (Printf.sprintf "trace engine %s\ntrace sim-sync %s\n"

@@ -148,10 +148,20 @@ let qcheck_pka_necessity =
 (* ------------------------------------------------------------------ *)
 
 let test_zcpa_honest () =
-  let r = Zcpa.run layered3 ~x_dealer:8 in
-  Alcotest.check dec "decides" (Some 8) r.decided;
-  check "all honest decided" true r.all_honest_decided;
-  check "oracle consulted" true (r.oracle_calls > 0)
+  let calls, oracle = Zcpa.counting_oracle (Zcpa.direct_oracle layered3) in
+  let outcome =
+    Rmt_net.Engine.run ~graph:layered3.graph ~adversary:Rmt_net.Engine.no_adversary
+      (Zcpa.automaton ~decider:(Zcpa.decider_of_oracle oracle) layered3
+         ~x_dealer:8)
+  in
+  Alcotest.check dec "decides" (Some 8)
+    (Rmt_net.Engine.decision_of outcome layered3.receiver);
+  check "all honest decided" true
+    (Nodeset.for_all
+       (fun v ->
+         v = layered3.dealer || Rmt_net.Engine.decision_of outcome v <> None)
+       (Graph.nodes layered3.graph));
+  check "oracle consulted" true (!calls > 0)
 
 let test_zcpa_decider_of_oracle () =
   (* ascending value order; first certified wins *)

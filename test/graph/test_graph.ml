@@ -162,19 +162,19 @@ let test_reachability () =
     (Nodeset.mem 4 (Connectivity.reachable_from g 0));
   check "avoiding blocks" false
     (Nodeset.mem 2 (Connectivity.reachable_from ~avoiding:(ns [ 1 ]) g 0));
-  check_int "components" 2 (List.length (Connectivity.components g));
   check "disconnected" false (Connectivity.is_connected g);
   check "empty connected" true (Connectivity.is_connected Graph.empty)
 
 let test_distances () =
   let g = Generators.grid 3 3 in
-  Alcotest.(check (option int)) "manhattan" (Some 4) (Connectivity.distance g 0 8);
-  Alcotest.(check (option int)) "self" (Some 0) (Connectivity.distance g 4 4);
+  let distance g s t = List.assoc_opt t (Connectivity.distances_from g s) in
+  Alcotest.(check (option int)) "manhattan" (Some 4) (distance g 0 8);
+  Alcotest.(check (option int)) "self" (Some 0) (distance g 4 4);
   Alcotest.(check (option int)) "diameter grid" (Some 4) (Connectivity.diameter g);
   Alcotest.(check (option int)) "diameter path" (Some 5)
     (Connectivity.diameter (Generators.path_graph 6));
   Alcotest.(check (option int)) "disconnected distance" None
-    (Connectivity.distance (Graph.of_nodes_edges (ns [ 0; 1 ]) []) 0 1)
+    (distance (Graph.of_nodes_edges (ns [ 0; 1 ]) []) 0 1)
 
 let test_is_cut () =
   let g = Generators.path_graph 5 in
@@ -219,25 +219,25 @@ let qcheck_menger =
         Connectivity.min_vertex_cut g s t = brute_min_cut g s t
       | [] -> true)
 
-let qcheck_disjoint_paths_bound =
-  QCheck.Test.make ~count:40 ~name:"greedy disjoint paths ≤ min cut"
-    arb_graph (fun g ->
-      let nodes = Nodeset.elements (Graph.nodes g) in
-      match nodes with
-      | s :: rest ->
-        let t = List.nth rest (List.length rest - 1) in
-        let mc = Connectivity.min_vertex_cut g s t in
-        let greedy = Paths.disjoint_paths_lower_bound g s t in
-        mc = max_int || greedy <= mc || Graph.mem_edge s t g
-      | [] -> true)
-
 (* ------------------------------------------------------------------ *)
 (* Paths                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* every simple s-t path, in DFS order: a predicate that accepts none
+   makes [find_simple_path] enumerate them all *)
+let all_simple_paths ?budget g s t =
+  let seen = ref [] in
+  let found, complete =
+    Paths.find_simple_path ?budget g s t (fun p ->
+        seen := p :: !seen;
+        false)
+  in
+  check "nothing accepted" true (found = None);
+  (List.rev !seen, complete)
+
 let test_simple_paths_k4 () =
   let g = Generators.complete 4 in
-  let ps, complete = Paths.all_simple_paths g 0 3 in
+  let ps, complete = all_simple_paths g 0 3 in
   check "complete" true complete;
   check_int "K4 has 5 simple 0-3 paths" 5 (List.length ps);
   check "all valid" true (List.for_all (Paths.is_path_in g) ps);
@@ -245,13 +245,13 @@ let test_simple_paths_k4 () =
 
 let test_simple_paths_path_graph () =
   let g = Generators.path_graph 5 in
-  let ps, _ = Paths.all_simple_paths g 0 4 in
+  let ps, _ = all_simple_paths g 0 4 in
   check_int "unique path" 1 (List.length ps);
   Alcotest.(check (list int)) "the path" [ 0; 1; 2; 3; 4 ] (List.hd ps)
 
 let test_path_budget () =
   let g = Generators.complete 9 in
-  let _, complete = Paths.all_simple_paths ~budget:50 g 0 8 in
+  let _, complete = all_simple_paths ~budget:50 g 0 8 in
   check "budget exhausted reported" false complete
 
 let test_find_simple_path () =
@@ -463,7 +463,8 @@ let test_random_generators () =
   let r = Generators.random_regular_ish rng 10 3 in
   check_int "rr nodes" 10 (Graph.num_nodes r);
   let c = Generators.communities rng ~blocks:2 ~size:5 ~p_in:1.0 ~p_out:0.0 in
-  check_int "two components" 2 (List.length (Connectivity.components c))
+  check "blocks disconnected" true
+    (Nodeset.equal (Nodeset.range 0 5) (Connectivity.reachable_from c 0))
 
 let test_generator_determinism () =
   let g1 = Generators.random_gnp (Prng.create 7) 10 0.4 in
@@ -511,7 +512,6 @@ let () =
           Alcotest.test_case "is_cut" `Quick test_is_cut;
           Alcotest.test_case "min vertex cut" `Quick test_min_vertex_cut;
           QCheck_alcotest.to_alcotest qcheck_menger;
-          QCheck_alcotest.to_alcotest qcheck_disjoint_paths_bound;
         ] );
       ( "paths",
         [

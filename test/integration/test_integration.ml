@@ -220,7 +220,77 @@ let test_cli_smoke () =
     (run_pka "--corrupt 1 --strategy edge-forger");
   Alcotest.(check int) "value-spam runs against zcpa" 0
     (run "run --protocol zcpa --topology layered:3x2 --receiver 7 --corrupt 1 \
-          --strategy value-spam")
+          --strategy value-spam");
+  (* [rmt run]'s printed output: (exit code, stdout, stderr) *)
+  let run_out args =
+    let out = Filename.temp_file "rmt_run" ".out"
+    and err = Filename.temp_file "rmt_run" ".err" in
+    let code =
+      Sys.command
+        (Filename.quote exe ^ " run " ^ args ^ " > " ^ Filename.quote out
+       ^ " 2> " ^ Filename.quote err)
+    in
+    let read f =
+      let s = In_channel.with_open_bin f In_channel.input_all in
+      Sys.remove f;
+      s
+    in
+    let stdout = read out in
+    (code, stdout, read err)
+  in
+  (* the result lines, as the parent's private dispatch printed their
+     decided, rounds, messages and bits *)
+  Alcotest.(check (triple int string string)) "pka result line"
+    ( 0,
+      "pka: decided 42  correct=true  rounds=6  messages=1350  bits=29052  \
+       truncated=false\n",
+      "" )
+    (run_out
+       "--protocol pka --topology layered:3x2 --receiver 7 --corrupt 1 \
+        --strategy value-flip");
+  Alcotest.(check (triple int string string)) "zcpa result line"
+    ( 0,
+      "zcpa: decided 42  correct=true  rounds=3  messages=16  bits=16  \
+       truncated=false\n",
+      "" )
+    (run_out "--protocol zcpa --topology complete:5");
+  (* every protocol of the table runs, and prints one result line *)
+  List.iter
+    (fun p ->
+      let name = Campaign.protocol_to_string p in
+      let code, out, _ =
+        run_out
+          ("--protocol " ^ name ^ " --topology layered:3x2 --receiver 7 \
+            --corrupt 1")
+      in
+      Alcotest.(check int) (name ^ " exits 0") 0 code;
+      match String.split_on_char '\n' out with
+      | [ line; "" ] ->
+        Alcotest.(check bool) (name ^ " result line") true
+          (String.starts_with ~prefix:(name ^ ": decided ") line)
+      | _ -> Alcotest.fail (name ^ ": expected one result line, got " ^ out))
+    Campaign.protocols;
+  (* the rejections keep their messages *)
+  let code, out, err =
+    run_out
+      "--protocol zcpa-sim --topology layered:3x2 --receiver 7 --corrupt 1 \
+       --strategy trail-forge"
+  in
+  Alcotest.(check bool) "unknown strategy exits non-zero" true (code <> 0);
+  Alcotest.(check string) "unknown strategy prints no result" "" out;
+  Alcotest.(check string) "unknown strategy message"
+    "rmt: unknown strategy \"trail-forge\" for this protocol \
+     (silent|value-flip|value-spam)\n"
+    err;
+  let code, out, err =
+    run_out "--protocol cert-ppa --topology layered:3x2 --receiver 7 --corrupt 0"
+  in
+  Alcotest.(check bool) "corrupted dealer exits non-zero" true (code <> 0);
+  Alcotest.(check string) "corrupted dealer prints no result" "" out;
+  Alcotest.(check string) "corrupted dealer message"
+    "rmt: --corrupt 0: corrupted nodes must be graph nodes other than the \
+     dealer 0 and the receiver 7\n"
+    err
 
 let () =
   Alcotest.run "integration"

@@ -104,9 +104,7 @@ let test_instance_ok () =
   let inst = mk_instance () in
   check_int "nodes" 4 (Instance.num_nodes inst);
   check "admissible" true (Instance.admissible inst (ns [ 1 ]));
-  check "inadmissible" false (Instance.admissible inst (ns [ 1; 2 ]));
-  check "honest nodes" true
-    (Nodeset.equal (ns [ 0; 2; 3 ]) (Instance.honest_nodes inst (ns [ 1 ])))
+  check "inadmissible" false (Instance.admissible inst (ns [ 1; 2 ]))
 
 let test_instance_validation () =
   let structure = Structure.threshold ~ground:(ns [ 1; 2 ]) 1 in

@@ -13,13 +13,14 @@ open Rmt_knowledge
 let find_zpp_cut (inst : Instance.t) =
   let g = inst.graph in
   let forbidden_base = Graph.closed_neighborhood inst.dealer g in
-  let local = Joint.restriction_cache (View.ad_hoc g) inst.structure in
+  let view = View.ad_hoc g in
+  let local = Joint.restriction_cache view inst.structure in
   List.fold_left
     (fun (acc : Cut.verdict) seed ->
       if Option.is_some acc.cut_found then acc
       else
         let v =
-          Cut.boundary_search g inst.structure ~local ~seed
+          Cut.boundary_search g inst.structure ~view ~local ~seed
             ~forbidden:(Nodeset.union forbidden_base (Nodeset.range 0 seed))
         in
         { v with complete = acc.complete && v.complete;
@@ -35,7 +36,8 @@ let solvable inst = Solvability.of_verdict (find_zpp_cut inst)
 let blocked_nodes (inst : Instance.t) =
   let g = inst.graph in
   let forbidden = Graph.closed_neighborhood inst.dealer g in
-  let local = Joint.restriction_cache (View.ad_hoc g) inst.structure in
+  let view = View.ad_hoc g in
+  let local = Joint.restriction_cache view inst.structure in
   (* A witness's B is connected, avoids N[D] and passes the cut test, so
      it shields every member, not just the seed: mark them all and skip
      their own searches. *)
@@ -44,7 +46,8 @@ let blocked_nodes (inst : Instance.t) =
       if Nodeset.mem v blocked then blocked
       else
         match
-          (Cut.boundary_search g inst.structure ~local ~seed:v ~forbidden)
+          (Cut.boundary_search g inst.structure ~view ~local ~seed:v
+             ~forbidden)
             .cut_found
         with
         | Some w -> Nodeset.union w.b_side blocked

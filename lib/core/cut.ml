@@ -46,15 +46,26 @@ let joint_ok (vgb, parts) c2 = Joint.mem_joint (Nodeset.inter c2 vgb) parts
    C₂ = C ∖ M and accept when [joint_ok].  B's joint knowledge is threaded
    along the enumeration.  [local] is a Joint.restriction_cache, so each
    node's view and restriction are computed once per cache, not once per
-   branch of the enumeration tree. *)
-let boundary_search ?budget g z ~local ~seed ~forbidden =
+   branch of the enumeration tree.
+
+   Incorruptible nodes (in no maximal M) are pinned off the boundary when
+   the view covers every star: such an x ∈ N(B) lands in C₂ under every
+   split and in V(γ(u)) for its neighbour u ∈ B, where no member of
+   𝒵^{V(γ(u))} contains it, so [joint_ok] fails for B and for every
+   superset keeping x on its boundary. *)
+let boundary_search ?budget g z ~view ~local ~seed ~forbidden =
   if Nodeset.mem seed forbidden then
     { cut_found = None; complete = true; visited = 0 }
   else begin
     let found = ref None in
     let maximal = Structure.maximal_sets z in
+    let pinned =
+      if View.covers_stars view then
+        List.fold_left Nodeset.diff (Graph.nodes g) maximal
+      else Nodeset.empty
+    in
     let outcome =
-      Subset_enum.connected_supersets_acc ?budget g ~seed ~forbidden
+      Subset_enum.connected_supersets_acc ?budget ~pinned g ~seed ~forbidden
         ~init:(add_member local (Nodeset.empty, []) seed)
         ~extend:(add_member local) (fun b nb known ->
           found := first_split maximal b nb (joint_ok known);
@@ -69,7 +80,7 @@ let boundary_search ?budget g z ~local ~seed ~forbidden =
    dealer or its neighbour) no cut separates them: the search stops at
    once. *)
 let receiver_search ?budget (inst : Instance.t) view =
-  boundary_search ?budget inst.graph inst.structure
+  boundary_search ?budget inst.graph inst.structure ~view
     ~local:(Joint.restriction_cache view inst.structure)
     ~seed:inst.receiver
     ~forbidden:(Graph.closed_neighborhood inst.dealer inst.graph)

@@ -53,11 +53,12 @@ val boundary_search :
   ?budget:int ->
   Graph.t ->
   Structure.t ->
+  view:View.t ->
   local:(int -> Nodeset.t * Structure.t) ->
   seed:int ->
   forbidden:Nodeset.t ->
   verdict
-(** [boundary_search g 𝒵 ~local ~seed ~forbidden] enumerates connected
+(** [boundary_search g 𝒵 ~view ~local ~seed ~forbidden] enumerates connected
     [B ∋ seed] in [nodes g − forbidden] ({!Subset_enum.connected_supersets_acc}),
     and for each, with [C = N(B)] as the enumeration hands it down (kept
     incrementally, never refolded over [B]) and each maximal [M ∈ 𝒵] in
@@ -66,9 +67,24 @@ val boundary_search :
     is never built: [V(γ(B))] and the members' restrictions
     [𝒵^{V(γ(v))}] are threaded along the enumeration and the test is
     {!Joint.mem_joint}.  [local] must be a {!Joint.restriction_cache} of
-    [γ] and [𝒵]; callers that search from several seeds share one.  The
-    first accepted split is the witness; [budget] caps the components
-    visited.  A seed inside [forbidden] gives a complete, empty verdict. *)
+    [view] and [𝒵]; callers that search from several seeds share one.  The
+    first accepted split is the witness; [budget] caps the enumeration
+    steps ({!Subset_enum.connected_supersets_acc}'s [visited]).  A seed
+    inside [forbidden] gives a complete, empty verdict.
+
+    Exact prune: a node is {e incorruptible} when it lies in no maximal
+    set of [𝒵].  When {!View.covers_stars} holds (every [V(γ(v)) ⊇ N[v]]:
+    full, ad hoc and radius [≥ 1] views always, radius-0 and custom views
+    only when their node sets say so), no witness has an incorruptible
+    [x] on its boundary: [x] is in no [M], so [x ∈ C₂]; [x ∈ N[u] ⊆
+    V(γ(u))] for a neighbour [u ∈ B], and no member of [𝒵^{V(γ(u))}]
+    contains [x], so [C₂ ∩ V(γ(B)) ∉ 𝒵_B].  Those nodes are passed to the
+    enumeration as [pinned], which forces them into [B] or abandons the
+    branch.  A verdict means what the unpruned one means, in fewer
+    steps: a search may now complete within a budget the unpruned one
+    exhausts, and the first witness found may be a different one.  Under a radius-0 or custom
+    view an incorruptible boundary node may lie outside [V(γ(B))], where
+    it constrains nothing, so the prune is not applied there. *)
 
 val find_rmt_cut : ?budget:int -> Instance.t -> verdict
 (** RMT-cut existence in the partial knowledge model (Definition 3):

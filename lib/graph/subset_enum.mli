@@ -38,6 +38,7 @@ val connected_supersets :
 
 val connected_supersets_acc :
   ?budget:int ->
+  ?pinned:Nodeset.t ->
   Graph.t ->
   seed:int ->
   forbidden:Nodeset.t ->
@@ -52,4 +53,15 @@ val connected_supersets_acc :
     incrementally instead of recomputing them from scratch for every
     enumerated subset.  [init] is the accumulator for [{seed}] — i.e. it
     must already account for the seed node.  This is the module's one
-    recursion: {!connected_supersets} is it with a unit accumulator. *)
+    recursion: {!connected_supersets} is it with a unit accumulator.
+
+    [pinned] (default empty) names nodes that may not sit on an emitted
+    boundary: [f] is applied to exactly those [B] of the unpinned
+    enumeration with [N(B) ∩ pinned = ∅], each once.  The recursion
+    prunes rather than filters.  A pinned [x ∈ N(B)] stays on the boundary
+    of every superset of [B] that leaves it out, so on entering [B] with
+    such an [x] the recursion skips [f] on [B] and steps to [B ∪ {x}]
+    (for the smallest such [x]), or abandons the whole subtree when [x]
+    is forbidden or excluded by an earlier sibling branch.  [visited]
+    counts every step, emitted or not; the budget caps the same count.
+    An empty [pinned] costs one boolean test per step. *)

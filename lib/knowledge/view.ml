@@ -65,6 +65,18 @@ let view_nodes t v =
   | Ad_hoc when Graph.mem_node v t.g -> Graph.closed_neighborhood v t.g
   | _ -> Graph.nodes (view t v)
 
+(* Full, ad hoc and radius >= 1 views contain the star by construction;
+   radius 0 and custom assignments are checked node by node. *)
+let covers_stars t =
+  match t.kind with
+  | Full | Ad_hoc -> true
+  | Radius k when k >= 1 -> true
+  | Radius _ | Custom ->
+    Nodeset.for_all
+      (fun v ->
+        Nodeset.subset (Graph.closed_neighborhood v t.g) (view_nodes t v))
+      (Graph.nodes t.g)
+
 let joint t s =
   Graph.union_all (Nodeset.fold (fun v acc -> view t v :: acc) s [])
 

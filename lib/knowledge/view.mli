@@ -53,6 +53,14 @@ val view_nodes : t -> int -> Nodeset.t
 (** [V(γ(v))].  For an ad hoc view this is [N[v]], read straight off the
     graph. *)
 
+val covers_stars : t -> bool
+(** Whether every [V(γ(v))] contains [v]'s closed neighbourhood [N[v]].
+    Decided from {!kind} for full, ad hoc and radius [≥ 1] views (always
+    true); radius-0 and custom views are checked node by node (a radius-0
+    view passes only on a graph without edges).  The cut search's
+    incorruptible-node prune ({!Rmt_core.Cut.boundary_search}) is exact
+    only under such views. *)
+
 val joint : t -> Nodeset.t -> Graph.t
 (** [γ(S)]: union of the views of the members of [S]. *)
 

@@ -22,9 +22,13 @@ val named_topologies : unit -> (string * Graph.t * int * int) list
 (** {1 Instance suites} *)
 
 val tightness_suite : Prng.t -> count:int -> n:int -> labelled list
-(** Random connected [G(n, p)] instances with mixed adversary kinds and
-    knowledge levels — the E3 workload, balanced between solvable and
-    unsolvable instances. *)
+(** Random connected [G(n, p)] instances over four adversary/knowledge
+    classes — the E3 workload, balanced between solvable and unsolvable
+    instances.  Instance [i] takes both its adversary kind and its view
+    from [i mod 4], so the two are paired, not crossed: threshold 1 with
+    ad hoc views, threshold 2 with radius 1, 4 random sets of size
+    [≤ n/4] with radius 2, and 8 random sets of size [≤ n/3] with full
+    knowledge. *)
 
 val ad_hoc_suite : Prng.t -> count:int -> n:int -> labelled list
 (** Same but always in the ad hoc model — the E4 workload. *)

@@ -21,6 +21,7 @@ let ad_hoc_instance g ~t ~dealer ~receiver =
 (* random small instance generators, shared across suites (test/gen) *)
 let arb_instance = Rmt_test_gen.Gen.arb_instance
 let arb_ad_hoc_instance = Rmt_test_gen.Gen.arb_ad_hoc_instance
+let arb_wide_instance = Rmt_test_gen.Gen.arb_wide_instance
 
 (* ------------------------------------------------------------------ *)
 (* Known instances                                                     *)
@@ -111,45 +112,74 @@ let test_is_rmt_cut_direct () =
 (* Brute force cross-check                                             *)
 (* ------------------------------------------------------------------ *)
 
-let brute_exists (inst : Instance.t) is_cut =
-  let g = inst.graph in
+(* every split Definition 3 and 7 need: each C ⊆ V ∖ {D, R} with
+   C₁ = C ∩ M, C₂ = C ∖ M for each maximal M *)
+let iter_splits (inst : Instance.t) f =
   let candidates =
     Nodeset.remove inst.dealer
-      (Nodeset.remove inst.receiver (Graph.nodes g))
+      (Nodeset.remove inst.receiver (Graph.nodes inst.graph))
   in
-  let found = ref false in
   Nodeset.subsets_iter candidates (fun c ->
-      if not !found then
-        List.iter
-          (fun m ->
-            if not !found then begin
-              let c1 = Nodeset.inter c m in
-              let c2 = Nodeset.diff c m in
-              if is_cut inst c1 c2 then found := true
-            end)
-          (Structure.maximal_sets inst.structure));
+      List.iter
+        (fun m -> f (Nodeset.inter c m) (Nodeset.diff c m))
+        (Structure.maximal_sets inst.structure))
+
+let brute_exists (inst : Instance.t) is_cut =
+  let found = ref false in
+  iter_splits inst (fun c1 c2 ->
+      if (not !found) && is_cut inst c1 c2 then found := true);
   !found
+
+(* The lemma behind the search's prune: when every V(γ(v)) ⊇ N[v], no
+   accepted cut has an incorruptible node (in no maximal M) on the
+   boundary of its receiver side B. *)
+let no_incorruptible_on_boundary (inst : Instance.t) is_cut =
+  let incorruptible =
+    List.fold_left Nodeset.diff (Graph.nodes inst.graph)
+      (Structure.maximal_sets inst.structure)
+  in
+  let ok = ref true in
+  iter_splits inst (fun c1 c2 ->
+      if !ok && is_cut inst c1 c2 then
+        let b =
+          Connectivity.component_of ~avoiding:(Nodeset.union c1 c2)
+            inst.graph inst.receiver
+        in
+        ok :=
+          Nodeset.disjoint incorruptible
+            (Graph.neighborhood_of_set b inst.graph));
+  !ok
+
+let brute_rmt_cut arb name =
+  QCheck.Test.make ~count:70 ~name arb (fun inst ->
+      let v = Cut.find_rmt_cut inst in
+      v.complete && Cut.exists_certainly v = brute_exists inst Cut.is_rmt_cut)
+
+let brute_zpp_cut arb name =
+  QCheck.Test.make ~count:70 ~name arb (fun inst ->
+      let v = Cut.find_rmt_zpp_cut inst in
+      v.complete
+      && Cut.exists_certainly v = brute_exists inst Cut.is_rmt_zpp_cut)
 
 let qcheck_brute =
   [
-    QCheck.Test.make ~count:70 ~name:"RMT-cut decider = brute force"
-      arb_instance (fun inst ->
-        let v = Cut.find_rmt_cut inst in
-        v.complete
-        && Cut.exists_certainly v = brute_exists inst Cut.is_rmt_cut);
-    QCheck.Test.make ~count:70 ~name:"Z-pp decider = brute force"
-      arb_ad_hoc_instance (fun inst ->
-        let v = Cut.find_rmt_zpp_cut inst in
-        v.complete
-        && Cut.exists_certainly v = brute_exists inst Cut.is_rmt_zpp_cut);
+    brute_rmt_cut arb_instance "RMT-cut decider = brute force";
+    brute_zpp_cut arb_ad_hoc_instance "Z-pp decider = brute force";
     (* the Z-pp decider searches under the ad hoc view whatever the
        instance's own view is; the literal Definition 7 check never reads
        it either *)
-    QCheck.Test.make ~count:70 ~name:"Z-pp decider = brute force, any view"
-      arb_instance (fun inst ->
-        let v = Cut.find_rmt_zpp_cut inst in
-        v.complete
-        && Cut.exists_certainly v = brute_exists inst Cut.is_rmt_zpp_cut);
+    brute_zpp_cut arb_instance "Z-pp decider = brute force, any view";
+    (* radius-0 views (no prune) and 𝒵 = {∅} (every node pinned) *)
+    brute_rmt_cut arb_wide_instance
+      "RMT-cut decider = brute force, radius 0 and thr:0";
+    brute_zpp_cut arb_wide_instance
+      "Z-pp decider = brute force, radius 0 and thr:0";
+    QCheck.Test.make ~count:70
+      ~name:"star-covering views: no cut has an incorruptible boundary node"
+      arb_wide_instance (fun inst ->
+        QCheck.assume (View.covers_stars inst.view);
+        no_incorruptible_on_boundary inst Cut.is_rmt_cut
+        && no_incorruptible_on_boundary inst Cut.is_rmt_zpp_cut);
   ]
 
 (* ------------------------------------------------------------------ *)

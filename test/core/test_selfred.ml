@@ -287,12 +287,14 @@ let qcheck_blocked_per_node =
       in
       let inst = Instance.ad_hoc_of ~graph:g ~structure ~dealer:0 ~receiver:(n - 1) in
       let forbidden = Graph.closed_neighborhood 0 g in
-      let local = Joint.restriction_cache (View.ad_hoc g) structure in
+      let view = View.ad_hoc g in
+      let local = Joint.restriction_cache view structure in
       let per_node =
         Nodeset.filter
           (fun v ->
             Cut.exists_certainly
-              (Cut.boundary_search g structure ~local ~seed:v ~forbidden))
+              (Cut.boundary_search g structure ~view ~local ~seed:v
+                 ~forbidden))
           (Graph.nodes g)
       in
       Nodeset.equal (Broadcast.blocked_nodes inst) per_node)

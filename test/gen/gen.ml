@@ -13,30 +13,33 @@ open Rmt_knowledge
 
 let print_instance i = Format.asprintf "%a" Instance.pp i
 
-(* test/core/test_cut.ml: mixed structures and views, n in 5..8 *)
-let arb_instance =
+(* test/core/test_cut.ml: mixed structures and views, n in 5..8.  The
+   structure is a global threshold from [thresholds] or a random
+   antichain, drawn uniformly, then the view from [views]. *)
+let mixed_instance ~thresholds ~views =
   let gen st =
     let rng = Prng.create (QCheck.Gen.int_bound 1_000_000 st) in
     let n = 5 + Prng.int rng 4 in
     let g = Generators.random_connected_gnp rng n 0.45 in
     let dealer = 0 in
     let receiver = n - 1 in
-    let kind = Prng.int rng 3 in
     let structure =
-      match kind with
-      | 0 -> Builders.global_threshold g ~dealer 1
-      | 1 -> Builders.global_threshold g ~dealer 2
-      | _ -> Builders.random_antichain rng g ~dealer ~sets:4 ~max_size:(n / 2)
+      match List.nth_opt thresholds (Prng.int rng (List.length thresholds + 1)) with
+      | Some t -> Builders.global_threshold g ~dealer t
+      | None -> Builders.random_antichain rng g ~dealer ~sets:4 ~max_size:(n / 2)
     in
-    let view =
-      match Prng.int rng 3 with
-      | 0 -> View.ad_hoc g
-      | 1 -> View.radius 1 g
-      | _ -> View.full g
-    in
+    let view = List.nth views (Prng.int rng (List.length views)) g in
     Instance.make ~graph:g ~structure ~view ~dealer ~receiver
   in
   QCheck.make ~print:print_instance gen
+
+let arb_instance =
+  mixed_instance ~thresholds:[ 1; 2 ]
+    ~views:[ View.ad_hoc; View.radius 1; View.full ]
+
+let arb_wide_instance =
+  mixed_instance ~thresholds:[ 0; 1; 2 ]
+    ~views:[ View.ad_hoc; View.radius 0; View.radius 1; View.full ]
 
 (* test/core/test_cut.ml: ad hoc knowledge only, n in 5..8 *)
 let arb_ad_hoc_instance =

@@ -13,6 +13,14 @@ val arb_instance : Instance.t QCheck.arbitrary
     (ad hoc, radius 1, full) on connected G(n,0.45), n in 5..8.
     Recipe from [test/core/test_cut.ml]. *)
 
+val arb_wide_instance : Instance.t QCheck.arbitrary
+(** {!arb_instance} widened to two corners it never draws: radius-0
+    views, which do not contain the star (so the cut search's
+    incorruptible-node prune must stay off), and [𝒵 = {∅}] (threshold
+    0, nothing corruptible, so every node is incorruptible).  Structures
+    thresholds 0/1/2 and random antichains; views ad hoc, radius 0,
+    radius 1, full. *)
+
 val arb_ad_hoc_instance : Instance.t QCheck.arbitrary
 (** Ad hoc knowledge only, same graph family as {!arb_instance}.
     Recipe from [test/core/test_cut.ml]. *)

@@ -404,6 +404,55 @@ let qcheck_subset_enum_boundary =
              false));
       !ok)
 
+(* The pinned prune is exact: the pinned enumeration emits exactly the B
+   of the unpinned one with N(B) ∩ pinned = ∅, each once.  Pinned sets
+   are drawn to overlap the forbidden set and the seed's neighbourhood,
+   where the prune forces a step or abandons a branch. *)
+let qcheck_subset_enum_pinned =
+  let gen st =
+    let rng = Prng.create (QCheck.Gen.int_bound 1_000_000 st) in
+    let n = 1 + Prng.int rng 11 in
+    let g = Generators.random_gnp rng n (0.15 +. Prng.float rng 0.5) in
+    let seed = Prng.int rng n in
+    let forbidden = Prng.subset rng (Graph.nodes g) 0.25 in
+    let pinned =
+      Nodeset.union
+        (Prng.subset rng (Graph.nodes g) 0.2)
+        (Nodeset.union
+           (Prng.subset rng forbidden 0.5)
+           (Prng.subset rng (Graph.neighbors seed g) 0.5))
+    in
+    (g, seed, forbidden, pinned)
+  in
+  let emitted ?pinned g ~seed ~forbidden =
+    let out = ref [] in
+    ignore
+      (Subset_enum.connected_supersets_acc ?pinned g ~seed ~forbidden ~init:()
+         ~extend:(fun () _ -> ())
+         (fun b nb () ->
+           out := (b, nb) :: !out;
+           false));
+    List.sort (fun (a, _) (b, _) -> Nodeset.compare a b) !out
+  in
+  QCheck.Test.make ~count:300
+    ~name:"pinned enumeration = unpinned one filtered by N(B) ∩ pinned = ∅"
+    (QCheck.make
+       ~print:(fun (g, seed, forbidden, pinned) ->
+         Printf.sprintf "seed=%d forbidden=%s pinned=%s\n%s" seed
+           (Nodeset.to_string forbidden) (Nodeset.to_string pinned)
+           (Graph.to_string g))
+       gen)
+    (fun (g, seed, forbidden, pinned) ->
+      let expected =
+        List.filter
+          (fun (_, nb) -> Nodeset.disjoint nb pinned)
+          (emitted g ~seed ~forbidden)
+      in
+      let got = emitted ~pinned g ~seed ~forbidden in
+      List.equal
+        (fun (b, nb) (b', nb') -> Nodeset.equal b b' && Nodeset.equal nb nb')
+        expected got)
+
 (* ------------------------------------------------------------------ *)
 (* Generators                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -533,6 +582,7 @@ let () =
           Alcotest.test_case "accumulator" `Quick test_subset_enum_acc;
           Alcotest.test_case "acc same count" `Quick test_subset_enum_acc_same_count;
           QCheck_alcotest.to_alcotest qcheck_subset_enum_boundary;
+          QCheck_alcotest.to_alcotest qcheck_subset_enum_pinned;
         ] );
       ( "generators",
         [

@@ -168,33 +168,59 @@ let test_cli_smoke () =
   Alcotest.(check int) "run zcpa traced" 0
     (run "run --protocol zcpa --topology complete:5 --trace");
   Alcotest.(check int) "attack" 0 (run "attack --topology path:4");
+  let output_of args =
+    let out = Filename.temp_file "rmt_cli" ".out" in
+    let code =
+      Sys.command (Filename.quote exe ^ " " ^ args ^ " > " ^ Filename.quote out)
+    in
+    let printed = In_channel.with_open_bin out In_channel.input_all in
+    Sys.remove out;
+    (code, String.split_on_char '\n' printed)
+  in
+  (* nothing is corruptible, so every node is pinned off the cut and the
+     searches answer at once: solvable, and radius 0 (which gets no
+     prune) is the one radius with a cut *)
+  let code, lines = output_of "attack --topology grid:5x6 --adversary thr:0" in
+  Alcotest.(check int) "attack, nothing corruptible" 0 code;
+  Alcotest.(check (list string)) "attack finds no cut"
+    [ "No RMT-cut: this instance is solvable, no attack can succeed."; "" ]
+    lines;
+  let code, lines = output_of "analyze --topology grid:5x6 --adversary thr:0" in
+  Alcotest.(check int) "analyze, nothing corruptible" 0 code;
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) line true (List.mem line lines))
+    [
+      "RMT-cut (partial knowledge): none (RMT solvable, Thms 3+5)";
+      "RMT Z-pp cut (ad hoc):       none (Z-CPA solves this, Thms 7+8)";
+      "Minimal uniform view radius: 1";
+    ];
   (* a cut search that runs out of budget proves nothing: attack must
-     say "unknown", as analyze does, not "solvable" *)
-  let out = Filename.temp_file "rmt_attack" ".out" in
-  Alcotest.(check int) "attack, exhausted search" 0
-    (Sys.command
-       (Filename.quote exe
-      ^ " attack --topology grid:5x6 --adversary thr:0 > "
-      ^ Filename.quote out));
-  let printed = In_channel.with_open_bin out In_channel.input_all in
-  Sys.remove out;
-  Alcotest.(check string) "attack reads the exhausted search as unknown"
-    "RMT-cut search: unknown (budget exhausted); no attack mounted.\n"
-    printed;
-  (* nothing is corruptible, so the instance is solvable; the radius
-     searches run out of budget, which must read as unknown too *)
-  let out = Filename.temp_file "rmt_analyze" ".out" in
-  Alcotest.(check int) "analyze, exhausted searches" 0
-    (Sys.command
-       (Filename.quote exe
-      ^ " analyze --topology grid:5x6 --adversary thr:0 > "
-      ^ Filename.quote out));
-  let printed = In_channel.with_open_bin out In_channel.input_all in
-  Sys.remove out;
-  Alcotest.(check bool) "analyze reads the exhausted radius searches as unknown"
-    true
-    (List.mem "Minimal uniform view radius: unknown (budget exhausted)"
-       (String.split_on_char '\n' printed));
+     say "unknown", not "solvable".  Three disjoint dealer–receiver
+     columns of a 3x10 layered graph, one admissible set each, under full
+     knowledge: no two sets cover a separator, so there is no cut, and
+     every node is corruptible, so nothing is pruned; the receiver's
+     connected sides outnumber the default budget (~2 s) *)
+  let g = Rmt_graph.Generators.layered ~width:3 ~depth:10 in
+  let column k = Nodeset.of_list (List.init 10 (fun l -> 1 + (3 * l) + k)) in
+  let inst =
+    Instance.make ~graph:g
+      ~structure:
+        (Rmt_adversary.Structure.of_sets
+           ~ground:(Nodeset.remove 0 (Rmt_graph.Graph.nodes g))
+           (List.init 3 column))
+      ~view:(View.full g) ~dealer:0 ~receiver:31
+  in
+  let file = Filename.temp_file "rmt_columns" ".rmt" in
+  (match Codec.to_file file inst with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail e);
+  let code, lines = output_of ("attack --instance " ^ Filename.quote file) in
+  Sys.remove file;
+  Alcotest.(check int) "attack, exhausted search" 0 code;
+  Alcotest.(check (list string)) "attack reads the exhausted search as unknown"
+    [ "RMT-cut search: unknown (budget exhausted); no attack mounted."; "" ]
+    lines;
   Alcotest.(check int) "dot" 0 (run "dot --topology cycle:6");
   Alcotest.(check int) "bad spec fails" 124
     (let c = run "analyze --topology warp:9" in

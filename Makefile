@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint lint-clean lint-baseline bench fuzz fuzz-smoke sim-smoke service-smoke bench-check outputs examples clean
+.PHONY: all build test lint lint-baseline bench fuzz fuzz-smoke sim-smoke service-smoke bench-check outputs examples clean
 
 all: build
 
@@ -12,17 +12,14 @@ test:
 
 # Typedtree determinism & safety analysis over lib/ (rules R1-R10; run
 # `dune exec bin/rmt_lint.exe -- rules` for the catalog).  Fails on any
-# finding not pinned in lint-baseline.txt.  Unchanged .cmt files are
-# served from the digest-keyed cache; `make lint-clean` forces a cold run.
-# The extracted protocol-model (alphabets, decision fields, symbolic
-# send bounds) lands in lint-model.json, same payload CI uploads.
+# finding not pinned in lint-baseline.txt.  One pass over the .cmt
+# files under _build/default/lib, no state kept between runs.  The
+# extracted protocol-model (alphabets, decision fields, symbolic send
+# bounds) lands in lint-model.json, same payload CI uploads.
 lint:
 	dune build @check
 	dune exec bin/rmt_lint.exe -- check --baseline lint-baseline.txt \
-	  --cache _build/rmt-lint.cache --model-out lint-model.json
-
-lint-clean:
-	rm -f _build/rmt-lint.cache
+	  --model-out lint-model.json
 
 # Regenerate the baseline, then edit the JUSTIFY placeholders by hand.
 lint-baseline:

@@ -23,7 +23,7 @@
      attack     seeded fuzzing campaigns over instances/
      sim        simulator overhead vs the engine, sweep throughput
      net        the round loop: heartbeat and flood throughput
-     lint       rmt-lint cold vs warm (reads _build's .cmt files)
+     lint       rmt-lint pass, summaries, model (reads _build's .cmt files)
      certified  certification overhead, solvability frontier
 
    Every record has one schema (see [write_record]); check_regression.exe
@@ -1635,107 +1635,68 @@ let net () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* LINT — analyzer wall-time and cache effectiveness                   *)
+(* LINT — analyzer wall-time, whole pass and its two assembly stages   *)
 (* ------------------------------------------------------------------ *)
 
 let lint () =
-  section "rmt-lint analyzer: cold vs warm (cmt-digest + summary cache)";
+  section "rmt-lint analyzer: one pass, summary inference, model assembly";
   let module L = Rmt_lint in
   let build_dir = "_build/default" and dirs = [ "lib" ] in
-  let run cache =
-    Timing.time_it (fun () ->
-        match L.Lint.scan_cached ~cache ~build_dir ~dirs with
-        | Error e -> failwith ("lint bench: " ^ e)
-        | Ok (units, stats, key) ->
-          let store, summary_hit =
-            L.Lint.store_of ~cache ~key (L.Lint.graph_of units)
-          in
-          ( List.length (L.Lint.findings_of units store),
-            stats,
-            summary_hit ))
-  in
-  let cache = L.Cache.empty () in
-  let (cold_findings, _, cold_hit), cold_s = run cache in
-  let (warm_findings, warm_stats, warm_hit), warm_s = run cache in
-  if cold_findings <> warm_findings then
-    failwith "lint bench: warm run changed the findings";
-  if cold_hit || not warm_hit then
-    failwith "lint bench: summary cache hit pattern should be cold=miss warm=hit";
-  let rate = L.Lint.hit_rate warm_stats in
-  (* Summary-store inference alone: a cold fixpoint run vs the cache's
-     warm of_effects rebuild, on the same whole-program graph. *)
-  let graph, effs =
-    match L.Lint.scan_cached ~cache ~build_dir ~dirs with
+  (* What `rmt_lint check` does: read the typedtrees, walk each once,
+     infer the summary store, assemble the model, run every rule. *)
+  let pass () =
+    match L.Cmt_loader.scan ~build_dir ~dirs with
     | Error e -> failwith ("lint bench: " ^ e)
-    | Ok (units, _, _) ->
-      let graph = L.Lint.graph_of units in
-      (graph, L.Summary.all (L.Summary.infer graph))
+    | Ok us ->
+      let units = List.map L.Lint.scanned_of us in
+      let model = L.Lint.model_of units in
+      let findings =
+        L.Lint.findings_of units
+          (L.Summary.infer (L.Lint.graph_of units))
+          model
+      in
+      (units, List.length findings, model)
   in
-  let _, infer_s = Timing.time_it (fun () -> L.Summary.infer graph) in
-  let _, warm_store_s =
-    Timing.time_it (fun () -> L.Summary.of_effects graph effs)
+  (* single-shot wall-clock rows: the median of [n] runs, so one GC
+     pause or host hiccup does not move the record *)
+  let median n f =
+    let runs = List.init n (fun _ -> Timing.time_it f) in
+    let secs = List.sort Float.compare (List.map snd runs) in
+    (List.map fst runs, List.nth secs (n / 2))
   in
-  (* Protocol-model extraction: cold re-walks every typedtree through
-     Model.extract, warm assembles from the cached per-unit fragments
-     alone (the path `rmt_lint check --model-out` takes on a hit). *)
-  let model_cold, model_cold_s =
-    Timing.time_it (fun () ->
-        match L.Cmt_loader.scan ~build_dir ~dirs with
-        | Error e -> failwith ("lint bench: " ^ e)
-        | Ok us ->
-          L.Model.assemble
-            (List.map
-               (fun (u : L.Cmt_loader.unit_info) ->
-                 L.Model.extract ~source:u.source u.structure)
-               us))
-  in
-  let warm_units =
-    match L.Lint.scan_cached ~cache ~build_dir ~dirs with
-    | Error e -> failwith ("lint bench: " ^ e)
-    | Ok (us, _, _) -> us
-  in
-  let model_warm, model_warm_s =
-    Timing.time_it (fun () -> L.Lint.model_of warm_units)
-  in
+  let passes, pass_s = median 3 pass in
+  let units, findings, model = List.hd passes in
+  let graph = L.Lint.graph_of units in
+  let _, infer_s = median 5 (fun () -> L.Summary.infer graph) in
+  let assembled, model_s = median 5 (fun () -> L.Lint.model_of units) in
+  let fingerprint = L.Model.fingerprint model in
   if
-    not
-      (String.equal
-         (L.Model.fingerprint model_cold)
-         (L.Model.fingerprint model_warm))
-  then failwith "lint bench: cold and warm model fingerprints diverge";
+    List.exists (fun (_, f, _) -> f <> findings) passes
+    || List.exists
+         (fun m -> not (String.equal (L.Model.fingerprint m) fingerprint))
+         (List.map (fun (_, _, m) -> m) passes @ assembled)
+  then failwith "lint bench: runs disagree on findings or model fingerprint";
   Printf.printf
-    "  cold: %.3fs   warm: %.3fs   (%d findings; warm reused %d/%d cmts, \
-     %.1f%%)\n\
-    \  summaries: infer %.3fs   of_effects %.3fs   (summary cache: cold \
-     miss, warm hit)\n\
-    \  model: cold %.3fs   warm %.3fs   (%d protocols, fingerprints agree)\n"
-    cold_s warm_s cold_findings warm_stats.L.Lint.hits
-    warm_stats.L.Lint.lookups rate infer_s warm_store_s model_cold_s
-    model_warm_s
-    (List.length model_cold.L.Model.protocols);
+    "  pass: %.3fs   (%d units, %d findings)\n\
+    \  summaries: infer %.3fs\n\
+    \  model: assemble %.3fs   (%d protocols, fingerprints agree)\n"
+    pass_s (List.length units) findings infer_s model_s
+    (List.length model.L.Model.protocols);
   List.map
     (fun (k, secs) -> wall_row ("rmt/lint/" ^ k) secs)
-    [
-      ("cold", cold_s); ("warm", warm_s); ("summaries-cold", infer_s);
-      ("summaries-warm", warm_store_s); ("model-cold", model_cold_s);
-      ("model-warm", model_warm_s);
-    ]
+    [ ("pass", pass_s); ("summaries", infer_s); ("model", model_s) ]
   @ [
       {
         name = "scan";
         fields =
-          [
-            ("findings", jint cold_findings);
-            ("cache_lookups", jint warm_stats.L.Lint.lookups);
-            ("cache_hits", jint warm_stats.L.Lint.hits);
-          ];
+          [ ("units", jint (List.length units)); ("findings", jint findings) ];
       };
       {
         name = "model";
         fields =
           [
-            ("protocols", jint (List.length model_cold.L.Model.protocols));
-            ("fingerprint", jstr (L.Model.fingerprint model_cold));
+            ("protocols", jint (List.length model.L.Model.protocols));
+            ("fingerprint", jstr fingerprint);
           ];
       };
     ]

@@ -34,45 +34,78 @@ open Cmdliner
 let parse_error fmt = Printf.ksprintf (fun s -> `Error (false, s)) fmt
 
 let split_spec s = String.split_on_char ':' s
+let ( let* ) = Result.bind
+
+(* A spec's numeric field, and a generator's own argument check: a
+   malformed or negative number, or a size the generator rejects, is a
+   spec error (exit 124) like an unknown spec, never an exception. *)
+let nat spec s =
+  match int_of_string_opt s with
+  | Some n when n >= 0 -> Ok n
+  | _ ->
+    Error (Printf.sprintf "spec %S: %S is not a non-negative integer" spec s)
+
+let checked spec f =
+  try Ok (f ())
+  with Invalid_argument m -> Error (Printf.sprintf "spec %S: %s" spec m)
 
 let topology_of_spec seed spec =
   let rng = Prng.create seed in
+  let nat = nat spec and checked = checked spec in
+  let sized gen n =
+    let* n = nat n in
+    checked (fun () -> gen n)
+  in
   match split_spec spec with
   | [ ("grid" | "king") as kind; dims ] ->
     (match String.split_on_char 'x' dims with
      | [ r; c ] ->
-       let r = int_of_string r and c = int_of_string c in
-       Ok (if kind = "king" then Generators.king_grid r c else Generators.grid r c)
+       let* r = nat r in
+       let* c = nat c in
+       checked (fun () ->
+           if kind = "king" then Generators.king_grid r c
+           else Generators.grid r c)
      | _ -> Error "grid spec must be grid:RxC")
   | [ "layered"; dims ] ->
     (match String.split_on_char 'x' dims with
      | [ w; d ] ->
-       Ok (Generators.layered ~width:(int_of_string w) ~depth:(int_of_string d))
+       let* width = nat w in
+       let* depth = nat d in
+       checked (fun () -> Generators.layered ~width ~depth)
      | _ -> Error "layered spec must be layered:WxD")
-  | [ "cycle"; n ] -> Ok (Generators.cycle (int_of_string n))
-  | [ "complete"; n ] -> Ok (Generators.complete (int_of_string n))
-  | [ "ladder"; n ] -> Ok (Generators.ladder (int_of_string n))
-  | [ "path"; n ] -> Ok (Generators.path_graph (int_of_string n))
+  | [ "cycle"; n ] -> sized Generators.cycle n
+  | [ "complete"; n ] -> sized Generators.complete n
+  | [ "ladder"; n ] -> sized Generators.ladder n
+  | [ "path"; n ] -> sized Generators.path_graph n
   | [ "random"; n; p ] ->
-    Ok (Generators.random_connected_gnp rng (int_of_string n) (float_of_string p))
+    (match float_of_string_opt p with
+     | None -> Error (Printf.sprintf "spec %S: %S is not a number" spec p)
+     | Some p -> sized (fun n -> Generators.random_connected_gnp rng n p) n)
   | _ -> Error (Printf.sprintf "unknown topology spec %S" spec)
 
 let structure_of_spec seed spec g ~dealer =
   let rng = Prng.create (seed + 1) in
+  let nat = nat spec and checked = checked spec in
   match split_spec spec with
-  | [ "thr"; t ] -> Ok (Builders.global_threshold g ~dealer (int_of_string t))
-  | [ "local"; t ] -> Ok (Builders.t_local g ~dealer (int_of_string t))
+  | [ "thr"; t ] ->
+    let* t = nat t in
+    checked (fun () -> Builders.global_threshold g ~dealer t)
+  | [ "local"; t ] ->
+    let* t = nat t in
+    checked (fun () -> Builders.t_local g ~dealer t)
   | [ "rand"; sets; max_size ] ->
-    Ok
-      (Builders.random_antichain rng g ~dealer ~sets:(int_of_string sets)
-         ~max_size:(int_of_string max_size))
+    let* sets = nat sets in
+    let* max_size = nat max_size in
+    checked (fun () -> Builders.random_antichain rng g ~dealer ~sets ~max_size)
   | _ -> Error (Printf.sprintf "unknown adversary spec %S" spec)
 
 let view_of_spec spec g =
   match split_spec spec with
   | [ "adhoc" ] -> Ok (View.ad_hoc g)
   | [ "full" ] -> Ok (View.full g)
-  | [ "radius"; k ] -> Ok (View.radius (int_of_string k) g)
+  | [ "radius"; k ] ->
+    let* k = nat spec k in
+    checked spec (fun () -> View.radius k g)
   | _ -> Error (Printf.sprintf "unknown knowledge spec %S" spec)
 
 let rec build_instance ?file ~seed ~topology ~adversary ~knowledge ~dealer

@@ -14,16 +14,16 @@
    whole-program call graph (SCC-ordered, fixpointed on recursive
    cycles), and runs the intraprocedural rules of lib/lint/rules.mli
    plus the summary-store passes R4/R8 (lock discipline), R6 (Domain
-   races) and R7 (higher-order-aware Theorem-4 taint).  With --cache
-   FILE, unchanged .cmt files (by content digest) are never re-read
-   across runs and the whole summary store is reused when nothing
-   changed.  Exit status: 0 when every finding is pinned in the
-   baseline and no pin is stale, 1 on new findings or stale pins, 2 on
-   usage or I/O errors.
+   races) and R7 (higher-order-aware Theorem-4 taint), and checks the
+   extracted protocol models (R9/R10).  Each run is one pass: it reads
+   the .cmt files under _build/default/<DIR> for each DIR and keeps no
+   state between runs.  Exit status: 0 when every finding is pinned in
+   the baseline and no pin is stale, 1 on new findings or stale pins,
+   2 on usage or I/O errors, including a DIR with no analysed unit.
 
    Examples:
      dune build @check && rmt_lint check --baseline lint-baseline.txt
-     rmt_lint check --cache _build/rmt-lint.cache --sarif rmt-lint.sarif
+     rmt_lint check --sarif rmt-lint.sarif --model-out lint-model.json
      rmt_lint paths
      rmt_lint summaries --json Zcpa
      rmt_lint model --json
@@ -40,10 +40,11 @@ let build_dir =
 
 let dirs =
   let doc =
-    "Source directories to analyze (prefix match on the path recorded \
-     in each .cmt).  $(docv) bounds the analysis universe: the call \
-     graph, the summary store and the findings all cover exactly these \
-     trees."
+    "Source directories to analyze: the .cmt files under \
+     BUILD-DIR/$(docv) whose recorded source lies under $(docv).  \
+     $(docv) bounds the analysis universe: the call graph, the summary \
+     store and the findings all cover exactly these trees.  A $(docv) \
+     with no analysed unit is an error (exit 2)."
   in
   Arg.(value & pos_all string [ "lib" ] & info [] ~docv:"DIR" ~doc)
 
@@ -80,15 +81,6 @@ let model_out =
   Arg.(
     value & opt (some string) None & info [ "model-out" ] ~docv:"FILE" ~doc)
 
-let cache_path =
-  let doc =
-    "Incremental cache file: unchanged .cmt files (by content digest) \
-     are not re-analyzed, the summary store is reused when no cmt \
-     changed, and the cache is rewritten after the run.  Delete the \
-     file (make lint-clean) to force a cold run."
-  in
-  Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"FILE" ~doc)
-
 let update_baseline =
   let doc =
     "Rewrite the --baseline file to pin exactly the current findings \
@@ -96,144 +88,121 @@ let update_baseline =
   in
   Arg.(value & flag & info [ "update-baseline" ] ~doc)
 
-(* Shared front half: load cache, scan, infer/restore the summary
-   store, store cache back. *)
-let scan_with_cache build_dir dirs cache_path =
-  let cache =
-    match cache_path with
-    | Some p -> Cache.load p
-    | None -> Cache.empty ()
-  in
-  match Lint.scan_cached ~cache ~build_dir ~dirs with
-  | Error e -> Error e
-  | Ok (units, stats, key) ->
-    let store, _summary_hit = Lint.store_of ~cache ~key (Lint.graph_of units) in
-    (match cache_path with Some p -> Cache.save p cache | None -> ());
-    Ok (units, stats, store)
+(* Shared front half: read the typedtrees under each DIR and walk each
+   once; [k] gets the per-unit results.  Scan errors exit 2. *)
+let with_units build_dir dirs k =
+  match Cmt_loader.scan ~build_dir ~dirs with
+  | Error e ->
+    prerr_endline ("rmt-lint: " ^ e);
+    2
+  | Ok units -> k (List.map Lint.scanned_of units)
+
+let store_of units = Summary.infer (Lint.graph_of units)
 
 let check_cmd build_dir dirs baseline json out sarif summaries_out model_out
-    cache_path update =
-  match scan_with_cache build_dir dirs cache_path with
-  | Error e ->
-    prerr_endline ("rmt-lint: " ^ e);
-    2
-  | Ok (units, stats, store) ->
-    let findings = Lint.findings_of units store in
-    (match summaries_out with
-     | None -> ()
-     | Some path ->
-       let oc = open_out path in
-       output_string oc (Summary.render_json store);
-       close_out oc);
-    (match model_out with
-     | None -> ()
-     | Some path ->
-       let oc = open_out path in
-       output_string oc (Model.render_json (Lint.model_of units));
-       close_out oc);
-    (match (update, baseline) with
-     | true, None ->
-       prerr_endline "rmt-lint: --update-baseline requires --baseline";
-       2
-     | true, Some path ->
-       Baseline.save path findings;
-       Printf.printf "rmt-lint: wrote %d finding(s) to %s\n"
-         (List.length findings) path;
-       0
-     | false, _ ->
-       let entries =
-         match baseline with
-         | None -> Ok []
-         | Some path -> Baseline.load path
-       in
-       (match entries with
-        | Error e ->
-          prerr_endline ("rmt-lint: " ^ e);
-          2
-        | Ok entries ->
-          let report =
-            Lint.apply_baseline ~cache:stats entries (List.length units)
-              findings
-          in
-          (match out with
-           | None -> ()
-           | Some path ->
-             let oc = open_out path in
-             output_string oc (Lint.render_json report);
-             close_out oc);
-          (match sarif with
-           | None -> ()
-           | Some path ->
-             let oc = open_out path in
-             output_string oc (Sarif.render ~store ~entries report);
-             close_out oc);
-          if json then print_string (Lint.render_json report)
-          else print_string (Lint.render_text report);
-          (* Stale pins fail the run: a discharged finding still pinned
-             in the baseline means the baseline misdescribes the tree. *)
-          if report.Lint.fresh = [] && report.Lint.stale = [] then 0 else 1))
+    update =
+  with_units build_dir dirs @@ fun units ->
+  let store = store_of units and model = Lint.model_of units in
+  let findings = Lint.findings_of units store model in
+  (match summaries_out with
+   | None -> ()
+   | Some path ->
+     let oc = open_out path in
+     output_string oc (Summary.render_json store);
+     close_out oc);
+  (match model_out with
+   | None -> ()
+   | Some path ->
+     let oc = open_out path in
+     output_string oc (Model.render_json model);
+     close_out oc);
+  (match (update, baseline) with
+   | true, None ->
+     prerr_endline "rmt-lint: --update-baseline requires --baseline";
+     2
+   | true, Some path ->
+     Baseline.save path findings;
+     Printf.printf "rmt-lint: wrote %d finding(s) to %s\n"
+       (List.length findings) path;
+     0
+   | false, _ ->
+     let entries =
+       match baseline with
+       | None -> Ok []
+       | Some path -> Baseline.load path
+     in
+     (match entries with
+      | Error e ->
+        prerr_endline ("rmt-lint: " ^ e);
+        2
+      | Ok entries ->
+        let report =
+          Lint.apply_baseline entries (List.length units) findings
+        in
+        (match out with
+         | None -> ()
+         | Some path ->
+           let oc = open_out path in
+           output_string oc (Lint.render_json report);
+           close_out oc);
+        (match sarif with
+         | None -> ()
+         | Some path ->
+           let oc = open_out path in
+           output_string oc (Sarif.render ~store ~entries report);
+           close_out oc);
+        if json then print_string (Lint.render_json report)
+        else print_string (Lint.render_text report);
+        (* Stale pins fail the run: a discharged finding still pinned
+           in the baseline means the baseline misdescribes the tree. *)
+        if report.Lint.fresh = [] && report.Lint.stale = [] then 0 else 1))
 
-let paths_cmd build_dir dirs cache_path =
-  match scan_with_cache build_dir dirs cache_path with
-  | Error e ->
-    prerr_endline ("rmt-lint: " ^ e);
-    2
-  | Ok (_, _, store) ->
-    print_string (Taint.audit store);
-    0
+let paths_cmd build_dir dirs =
+  with_units build_dir dirs @@ fun units ->
+  print_string (Taint.audit (store_of units));
+  0
 
-let graph_cmd build_dir dirs cache_path dot =
-  match scan_with_cache build_dir dirs cache_path with
-  | Error e ->
-    prerr_endline ("rmt-lint: " ^ e);
-    2
-  | Ok (units, _, _) ->
-    let graph = Lint.graph_of units in
-    if dot then print_string (Callgraph.to_dot graph)
-    else begin
-      let fns, edges = Callgraph.stats graph in
-      Printf.printf "call graph: %d function(s), %d resolved edge(s)\n" fns
-        edges;
-      List.iter
-        (fun (f : Callgraph.fn_summary) ->
-          match Callgraph.callees graph f.fn_name with
-          | [] -> ()
-          | cs ->
-            Printf.printf "%s -> %s\n" f.fn_name (String.concat ", " cs))
-        (Callgraph.functions graph)
-    end;
-    0
+let graph_cmd build_dir dirs dot =
+  with_units build_dir dirs @@ fun units ->
+  let graph = Lint.graph_of units in
+  if dot then print_string (Callgraph.to_dot graph)
+  else begin
+    let fns, edges = Callgraph.stats graph in
+    Printf.printf "call graph: %d function(s), %d resolved edge(s)\n" fns
+      edges;
+    List.iter
+      (fun (f : Callgraph.fn_summary) ->
+        match Callgraph.callees graph f.fn_name with
+        | [] -> ()
+        | cs ->
+          Printf.printf "%s -> %s\n" f.fn_name (String.concat ", " cs))
+      (Callgraph.functions graph)
+  end;
+  0
 
-let summaries_cmd build_dir dirs cache_path json only =
-  match scan_with_cache build_dir dirs cache_path with
-  | Error e ->
-    prerr_endline ("rmt-lint: " ^ e);
-    2
-  | Ok (_, _, store) ->
-    if json then print_string (Summary.render_json ?only store)
-    else print_string (Summary.render_text ?only store);
-    0
+let summaries_cmd build_dir dirs json only =
+  with_units build_dir dirs @@ fun units ->
+  let store = store_of units in
+  if json then print_string (Summary.render_json ?only store)
+  else print_string (Summary.render_text ?only store);
+  0
 
-let model_cmd build_dir dirs cache_path json only =
-  match scan_with_cache build_dir dirs cache_path with
-  | Error e ->
-    prerr_endline ("rmt-lint: " ^ e);
-    2
-  | Ok (units, _, _) ->
-    let model = Lint.model_of units in
-    (match only with
-     | Some name when Model.find model name = None ->
-       Printf.eprintf
-         "rmt-lint: no automaton matches %S; known protocols: %s\n" name
-         (String.concat ", "
-            (List.map
-               (fun (p : Model.protocol) -> p.Model.p_name)
-               model.Model.protocols));
-       2
-     | _ ->
-       if json then print_string (Model.render_json ?only model)
-       else print_string (Model.render_text ?only model);
-       0)
+let model_cmd build_dir dirs json only =
+  with_units build_dir dirs @@ fun units ->
+  let model = Lint.model_of units in
+  (match only with
+   | Some name when Model.find model name = None ->
+     Printf.eprintf
+       "rmt-lint: no automaton matches %S; known protocols: %s\n" name
+       (String.concat ", "
+          (List.map
+             (fun (p : Model.protocol) -> p.Model.p_name)
+             model.Model.protocols));
+     2
+   | _ ->
+     if json then print_string (Model.render_json ?only model)
+     else print_string (Model.render_text ?only model);
+     0)
 
 let explain_cmd rule =
   match Rules.find rule with
@@ -249,7 +218,7 @@ let explain_cmd rule =
 let check_term =
   Term.(
     const check_cmd $ build_dir $ dirs $ baseline $ json $ out $ sarif
-    $ summaries_out $ model_out $ cache_path $ update_baseline)
+    $ summaries_out $ model_out $ update_baseline)
 
 let check =
   let doc = "lint the repository's typedtrees (the default command)" in
@@ -263,7 +232,7 @@ let paths =
   in
   Cmd.v
     (Cmd.info "paths" ~doc)
-    Term.(const paths_cmd $ build_dir $ dirs $ cache_path)
+    Term.(const paths_cmd $ build_dir $ dirs)
 
 let graph =
   let dot =
@@ -273,7 +242,7 @@ let graph =
   let doc = "dump the cross-module call graph" in
   Cmd.v
     (Cmd.info "graph" ~doc)
-    Term.(const graph_cmd $ build_dir $ dirs $ cache_path $ dot)
+    Term.(const graph_cmd $ build_dir $ dirs $ dot)
 
 let summaries =
   let only =
@@ -295,7 +264,7 @@ let summaries =
   in
   Cmd.v
     (Cmd.info "summaries" ~doc)
-    Term.(const summaries_cmd $ build_dir $ sdirs $ cache_path $ json $ only)
+    Term.(const summaries_cmd $ build_dir $ sdirs $ json $ only)
 
 let model =
   let only =
@@ -319,7 +288,7 @@ let model =
   in
   Cmd.v
     (Cmd.info "model" ~doc)
-    Term.(const model_cmd $ build_dir $ mdirs $ cache_path $ json $ only)
+    Term.(const model_cmd $ build_dir $ mdirs $ json $ only)
 
 let explain =
   let doc = "describe one rule and the invariant it protects" in

@@ -23,7 +23,8 @@ type fanout = {
    [Ho_alias] carries the canonicalized type-constructor name; whether
    that name is an arrow alias (type decider = ... -> ...) is only known
    once every unit's declarations are on the table, so the decision is
-   deferred to {!build} — keeping per-unit summaries cacheable. *)
+   deferred to {!build} — keeping per-unit summaries independent of
+   the other units. *)
 type ho_kind =
   | Ho_arrow
   | Ho_alias of string
@@ -76,8 +77,8 @@ let sink_describe = function
 (* The adversary-payload type constructors whose appearance in a bound
    pattern marks the enclosing function as a taint source (R7), plus the
    one parameter name every Engine automaton receives deliveries
-   through.  Kept here, next to the extraction, so the cached summaries
-   and the passes can never disagree. *)
+   through.  Kept here, next to the extraction, so the summaries and
+   the passes can never disagree. *)
 let source_type_names =
   [ "Flood.msg"; "Program.t"; "Program.inject"; "Engine.strategy" ]
 
@@ -613,8 +614,8 @@ let callers t fn =
   |> List.sort_uniq String.compare
 
 (* Shortest call path from [start] to any function satisfying [accept],
-   visiting only functions satisfying [admit].  Deterministic: neighbors
-   are explored in sorted order. *)
+   passing only through functions satisfying [admit].  Deterministic:
+   neighbors are explored in sorted order. *)
 let shortest_path t ~admit ~accept start =
   if not (admit start) then None
   else begin

@@ -8,11 +8,10 @@
     types in bound patterns, decision-sink sites) and every Domain
     fan-out call site with its closure's captured mutable variables.
 
-    Summaries are deliberately serialization-friendly (strings and ints
-    only): the incremental {!Cache} stores them keyed by cmt digest, so a
-    warm run rebuilds the graph without re-reading unchanged typedtrees.
-    The interprocedural passes {!Race} (R6) and {!Taint} (R7) are pure
-    functions of the {!t} built from them. *)
+    Summaries are plain data (strings and ints only), so the typedtree
+    can be dropped once its unit is summarized.  The interprocedural
+    passes {!Race} (R6) and {!Taint} (R7) are pure functions of the
+    {!t} built from them. *)
 
 type ref_site = {
   ref_name : string;  (** canonical reference, e.g. ["Nodeset.compare"] *)

@@ -57,45 +57,62 @@ let under_one_of dirs source =
       String.starts_with ~prefix:d source)
     dirs
 
-let cmt_paths ~build_dir =
+(* Every .cmt under [root]; a missing [root] holds none. *)
+let cmt_paths root =
+  let paths = ref [] in
+  let rec walk dir =
+    match Sys.readdir dir with
+    | exception Sys_error _ -> ()
+    | entries ->
+      Array.iter
+        (fun entry ->
+          let path = Filename.concat dir entry in
+          if Sys.is_directory path then walk path
+          else if Filename.check_suffix path ".cmt" then
+            paths := path :: !paths)
+        entries
+  in
+  walk root;
+  !paths
+
+(* Only build_dir/<d> is walked for each requested d: dune mirrors the
+   source tree, so the rest of the build tree holds no unit in scope.
+   The recorded source path still decides membership. *)
+let scan ~build_dir ~dirs =
   if not (Sys.file_exists build_dir && Sys.is_directory build_dir) then
     Error
       (Printf.sprintf
          "build directory %s not found; run `dune build @check` first"
          build_dir)
-  else begin
-    let paths = ref [] in
-    let rec walk dir =
-      match Sys.readdir dir with
-      | exception Sys_error _ -> ()
-      | entries ->
-        Array.sort String.compare entries;
-        Array.iter
-          (fun entry ->
-            let path = Filename.concat dir entry in
-            if Sys.is_directory path then walk path
-            else if Filename.check_suffix path ".cmt" then
-              paths := path :: !paths)
-          entries
+  else
+    let paths =
+      List.sort_uniq String.compare
+        (List.concat_map
+           (fun d -> cmt_paths (Filename.concat build_dir d))
+           dirs)
     in
-    walk build_dir;
-    Ok (List.sort String.compare !paths)
-  end
-
-let scan ~build_dir ~dirs =
-  match cmt_paths ~build_dir with
-  | Error e -> Error e
-  | Ok paths ->
-    let units = ref [] in
-    let errors = ref [] in
-    List.iter
-      (fun path ->
+    let rec go acc = function
+      | [] -> Ok acc
+      | path :: rest -> (
         match read_cmt path with
-        | Ok (Some u) when under_one_of dirs u.source -> units := u :: !units
-        | Ok _ -> ()
-        | Error e -> errors := e :: !errors)
-      paths;
-    (match !errors with
-     | e :: _ -> Error e
-     | [] ->
-       Ok (List.sort (fun a b -> String.compare a.source b.source) !units))
+        | Error e -> Error e
+        | Ok (Some u) when under_one_of dirs u.source -> go (u :: acc) rest
+        | Ok _ -> go acc rest)
+    in
+    match go [] paths with
+    | Error e -> Error e
+    | Ok units -> (
+      match
+        List.find_opt
+          (fun d ->
+            not (List.exists (fun u -> under_one_of [ d ] u.source) units))
+          dirs
+      with
+      | Some d ->
+        Error
+          (Printf.sprintf
+             "no analysed unit under %s: no .cmt in %s records a source \
+              there; check the directory name or run `dune build @check`"
+             d (Filename.concat build_dir d))
+      | None ->
+        Ok (List.sort (fun a b -> String.compare a.source b.source) units))

@@ -1,9 +1,10 @@
 (** Locating and reading [.cmt] typedtree files out of dune's build tree.
 
     [dune build \@check] leaves one [.cmt] per implementation under
-    [_build/default/**/.<lib>.objs/byte/].  The loader walks a build
-    directory, reads every [.cmt], and keeps the implementation units
-    whose recorded source path falls under one of the requested source
+    [_build/default/**/.<lib>.objs/byte/], mirroring the source tree.
+    The loader walks the build-tree mirror of each requested source
+    directory, reads every [.cmt] there, and keeps the implementation
+    units whose recorded source path falls under one of the requested
     directories — skipping dune-generated module-alias units
     ([*.ml-gen]).  The companion [.cmti] presence is recorded so the R5
     missing-interface check needs no second pass. *)
@@ -23,17 +24,12 @@ val read_cmt : string -> (unit_info option, string) result
     [dune build \@check] instead of surfacing a raw [Cmi_format]
     exception. *)
 
-val cmt_paths : build_dir:string -> (string list, string) result
-(** Every [.cmt] under [build_dir], sorted — the file list the
-    digest-first {!Cache} lookup iterates without parsing anything. *)
-
-val under_one_of : string list -> string -> bool
-(** Path-prefix membership test used by {!scan}'s [dirs] filter. *)
-
 val scan :
   build_dir:string -> dirs:string list -> (unit_info list, string) result
-(** [scan ~build_dir ~dirs] walks [build_dir] recursively and returns
-    every implementation unit whose source lives under one of [dirs]
-    (path-prefix match on the recorded source path), sorted by source
+(** [scan ~build_dir ~dirs] walks [build_dir/d] for each [d] in [dirs]
+    and returns every implementation unit whose recorded source path
+    lies under one of [dirs] (path-prefix match), sorted by source
     path.  Fails when [build_dir] does not exist — run
-    [dune build \@check] first. *)
+    [dune build \@check] first — when a [.cmt] cannot be read, and when
+    some [d] yields no unit, so a misspelt directory is an error rather
+    than an empty, passing run. *)

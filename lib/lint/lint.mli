@@ -1,14 +1,16 @@
-(** The rmt-lint driver: rules over compilation units, the incremental
-    cache, baseline filtering, rendering.
+(** The rmt-lint driver: rules over compilation units, baseline
+    filtering, rendering.
 
     This is the layer both the [rmt_lint] executable and the fixture
-    tests call.  {!scan_cached} walks the build tree digest-first so
-    unchanged typedtrees are never re-read; {!store_of} infers (or
-    restores from cache) the {!Summary} effect store over the
-    whole-program {!Callgraph}; {!findings_of} combines the per-unit
+    tests call.  One pass, no state between runs: {!Cmt_loader.scan}
+    reads the typedtrees, {!scanned_of} walks each once for everything
+    the later passes need, {!graph_of} and {!Summary.infer} build the
+    effect store over the whole-program {!Callgraph}, {!model_of}
+    assembles the protocol model, {!findings_of} combines the per-unit
     intraprocedural findings with the store-client passes ({!Lock}
-    R4/R8, {!Race} R6, {!Taint} R7); and {!apply_baseline} splits the
-    result against a suppression file. *)
+    R4/R8, {!Race} R6, {!Taint} R7) and the model's R9/R10 findings,
+    and {!apply_baseline} splits the result against a suppression
+    file. *)
 
 type scanned_unit = {
   su_source : string;
@@ -16,13 +18,7 @@ type scanned_unit = {
   su_intra : Finding.t list;  (** structural findings only, no R5 *)
   su_summary : Callgraph.unit_summary;
   su_model : Model.unit_model;  (** protocol-model fragment for R9/R10 *)
-  su_cached : bool;  (** came out of the cache, typedtree never read *)
 }
-
-type cache_stats = { lookups : int; hits : int }
-
-val hit_rate : cache_stats -> float
-(** Percentage, 0 when nothing was looked up. *)
 
 type report = {
   scanned : int;  (** number of compilation units analyzed *)
@@ -30,63 +26,42 @@ type report = {
   fresh : Finding.t list;  (** findings not pinned in the baseline *)
   stale : Baseline.entry list;
       (** baseline entries matching no current finding *)
-  cache : cache_stats;
 }
 
-val scan_cached :
-  cache:Cache.t ->
-  build_dir:string ->
-  dirs:string list ->
-  (scanned_unit list * cache_stats * string, string) result
-(** Walk every cmt under [build_dir]: digest, cache lookup, and only on
-    a miss read the typedtree, analyze it and store the result back into
-    [cache] (mutated in place; the caller decides whether to
-    {!Cache.save}).  Returns the units whose recorded source lives under
-    one of [dirs], sorted by source path — [dirs] bounds the analysis
-    universe, so a test-side sanitizer cannot launder a deliberately
-    unguarded library protocol — plus the combined digest key of those
-    units for {!store_of}.  Pass {!Cache.empty} for a cold, cache-free
-    run. *)
+val scanned_of : Cmt_loader.unit_info -> scanned_unit
+(** The unit's structural findings, call-graph summary and model
+    fragment, from one walk of its typedtree. *)
 
 val graph_of : scanned_unit list -> Callgraph.t
 
 val model_of : scanned_unit list -> Model.t
-(** Whole-program protocol model ({!Model.assemble} over the cached
-    per-unit fragments): the [rmt_lint model] payload and the R9/R10
-    findings.  Pure data — reruns on the warm path without reading any
-    typedtree. *)
-
-val store_of :
-  cache:Cache.t -> key:string -> Callgraph.t -> Summary.store * bool
-(** The summary store for [graph], restored from [cache] under [key]
-    (the combined digest from {!scan_cached}) when nothing changed;
-    [true] on that warm path.  A miss runs {!Summary.infer} and stores
-    the effects back. *)
+(** Whole-program protocol model ({!Model.assemble} over the per-unit
+    fragments): the [rmt_lint model] payload and the R9/R10
+    findings. *)
 
 val findings_of :
   ?require_mli:bool ->
   scanned_unit list ->
   Summary.store ->
+  Model.t ->
   Finding.t list
-(** All rules: cached intraprocedural findings, the filesystem half of
-    R5 (unless [require_mli] is false), the store clients (R4/R8
-    {!Lock}, R6 {!Race}, R7 {!Taint}), and the protocol-model rules
-    (R9/R10 via {!model_of}). *)
+(** All rules: intraprocedural findings, the filesystem half of R5
+    (unless [require_mli] is false), the store clients (R4/R8
+    {!Lock}, R6 {!Race}, R7 {!Taint}), and the model's R9/R10
+    findings. *)
 
 val analyze :
   ?require_mli:bool -> Cmt_loader.unit_info list -> Finding.t list
-(** Uncached convenience composition of the above over pre-loaded units
-    — the fixture-test entry point. *)
+(** The above composed over loaded units — the fixture-test entry
+    point. *)
 
-val apply_baseline :
-  ?cache:cache_stats -> Baseline.entry list -> int -> Finding.t list -> report
+val apply_baseline : Baseline.entry list -> int -> Finding.t list -> report
 (** [apply_baseline entries scanned findings] builds the final report. *)
 
 val render_text : report -> string
 (** Human-readable report: fresh findings (with call chains), stale
-    entry warnings, the cache reuse line, and a one-line verdict. *)
+    entry warnings, and a one-line verdict. *)
 
 val render_json : report -> string
-(** Machine-readable report for the CI artifact: scanned count, cache
-    stats, every finding with its fingerprint, the fresh subset, stale
-    entries. *)
+(** Machine-readable report for the CI artifact: scanned count, every
+    finding with its fingerprint, the fresh subset, stale entries. *)

@@ -1,13 +1,13 @@
 (* Protocol-model extraction and the R9/R10 rule families.
 
-   Extraction walks a unit's typedtree once and records plain,
-   marshalable facts per function (see model.mli); assembly is pure
-   data over those fragments, so the warm cache path never re-reads a
-   typedtree.  The walk is deliberately syntactic where the repository
-   is idiomatic — send records are [Engine.{ dst; payload }] literals,
-   neighbor fan-out is a fold over [Graph.neighbors], relays iterate
-   the [inbox] parameter — and falls back to "unbounded" whenever a
-   send-typed value flows through something it cannot classify. *)
+   Extraction walks a unit's typedtree once and records plain facts
+   per function (see model.mli); assembly is pure data over those
+   fragments and never reads a typedtree.  The walk is deliberately
+   syntactic where the repository is idiomatic — send records are
+   [Engine.{ dst; payload }] literals, neighbor fan-out is a fold over
+   [Graph.neighbors], relays iterate the [inbox] parameter — and falls
+   back to "unbounded" whenever a send-typed value flows through
+   something it cannot classify. *)
 
 open Typedtree
 
@@ -18,13 +18,14 @@ type call_site = {
   cs_callee : string;
   cs_passes_inbox : bool;
   cs_returns_sends : bool;
+  cs_via : string option;
 }
 
 type fn_facts = {
   f_name : string;
   f_file : string;
   f_line : int;
-  f_params : string list;
+  f_uses_params : bool;
   f_sends : (ctx * int) list;
   f_calls : call_site list;
   f_constructs : (string * string) list;
@@ -71,10 +72,12 @@ let last_component s =
   | None -> s
   | Some i -> String.sub s (i + 1) (String.length s - i - 1)
 
-let type_mentions_send ty =
+let type_mentions ctor ty =
   List.exists
-    (fun n -> String.equal (last_component n) "send")
+    (fun n -> String.equal (last_component n) ctor)
     (Names.type_constr_names ty)
+
+let type_mentions_send = type_mentions "send"
 
 let head_of_type ty =
   match Types.get_desc ty with
@@ -239,10 +242,15 @@ type collector = {
 }
 
 (* Extract the facts of one function (or plain) expression.  Nested
-   function lets are extracted recursively into the shared scope and
-   not walked inline, so their sends are attributed to them and reach
-   callers only through call sites. *)
-let rec collect_fn col ~name ~line expr =
+   function lets, and closures handed to a callee, are extracted
+   recursively into the shared scope and not walked inline, so their
+   sends are attributed to them and reach callers only through call
+   sites.  A closure stored in a record, constructor or tuple is not
+   walked at all: the function that builds it does not run it.
+   [enclosing] holds the parameters of the functions this one is nested
+   in, so a reference to one of them marks that function as using its
+   parameters. *)
+let rec collect_fn col ?(enclosing = []) ~name ~line expr =
   let params = ref [] in
   let add_param n =
     if (not (String.contains n '*')) && not (List.mem n !params) then
@@ -265,6 +273,17 @@ let rec collect_fn col ~name ~line expr =
       | _ -> e
     in
     peel expr
+  in
+  let uses_params = ref false in
+  let scopes = (!params, uses_params) :: enclosing in
+  let note_ref n =
+    List.iter (fun (ps, r) -> if List.mem n ps then r := true) scopes
+  in
+  let nest n ~line e =
+    let facts =
+      collect_fn col ~enclosing:scopes ~name:(col.c_owner ^ "." ^ n) ~line e
+    in
+    col.c_scope := (n, facts) :: !(col.c_scope)
   in
   let sends = Hashtbl.create 4 in
   let calls = ref [] in
@@ -303,12 +322,7 @@ let rec collect_fn col ~name ~line expr =
         (fun vb ->
           match bare_name_of_pat vb.vb_pat with
           | Some n when is_function vb.vb_expr ->
-            let nested =
-              collect_fn col
-                ~name:(col.c_owner ^ "." ^ n)
-                ~line:(line_of vb.vb_loc) vb.vb_expr
-            in
-            col.c_scope := (n, nested) :: !(col.c_scope)
+            nest n ~line:(line_of vb.vb_loc) vb.vb_expr
           | nm ->
             (match nm with
              | Some n when topology_derived vb.vb_expr ->
@@ -330,12 +344,7 @@ let rec collect_fn col ~name ~line expr =
         match value with
         | Some v when is_function v ->
           let n = Printf.sprintf "<%s:%d>" lbl (line_of v.exp_loc) in
-          let nested =
-            collect_fn col
-              ~name:(col.c_owner ^ "." ^ n)
-              ~line:(line_of v.exp_loc) v
-          in
-          col.c_scope := (n, nested) :: !(col.c_scope);
+          nest n ~line:(line_of v.exp_loc) v;
           n
         | Some { exp_desc = Texp_ident (p, _, _); _ } -> callee_name p
         | _ -> "<unresolved>"
@@ -360,9 +369,16 @@ let rec collect_fn col ~name ~line expr =
                 fields ->
       add_send ();
       default.expr sub e
-    | Texp_construct (_, cd, _) ->
+    | Texp_record { fields; extended_expression; _ } ->
+      Array.iter
+        (fun (_, def) ->
+          match def with Overridden (_, v) -> stored sub v | Kept _ -> ())
+        fields;
+      Option.iter (sub.Tast_iterator.expr sub) extended_expression
+    | Texp_construct (_, cd, args) ->
       Option.iter (add_once constructs) (ctor_entry cd);
-      default.expr sub e
+      List.iter (stored sub) args
+    | Texp_tuple es -> List.iter (stored sub) es
     | Texp_setfield (r, _, ld, rhs) ->
       writes := (ld.Types.lbl_name, is_none_literal rhs) :: !writes;
       sub.Tast_iterator.expr sub r;
@@ -372,6 +388,7 @@ let rec collect_fn col ~name ~line expr =
       sub.Tast_iterator.expr sub r
     | Texp_ident (Path.Pident id, _, _) ->
       let n = Ident.name id in
+      note_ref n;
       if String.equal n inbox_name then full_use := true;
       if String.equal n "round" then uses_round := true
     | Texp_match (scrut, cases, _) when is_ident_named inbox_name scrut ->
@@ -391,25 +408,50 @@ let rec collect_fn col ~name ~line expr =
     | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
       apply_iter sub e (callee_name p) args
     | Texp_apply (fn, args) ->
-      (* unknown callee expression producing sends: unclassifiable *)
-      if type_mentions_send e.exp_type then
-        with_ctx Unknown (fun () -> add_send ());
+      (* unknown callee expression producing sends, or running an
+         automaton (a runner record's [run] field): unclassifiable *)
+      if
+        type_mentions_send e.exp_type
+        || List.exists
+             (fun (_, a) ->
+               Option.fold ~none:false
+                 ~some:(fun a -> type_mentions "automaton" a.exp_type)
+                 a)
+             args
+      then with_ctx Unknown (fun () -> add_send ());
       sub.Tast_iterator.expr sub fn;
       walk_args sub args
     | _ -> default.expr sub e
-  and walk_args sub args =
+  and stored sub v = if not (is_function v) then sub.Tast_iterator.expr sub v
+  (* A closure argument becomes a scope function of its own, called with
+     unknown multiplicity; [via] names the callee it is handed to, which
+     runs it only if that callee uses its parameters. *)
+  and walk_args ?via sub args =
     List.iter
       (fun (_, arg) ->
         match arg with
         | None -> ()
-        | Some a ->
-          if is_function (peel_some a) then
-            (* behavior escaping into an unknown callee: multiplicity
-               unknown *)
-            with_ctx Unknown (fun () -> sub.Tast_iterator.expr sub a)
-          else sub.Tast_iterator.expr sub a)
+        | Some a when is_function (peel_some a) ->
+          let a = peel_some a in
+          let pos = a.exp_loc.loc_start in
+          let n =
+            Printf.sprintf "<fun:%d:%d>" pos.pos_lnum
+              (pos.pos_cnum - pos.pos_bol)
+          in
+          nest n ~line:pos.pos_lnum a;
+          calls :=
+            {
+              cs_ctx = Unknown;
+              cs_callee = n;
+              cs_passes_inbox = false;
+              cs_returns_sends = false;
+              cs_via = via;
+            }
+            :: !calls
+        | Some a -> sub.Tast_iterator.expr sub a)
       args
   and apply_iter sub e name args =
+    note_ref name;
     if Names.qualified_matches dedup_guard_names name then dedup := true;
     if Names.qualified_matches transparent_names name then
       List.iter
@@ -510,9 +552,10 @@ let rec collect_fn col ~name ~line expr =
             cs_callee = name;
             cs_passes_inbox = passes_inbox;
             cs_returns_sends = returns_sends;
+            cs_via = None;
           }
           :: !calls;
-        walk_args sub args
+        walk_args ~via:name sub args
   in
   let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
    fun sub p ->
@@ -528,7 +571,7 @@ let rec collect_fn col ~name ~line expr =
     f_name = name;
     f_file = col.c_file;
     f_line = line;
-    f_params = List.rev !params;
+    f_uses_params = !uses_params;
     f_sends =
       (let rank c =
          match c with
@@ -785,49 +828,85 @@ let resolve env name =
     if String.contains name '.' then lookup (Names.canonical_ref name)
     else lookup (Names.canonical_ref (env.e_module ^ "." ^ name))
 
-(* The send bound of one function, composing callee bounds by context
-   multiplication.  The second component is the set of in-progress
-   functions a back edge targeted: a function that closes a cycle while
-   accumulating sends degrades to unbounded, but a send-free recursive
-   helper (tail_of, hop_after) stays zero and never poisons its
-   callers. *)
-let rec bound_of ~visiting env (f : fn_facts) =
-  if List.mem f.f_name visiting then (zero_bound, [ f.f_name ])
-  else if List.length visiting > 60 then (unbounded, [])
-  else
-    let visiting = f.f_name :: visiting in
+(* The send bound of every function reachable from [roots], computed
+   once per function, callees first, over the call graph's SCCs.  A
+   function's bound composes its own sends with its callees' bounds by
+   context multiplication.  A call cycle cannot be bounded by
+   composition: a cyclic component whose members send anything (their
+   own sends or a callee outside the cycle) is unbounded as a whole,
+   while a send-free one (tail_of, hop_after) stays zero and never
+   poisons its callers.  A function is identified by its name and
+   line, so a top-level binding shadowing one of the same name is a
+   function of its own; its calls resolve in the environment of the
+   first root or call that reached it. *)
+let send_bounds roots =
+  let key (f : fn_facts) = Printf.sprintf "%s:%d" f.f_name f.f_line in
+  let nodes = Hashtbl.create 512 in
+  let keys = ref [] in
+  let rec add ((f : fn_facts), env) =
+    if not (Hashtbl.mem nodes (key f)) then begin
+      let runs cs =
+        match Option.bind cs.cs_via (resolve env) with
+        | Some (g, _) -> g.f_uses_params
+        | None -> true
+      in
+      let calls =
+        List.filter_map
+          (fun cs ->
+            if runs cs then Some (cs, resolve env cs.cs_callee) else None)
+          f.f_calls
+      in
+      Hashtbl.replace nodes (key f) (f, calls);
+      keys := key f :: !keys;
+      List.iter (fun (_, callee) -> Option.iter add callee) calls
+    end
+  in
+  List.iter add roots;
+  let callees k =
+    List.filter_map
+      (fun (_, callee) -> Option.map (fun (g, _) -> key g) callee)
+      (snd (Hashtbl.find nodes k))
+  in
+  let bounds = Hashtbl.create 512 in
+  let local ~component k =
+    let f, calls = Hashtbl.find nodes k in
     let own =
       List.fold_left
         (fun acc (c, n) ->
           add_bound acc (ctx_mult c (scale n { zero_bound with b_const = 1 })))
         zero_bound f.f_sends
     in
-    let b, targets =
-      List.fold_left
-        (fun (acc, tgts) cs ->
-          match resolve env cs.cs_callee with
-          | None ->
-            if cs.cs_returns_sends then (add_bound acc unbounded, tgts)
-            else (acc, tgts)
-          | Some (callee, cenv) ->
-            let cb, ct = bound_of ~visiting cenv callee in
-            let cb =
-              if cs.cs_passes_inbox || (cb.b_inbox = 0 && cb.b_inbox_deg = 0)
-              then cb
-              else
-                (* inbox-shaped bound applied to some other list *)
-                add_bound
-                  { cb with b_inbox = 0; b_inbox_deg = 0 }
-                  unbounded
-            in
-            (add_bound acc (ctx_mult cs.cs_ctx cb), ct @ tgts))
-        (own, []) f.f_calls
-    in
-    let closes = List.mem f.f_name targets in
-    let targets =
-      List.filter (fun t -> not (String.equal t f.f_name)) targets
-    in
-    if closes && not (is_zero b) then (unbounded, targets) else (b, targets)
+    List.fold_left
+      (fun acc (cs, callee) ->
+        match callee with
+        | None -> if cs.cs_returns_sends then add_bound acc unbounded else acc
+        | Some (g, _) when List.mem (key g) component -> acc
+        | Some (g, _) ->
+          let cb = Hashtbl.find bounds (key g) in
+          let cb =
+            if cs.cs_passes_inbox || (cb.b_inbox = 0 && cb.b_inbox_deg = 0)
+            then cb
+            else
+              (* inbox-shaped bound applied to some other list *)
+              add_bound { cb with b_inbox = 0; b_inbox_deg = 0 } unbounded
+          in
+          add_bound acc (ctx_mult cs.cs_ctx cb))
+      own calls
+  in
+  List.iter
+    (fun component ->
+      match component with
+      | [ k ] when not (List.mem k (callees k)) ->
+        Hashtbl.replace bounds k (local ~component k)
+      | _ ->
+        let b =
+          if List.for_all (fun k -> is_zero (local ~component k)) component
+          then zero_bound
+          else unbounded
+        in
+        List.iter (fun k -> Hashtbl.replace bounds k b) component)
+    (Fixpoint.scc ~nodes:!keys ~succs:callees);
+  fun f -> Hashtbl.find bounds (key f)
 
 (* Functions reachable from a set of roots through resolvable calls. *)
 let reachable env roots =
@@ -878,175 +957,188 @@ let assemble units =
            !findings)
     then findings := f :: !findings
   in
-  let protocols = ref [] in
-  List.iter
-    (fun um ->
-      let env0 =
-        { e_scope = []; e_module = um.um_module; e_units = table }
-      in
-      List.iter
-        (fun (a : automaton_src) ->
-          let owner_scope =
-            match resolve env0 (last_component a.a_owner) with
-            | Some (f, _) -> f.f_scope
-            | None -> []
-          in
-          let env = { env0 with e_scope = owner_scope } in
-          let comp name =
-            match resolve env name with Some (f, e) -> Some (f, e) | None -> None
-          in
-          let bound_of_comp name =
-            match comp name with
-            | Some (f, e) -> fst (bound_of ~visiting:[] e f)
-            | None -> unbounded
-          in
-          let init_b = bound_of_comp a.a_init in
-          let step_b = bound_of_comp a.a_step in
-          let span = reachable env [ a.a_init; a.a_step ] in
-          let state_heads =
-            match comp a.a_decision with
-            | Some (d, _) -> dedup_sorted (List.map fst d.f_matches)
-            | None -> []
-          in
-          let message_ctors sel =
-            List.concat_map
-              (fun (f : fn_facts) ->
-                List.filter_map
-                  (fun (h, c) ->
-                    if List.mem h state_heads then None else Some c)
-                  (sel f))
-              span
-            |> dedup_sorted
-          in
-          let alphabet = message_ctors (fun f -> f.f_constructs) in
-          let handled = message_ctors (fun f -> f.f_matches) in
-          let decision_reads =
-            match comp a.a_decision with
-            | Some (d, _) -> d.f_reads
-            | None -> []
-          in
-          let bare = last_component a.a_owner in
-          (* R9a: decision write-once.  Any step-reachable assignment to
-             a field the decision reads must be guarded by a read of
-             that field in the same function, and must never be a
-             literal None. *)
-          List.iter
-            (fun (f : fn_facts) ->
-              List.iter
-                (fun (lbl, none_rhs) ->
-                  if List.mem lbl decision_reads then
-                    if none_rhs then
-                      add_finding
-                        (Finding.make ~rule:"R9" ~file:f.f_file
-                           ~line:f.f_line ~context:(last_component f.f_name)
-                           (Printf.sprintf
-                              "decision reset: `%s <- None' is reachable \
-                               from `%s''s step — a committed decision \
-                               must be write-once"
-                              lbl bare))
-                    else if not (List.mem lbl f.f_reads) then
-                      add_finding
-                        (Finding.make ~rule:"R9" ~file:f.f_file
-                           ~line:f.f_line ~context:(last_component f.f_name)
-                           (Printf.sprintf
-                              "unguarded decision write: `%s' is assigned \
-                               without reading it first, so a step \
-                               reachable from `%s' can overwrite a \
-                               committed Some with a different value"
-                              lbl bare)))
-                f.f_writes)
-            span;
-          (* R9b: head-only inbox consumption in the step component. *)
-          (match comp a.a_step with
-           | Some (s, _) when s.f_inbox_head_only ->
-             add_finding
-               (Finding.make ~rule:"R9" ~file:a.a_file ~line:s.f_line
-                  ~context:bare
-                  (Printf.sprintf
-                     "step consumes only the head of its inbox: `%s' \
-                      adopts the first delivery of the round and \
-                      discards the rest, so the decision depends on \
-                      delivery order within a round"
-                     bare))
-           | _ -> ());
-          (* R9c: handler totality over the honest-sent alphabet. *)
-          let missing =
-            List.filter (fun c -> not (List.mem c handled)) alphabet
-          in
-          if missing <> [] then
-            add_finding
-              (Finding.make ~rule:"R9" ~file:a.a_file ~line:a.a_line
-                 ~context:bare
-                 (Printf.sprintf
-                    "handler totality: message constructor(s) %s are sent \
-                     by honest code but matched by no step-reachable case"
-                    (String.concat ", " missing)));
-          (* R10: the communication budget must be finite. *)
-          if init_b.b_unbounded || step_b.b_unbounded then
-            add_finding
-              (Finding.make ~rule:"R10" ~file:a.a_file ~line:a.a_line
-                 ~context:bare
-                 (Printf.sprintf
-                    "unbounded per-step send bound (init: %s, step: %s): \
-                     the static communication budget cannot be \
-                     concretized for this automaton"
-                    (bound_to_string init_b) (bound_to_string step_b)));
-          let round_sensitive, dedup_guarded =
-            List.fold_left
-              (fun (r, d) (f : fn_facts) ->
-                (r || f.f_uses_round, d || f.f_dedup_guard))
-              (false, false) span
-          in
-          protocols :=
-            {
-              p_name = a.a_owner;
-              p_file = a.a_file;
-              p_line = a.a_line;
-              p_msg_type = a.a_msg_type;
-              p_alphabet = alphabet;
-              p_handled = handled;
-              p_decision_reads = decision_reads;
-              p_round_sensitive = round_sensitive;
-              p_dedup_guarded = dedup_guarded;
-              p_init = init_b;
-              p_step = step_b;
-            }
-            :: !protocols)
-        um.um_automata)
-    units;
-  (* helper table: every module-level function that produces sends,
-     minus automaton constructors (their sends happen per round, not
-     per call). *)
-  let constructor_names =
-    List.concat_map
-      (fun um -> List.map (fun a -> a.a_owner) um.um_automata)
-      units
-  in
-  let helpers =
+  (* Each automaton's components resolve in its constructor's local
+     scope first. *)
+  let automata =
     List.concat_map
       (fun um ->
         let env0 =
           { e_scope = []; e_module = um.um_module; e_units = table }
         in
+        List.map
+          (fun (a : automaton_src) ->
+            let owner_scope =
+              match resolve env0 (last_component a.a_owner) with
+              | Some (f, _) -> f.f_scope
+              | None -> []
+            in
+            (a, { env0 with e_scope = owner_scope }))
+          um.um_automata)
+      units
+  in
+  (* helper table roots: every module-level function, minus automaton
+     constructors (their sends happen per round, not per call). *)
+  let constructor_names =
+    List.map (fun ((a : automaton_src), _) -> a.a_owner) automata
+  in
+  let helper_roots =
+    List.concat_map
+      (fun um ->
         List.filter_map
           (fun (f : fn_facts) ->
             if List.mem f.f_name constructor_names then None
             else
-              let b =
-                fst (bound_of ~visiting:[] { env0 with e_scope = f.f_scope } f)
-              in
-              if is_zero b then None
-              else
-                Some
-                  { h_name = f.f_name; h_file = f.f_file; h_line = f.f_line;
-                    h_bound = b })
+              Some
+                ( f,
+                  { e_scope = f.f_scope; e_module = um.um_module;
+                    e_units = table } ))
           um.um_fns)
       units
+  in
+  let bound =
+    send_bounds
+      (helper_roots
+      @ List.concat_map
+          (fun ((a : automaton_src), env) ->
+            List.filter_map (resolve env) [ a.a_init; a.a_step ])
+          automata)
+  in
+  let protocols =
+    List.map
+      (fun ((a : automaton_src), env) ->
+        let comp name = resolve env name in
+        let bound_of_comp name =
+          match comp name with
+          | Some (f, _) -> bound f
+          | None -> unbounded
+        in
+        let init_b = bound_of_comp a.a_init in
+        let step_b = bound_of_comp a.a_step in
+        let span = reachable env [ a.a_init; a.a_step ] in
+        let state_heads =
+          match comp a.a_decision with
+          | Some (d, _) -> dedup_sorted (List.map fst d.f_matches)
+          | None -> []
+        in
+        let message_ctors sel =
+          List.concat_map
+            (fun (f : fn_facts) ->
+              List.filter_map
+                (fun (h, c) ->
+                  if List.mem h state_heads then None else Some c)
+                (sel f))
+            span
+          |> dedup_sorted
+        in
+        let alphabet = message_ctors (fun f -> f.f_constructs) in
+        let handled = message_ctors (fun f -> f.f_matches) in
+        let decision_reads =
+          match comp a.a_decision with
+          | Some (d, _) -> d.f_reads
+          | None -> []
+        in
+        let bare = last_component a.a_owner in
+        (* R9a: decision write-once.  Any step-reachable assignment to
+           a field the decision reads must be guarded by a read of
+           that field in the same function, and must never be a
+           literal None. *)
+        List.iter
+          (fun (f : fn_facts) ->
+            List.iter
+              (fun (lbl, none_rhs) ->
+                if List.mem lbl decision_reads then
+                  if none_rhs then
+                    add_finding
+                      (Finding.make ~rule:"R9" ~file:f.f_file
+                         ~line:f.f_line ~context:(last_component f.f_name)
+                         (Printf.sprintf
+                            "decision reset: `%s <- None' is reachable \
+                             from `%s''s step — a committed decision \
+                             must be write-once"
+                            lbl bare))
+                  else if not (List.mem lbl f.f_reads) then
+                    add_finding
+                      (Finding.make ~rule:"R9" ~file:f.f_file
+                         ~line:f.f_line ~context:(last_component f.f_name)
+                         (Printf.sprintf
+                            "unguarded decision write: `%s' is assigned \
+                             without reading it first, so a step \
+                             reachable from `%s' can overwrite a \
+                             committed Some with a different value"
+                            lbl bare)))
+              f.f_writes)
+          span;
+        (* R9b: head-only inbox consumption in the step component. *)
+        (match comp a.a_step with
+         | Some (s, _) when s.f_inbox_head_only ->
+           add_finding
+             (Finding.make ~rule:"R9" ~file:a.a_file ~line:s.f_line
+                ~context:bare
+                (Printf.sprintf
+                   "step consumes only the head of its inbox: `%s' \
+                    adopts the first delivery of the round and \
+                    discards the rest, so the decision depends on \
+                    delivery order within a round"
+                   bare))
+         | _ -> ());
+        (* R9c: handler totality over the honest-sent alphabet. *)
+        let missing =
+          List.filter (fun c -> not (List.mem c handled)) alphabet
+        in
+        if missing <> [] then
+          add_finding
+            (Finding.make ~rule:"R9" ~file:a.a_file ~line:a.a_line
+               ~context:bare
+               (Printf.sprintf
+                  "handler totality: message constructor(s) %s are sent \
+                   by honest code but matched by no step-reachable case"
+                  (String.concat ", " missing)));
+        (* R10: the communication budget must be finite. *)
+        if init_b.b_unbounded || step_b.b_unbounded then
+          add_finding
+            (Finding.make ~rule:"R10" ~file:a.a_file ~line:a.a_line
+               ~context:bare
+               (Printf.sprintf
+                  "unbounded per-step send bound (init: %s, step: %s): \
+                   the static communication budget cannot be \
+                   concretized for this automaton"
+                  (bound_to_string init_b) (bound_to_string step_b)));
+        let round_sensitive, dedup_guarded =
+          List.fold_left
+            (fun (r, d) (f : fn_facts) ->
+              (r || f.f_uses_round, d || f.f_dedup_guard))
+            (false, false) span
+        in
+        {
+          p_name = a.a_owner;
+          p_file = a.a_file;
+          p_line = a.a_line;
+          p_msg_type = a.a_msg_type;
+          p_alphabet = alphabet;
+          p_handled = handled;
+          p_decision_reads = decision_reads;
+          p_round_sensitive = round_sensitive;
+          p_dedup_guarded = dedup_guarded;
+          p_init = init_b;
+          p_step = step_b;
+        })
+      automata
+  in
+  let helpers =
+    List.filter_map
+      (fun ((f : fn_facts), _) ->
+        let b = bound f in
+        if is_zero b then None
+        else
+          Some
+            { h_name = f.f_name; h_file = f.f_file; h_line = f.f_line;
+              h_bound = b })
+      helper_roots
     |> List.sort (fun a b -> String.compare a.h_name b.h_name)
   in
   {
     protocols =
-      List.sort (fun a b -> String.compare a.p_name b.p_name) !protocols;
+      List.sort (fun a b -> String.compare a.p_name b.p_name) protocols;
     helpers;
     findings = List.sort Finding.compare !findings;
   }

@@ -17,9 +17,8 @@
     unit's module-level bindings, and (at assembly time) the whole
     program.
 
-    The assembly half ({!assemble}) is pure data over the cached
-    fragments — it runs on the warm path without re-reading any
-    typedtree — and produces one {!protocol} per automaton literal plus
+    The assembly half ({!assemble}) is pure data over the per-unit
+    fragments and produces one {!protocol} per automaton literal plus
     one {!helper} entry per send-producing function (so [Flood.relay]'s
     [|inbox|·deg(v)] classification is visible even though flood.ml
     defines no automaton itself), together with the R9/R10 findings.
@@ -76,14 +75,20 @@ type call_site = {
   cs_returns_sends : bool;
       (** the application's result type mentions [Transport.send] —
           an unresolvable such call makes the bound unbounded *)
+  cs_via : string option;
+      (** for a call of a closure argument: the callee it is handed to.
+          The closure counts only if that callee resolves to a function
+          that uses its parameters (or does not resolve at all). *)
 }
 
-(** Serializable per-function facts; the unit of caching. *)
+(** Per-function facts, one record per binding or closure argument. *)
 type fn_facts = {
   f_name : string;  (** qualified, e.g. ["Naive.broadcast"] *)
   f_file : string;
   f_line : int;
-  f_params : string list;
+  f_uses_params : bool;
+      (** refers to one of its parameters, itself or from a function
+          nested in it — outside the closures it stores *)
   f_sends : (ctx * int) list;  (** send-record constructions by context *)
   f_calls : call_site list;
   f_constructs : (string * string) list;
@@ -97,7 +102,9 @@ type fn_facts = {
   f_uses_round : bool;
   f_dedup_guard : bool;  (** ingestion guarded by [Hashtbl.mem]/[List.mem] *)
   f_scope : (string * fn_facts) list;
-      (** nested function [let]s, bare names (top-level bindings only) *)
+      (** nested function [let]s, inline automaton components and
+          closure arguments ([<fun:line:col>]), bare names (top-level
+          bindings only) *)
 }
 
 (** One [{init; step; decision}] literal as recorded at extraction. *)
@@ -121,7 +128,7 @@ type unit_model = {
 }
 
 val extract : source:string -> Typedtree.structure -> unit_model
-(** One typedtree walk; everything returned is plain marshalable data. *)
+(** One typedtree walk; everything returned is plain data. *)
 
 (** Symbolic per-activation send bound:
     [const + deg·deg(v) + nodes·n + inbox·|inbox| + inbox_deg·|inbox|·deg(v)],
@@ -179,8 +186,10 @@ type t = {
 
 val assemble : unit_model list -> t
 (** Whole-program assembly: resolve helpers through constructor scope →
-    unit → program, compute bounds by context multiplication with cycle
-    detection, run the R9/R10 checks.  Input order does not matter; the
+    unit → program, compute each function's bound once, callees first
+    over the call graph's strongly connected components (a cycle that
+    sends anything is unbounded, a send-free one zero), run the R9/R10
+    checks.  Input order does not matter; the
     result (and {!fingerprint}) is identical under any permutation. *)
 
 val find : t -> string -> protocol option

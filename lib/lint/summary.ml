@@ -400,17 +400,6 @@ let infer graph =
   let st_protected = protected_of graph ~locked_only in
   { st_graph = graph; st_effects; st_protected }
 
-let of_effects graph effs =
-  let st_effects = Hashtbl.create 256 in
-  List.iter (fun e -> Hashtbl.replace st_effects e.s_fn e) effs;
-  let locked_only n =
-    match Hashtbl.find_opt st_effects n with
-    | Some e -> e.s_locked_only
-    | None -> false
-  in
-  let st_protected = protected_of graph ~locked_only in
-  { st_graph = graph; st_effects; st_protected }
-
 (* ------------------------------------------------------------------ *)
 (* Fingerprints and rendering                                          *)
 (* ------------------------------------------------------------------ *)

@@ -42,14 +42,9 @@ type effects = {
 type store
 
 val infer : Callgraph.t -> store
-val of_effects : Callgraph.t -> effects list -> store
-(** Rebuild a store from cached effect records (the {!Cache} warm path);
-    only the cheap protected-global index is recomputed. *)
 
 val graph : store -> Callgraph.t
 val find : store -> string -> effects option
-val all : store -> effects list
-(** Sorted by function name. *)
 
 val cover_sanitized : store -> string -> bool
 val conn_sanitized : store -> string -> bool

@@ -225,6 +225,15 @@ let test_cli_smoke () =
   Alcotest.(check int) "bad spec fails" 124
     (let c = run "analyze --topology warp:9" in
      if c <> 0 then 124 else 0);
+  (* a malformed or negative number in a spec, or a size the generator
+     rejects, is a spec error too, never an uncaught exception *)
+  List.iter
+    (fun spec ->
+      Alcotest.(check int) ("bad spec fails: " ^ spec) 124
+        (run ("analyze " ^ spec)))
+    [ "--topology warp:9"; "--topology grid:3xq"; "--adversary thr:z";
+      "--topology cycle:-3"; "--topology cycle:0"; "--knowledge radius:-1";
+      "--topology random:6:x"; "--adversary rand:-1:2" ];
   (* a bad --strategy or --corrupt is a usage error, not a silent
      fallback or an uncaught exception *)
   let run_pka args =

@@ -1,8 +1,9 @@
 (* Every JSON document rmt-lint writes parses back with Sarif.Json.parse:
    the check --json report on the real tree, the same report with a
    stale baseline pin whose file token needs escaping, and the
-   --summaries-out and --model-out dumps.  Runs the built binary over
-   lib/'s typedtrees (the @check alias, a dependency of this test). *)
+   --summaries-out and --model-out dumps; and a misspelt DIR fails
+   closed.  Runs the built binary over lib/'s typedtrees (the @check
+   alias, a dependency of this test). *)
 
 let exe = "../../bin/rmt_lint.exe"
 let build_dir = "../.."
@@ -63,6 +64,28 @@ let test_stale_entry_escaped () =
        (fun e -> [ token "rule" e; token "fingerprint" e; token "file" e ])
        (Option.value entries ~default:[]))
 
+(* A DIR that holds no analysed unit fails closed: exit 2 and a message
+   naming it, not an empty report or every pin reported stale. *)
+let test_wrong_dir () =
+  let err = Filename.temp_file "rmt_lint" ".err" in
+  let cmd =
+    String.concat " "
+      (List.map Filename.quote
+         [ exe; "check"; "--build-dir"; build_dir; "--baseline"; baseline;
+           "lbi" ])
+  in
+  let code = Sys.command (cmd ^ " > /dev/null 2> " ^ Filename.quote err) in
+  let message = read err in
+  Sys.remove err;
+  Alcotest.(check int) "a misspelt DIR is a usage error" 2 code;
+  let names_dir =
+    let sub = "under lbi" in
+    let n = String.length message and m = String.length sub in
+    let rec at i = i + m <= n && (String.sub message i m = sub || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) ("the message names the DIR: " ^ message) true names_dir
+
 let () =
   Alcotest.run "lint json"
     [
@@ -71,5 +94,6 @@ let () =
           Alcotest.test_case "real tree" `Quick test_real_tree;
           Alcotest.test_case "stale baseline entry" `Quick
             test_stale_entry_escaped;
+          Alcotest.test_case "misspelt DIR" `Quick test_wrong_dir;
         ] );
     ]

@@ -21,14 +21,14 @@ let fail fmt =
 let () =
   let units =
     match
-      Rmt_lint.Cmt_loader.scan ~build_dir:"fixtures"
+      Rmt_lint.Cmt_loader.scan ~build_dir:"../.."
         ~dirs:[ "test/lint/fixtures" ]
     with
     | Ok us -> us
     | Error e -> fail "fixture scan failed: %s" e
   in
-  if List.length units <> 25 then
-    fail "expected 25 fixture units, scanned %d — fixture library changed?"
+  if List.length units <> 26 then
+    fail "expected 26 fixture units, scanned %d — fixture library changed?"
       (List.length units);
   let findings = Rmt_lint.Lint.analyze units in
   let actual =

@@ -1,12 +1,11 @@
 (* Order-independence of the protocol-model assembly (qcheck).
 
-   Model.assemble runs over per-unit fragments restored from the
-   incremental cache, and the cache replays units in whatever order the
-   cmt walk produced them — so the assembled model (and the
-   lint-model.json the CI uploads) must not depend on compilation
-   order.  The property mirrors test_summary_order: extract the real
-   fixture library once, shuffle the unit_model list, and require a
-   single Model.fingerprint plus identical rendered findings. *)
+   Model.assemble runs over per-unit fragments in whatever order the
+   caller supplies them — so the assembled model (and the
+   lint-model.json the CI uploads) must not depend on that order.  The
+   property mirrors test_summary_order: extract the real fixture
+   library once, shuffle the unit_model list, and require a single
+   Model.fingerprint plus identical rendered findings. *)
 
 open Rmt_lint
 
@@ -33,7 +32,7 @@ let shuffle swaps xs =
   Array.to_list a
 
 let units =
-  match Cmt_loader.scan ~build_dir:"fixtures" ~dirs:[ "test/lint/fixtures" ] with
+  match Cmt_loader.scan ~build_dir:"../.." ~dirs:[ "test/lint/fixtures" ] with
   | Ok us -> us
   | Error e -> fail "fixture scan failed: %s" e
 

@@ -79,7 +79,7 @@ let fixpoint_test =
 (* --- layer 2: the real fixture library ----------------------------- *)
 
 let units =
-  match Cmt_loader.scan ~build_dir:"fixtures" ~dirs:[ "test/lint/fixtures" ] with
+  match Cmt_loader.scan ~build_dir:"../.." ~dirs:[ "test/lint/fixtures" ] with
   | Ok us -> us
   | Error e -> fail "fixture scan failed: %s" e
 

@@ -35,7 +35,7 @@ let fail fmt =
 (* ------------------------------------------------------------------ *)
 
 let model =
-  match Rmt_lint.Cmt_loader.scan ~build_dir:"../../lib" ~dirs:[ "lib" ] with
+  match Rmt_lint.Cmt_loader.scan ~build_dir:"../.." ~dirs:[ "lib" ] with
   | Error e -> fail "lib cmt scan failed (run dune build @check): %s" e
   | Ok units ->
     Rmt_lint.Model.assemble

@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint lint-baseline bench fuzz fuzz-smoke sim-smoke service-smoke bench-check outputs examples clean
+.PHONY: all build test lint lint-baseline bench fuzz fuzz-smoke sim-smoke service-smoke rmtbench-smoke bench-check outputs examples clean
 
 all: build
 
@@ -87,6 +87,21 @@ sim-smoke:
 	else \
 	  test -f sim_reproducer_boundary.rmt && test -f sim_reproducer_boundary.sched; \
 	fi
+
+# A 2 s run of each end-to-end benchmark workload, as CI's rmtbench
+# smoke step runs it: each must exit 0 and end on a result line that
+# reports "correct": true, so the benchmark's own output checks (the
+# naive-decider cross-check, per-pass fingerprints) guard every kernel.
+rmtbench-smoke:
+	for w in solve serve attack certified; do \
+	  out=$$(python3 rmtbench/run.py --workload $$w --seed 1 --seconds 2 \
+	    --trace 0) || exit 1; \
+	  last=$$(printf '%s\n' "$$out" | tail -n 1); \
+	  case "$$last" in \
+	    *'"correct": true'*) echo "rmtbench-smoke: $$w correct" ;; \
+	    *) echo "rmtbench-smoke: $$w: $$last"; exit 1 ;; \
+	  esac; \
+	done
 
 # Replay the committed delta/query stream through the solvability
 # service and diff against the golden transcript, as the CI

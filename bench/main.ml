@@ -1156,13 +1156,44 @@ let core () =
              restrict_all ()));
     ]
   in
+  let nodeset_tests =
+    (* The set kernels under every decider, on 64 random pairs per run:
+       14-node sets fit in one word (the regime of every rmtbench
+       workload), sets over ids 0–150 span three words.  [subset] pairs
+       each set with a superset, so every run scans all words. *)
+    List.concat_map
+      (fun (width, universe) ->
+        let draw () = Prng.subset rng (Nodeset.range 0 universe) 0.5 in
+        let pairs = Array.init 64 (fun _ -> (draw (), draw ())) in
+        let supersets =
+          Array.map (fun (a, b) -> (a, Nodeset.union a b)) pairs
+        in
+        let over name pairs op =
+          Test.make
+            ~name:(Printf.sprintf "nodeset/%s/%s" name width)
+            (Staged.stage (fun () ->
+                 Array.iter
+                   (fun (a, b) -> ignore (Sys.opaque_identity (op a b)))
+                   pairs))
+        in
+        [
+          over "union" pairs Nodeset.union;
+          over "inter" pairs Nodeset.inter;
+          over "diff" pairs Nodeset.diff;
+          over "subset" supersets Nodeset.subset;
+          (let sum = ref 0 in
+           over "iter" pairs (fun a _ ->
+               Nodeset.iter (fun v -> sum := !sum + v) a));
+        ])
+      [ ("1w", 14); ("3w", 151) ]
+  in
   (* 2s quota (vs the 0.5s default): the 16-set mem/reduce rows finish in
      tens of ns, and at 0.5s the OLS fit on them was mush (r² ≈ 0.1).  The
      cut deciders get 5s: at 2s the 20–80 µs rmt/cut/rmt fit read r² 0.87
      on a noisy host *)
   let rows =
     List.sort compare
-      (run_bechamel ~quota:2.0 (tests @ hc_tests)
+      (run_bechamel ~quota:2.0 (tests @ hc_tests @ nodeset_tests)
       @ run_bechamel ~quota:5.0 decider_tests)
   in
   print_bechamel_rows rows;

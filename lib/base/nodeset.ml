@@ -26,9 +26,20 @@ let mem v (s : t) =
   && word_of v < Array.length s
   && s.(word_of v) land (1 lsl bit_of v) <> 0
 
+(* [word0 s] is the low word of a set of at most one word; [of_word w] is
+   the normalized set whose only word is [w].  Every set over ids below
+   [bits_per_word] (all instances the experiments drive) takes these
+   one-word paths, which allocate at most a two-word block on the minor
+   heap and make no runtime call. *)
+let word0 (s : t) = if Array.length s = 0 then 0 else Array.unsafe_get s 0
+
+let of_word w : t = if w = 0 then [||] else [| w |]
+
 let add v (s : t) =
   check_nonneg v;
   if mem v s then s
+  else if v < bits_per_word && Array.length s <= 1 then
+    [| word0 s lor (1 lsl v) |]
   else begin
     let w = word_of v in
     let len = max (Array.length s) (w + 1) in
@@ -40,6 +51,7 @@ let add v (s : t) =
 
 let remove v (s : t) =
   if not (mem v s) then s
+  else if Array.length s = 1 then of_word (s.(0) land lnot (1 lsl v))
   else begin
     let out = Array.copy s in
     out.(word_of v) <- out.(word_of v) land lnot (1 lsl bit_of v);
@@ -75,9 +87,33 @@ let popcount =
     let x = (x + (x lsr 4)) land m4 in
     (x * 0x0101010101010101) lsr 56
 
-let size (s : t) = Array.fold_left (fun acc w -> acc + popcount w) 0 s
+(* Index of the lowest set bit of a non-zero word: the bits below it. *)
+let low_index w = popcount ((w land -w) - 1)
 
-let signature (s : t) = Array.fold_left ( lor ) 0 s
+(* Index of the highest set bit of a non-zero word: smear it downwards,
+   then count. *)
+let high_index w =
+  let w = w lor (w lsr 1) in
+  let w = w lor (w lsr 2) in
+  let w = w lor (w lsr 4) in
+  let w = w lor (w lsr 8) in
+  let w = w lor (w lsr 16) in
+  let w = w lor (w lsr 32) in
+  popcount w - 1
+
+let size (s : t) =
+  let n = ref 0 in
+  for i = 0 to Array.length s - 1 do
+    n := !n + popcount s.(i)
+  done;
+  !n
+
+let signature (s : t) =
+  let acc = ref 0 in
+  for i = 0 to Array.length s - 1 do
+    acc := !acc lor s.(i)
+  done;
+  !acc
 
 let subset (a : t) (b : t) =
   let la = Array.length a and lb = Array.length b in
@@ -129,58 +165,78 @@ let disjoint (a : t) (b : t) =
 
 let union (a : t) (b : t) =
   let la = Array.length a and lb = Array.length b in
-  let l = max la lb in
-  let out = Array.make l 0 in
-  for i = 0 to l - 1 do
-    let wa = if i < la then a.(i) else 0 in
-    let wb = if i < lb then b.(i) else 0 in
-    out.(i) <- wa lor wb
-  done;
-  out
+  if la <= 1 && lb <= 1 then of_word (word0 a lor word0 b)
+  else begin
+    let l = max la lb in
+    let out = Array.make l 0 in
+    for i = 0 to l - 1 do
+      let wa = if i < la then a.(i) else 0 in
+      let wb = if i < lb then b.(i) else 0 in
+      out.(i) <- wa lor wb
+    done;
+    out
+  end
 
 let inter (a : t) (b : t) =
-  let l = min (Array.length a) (Array.length b) in
-  let out = Array.make l 0 in
-  for i = 0 to l - 1 do
-    out.(i) <- a.(i) land b.(i)
-  done;
-  normalize out
+  let la = Array.length a and lb = Array.length b in
+  if la <= 1 || lb <= 1 then of_word (word0 a land word0 b)
+  else begin
+    let l = min la lb in
+    let out = Array.make l 0 in
+    for i = 0 to l - 1 do
+      out.(i) <- a.(i) land b.(i)
+    done;
+    normalize out
+  end
 
 let diff (a : t) (b : t) =
   let la = Array.length a and lb = Array.length b in
-  let out = Array.make la 0 in
-  for i = 0 to la - 1 do
-    let wb = if i < lb then b.(i) else 0 in
-    out.(i) <- a.(i) land lnot wb
-  done;
-  normalize out
+  if la <= 1 then of_word (word0 a land lnot (word0 b))
+  else begin
+    let out = Array.make la 0 in
+    for i = 0 to la - 1 do
+      let wb = if i < lb then b.(i) else 0 in
+      out.(i) <- a.(i) land lnot wb
+    done;
+    normalize out
+  end
 
 let iter f (s : t) =
-  Array.iteri
-    (fun wi w ->
-      let base = wi * bits_per_word in
-      let rest = ref w in
-      while !rest <> 0 do
-        let low = !rest land - !rest in
-        (* index of lowest set bit *)
-        let rec idx b i = if b = 1 then i else idx (b lsr 1) (i + 1) in
-        f (base + idx low 0);
-        rest := !rest land lnot low
-      done)
-    s
+  for wi = 0 to Array.length s - 1 do
+    let base = wi * bits_per_word in
+    let rest = ref s.(wi) in
+    while !rest <> 0 do
+      let w = !rest in
+      f (base + low_index w);
+      rest := w land (w - 1)
+    done
+  done
 
 let fold f (s : t) init =
   let acc = ref init in
   iter (fun v -> acc := f v !acc) s;
   !acc
 
-let for_all p (s : t) =
-  let ok = ref true in
-  (try iter (fun v -> if not (p v) then (ok := false; raise Exit)) s
-   with Exit -> ());
-  !ok
+(* Whether some element [v], visited in ascending order, has
+   [p v = decisive]; the scan stops at the first such element. *)
+let find_decisive (decisive : bool) p (s : t) =
+  let found = ref false in
+  let wi = ref 0 in
+  while (not !found) && !wi < Array.length s do
+    let base = !wi * bits_per_word in
+    let rest = ref s.(!wi) in
+    while (not !found) && !rest <> 0 do
+      let w = !rest in
+      if p (base + low_index w) = decisive then found := true;
+      rest := w land (w - 1)
+    done;
+    incr wi
+  done;
+  !found
 
-let exists p (s : t) = not (for_all (fun v -> not (p v)) s)
+let for_all p s = not (find_decisive false p s)
+
+let exists p s = find_decisive true p s
 
 let filter p (s : t) = fold (fun v acc -> if p v then add v acc else acc) s empty
 
@@ -189,11 +245,17 @@ let elements (s : t) = List.rev (fold (fun v acc -> v :: acc) s [])
 let to_array (s : t) = Array.of_list (elements s)
 
 let min_elt_opt (s : t) =
-  let r = ref None in
-  (try iter (fun v -> r := Some v; raise Exit) s with Exit -> ());
-  !r
+  (* low words can be zero; only the top one is known not to be *)
+  let rec go wi =
+    if wi >= Array.length s then None
+    else if s.(wi) = 0 then go (wi + 1)
+    else Some ((wi * bits_per_word) + low_index s.(wi))
+  in
+  go 0
 
-let max_elt_opt (s : t) = fold (fun v _ -> Some v) s None
+let max_elt_opt (s : t) =
+  let top = Array.length s - 1 in
+  if top < 0 then None else Some ((top * bits_per_word) + high_index s.(top))
 
 let choose_opt = min_elt_opt
 
@@ -219,4 +281,8 @@ let pp ppf (s : t) =
 let to_string s = Format.asprintf "%a" pp s
 
 let hash (s : t) =
-  Array.fold_left (fun acc w -> (acc * 1000003) lxor w) 5381 s
+  let acc = ref 5381 in
+  for i = 0 to Array.length s - 1 do
+    acc := (!acc * 1000003) lxor s.(i)
+  done;
+  !acc

@@ -1,12 +1,22 @@
 (** Dense bitset representation of sets of node identifiers.
 
-    Nodes are non-negative integers.  Sets are immutable: every operation
-    returns a fresh value and never mutates its arguments.  The
-    representation is an [int array] of 62-bit words sized to the largest
-    member ever inserted, so sets over small universes (the regime of every
-    experiment in this repository) cost a handful of words and all the
-    set-algebraic operations used by the adversary-structure machinery
-    ([subset], [inter], [union], [diff]) are word-parallel. *)
+    Nodes are non-negative integers.  Sets are immutable: no operation
+    mutates its arguments, but a result may share storage with an argument
+    (for instance [add v s == s] when [v] is already a member), so
+    immutability, not freshness, is the guarantee.  The representation is
+    an [int array] of 62-bit words sized to the largest member, so sets
+    over small universes (the regime of every experiment in this
+    repository) cost a handful of words and all the set-algebraic
+    operations used by the adversary-structure machinery ([subset],
+    [inter], [union], [diff]) are word-parallel.
+
+    One-word fast path: a set whose ids are all below 62 is one word.
+    When the result of [union] (both operands one word), [inter] (either
+    operand), [diff] (the first operand), [add] or [remove] (the set, and
+    for [add] an id below 62) is bounded by one-word operands, it is built
+    directly as an empty or one-word array on the minor heap, with no
+    runtime call.  Other operands take the general word loops; both paths
+    give the same sets. *)
 
 type t
 
@@ -81,8 +91,12 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Ascending order. *)
 
 val for_all : (int -> bool) -> t -> bool
+(** Calls the predicate in ascending order and stops at the first element
+    that fails it. *)
 
 val exists : (int -> bool) -> t -> bool
+(** Calls the predicate in ascending order and stops at the first element
+    that satisfies it. *)
 
 val filter : (int -> bool) -> t -> t
 

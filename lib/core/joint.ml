@@ -43,16 +43,20 @@ let join_list = function
    memo: the int key avoids re-deriving the view's node set (N[v] or a
    BFS ball) and re-hashing it on every probe of the same search,
    while distinct searches (and service generations) still share one
-   restriction per distinct (view nodes, structure) pair through Hc. *)
+   restriction per distinct (view nodes, structure) pair through Hc.
+   The table is monomorphic in its int key, so a probe compares ints
+   directly rather than through the polymorphic compare. *)
+module Node_tbl = Hashtbl.Make (Int)
+
 let restriction_cache view z =
-  let tbl = Hashtbl.create 16 in
+  let tbl = Node_tbl.create 16 in
   fun v ->
-    match Hashtbl.find_opt tbl v with
+    match Node_tbl.find_opt tbl v with
     | Some local -> local
     | None ->
       let vn = View.view_nodes view v in
       let local = (vn, Hc.memo_restrict vn z) in
-      Hashtbl.add tbl v local;
+      Node_tbl.add tbl v local;
       local
 
 let joint_structure view z b =

@@ -36,6 +36,8 @@ type fn_facts = {
   f_uses_round : bool;
   f_dedup_guard : bool;
   f_scope : (string * fn_facts) list;
+  f_item : int;
+  f_rec : bool;
 }
 
 type automaton_src = {
@@ -596,17 +598,21 @@ let rec collect_fn col ?(enclosing = []) ~name ~line expr =
     f_uses_round = !uses_round;
     f_dedup_guard = !dedup;
     f_scope = [];
+    f_item = 0;
+    f_rec = false;
   }
 
 let extract ~source str =
   let module_name = Names.module_of_source source in
   let fns = ref [] in
   let automata = ref [] in
+  let item_no = ref 0 in
   let rec items prefix str_items =
     List.iter
       (fun item ->
         match item.str_desc with
-        | Tstr_value (_, vbs) ->
+        | Tstr_value (rec_flag, vbs) ->
+          incr item_no;
           List.iter
             (fun vb ->
               match bare_name_of_pat vb.vb_pat with
@@ -626,7 +632,17 @@ let extract ~source str =
                   collect_fn col ~name:qualified ~line:(line_of vb.vb_loc)
                     vb.vb_expr
                 in
-                fns := { facts with f_scope = List.rev !(col.c_scope) } :: !fns)
+                fns :=
+                  {
+                    facts with
+                    f_scope = List.rev !(col.c_scope);
+                    f_item = !item_no;
+                    f_rec =
+                      (match rec_flag with
+                       | Asttypes.Recursive -> true
+                       | Asttypes.Nonrecursive -> false);
+                  }
+                  :: !fns)
             vbs
         | Tstr_module mb -> (
           match (mb.mb_id, mb.mb_expr.mod_desc) with
@@ -737,19 +753,15 @@ let bound_to_string b =
       List.filter_map
         (fun (k, t) ->
           if k = 0 then None
+          else if t = "" then Some (string_of_int k)
           else if k = 1 then Some t
           else Some (Printf.sprintf "%d·%s" k t))
         [
-          (b.b_const, "1"); (b.b_deg, "deg(v)"); (b.b_nodes, "n");
+          (b.b_const, ""); (b.b_deg, "deg(v)"); (b.b_nodes, "n");
           (b.b_inbox, "|inbox|"); (b.b_inbox_deg, "|inbox|·deg(v)");
         ]
     in
-    match terms with
-    | [] -> "0"
-    | _ ->
-      String.concat " + "
-        (List.map (fun t -> if t = "1" then string_of_int b.b_const else t)
-           terms)
+    match terms with [] -> "0" | _ -> String.concat " + " terms
 
 let sat_mul a b =
   if a = 0 || b = 0 then 0
@@ -803,27 +815,48 @@ type t = {
 }
 
 (* A resolution environment: the owner binding's flat local scope, the
-   defining unit's module-level bindings, then the whole program. *)
+   defining unit's module-level bindings, then the whole program.  The
+   referring top-level binding's unit and [let] ordinal pick, among
+   same-named bindings of that unit, the last one visible there. *)
 type env = {
   e_scope : (string * fn_facts) list;
   e_module : string;
-  e_units : (string, fn_facts) Hashtbl.t;  (** canonical [Module.fn] *)
+  e_file : string;
+  e_item : int;
+  e_units : (string, fn_facts list) Hashtbl.t;
+      (** canonical [Module.fn] ↦ its bindings, in definition order *)
 }
+
+(* The environment a top-level binding's own references resolve in. *)
+let env_of (f : fn_facts) ~modname units =
+  { e_scope = f.f_scope; e_module = modname; e_file = f.f_file;
+    e_item = f.f_item; e_units = units }
+
+(* Whether a reference from [env] sees top-level binding [f]: always
+   from another unit; from its own unit only from a later [let], or
+   from its own [let rec]. *)
+let visible env (f : fn_facts) =
+  (not (String.equal f.f_file env.e_file))
+  || f.f_item < env.e_item
+  || (f.f_rec && f.f_item = env.e_item)
 
 let resolve env name =
   match List.assoc_opt name env.e_scope with
   | Some f -> Some (f, env)
   | None ->
     let lookup key =
-      match Hashtbl.find_opt env.e_units key with
-      | Some f ->
+      let candidates =
+        Option.value ~default:[] (Hashtbl.find_opt env.e_units key)
+      in
+      match List.rev (List.filter (visible env) candidates) with
+      | f :: _ ->
         let owner_module =
           match String.index_opt f.f_name '.' with
           | Some i -> String.sub f.f_name 0 i
           | None -> env.e_module
         in
-        Some (f, { env with e_scope = f.f_scope; e_module = owner_module })
-      | None -> None
+        Some (f, env_of f ~modname:owner_module env.e_units)
+      | [] -> None
     in
     if String.contains name '.' then lookup (Names.canonical_ref name)
     else lookup (Names.canonical_ref (env.e_module ^ "." ^ name))
@@ -838,7 +871,8 @@ let resolve env name =
    poisons its callers.  A function is identified by its name and
    line, so a top-level binding shadowing one of the same name is a
    function of its own; its calls resolve in the environment of the
-   first root or call that reached it. *)
+   first root or call that reached it, which for a top-level binding
+   is its own. *)
 let send_bounds roots =
   let key (f : fn_facts) = Printf.sprintf "%s:%d" f.f_name f.f_line in
   let nodes = Hashtbl.create 512 in
@@ -938,14 +972,20 @@ let assemble units =
   let units =
     List.sort (fun a b -> String.compare a.um_source b.um_source) units
   in
-  (* first-unit-wins canonical table, like Callgraph.build *)
+  (* first-unit-wins canonical table, like Callgraph.build; a unit that
+     binds a name more than once keeps every binding, in order *)
   let table = Hashtbl.create 256 in
   List.iter
     (fun um ->
       List.iter
         (fun (f : fn_facts) ->
           let key = Names.canonical_ref f.f_name in
-          if not (Hashtbl.mem table key) then Hashtbl.replace table key f)
+          match Hashtbl.find_opt table key with
+          | None -> Hashtbl.replace table key [ f ]
+          | Some ((g : fn_facts) :: _ as fs) when String.equal g.f_file f.f_file
+            ->
+            Hashtbl.replace table key (fs @ [ f ])
+          | Some _ -> ())
         um.um_fns)
     units;
   let findings = ref [] in
@@ -963,16 +1003,14 @@ let assemble units =
     List.concat_map
       (fun um ->
         let env0 =
-          { e_scope = []; e_module = um.um_module; e_units = table }
+          { e_scope = []; e_module = um.um_module; e_file = um.um_source;
+            e_item = max_int; e_units = table }
         in
         List.map
           (fun (a : automaton_src) ->
-            let owner_scope =
-              match resolve env0 (last_component a.a_owner) with
-              | Some (f, _) -> f.f_scope
-              | None -> []
-            in
-            (a, { env0 with e_scope = owner_scope }))
+            match resolve env0 (last_component a.a_owner) with
+            | Some (_, owner_env) -> (a, owner_env)
+            | None -> (a, env0))
           um.um_automata)
       units
   in
@@ -987,11 +1025,7 @@ let assemble units =
         List.filter_map
           (fun (f : fn_facts) ->
             if List.mem f.f_name constructor_names then None
-            else
-              Some
-                ( f,
-                  { e_scope = f.f_scope; e_module = um.um_module;
-                    e_units = table } ))
+            else Some (f, env_of f ~modname:um.um_module table))
           um.um_fns)
       units
   in

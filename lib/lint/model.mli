@@ -105,6 +105,14 @@ type fn_facts = {
       (** nested function [let]s, inline automaton components and
           closure arguments ([<fun:line:col>]), bare names (top-level
           bindings only) *)
+  f_item : int;
+      (** ordinal of the top-level [let] that binds it within its unit
+          (0 for nested functions); a reference from the unit resolves
+          to the last binding of the name visible at the referrer's
+          [let] *)
+  f_rec : bool;
+      (** that [let] is [let rec], so its bindings see themselves and
+          each other *)
 }
 
 (** One [{init; step; decision}] literal as recorded at extraction. *)

@@ -141,6 +141,153 @@ let qcheck_nodeset =
           a);
   ]
 
+(* Model-based checks against [Set.Make (Int)].  The id generator leans on
+   the 62-bit word boundary: the empty set, one-word sets (ids 0–61), the
+   full first word, and the ids on either side of the first two word
+   boundaries (61/62/63, 123/124), so both the one-word fast paths and the
+   general word loops, and the switch between them, are exercised. *)
+module Ref = Set.Make (Int)
+
+let word_bits = 62
+
+let boundary_ids = [ 61; 62; 63; 123; 124 ]
+
+let id_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, int_bound 61); (2, oneofl boundary_ids); (1, int_bound 150) ])
+
+let ids_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return []);
+        (4, list_size (int_bound 20) (int_bound 61));
+        ( 1,
+          map
+            (fun extra -> List.init word_bits Fun.id @ extra)
+            (list_size (int_bound 2) (oneofl boundary_ids)) );
+        (4, list_size (int_bound 12) id_gen);
+      ])
+
+let print_ids l = "[" ^ String.concat "; " (List.map string_of_int l) ^ "]"
+
+let arb_ids = QCheck.make ~print:print_ids ids_gen
+
+let arb_ids_pair = QCheck.pair arb_ids arb_ids
+
+let arb_ids_id =
+  QCheck.pair arb_ids (QCheck.make ~print:string_of_int id_gen)
+
+let model l = Ref.of_list l
+
+(* [s] holds exactly the model's elements, in ascending order, and is the
+   normalized set: equal, compare-equal and hash-equal to the same set
+   built element by element. *)
+let agrees s m =
+  let direct = Nodeset.of_list (Ref.elements m) in
+  Nodeset.elements s = Ref.elements m
+  && Nodeset.is_empty s = Ref.is_empty m
+  && Nodeset.equal s direct
+  && Nodeset.compare s direct = 0
+  && Nodeset.hash s = Nodeset.hash direct
+
+(* The order of [Nodeset.compare] is that of the sets read as binary
+   numbers: the largest element of the symmetric difference decides,
+   which is lexicographic order on the descending element lists. *)
+let ref_compare a b =
+  Stdlib.compare (List.rev (Ref.elements a)) (List.rev (Ref.elements b))
+
+let sign c = Stdlib.compare c 0
+
+(* The elements [p] is called on, in call order. *)
+let calls scan p s =
+  let seen = ref [] in
+  let r = scan (fun v -> seen := v :: !seen; p v) s in
+  (r, List.rev !seen)
+
+(* Ascending elements up to and including the first one satisfying [q]. *)
+let rec through q = function
+  | [] -> []
+  | v :: rest -> if q v then [ v ] else v :: through q rest
+
+let qcheck_nodeset_model =
+  let t ?(count = 500) name arb prop = QCheck.Test.make ~count ~name arb prop in
+  [
+    t "of_list/elements/size/min/max = Set" arb_ids (fun l ->
+        let s = Nodeset.of_list l and m = model l in
+        agrees s m
+        && Nodeset.size s = Ref.cardinal m
+        && Nodeset.min_elt_opt s = Ref.min_elt_opt m
+        && Nodeset.max_elt_opt s = Ref.max_elt_opt m
+        && Array.to_list (Nodeset.to_array s) = Ref.elements m);
+    t "add = Set.add" arb_ids_id (fun (l, v) ->
+        agrees (Nodeset.add v (Nodeset.of_list l)) (Ref.add v (model l)));
+    t "remove = Set.remove" arb_ids_id (fun (l, v) ->
+        agrees (Nodeset.remove v (Nodeset.of_list l)) (Ref.remove v (model l)));
+    t "removing every element, in draw order, ends empty" arb_ids (fun l ->
+        let step (s, m, ok) v =
+          let s = Nodeset.remove v s and m = Ref.remove v m in
+          (s, m, ok && agrees s m)
+        in
+        let s, _, ok =
+          List.fold_left step (Nodeset.of_list l, model l, true) l
+        in
+        ok && Nodeset.is_empty s);
+    t "mem = Set.mem" arb_ids_id (fun (l, v) ->
+        Nodeset.mem v (Nodeset.of_list l) = Ref.mem v (model l));
+    t "union/inter/diff = Set" arb_ids_pair (fun (la, lb) ->
+        let a = Nodeset.of_list la and b = Nodeset.of_list lb in
+        let ma = model la and mb = model lb in
+        agrees (Nodeset.union a b) (Ref.union ma mb)
+        && agrees (Nodeset.inter a b) (Ref.inter ma mb)
+        && agrees (Nodeset.diff a b) (Ref.diff ma mb));
+    t "subset/equal/disjoint/compare = Set" arb_ids_pair (fun (la, lb) ->
+        let a = Nodeset.of_list la and b = Nodeset.of_list lb in
+        let ma = model la and mb = model lb in
+        Nodeset.subset a b = Ref.subset ma mb
+        && Nodeset.equal a b = Ref.equal ma mb
+        && Nodeset.disjoint a b = Ref.disjoint ma mb
+        && sign (Nodeset.compare a b) = sign (ref_compare ma mb));
+    t "iter/fold visit ascending" arb_ids (fun l ->
+        let s = Nodeset.of_list l in
+        let seen = ref [] in
+        Nodeset.iter (fun v -> seen := v :: !seen) s;
+        List.rev !seen = Ref.elements (model l)
+        && Nodeset.fold (fun v acc -> v :: acc) s []
+           = List.rev (Ref.elements (model l)));
+    t "for_all/exists ascending, stop at the first decisive element"
+      arb_ids_id (fun (l, cut) ->
+        let s = Nodeset.of_list l and elts = Ref.elements (model l) in
+        let decisive v = v >= cut in
+        let all_r, all_calls =
+          calls Nodeset.for_all (fun v -> not (decisive v)) s
+        in
+        let ex_r, ex_calls = calls Nodeset.exists decisive s in
+        all_r = not (List.exists decisive elts)
+        && ex_r = List.exists decisive elts
+        && all_calls = through decisive elts
+        && ex_calls = through decisive elts);
+    t "shrinking to one word normalizes" arb_ids_pair (fun (la, lb) ->
+        (* [la] restricted to the first word, grown by [lb]'s ids past it *)
+        let low = List.filter (fun v -> v < word_bits) la in
+        let high = List.map (fun v -> word_bits + v) lb in
+        let direct = Nodeset.of_list low in
+        let wide = Nodeset.of_list (low @ high) in
+        let first_word = Nodeset.range 0 word_bits in
+        let same s =
+          Nodeset.equal s direct
+          && Nodeset.compare s direct = 0
+          && Nodeset.hash s = Nodeset.hash direct
+          && Nodeset.signature s = Nodeset.signature direct
+        in
+        same (List.fold_left (fun s v -> Nodeset.remove v s) wide high)
+        && same (Nodeset.diff wide (Nodeset.of_list high))
+        && same (Nodeset.inter wide first_word)
+        && same (Nodeset.inter first_word wide)
+        && same (Nodeset.filter (fun v -> v < word_bits) wide));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Prng                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -280,6 +427,8 @@ let () =
           Alcotest.test_case "pp" `Quick test_pp;
         ] );
       ("nodeset-properties", List.map QCheck_alcotest.to_alcotest qcheck_nodeset);
+      ( "nodeset-model",
+        List.map QCheck_alcotest.to_alcotest qcheck_nodeset_model );
       ( "prng",
         [
           Alcotest.test_case "deterministic" `Quick test_prng_deterministic;

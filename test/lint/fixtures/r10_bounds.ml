@@ -1,7 +1,8 @@
 (* Send-bound shapes the protocol model must classify, pinned by
    test/lint/test_model_bounds.ml: recursion without sends stays free,
    any send on a call cycle makes the whole cycle (and its callers)
-   unbounded, a shadowing binding is a function of its own, a nested
+   unbounded, a shadowing binding is a function of its own and the one
+   later calls reach, a nested
    helper lends its bound to the step that calls it, and a closure
    counts only where it runs.  Every bound here is
    deliberate, so no finding fires. *)
@@ -39,6 +40,12 @@ let kick v = pong v (count_down 3)
    own: one send plus the silent first [quiet], not a self-call. *)
 let quiet (_ : int) : msg send list = []
 let quiet v = { dst = v; payload = Ping v } :: quiet v
+
+(* A call resolves to the last binding of the name defined before it:
+   [g] calls the second [f] (one send), not the silent first one. *)
+let f (_ : int) : msg send list = []
+let f v = { dst = v; payload = Ping v } :: f v
+let g v = f v
 
 (* Closures built but not run here.  [wrap] only stores its argument
    inside a closure it does not apply, so neither [wrap], nor [table]

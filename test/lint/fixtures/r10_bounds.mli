@@ -17,6 +17,8 @@ val ping : int -> int -> msg send list
 val pong : int -> int -> msg send list
 val kick : int -> msg send list
 val quiet : int -> msg send list
+val f : int -> msg send list
+val g : int -> msg send list
 type 'a row = { run : int -> 'a }
 
 val wrap : (int -> 'a) -> 'a row

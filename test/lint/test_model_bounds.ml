@@ -64,18 +64,27 @@ let () =
   List.iter expect_unbounded
     [ "R10_bounds.spam"; "R10_bounds.ping"; "R10_bounds.pong";
       "R10_bounds.kick"; "R10_bounds.runs" ];
-  (match helper "R10_bounds.quiet" with
-   | Some h when h.Model.h_bound = constant 1 -> ()
-   | Some h ->
-     fail "shadowing quiet: expected 1, got %s"
-       (Model.bound_to_string h.Model.h_bound)
-   | None -> fail "shadowing quiet: expected 1, got no send helper");
+  (* the shadowing [quiet] and [f], and [g], which calls the second [f] *)
+  List.iter
+    (fun name ->
+      match helper name with
+      | Some h when h.Model.h_bound = constant 1 -> ()
+      | Some h ->
+        fail "%s: expected 1, got %s" name
+          (Model.bound_to_string h.Model.h_bound)
+      | None -> fail "%s: expected 1, got no send helper" name)
+    [ "R10_bounds.quiet"; "R10_bounds.f"; "R10_bounds.g" ];
   (match Model.find model "R10_bounds.automaton" with
    | None -> fail "R10_bounds.automaton: no automaton extracted"
    | Some p ->
-     if p.Model.p_init <> constant 0 || p.Model.p_step <> constant 2 then
+     let init = Model.bound_to_string p.Model.p_init
+     and step = Model.bound_to_string p.Model.p_step in
+     if
+       p.Model.p_init <> constant 0
+       || p.Model.p_step <> constant 2
+       || init <> "0" || step <> "2"
+     then
        fail "R10_bounds.automaton: expected init 0, step 2; got %s, %s"
-         (Model.bound_to_string p.Model.p_init)
-         (Model.bound_to_string p.Model.p_step));
+         init step);
   print_endline
     "model bounds: cycles, shadowing, nested helpers and closures classified"

@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint lint-baseline bench fuzz fuzz-smoke sim-smoke service-smoke rmtbench-smoke bench-check outputs examples clean
+.PHONY: all build test lint lint-baseline bench fuzz fuzz-smoke sim-smoke service-smoke rmtbench-smoke bench-check attack-record-check outputs examples clean
 
 all: build
 
@@ -40,6 +40,21 @@ bench-%-json:
 # Seeded fuzzing campaigns over instances/ (table + BENCH_attack.json).
 fuzz:
 	dune exec bench/main.exe -- attack --json
+
+# The attack record is deterministic: regenerate BENCH_attack.json and
+# fail if any row differs from the committed file, which is put back
+# either way.  Only the row lines are compared (domains_available
+# depends on the host).  CI's build-and-test job runs it.
+attack-record-check:
+	dune build bench/main.exe
+	cp BENCH_attack.json _build/attack_record_committed.json
+	dune exec bench/main.exe -- attack --json; status=$$?; \
+	grep '"name"' _build/attack_record_committed.json \
+	  > _build/attack_rows_committed.txt; \
+	grep '"name"' BENCH_attack.json > _build/attack_rows_regenerated.txt; \
+	cp _build/attack_record_committed.json BENCH_attack.json; \
+	test $$status -eq 0 && diff -u _build/attack_rows_committed.txt \
+	  _build/attack_rows_regenerated.txt
 
 # Quick time-budgeted campaign per instance, as the CI fuzz-smoke job runs it.
 fuzz-smoke:

@@ -49,6 +49,12 @@ let checked spec f =
   try Ok (f ())
   with Invalid_argument m -> Error (Printf.sprintf "spec %S: %s" spec m)
 
+(* An optional probability flag; NaN fails both comparisons. *)
+let probability flag = function
+  | Some p when not (p >= 0. && p <= 1.) ->
+    Error (Printf.sprintf "%s must be in [0, 1], got %g" flag p)
+  | _ -> Ok ()
+
 let topology_of_spec seed spec =
   let rng = Prng.create seed in
   let nat = nat spec and checked = checked spec in
@@ -501,6 +507,8 @@ let sim file seed topology adversary knowledge dealer receiver value protocols
       Rmt_sim.Schedule.max_bound bound
   | None ->
     (match
+       let* () = probability "--late" late in
+       let* () = probability "--loss" loss in
        build_instance ?file ~seed ~topology ~adversary ~knowledge ~dealer
          ~receiver ()
      with
@@ -741,10 +749,11 @@ let sim_cmd =
       & opt (some float) None
       & info [ "late" ] ~docv:"P"
           ~doc:
-            "Override the per-message late-delivery probability (effective \
-             only with $(b,--bound) > 1).  Aggressive values push multi-hop \
-             evidence past a certified protocol's commit round — the \
-             boundary lanes drive the out-of-envelope sweeps with this.")
+            "Override the per-message late-delivery probability, in [0, 1] \
+             (effective only with $(b,--bound) > 1).  Aggressive values \
+             push multi-hop evidence past a certified protocol's commit \
+             round — the boundary lanes drive the out-of-envelope sweeps \
+             with this.")
   in
   let loss_t =
     Arg.(
@@ -752,10 +761,10 @@ let sim_cmd =
       & opt (some float) None
       & info [ "loss" ] ~docv:"P"
           ~doc:
-            "Override the per-message drop probability (effective only with \
-             $(b,--drops) > 0; the budget still caps total losses).  High \
-             values concentrate the budget on the earliest sends, where a \
-             drop suppresses a whole flood subtree.")
+            "Override the per-message drop probability, in [0, 1] (effective \
+             only with $(b,--drops) > 0; the budget still caps total \
+             losses).  High values concentrate the budget on the earliest \
+             sends, where a drop suppresses a whole flood subtree.")
   in
   let out_t =
     Arg.(

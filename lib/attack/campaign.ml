@@ -104,8 +104,10 @@ let pp_cert_msg pp_inner (m : _ Rmt_protocols.Certified.msg) =
 (* Everything that differs between protocols, in one record per
    protocol: [execute] and [solvability] read nothing else. *)
 type ('s, 'm) spec = {
-  compile : Program.t -> Instance.t -> x_dealer:int -> 'm Engine.strategy;
   automaton : Instance.t -> x_dealer:int -> ('s, 'm) Engine.automaton;
+      (** the honest nodes' automaton, mimicked by corrupted ones *)
+  vocabulary : Instance.t -> 'm Strategy_gen.vocabulary;
+      (** what a program's injections compile to *)
   size_of : ('m -> int) option;
   stop_on_decision : bool;
       (** end the run once the receiver has decided *)
@@ -131,10 +133,10 @@ let ppa_solvability (inst : Instance.t) =
 let zcpa_spec decider =
   Spec
     {
-      compile = Strategy_gen.compile_zcpa;
       automaton =
         (fun inst ~x_dealer ->
           Zcpa.automaton ~decider:(decider inst) inst ~x_dealer);
+      vocabulary = Strategy_gen.ints;
       size_of = None;
       stop_on_decision = false;
       receiver_truncated = None;
@@ -147,8 +149,8 @@ let spec = function
   | Pka ->
     Spec
       {
-        compile = Strategy_gen.compile_pka;
         automaton = (fun inst ~x_dealer -> Rmt_pka.automaton inst ~x_dealer);
+        vocabulary = Strategy_gen.pka;
         size_of = Some Rmt_pka.msg_size;
         stop_on_decision = true;
         receiver_truncated = Some Rmt_pka.search_truncated;
@@ -159,11 +161,11 @@ let spec = function
   | Ppa ->
     Spec
       {
-        compile = Strategy_gen.compile_ppa;
         automaton =
           (fun (inst : Instance.t) ~x_dealer ->
             Rmt_protocols.Ppa.automaton inst.graph ~structure:inst.structure
               ~dealer:inst.dealer ~receiver:inst.receiver ~x_dealer);
+        vocabulary = Strategy_gen.ppa;
         size_of = Some Rmt_protocols.Ppa.msg_size;
         stop_on_decision = true;
         receiver_truncated = None;
@@ -176,11 +178,11 @@ let spec = function
   | Strawman ->
     Spec
       {
-        compile = Strategy_gen.compile_strawman;
         automaton =
           (fun (inst : Instance.t) ~x_dealer ->
             Rmt_protocols.Naive.first_delivery inst.graph ~dealer:inst.dealer
               ~receiver:inst.receiver ~x_dealer);
+        vocabulary = Strategy_gen.ints;
         size_of = None;
         stop_on_decision = true;
         receiver_truncated = None;
@@ -194,9 +196,9 @@ let spec = function
   | Cert_pka ->
     Spec
       {
-        compile = Strategy_gen.compile_cert_pka;
         automaton =
           (fun inst ~x_dealer -> Rmt_protocols.Certified.pka inst ~x_dealer);
+        vocabulary = Strategy_gen.cert_pka;
         size_of = Some Rmt_protocols.Certified.pka_msg_size;
         stop_on_decision = true;
         receiver_truncated = Some Rmt_protocols.Certified.truncated;
@@ -209,11 +211,11 @@ let spec = function
   | Cert_ppa ->
     Spec
       {
-        compile = Strategy_gen.compile_cert_ppa;
         automaton =
           (fun (inst : Instance.t) ~x_dealer ->
             Rmt_protocols.Certified.ppa inst.graph ~structure:inst.structure
               ~dealer:inst.dealer ~receiver:inst.receiver ~x_dealer);
+        vocabulary = Strategy_gen.cert_ppa;
         size_of = Some Rmt_protocols.Certified.ppa_msg_size;
         stop_on_decision = true;
         receiver_truncated = None;
@@ -270,8 +272,8 @@ let execute_gen ?(runner = engine_runner) ~traced protocol (inst : Instance.t)
     ~x_dealer (p : Program.t) =
   match spec protocol with
   | Spec s ->
-    let adversary = s.compile p inst ~x_dealer in
     let auto = s.automaton inst ~x_dealer in
+    let adversary = Strategy_gen.compile p auto (s.vocabulary inst) in
     let trace =
       if traced then Some (Trace.create ~pp_payload:s.pp_msg ()) else None
     in

@@ -135,10 +135,12 @@ val execute :
   run_report
 (** Compile the program against the protocol and run it once on
     [runner] (default {!engine_runner}).  Every protocol goes through the
-    same body, driven by a private per-protocol table (strategy
-    compiler, automaton, message-size and stop options, receiver
+    same body, driven by a private per-protocol table (automaton,
+    injection vocabulary, message-size and stop options, receiver
     truncation probe, trace printer, solvability decider, attack
-    menu).
+    menu).  The body builds the automaton once and hands it both to
+    [runner], for the honest nodes, and to {!Strategy_gen.compile}, for
+    the corrupted nodes that mimic them.
     Deterministic in (program, instance, [x_dealer], runner). *)
 
 val execute_traced :

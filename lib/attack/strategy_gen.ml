@@ -17,9 +17,39 @@ let phantom_id g =
 
 let permissive_structure ground = Structure.of_sets ~ground [ ground ]
 
-(* Shared compilation skeleton: base behavior over the mimicked honest
-   automaton, plus per-round injected sends. *)
-let compile_skeleton (p : Program.t) automaton ~inject =
+(* What a corrupted node can inject against one protocol on one
+   instance: the rewrite [Flip_value x] applies to every message the
+   node sends, the sends a forging injection adds at node [v] ([] where
+   the protocol has no channel for it), and one spam round's sends at
+   [v], drawn from the given PRNG. *)
+type 'm vocabulary = {
+  relay : int -> 'm -> 'm;
+  forge : int -> Program.inject -> 'm Engine.send list;
+  spam : Prng.t -> int -> 'm Engine.send list;
+}
+
+(* One injection on top of node [v]'s sends of round [round]: forgeries
+   go out once, in round 1; spam in each of its first [rounds] rounds,
+   from a PRNG seeded by (spam seed, node, round). *)
+let inject voc v ~round i sends =
+  let forged sends = if round = 1 then sends @ voc.forge v i else sends in
+  match i with
+  | Program.Flip_value x ->
+    forged
+      (List.map
+         (fun (s : _ Engine.send) -> { s with payload = voc.relay x s.payload })
+         sends)
+  | Program.Spam { spam_seed; rounds } ->
+    if round <= rounds then
+      sends @ voc.spam (Prng.create (spam_seed + (v * 7919) + round)) v
+    else sends
+  | Program.Forge_trail _ | Program.Lie_topology | Program.Phantom _
+  | Program.Forge_edges _ ->
+    forged sends
+
+(* Base behavior over the mimicked honest automaton, plus the
+   injections of every round. *)
+let compile (p : Program.t) automaton voc =
   let corrupted = Program.corrupted p in
   let honest = Byzantine.mimic_honest corrupted automaton in
   let per_node =
@@ -46,28 +76,27 @@ let compile_skeleton (p : Program.t) automaton ~inject =
             (honest.Engine.act v ~round ~inbox)
       in
       List.fold_left
-        (fun sends i -> inject v rng ~round i sends)
+        (fun sends i -> inject voc v ~round i sends)
         base_sends np.injects
   in
   Engine.{ corrupted; act }
 
 (* ------------------------------------------------------------------ *)
-(* RMT-PKA                                                             *)
+(* Trail protocols: RMT-PKA and PPA                                    *)
 (* ------------------------------------------------------------------ *)
 
-let pka_map_value f (s : Rmt_pka.msg Engine.send) =
-  Engine.
-    {
-      s with
-      payload =
-        {
-          s.payload with
-          Flood.payload =
-            (match s.payload.Flood.payload with
-             | Rmt_pka.Value x -> Rmt_pka.Value (f x)
-             | Rmt_pka.Info r -> Rmt_pka.Info r);
-        };
-    }
+(* A trail protocol's payloads: the forged value, [Flip_value]'s rewrite
+   of a relayed payload, the report forger (PKA's knowledge channel,
+   [None] in PPA) and the spam payload drawer. *)
+type 'p payloads = {
+  value : int -> 'p;
+  flip : int -> 'p -> 'p;
+  report : (origin:int -> gamma:Graph.t -> zeta:Structure.t -> 'p) option;
+  garbage : Prng.t -> Graph.t -> 'p;
+}
+
+let on_payload f (m : _ Flood.msg) =
+  { m with Flood.payload = f m.Flood.payload }
 
 (* mostly real ids, sometimes a phantom *)
 let random_node rng g =
@@ -101,296 +130,205 @@ let pka_spam_payload rng g =
     Rmt_pka.Info (Rmt_pka.report ~origin ~gamma ~zeta)
   end
 
-let pka_random_trail rng g v =
+let pka_payloads =
+  {
+    value = (fun x -> Rmt_pka.Value x);
+    flip =
+      (fun x -> function
+        | Rmt_pka.Value _ -> Rmt_pka.Value x
+        | Rmt_pka.Info _ as p -> p);
+    report =
+      Some
+        (fun ~origin ~gamma ~zeta ->
+          Rmt_pka.Info (Rmt_pka.report ~origin ~gamma ~zeta));
+    garbage = pka_spam_payload;
+  }
+
+let ppa_payloads =
+  {
+    value = Fun.id;
+    flip = (fun x _ -> x);
+    report = None;
+    garbage = (fun rng _ -> Prng.int rng 100);
+  }
+
+let random_trail rng g v =
   List.init (1 + Prng.int rng 4) (fun _ -> random_node rng g) @ [ v ]
 
-let pka_inject (inst : Instance.t) =
+(* The one trail-injection compilation: type-1 value forgeries over
+   forged, phantom or invented-edge trails, each report forgery sent
+   before the values it vouches for. *)
+let trail_forge pl (inst : Instance.t) v i =
   let g = inst.graph in
-  let inject v rng ~round i sends =
-    match i with
-    | Program.Flip_value x ->
-      List.map (pka_map_value (fun _ -> x)) sends
-    | Program.Forge_trail x ->
-      if round = 1 then
-        sends
-        @ Flood.broadcast g v
-            Flood.{ payload = Rmt_pka.Value x; trail = [ inst.dealer; v ] }
-      else sends
-    | Program.Lie_topology ->
-      if round = 1 then begin
-        let fake_gamma =
-          Graph.add_edge v inst.dealer (Instance.local_view inst v)
-        in
-        let ground = Nodeset.remove inst.dealer (Graph.nodes fake_gamma) in
-        let report =
-          Rmt_pka.report ~origin:v ~gamma:fake_gamma
-            ~zeta:(permissive_structure ground)
-        in
-        sends
-        @ Flood.broadcast g v
-            Flood.{ payload = Rmt_pka.Info report; trail = [ v ] }
-      end
-      else sends
-    | Program.Phantom x ->
-      if round = 1 then begin
-        let phantom = phantom_id g in
-        let phantom_gamma =
-          Graph.add_edge phantom v
-            (Graph.add_edge phantom inst.dealer Graph.empty)
-        in
-        let phantom_report =
-          Rmt_pka.report ~origin:phantom ~gamma:phantom_gamma
-            ~zeta:(Structure.trivial ~ground:Nodeset.empty)
-        in
-        sends
-        @ Flood.broadcast g v
-            Flood.{ payload = Rmt_pka.Info phantom_report; trail = [ phantom; v ] }
-        @ Flood.broadcast g v
-            Flood.
-              { payload = Rmt_pka.Value x; trail = [ inst.dealer; phantom; v ] }
-      end
-      else sends
-    | Program.Forge_edges x ->
-      if round = 1 then begin
-        let nbrs = Graph.neighbors v g in
-        let fake_gamma =
-          Nodeset.fold
-            (fun u acc ->
-              let acc =
-                if u <> inst.dealer then Graph.add_edge inst.dealer u acc
-                else acc
-              in
-              Nodeset.fold
-                (fun w acc -> if u < w then Graph.add_edge u w acc else acc)
-                nbrs acc)
-            nbrs
-            (Instance.local_view inst v)
-        in
-        let ground = Nodeset.remove inst.dealer (Graph.nodes fake_gamma) in
-        let report =
-          Rmt_pka.report ~origin:v ~gamma:fake_gamma
-            ~zeta:(permissive_structure ground)
-        in
-        sends
-        @ Flood.broadcast g v
-            Flood.{ payload = Rmt_pka.Info report; trail = [ v ] }
-        @ Nodeset.fold
-            (fun u acc ->
-              Flood.broadcast g v
-                Flood.
-                  { payload = Rmt_pka.Value x; trail = [ inst.dealer; u; v ] }
-              @ acc)
-            nbrs []
-      end
-      else sends
-    | Program.Spam { spam_seed; rounds } ->
-      if round <= rounds then begin
-        let srng = Prng.create (spam_seed + (v * 7919) + round) in
-        ignore rng;
-        let burst = 1 + Prng.int srng 3 in
-        sends
-        @ List.concat
-            (List.init burst (fun _ ->
-                 Flood.broadcast g v
-                   Flood.
-                     {
-                       payload = pka_spam_payload srng g;
-                       trail = pka_random_trail srng g v;
-                     }))
-      end
-      else sends
+  let send payload trail = Flood.broadcast g v Flood.{ payload; trail } in
+  let report ~origin ~gamma ~zeta trail =
+    match pl.report with
+    | Some forge -> send (forge ~origin ~gamma ~zeta) trail
+    | None -> []
   in
-  inject
-
-let compile_pka (p : Program.t) (inst : Instance.t) ~x_dealer =
-  compile_skeleton p (Rmt_pka.automaton inst ~x_dealer) ~inject:(pka_inject inst)
-
-(* ------------------------------------------------------------------ *)
-(* PPA                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let ppa_map_value f (s : Rmt_protocols.Ppa.msg Engine.send) =
-  Engine.
-    { s with payload = { s.payload with Flood.payload = f s.payload.Flood.payload } }
-
-let ppa_inject (inst : Instance.t) =
-  let g = inst.graph in
-  let inject v rng ~round i sends =
-    match i with
-    | Program.Flip_value x -> List.map (ppa_map_value (fun _ -> x)) sends
-    | Program.Forge_trail x ->
-      if round = 1 then
-        sends
-        @ Flood.broadcast g v Flood.{ payload = x; trail = [ inst.dealer; v ] }
-      else sends
-    | Program.Lie_topology -> sends (* no knowledge channel in PPA *)
-    | Program.Phantom x ->
-      if round = 1 then
-        sends
-        @ Flood.broadcast g v
-            Flood.{ payload = x; trail = [ inst.dealer; phantom_id g; v ] }
-      else sends
-    | Program.Forge_edges x ->
-      if round = 1 then
-        sends
-        @ Nodeset.fold
-            (fun u acc ->
-              Flood.broadcast g v
-                Flood.{ payload = x; trail = [ inst.dealer; u; v ] }
-              @ acc)
-            (Graph.neighbors v g) []
-      else sends
-    | Program.Spam { spam_seed; rounds } ->
-      if round <= rounds then begin
-        let srng = Prng.create (spam_seed + (v * 7919) + round) in
-        ignore rng;
-        let burst = 1 + Prng.int srng 3 in
-        sends
-        @ List.concat
-            (List.init burst (fun _ ->
-                 Flood.broadcast g v
-                   Flood.
-                     {
-                       payload = Prng.int srng 100;
-                       trail = pka_random_trail srng g v;
-                     }))
-      end
-      else sends
+  (* [v]'s own report claiming [gamma], under a permissive structure *)
+  let own_report gamma =
+    let ground = Nodeset.remove inst.dealer (Graph.nodes gamma) in
+    report ~origin:v ~gamma ~zeta:(permissive_structure ground) [ v ]
   in
-  inject
+  match i with
+  | Program.Forge_trail x -> send (pl.value x) [ inst.dealer; v ]
+  | Program.Lie_topology ->
+    own_report (Graph.add_edge v inst.dealer (Instance.local_view inst v))
+  | Program.Phantom x ->
+    let phantom = phantom_id g in
+    report ~origin:phantom
+      ~gamma:
+        (Graph.add_edge phantom v
+           (Graph.add_edge phantom inst.dealer Graph.empty))
+      ~zeta:(Structure.trivial ~ground:Nodeset.empty)
+      [ phantom; v ]
+    @ send (pl.value x) [ inst.dealer; phantom; v ]
+  | Program.Forge_edges x ->
+    let nbrs = Graph.neighbors v g in
+    own_report
+      (Nodeset.fold
+         (fun u acc ->
+           let acc =
+             if u <> inst.dealer then Graph.add_edge inst.dealer u acc
+             else acc
+           in
+           Nodeset.fold
+             (fun w acc -> if u < w then Graph.add_edge u w acc else acc)
+             nbrs acc)
+         nbrs
+         (Instance.local_view inst v))
+    @ Nodeset.fold
+        (fun u acc -> send (pl.value x) [ inst.dealer; u; v ] @ acc)
+        nbrs []
+  | Program.Flip_value _ | Program.Spam _ -> []
 
-let compile_ppa (p : Program.t) (inst : Instance.t) ~x_dealer =
-  compile_skeleton p
-    (Rmt_protocols.Ppa.automaton inst.graph ~structure:inst.structure
-       ~dealer:inst.dealer ~receiver:inst.receiver ~x_dealer)
-    ~inject:(ppa_inject inst)
+(* one to three garbage messages, each drawing its trail, then its
+   payload *)
+let trail_spam pl g rng v =
+  List.concat
+    (List.init
+       (1 + Prng.int rng 3)
+       (fun _ ->
+         let trail = random_trail rng g v in
+         let payload = pl.garbage rng g in
+         Flood.broadcast g v Flood.{ payload; trail }))
+
+let trail pl (inst : Instance.t) =
+  {
+    relay = (fun x -> on_payload (pl.flip x));
+    forge = trail_forge pl inst;
+    spam = trail_spam pl inst.graph;
+  }
+
+let pka inst = trail pka_payloads inst
+let ppa inst = trail ppa_payloads inst
 
 (* ------------------------------------------------------------------ *)
-(* Z-CPA                                                               *)
+(* Bare-value protocols: Z-CPA and the strawman                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Bare-value injections, shared by every protocol whose messages are
-   plain ints (Z-CPA and the strawman): trail/report forgeries degrade
-   to pushing the fake value. *)
-let int_inject g =
-  let push v x sends = sends @ Flood.broadcast g v x in
-  fun v rng ~round i sends ->
-    match i with
-    | Program.Flip_value x ->
-      (* rewrite relays and push the fake once: the strongest simple lie *)
-      let sends = List.map (fun s -> Engine.{ s with payload = x }) sends in
-      if round = 1 then push v x sends else sends
-    | Program.Forge_trail x | Program.Phantom x | Program.Forge_edges x ->
-      if round = 1 then push v x sends else sends
-    | Program.Lie_topology -> sends
-    | Program.Spam { spam_seed; rounds } ->
-      if round <= rounds then begin
-        let srng = Prng.create (spam_seed + (v * 7919) + round) in
-        ignore rng;
-        push v (Prng.int srng 100) sends
-      end
-      else sends
-
-let compile_zcpa (p : Program.t) (inst : Instance.t) ~x_dealer =
-  compile_skeleton p
-    (Zcpa.automaton
-       ~decider:(Zcpa.decider_of_oracle (Zcpa.direct_oracle inst))
-       inst ~x_dealer)
-    ~inject:(int_inject inst.graph)
-
-let compile_strawman (p : Program.t) (inst : Instance.t) ~x_dealer =
-  compile_skeleton p
-    (Rmt_protocols.Naive.first_delivery inst.graph ~dealer:inst.dealer
-       ~receiver:inst.receiver ~x_dealer)
-    ~inject:(int_inject inst.graph)
+   plain ints: trail/report forgeries degrade to pushing the fake value,
+   and [Flip_value] both rewrites relays and pushes the fake once — the
+   strongest simple lie. *)
+let ints (inst : Instance.t) =
+  let push v x = Flood.broadcast inst.graph v x in
+  {
+    relay = (fun x _ -> x);
+    forge =
+      (fun v -> function
+        | Program.Flip_value x
+        | Program.Forge_trail x
+        | Program.Phantom x
+        | Program.Forge_edges x ->
+          push v x
+        | Program.Lie_topology | Program.Spam _ -> []);
+    spam = (fun rng v -> push v (Prng.int rng 100));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Certified wrappers                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Lifting an inner-protocol injection vocabulary through the certified
-   wrapper: payload forgeries ride inside [Load] (reusing the inner
-   protocol's inject compilation verbatim), and every round that forges
-   payloads additionally floods forged [Echo] votes on behalf of the
-   whole node set.  Corrupted nodes can always forge echoes — the
-   quorum certificate targets the message adversary, not them — and
-   outside the envelope (where drops silence honest evidence) this is
-   what carries a campaign past the quorum gate, keeping the boundary
-   lanes non-vacuous.  [Tick]s pass through untouched. *)
+   wrapper: payload forgeries ride inside [Load] (the inner payload
+   record's trail injections, verbatim, and its [Flip_value] rewrite),
+   and every round that forges payloads additionally floods forged
+   [Echo] votes on behalf of the whole node set.  Corrupted nodes can
+   always forge echoes — the quorum certificate targets the message
+   adversary, not them — and outside the envelope (where drops silence
+   honest evidence) this is what carries a campaign past the quorum
+   gate, keeping the boundary lanes non-vacuous.  [Tick]s pass through
+   untouched. *)
 
-let cert_map_load flip (s : 'p Rmt_protocols.Certified.msg Engine.send) =
-  Engine.
-    {
-      s with
-      payload =
-        {
-          s.payload with
-          Flood.payload =
-            (match s.payload.Flood.payload with
-             | Rmt_protocols.Certified.Load p ->
-               Rmt_protocols.Certified.Load (flip p)
-             | (Rmt_protocols.Certified.Echo _ | Rmt_protocols.Certified.Tick)
-               as b ->
-               b);
-        };
-    }
+module Certified = Rmt_protocols.Certified
 
 let cert_echo_flood g v =
   Nodeset.fold
     (fun u acc ->
       let trail = if u = v then [ v ] else [ u; v ] in
-      Flood.broadcast g v
-        Flood.{ payload = Rmt_protocols.Certified.Echo u; trail }
-      @ acc)
+      Flood.broadcast g v Flood.{ payload = Certified.Echo u; trail } @ acc)
     (Graph.nodes g) []
 
-let compile_cert g ~flip ~inner_inject ~automaton (p : Program.t) =
-  let inject v rng ~round i sends =
-    match i with
-    | Program.Flip_value x -> List.map (cert_map_load (flip x)) sends
-    | _ -> (
-      let added = inner_inject v rng ~round i [] in
-      match added with
-      | [] -> sends
-      | _ ->
-        let wrapped =
-          List.map
-            (fun (s : _ Engine.send) ->
-              Engine.
-                {
-                  dst = s.dst;
-                  payload =
-                    Flood.
-                      {
-                        payload =
-                          Rmt_protocols.Certified.Load s.payload.Flood.payload;
-                        trail = s.payload.Flood.trail;
-                      };
-                })
-            added
-        in
-        sends @ wrapped @ cert_echo_flood g v)
+let cert pl (inst : Instance.t) =
+  let inner = trail pl inst in
+  let lift v = function
+    | [] -> []
+    | added ->
+      List.map
+        (fun (s : _ Engine.send) ->
+          { s with payload = on_payload (fun p -> Certified.Load p) s.payload })
+        added
+      @ cert_echo_flood inst.graph v
   in
-  compile_skeleton p automaton ~inject
+  {
+    relay =
+      (fun x ->
+        on_payload (function
+          | Certified.Load p -> Certified.Load (pl.flip x p)
+          | (Certified.Echo _ | Certified.Tick) as b -> b));
+    forge = (fun v i -> lift v (inner.forge v i));
+    spam = (fun rng v -> lift v (inner.spam rng v));
+  }
 
-let compile_cert_pka (p : Program.t) (inst : Instance.t) ~x_dealer =
-  compile_cert inst.graph
-    ~flip:(fun x pl ->
-      match pl with
-      | Rmt_pka.Value _ -> Rmt_pka.Value x
-      | Rmt_pka.Info r -> Rmt_pka.Info r)
-    ~inner_inject:(pka_inject inst)
-    ~automaton:(Rmt_protocols.Certified.pka inst ~x_dealer)
-    p
+let cert_pka inst = cert pka_payloads inst
+let cert_ppa inst = cert ppa_payloads inst
 
-let compile_cert_ppa (p : Program.t) (inst : Instance.t) ~x_dealer =
-  compile_cert inst.graph
-    ~flip:(fun x _ -> x)
-    ~inner_inject:(ppa_inject inst)
-    ~automaton:
-      (Rmt_protocols.Certified.ppa inst.graph ~structure:inst.structure
-         ~dealer:inst.dealer ~receiver:inst.receiver ~x_dealer)
-    p
+(* ------------------------------------------------------------------ *)
+(* One protocol each                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let compile_pka p inst ~x_dealer =
+  compile p (Rmt_pka.automaton inst ~x_dealer) (pka inst)
+
+let compile_ppa p (inst : Instance.t) ~x_dealer =
+  compile p
+    (Rmt_protocols.Ppa.automaton inst.graph ~structure:inst.structure
+       ~dealer:inst.dealer ~receiver:inst.receiver ~x_dealer)
+    (ppa inst)
+
+let compile_zcpa p inst ~x_dealer =
+  compile p
+    (Zcpa.automaton
+       ~decider:(Zcpa.decider_of_oracle (Zcpa.direct_oracle inst))
+       inst ~x_dealer)
+    (ints inst)
+
+let compile_strawman p (inst : Instance.t) ~x_dealer =
+  compile p
+    (Rmt_protocols.Naive.first_delivery inst.graph ~dealer:inst.dealer
+       ~receiver:inst.receiver ~x_dealer)
+    (ints inst)
+
+let compile_cert_pka p inst ~x_dealer =
+  compile p (Certified.pka inst ~x_dealer) (cert_pka inst)
+
+let compile_cert_ppa p (inst : Instance.t) ~x_dealer =
+  compile p
+    (Certified.ppa inst.graph ~structure:inst.structure
+       ~dealer:inst.dealer ~receiver:inst.receiver ~x_dealer)
+    (cert_ppa inst)
 
 (* ------------------------------------------------------------------ *)
 (* The fixed menus                                                     *)

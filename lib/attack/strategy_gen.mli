@@ -1,10 +1,12 @@
 (** Compiling and sampling attack programs.
 
-    [compile_*] turn a {!Program.t} into an executable strategy against a
-    concrete protocol.  Compilation is deterministic: all randomness
-    (dropping, spam) flows from PRNGs derived from the program's seed and
-    the acting node's id, so replaying the same program on the same
-    instance reproduces the identical run bit-for-bit.
+    {!compile} turns a {!Program.t} into an executable strategy: each
+    corrupted node runs its base behavior over the honest automaton and
+    adds what its injections mean in the protocol's {!vocabulary}.
+    Compilation is deterministic: all randomness (dropping, spam) flows
+    from PRNGs derived from the program's seed and the acting node's id,
+    so replaying the same program on the same instance reproduces the
+    identical run bit-for-bit.
 
     Compiled strategies inherit the single-run discipline of
     {!Rmt_net.Byzantine.mimic_honest}: compile a fresh strategy per
@@ -20,26 +22,61 @@ open Rmt_knowledge
 open Rmt_net
 open Rmt_core
 
+type 'm vocabulary
+(** What the injections of {!Program.inject} mean against one protocol
+    on one instance.  {!Program.Flip_value} rewrites every message the
+    node sends; the other forgeries add their sends once, in round 1;
+    {!Program.Spam} adds garbage in each of its first [rounds] rounds,
+    drawn from a PRNG seeded by (spam seed, node, round). *)
+
+val compile :
+  Program.t -> ('s, 'm) Engine.automaton -> 'm vocabulary -> 'm Engine.strategy
+(** [compile p automaton v]: [p]'s corrupted nodes run their bases over
+    [automaton], the honest nodes' own, and their injections in [v]. *)
+
+val pka : Instance.t -> Rmt_pka.msg vocabulary
+(** Full vocabulary: every injection has its protocol-specific meaning
+    (type-1 value forgery over forged trails, type-2 report forgery,
+    fictitious nodes). *)
+
+val ppa : Instance.t -> Rmt_protocols.Ppa.msg vocabulary
+(** PKA's trail injections with PPA's bare-int payloads.  PPA carries
+    no reports: {!Program.Lie_topology} compiles to nothing, and
+    {!Program.Phantom} and {!Program.Forge_edges} to their value trails
+    over invented nodes/edges alone. *)
+
+val ints : Instance.t -> int vocabulary
+(** Bare-value protocols (Z-CPA, the strawman): trail/report injections
+    degrade to pushing the fake value. *)
+
+val cert_pka : Instance.t -> Rmt_protocols.Certified.pka_msg vocabulary
+(** {!pka} lifted through the certified wrapper: payload forgeries ride
+    inside [Load], and every forging round additionally floods forged
+    [Echo] votes for the whole node set (a corrupted node may always
+    forge echoes — the certificate targets the message adversary), so
+    out-of-envelope schedules can carry an attack past the quorum
+    gate. *)
+
+val cert_ppa : Instance.t -> Rmt_protocols.Certified.ppa_msg vocabulary
+(** {!ppa} lifted the same way. *)
+
+(** {1 One protocol each}
+
+    {!compile} over the protocol's honest automaton and its vocabulary. *)
+
 val compile_pka :
   Program.t -> Instance.t -> x_dealer:int -> Rmt_pka.msg Engine.strategy
-(** Full vocabulary: every injection has its protocol-specific meaning
-    (type-1 value forgery, type-2 report forgery, fictitious nodes). *)
 
 val compile_ppa :
   Program.t -> Instance.t -> x_dealer:int -> Rmt_protocols.Ppa.msg Engine.strategy
-(** PPA carries trails but no reports: the knowledge-layer injections
-    ({!Program.Lie_topology}) compile to nothing; {!Program.Phantom} and
-    {!Program.Forge_edges} compile to trails over invented nodes/edges. *)
 
 val compile_zcpa :
   Program.t -> Instance.t -> x_dealer:int -> int Engine.strategy
-(** Bare-value protocol: trail/report injections degrade to pushing the
-    fake value. *)
+(** Against Z-CPA with the direct membership oracle. *)
 
 val compile_strawman :
   Program.t -> Instance.t -> x_dealer:int -> int Engine.strategy
-(** Same bare-value injection vocabulary as {!compile_zcpa}, compiled
-    against {!Rmt_protocols.Naive.first_delivery} — the deliberately
+(** Against {!Rmt_protocols.Naive.first_delivery} — the deliberately
     order-sensitive receiver the simulation campaign uses as its
     always-violable control. *)
 
@@ -48,19 +85,12 @@ val compile_cert_pka :
   Instance.t ->
   x_dealer:int ->
   Rmt_protocols.Certified.pka_msg Engine.strategy
-(** The PKA vocabulary lifted through the certified wrapper: payload
-    forgeries ride inside [Load], and every forging round additionally
-    floods forged [Echo] votes for the whole node set (a corrupted node
-    may always forge echoes — the certificate targets the message
-    adversary), so out-of-envelope schedules can carry an attack past
-    the quorum gate. *)
 
 val compile_cert_ppa :
   Program.t ->
   Instance.t ->
   x_dealer:int ->
   Rmt_protocols.Certified.ppa_msg Engine.strategy
-(** The PPA vocabulary lifted the same way. *)
 
 (** {1 The fixed menus}
 

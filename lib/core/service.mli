@@ -9,12 +9,12 @@
     - after updates, the next query runs {!Cut.update} against the last
       verdict — a surviving witness is revalidated in one check instead
       of a fresh enumeration;
-    - full re-searches (and everything else that restricts or joins
-      structures) amortize across generations through the hash-consed
-      global memos ({!Hc}).
+    - full re-searches (and everything else that restricts
+      structures) amortize across generations through the one global,
+      content-keyed restriction memo ({!Hc.memo_restrict}).
 
     The service state is allocated per {!create} — nothing is shared
-    between two services except the (mutex-guarded) {!Hc} tables — and
+    between two services except that mutex-guarded memo — and
     the reported {!stats} are deterministic: they count decisions taken,
     never GC-dependent cache occupancy, so replay output is stable enough
     to pin as a golden file (instances/*.golden, `rmt serve-solve`).

@@ -13,7 +13,9 @@ type report = {
   stale : Baseline.entry list;
 }
 
-(* One walk per typedtree: everything later passes need from a unit. *)
+(* Everything later passes need from a unit, read while its typedtree is
+   loaded: the structural rules, the call-graph summary and the model
+   extraction each walk the tree once, and nothing walks it again. *)
 let scanned_of (u : Cmt_loader.unit_info) =
   let source = u.Cmt_loader.source and str = u.Cmt_loader.structure in
   {

@@ -30,7 +30,8 @@ type report = {
 
 val scanned_of : Cmt_loader.unit_info -> scanned_unit
 (** The unit's structural findings, call-graph summary and model
-    fragment, from one walk of its typedtree. *)
+    fragment: three walks of its typedtree ({!Rules.check_structure},
+    {!Callgraph.summarize}, {!Model.extract}), one each. *)
 
 val graph_of : scanned_unit list -> Callgraph.t
 

@@ -19,6 +19,7 @@ type call_site = {
   cs_passes_inbox : bool;
   cs_returns_sends : bool;
   cs_via : string option;
+  cs_pos : int;
 }
 
 type fn_facts = {
@@ -35,7 +36,7 @@ type fn_facts = {
   f_inbox_head_only : bool;
   f_uses_round : bool;
   f_dedup_guard : bool;
-  f_scope : (string * fn_facts) list;
+  f_scope : (string * int * fn_facts) list;
   f_item : int;
   f_rec : bool;
 }
@@ -44,6 +45,7 @@ type automaton_src = {
   a_owner : string;
   a_file : string;
   a_line : int;
+  a_pos : int;
   a_msg_type : string;
   a_init : string;
   a_step : string;
@@ -62,6 +64,8 @@ type unit_model = {
 (* ------------------------------------------------------------------ *)
 
 let line_of (loc : Location.t) = loc.loc_start.Lexing.pos_lnum
+let start_of (loc : Location.t) = loc.loc_start.Lexing.pos_cnum
+let end_of (loc : Location.t) = loc.loc_end.Lexing.pos_cnum
 let inbox_name = "inbox"
 
 let callee_name p =
@@ -237,7 +241,7 @@ let msg_type_of_record ty =
 
 type collector = {
   c_file : string;
-  c_scope : (string * fn_facts) list ref;  (** per top-level binding *)
+  c_scope : (string * int * fn_facts) list ref;  (** per top-level binding *)
   c_topo : (string, unit) Hashtbl.t;
   c_automata : automaton_src list ref;
   c_owner : string;
@@ -281,11 +285,12 @@ let rec collect_fn col ?(enclosing = []) ~name ~line expr =
   let note_ref n =
     List.iter (fun (ps, r) -> if List.mem n ps then r := true) scopes
   in
-  let nest n ~line e =
+  (* [from]: the file offset from which references see the binding *)
+  let nest n ~line ~from e =
     let facts =
       collect_fn col ~enclosing:scopes ~name:(col.c_owner ^ "." ^ n) ~line e
     in
-    col.c_scope := (n, facts) :: !(col.c_scope)
+    col.c_scope := (n, from, facts) :: !(col.c_scope)
   in
   let sends = Hashtbl.create 4 in
   let calls = ref [] in
@@ -319,12 +324,19 @@ let rec collect_fn col ?(enclosing = []) ~name ~line expr =
   let default = Tast_iterator.default_iterator in
   let rec expr_iter sub e =
     match e.exp_desc with
-    | Texp_let (_, vbs, cont) ->
+    | Texp_let (rec_flag, vbs, cont) ->
+      (* a [let rec] group sees itself; a plain one only its body *)
+      let from =
+        match rec_flag with
+        | Asttypes.Recursive -> start_of e.exp_loc
+        | Asttypes.Nonrecursive ->
+          List.fold_left (fun acc vb -> max acc (end_of vb.vb_loc)) 0 vbs
+      in
       List.iter
         (fun vb ->
           match bare_name_of_pat vb.vb_pat with
           | Some n when is_function vb.vb_expr ->
-            nest n ~line:(line_of vb.vb_loc) vb.vb_expr
+            nest n ~line:(line_of vb.vb_loc) ~from vb.vb_expr
           | nm ->
             (match nm with
              | Some n when topology_derived vb.vb_expr ->
@@ -346,7 +358,7 @@ let rec collect_fn col ?(enclosing = []) ~name ~line expr =
         match value with
         | Some v when is_function v ->
           let n = Printf.sprintf "<%s:%d>" lbl (line_of v.exp_loc) in
-          nest n ~line:(line_of v.exp_loc) v;
+          nest n ~line:(line_of v.exp_loc) ~from:(start_of v.exp_loc) v;
           n
         | Some { exp_desc = Texp_ident (p, _, _); _ } -> callee_name p
         | _ -> "<unresolved>"
@@ -356,6 +368,7 @@ let rec collect_fn col ?(enclosing = []) ~name ~line expr =
           a_owner = col.c_owner;
           a_file = col.c_file;
           a_line = line_of e.exp_loc;
+          a_pos = end_of e.exp_loc;
           a_msg_type = msg_type_of_record e.exp_type;
           a_init = component "init";
           a_step = component "step";
@@ -440,7 +453,7 @@ let rec collect_fn col ?(enclosing = []) ~name ~line expr =
             Printf.sprintf "<fun:%d:%d>" pos.pos_lnum
               (pos.pos_cnum - pos.pos_bol)
           in
-          nest n ~line:pos.pos_lnum a;
+          nest n ~line:pos.pos_lnum ~from:pos.pos_cnum a;
           calls :=
             {
               cs_ctx = Unknown;
@@ -448,6 +461,7 @@ let rec collect_fn col ?(enclosing = []) ~name ~line expr =
               cs_passes_inbox = false;
               cs_returns_sends = false;
               cs_via = via;
+              cs_pos = pos.pos_cnum;
             }
             :: !calls
         | Some a -> sub.Tast_iterator.expr sub a)
@@ -555,6 +569,7 @@ let rec collect_fn col ?(enclosing = []) ~name ~line expr =
             cs_passes_inbox = passes_inbox;
             cs_returns_sends = returns_sends;
             cs_via = None;
+            cs_pos = start_of e.exp_loc;
           }
           :: !calls;
         walk_args ~via:name sub args
@@ -815,11 +830,12 @@ type t = {
 }
 
 (* A resolution environment: the owner binding's flat local scope, the
-   defining unit's module-level bindings, then the whole program.  The
-   referring top-level binding's unit and [let] ordinal pick, among
-   same-named bindings of that unit, the last one visible there. *)
+   defining unit's module-level bindings, then the whole program.  A
+   reference's file offset picks, among same-named local bindings, the
+   last one visible there; the referring top-level binding's unit and
+   [let] ordinal do the same among the unit's bindings. *)
 type env = {
-  e_scope : (string * fn_facts) list;
+  e_scope : (string * int * fn_facts) list;
   e_module : string;
   e_file : string;
   e_item : int;
@@ -840,8 +856,14 @@ let visible env (f : fn_facts) =
   || f.f_item < env.e_item
   || (f.f_rec && f.f_item = env.e_item)
 
-let resolve env name =
-  match List.assoc_opt name env.e_scope with
+let resolve env ~pos name =
+  let local =
+    List.fold_left
+      (fun found (n, from, f) ->
+        if String.equal n name && from <= pos then Some f else found)
+      None env.e_scope
+  in
+  match local with
   | Some f -> Some (f, env)
   | None ->
     let lookup key =
@@ -880,14 +902,15 @@ let send_bounds roots =
   let rec add ((f : fn_facts), env) =
     if not (Hashtbl.mem nodes (key f)) then begin
       let runs cs =
-        match Option.bind cs.cs_via (resolve env) with
+        match Option.bind cs.cs_via (resolve env ~pos:cs.cs_pos) with
         | Some (g, _) -> g.f_uses_params
         | None -> true
       in
       let calls =
         List.filter_map
           (fun cs ->
-            if runs cs then Some (cs, resolve env cs.cs_callee) else None)
+            if runs cs then Some (cs, resolve env ~pos:cs.cs_pos cs.cs_callee)
+            else None)
           f.f_calls
       in
       Hashtbl.replace nodes (key f) (f, calls);
@@ -942,17 +965,19 @@ let send_bounds roots =
     (Fixpoint.scc ~nodes:!keys ~succs:callees);
   fun f -> Hashtbl.find bounds (key f)
 
-(* Functions reachable from a set of roots through resolvable calls. *)
-let reachable env roots =
+(* Functions reachable from a set of roots, named at file offset [pos],
+   through resolvable calls. *)
+let reachable env ~pos roots =
   let seen = Hashtbl.create 16 in
   let acc = ref [] in
   let rec go env (f : fn_facts) =
-    if not (Hashtbl.mem seen f.f_name) then begin
-      Hashtbl.replace seen f.f_name ();
+    let key = (f.f_name, f.f_line) in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.replace seen key ();
       acc := f :: !acc;
       List.iter
         (fun cs ->
-          match resolve env cs.cs_callee with
+          match resolve env ~pos:cs.cs_pos cs.cs_callee with
           | Some (callee, cenv) -> go cenv callee
           | None -> ())
         f.f_calls
@@ -960,7 +985,7 @@ let reachable env roots =
   in
   List.iter
     (fun name ->
-      match resolve env name with
+      match resolve env ~pos name with
       | Some (callee, cenv) -> go cenv callee
       | None -> ())
     roots;
@@ -1008,7 +1033,7 @@ let assemble units =
         in
         List.map
           (fun (a : automaton_src) ->
-            match resolve env0 (last_component a.a_owner) with
+            match resolve env0 ~pos:a.a_pos (last_component a.a_owner) with
             | Some (_, owner_env) -> (a, owner_env)
             | None -> (a, env0))
           um.um_automata)
@@ -1034,13 +1059,13 @@ let assemble units =
       (helper_roots
       @ List.concat_map
           (fun ((a : automaton_src), env) ->
-            List.filter_map (resolve env) [ a.a_init; a.a_step ])
+            List.filter_map (resolve env ~pos:a.a_pos) [ a.a_init; a.a_step ])
           automata)
   in
   let protocols =
     List.map
       (fun ((a : automaton_src), env) ->
-        let comp name = resolve env name in
+        let comp name = resolve env ~pos:a.a_pos name in
         let bound_of_comp name =
           match comp name with
           | Some (f, _) -> bound f
@@ -1048,7 +1073,7 @@ let assemble units =
         in
         let init_b = bound_of_comp a.a_init in
         let step_b = bound_of_comp a.a_step in
-        let span = reachable env [ a.a_init; a.a_step ] in
+        let span = reachable env ~pos:a.a_pos [ a.a_init; a.a_step ] in
         let state_heads =
           match comp a.a_decision with
           | Some (d, _) -> dedup_sorted (List.map fst d.f_matches)

@@ -79,6 +79,9 @@ type call_site = {
       (** for a call of a closure argument: the callee it is handed to.
           The closure counts only if that callee resolves to a function
           that uses its parameters (or does not resolve at all). *)
+  cs_pos : int;
+      (** file offset of the call: a local name resolves to the last
+          local binding of it visible there *)
 }
 
 (** Per-function facts, one record per binding or closure argument. *)
@@ -101,9 +104,11 @@ type fn_facts = {
       (** every use of [inbox] is a head-only cons match *)
   f_uses_round : bool;
   f_dedup_guard : bool;  (** ingestion guarded by [Hashtbl.mem]/[List.mem] *)
-  f_scope : (string * fn_facts) list;
+  f_scope : (string * int * fn_facts) list;
       (** nested function [let]s, inline automaton components and
-          closure arguments ([<fun:line:col>]), bare names (top-level
+          closure arguments ([<fun:line:col>]), in definition order:
+          bare name, the file offset from which references see it (a
+          plain [let]'s body, a [let rec] itself too), facts (top-level
           bindings only) *)
   f_item : int;
       (** ordinal of the top-level [let] that binds it within its unit
@@ -120,6 +125,7 @@ type automaton_src = {
   a_owner : string;  (** enclosing top-level binding, e.g. ["Naive.make"] *)
   a_file : string;
   a_line : int;
+  a_pos : int;  (** file offset of the literal's end *)
   a_msg_type : string;  (** printed ['m] of the literal's type *)
   a_init : string;
   a_step : string;

@@ -209,6 +209,39 @@ let test_campaign_deterministic () =
   let a = run () and b = run () in
   check "same report" true (a = b)
 
+(* Corrupted nodes that run the honest automaton faithfully change
+   nothing the receiver sees: on every protocol row, instance and
+   maximal corruption set avoiding the receiver, the mimic ends with the
+   empty program's verdict and message count.  (Rows that stop once the
+   receiver decides stop in the same round; the others run on past the
+   honest run's quiescence, but only through empty rounds.) *)
+let test_mimic_equivalence () =
+  List.iter
+    (fun (name, (inst : Instance.t)) ->
+      List.iter
+        (fun protocol ->
+          let exec p = Campaign.execute protocol inst ~x_dealer:7 p in
+          let honest = exec (Program.make ~seed:0 []) in
+          List.iter
+            (fun z ->
+              if not (Nodeset.is_empty z || Nodeset.mem inst.receiver z)
+              then begin
+                let r = exec (Program.uniform ~seed:0 z Program.Honest []) in
+                let label =
+                  Printf.sprintf "%s %s %s" name
+                    (Campaign.protocol_to_string protocol)
+                    (Nodeset.to_string z)
+                in
+                check (label ^ ": verdict") true
+                  (Campaign.verdict_equal honest.Campaign.verdict
+                     r.Campaign.verdict);
+                Alcotest.(check int) (label ^ ": messages")
+                  honest.Campaign.messages r.Campaign.messages
+              end)
+            (Instance.corruption_sets inst))
+        Campaign.protocols)
+    (repo_instances ())
+
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -466,6 +499,8 @@ let () =
           Alcotest.test_case "acceptance over instances/" `Quick
             test_campaign_acceptance;
           Alcotest.test_case "deterministic" `Quick test_campaign_deterministic;
+          Alcotest.test_case "honest mimic changes nothing" `Quick
+            test_mimic_equivalence;
         ] );
       ( "shrink",
         [

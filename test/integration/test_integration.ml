@@ -234,6 +234,13 @@ let test_cli_smoke () =
     [ "--topology warp:9"; "--topology grid:3xq"; "--adversary thr:z";
       "--topology cycle:-3"; "--topology cycle:0"; "--knowledge radius:-1";
       "--topology random:6:x"; "--adversary rand:-1:2" ];
+  (* so is a [sim] probability outside [0, 1] *)
+  List.iter
+    (fun flag ->
+      Alcotest.(check int) ("bad spec fails: sim " ^ flag) 124
+        (run ("sim --topology layered:3x2 --receiver 7 --schedules 1 " ^ flag)))
+    [ "--late 3.5"; "--late=-0.1"; "--late nan"; "--loss 1.5"; "--loss=-1";
+      "--loss nan" ];
   (* a bad --strategy or --corrupt is a usage error, not a silent
      fallback or an uncaught exception *)
   let run_pka args =

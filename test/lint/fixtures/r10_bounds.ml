@@ -1,8 +1,8 @@
 (* Send-bound shapes the protocol model must classify, pinned by
    test/lint/test_model_bounds.ml: recursion without sends stays free,
    any send on a call cycle makes the whole cycle (and its callers)
-   unbounded, a shadowing binding is a function of its own and the one
-   later calls reach, a nested
+   unbounded, a shadowing binding (top-level or local) is a function of
+   its own and the one later calls reach, a nested
    helper lends its bound to the step that calls it, and a closure
    counts only where it runs.  Every bound here is
    deliberate, so no finding fires. *)
@@ -46,6 +46,13 @@ let quiet v = { dst = v; payload = Ping v } :: quiet v
 let f (_ : int) : msg send list = []
 let f v = { dst = v; payload = Ping v } :: f v
 let g v = f v
+
+(* The same inside a function: the last [h] is the one with a send,
+   and its own [h v] calls the silent first one. *)
+let nested v =
+  let h (_ : int) : msg send list = [] in
+  let h v = { dst = v; payload = Ping v } :: h v in
+  h v
 
 (* Closures built but not run here.  [wrap] only stores its argument
    inside a closure it does not apply, so neither [wrap], nor [table]

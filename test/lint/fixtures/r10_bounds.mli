@@ -19,6 +19,7 @@ val kick : int -> msg send list
 val quiet : int -> msg send list
 val f : int -> msg send list
 val g : int -> msg send list
+val nested : int -> msg send list
 type 'a row = { run : int -> 'a }
 
 val wrap : (int -> 'a) -> 'a row

@@ -73,7 +73,8 @@ let () =
         fail "%s: expected 1, got %s" name
           (Model.bound_to_string h.Model.h_bound)
       | None -> fail "%s: expected 1, got no send helper" name)
-    [ "R10_bounds.quiet"; "R10_bounds.f"; "R10_bounds.g" ];
+    [ "R10_bounds.quiet"; "R10_bounds.f"; "R10_bounds.g";
+      "R10_bounds.nested" ];
   (match Model.find model "R10_bounds.automaton" with
    | None -> fail "R10_bounds.automaton: no automaton extracted"
    | Some p ->

@@ -1738,6 +1738,18 @@ let lint () =
 
 let boundary_instance_path = "test/protocols/fixtures/boundary.rmt"
 
+(* delay 2, 2 drops: inside Envelope.default (delay 3, 2 drops) *)
+let envelope_params =
+  {
+    Rmt_sim.Policy.delay_bound = 2;
+    p_late = 0.1;
+    p_reorder = 0.2;
+    key_bound = 4;
+    p_dup = 0.05;
+    p_drop = 0.02;
+    drop_budget = 2;
+  }
+
 let certified () =
   section
     "CERTIFIED — echo/vote certification: overhead vs raw protocols, \
@@ -1752,15 +1764,29 @@ let certified () =
   let pairs =
     Campaign.[ ("pka", Pka, Cert_pka); ("ppa", Ppa, Cert_ppa) ]
   in
+  (* cert/envelope/<p>: the certified tier where it is meant to run, on
+     the simulator under a seeded scheduler that delays, reorders,
+     duplicates and drops inside its envelope; a policy is single-run,
+     so every run builds a fresh one from the same seed *)
+  if
+    not
+      (Rmt_sim.Envelope_check.params_within envelope_params
+         Rmt_protocols.Envelope.default)
+  then failwith "certified: envelope_params outside Envelope.default";
+  let engine () = Campaign.engine_runner in
+  let sync () = Rmt_sim.Sim_exec.runner ~policy:Rmt_sim.Policy.sync in
+  let envelope () =
+    Rmt_sim.Sim_exec.runner
+      ~policy:(Rmt_sim.Policy.random (Prng.create 7) envelope_params)
+  in
   let cases =
     List.concat_map
       (fun (pname, raw, cert) ->
         [
-          ("cert/raw/" ^ pname, Campaign.engine_runner, raw);
-          ("cert/engine/" ^ pname, Campaign.engine_runner, cert);
-          ( "cert/sync/" ^ pname,
-            Rmt_sim.Sim_exec.runner ~policy:Rmt_sim.Policy.sync,
-            cert );
+          ("cert/raw/" ^ pname, engine, raw);
+          ("cert/engine/" ^ pname, engine, cert);
+          ("cert/sync/" ^ pname, sync, cert);
+          ("cert/envelope/" ^ pname, envelope, cert);
         ])
       pairs
   in
@@ -1769,12 +1795,14 @@ let certified () =
       (fun (name, runner, protocol) ->
         Test.make ~name
           (Staged.stage (fun () ->
-               Campaign.execute ~runner protocol inst ~x_dealer:5 program)))
+               Campaign.execute ~runner:(runner ()) protocol inst ~x_dealer:5
+                 program)))
       cases
   in
   (* messages and bits per run sit beside the time: both are
      deterministic, so one observed execution per row gives them *)
-  let traffic (name, (runner : Campaign.runner), protocol) =
+  let traffic (name, runner, protocol) =
+    let runner : Campaign.runner = runner () in
     let fields = ref [] in
     let observed =
       {

@@ -1,45 +1,60 @@
 (* splitmix64: tiny, fast, and high-quality enough for workload generation.
    Reference: Steele, Lea, Flood, "Fast splittable pseudorandom number
-   generators", OOPSLA 2014. *)
+   generators", OOPSLA 2014.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives unboxed in 8 bytes: a [mutable int64] field
+   would box a fresh state on every draw. *)
+
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
             0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
             0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  set t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden;
-  mix t.state
+let create seed = of_state (mix (Int64.of_int seed))
 
-let split t =
-  let s = bits64 t in
-  { state = mix (Int64.add s golden) }
+let[@inline] bits64 t =
+  let s = Int64.add (get t 0) golden in
+  set t 0 s;
+  mix s
+
+let split t = of_state (mix (Int64.add (bits64 t) golden))
+
+(* Rejection sampling over the top 62 bits to avoid modulo bias; a
+   top-level loop, so a draw allocates no closure. *)
+let rec draw t bound =
+  let r = Int64.to_int (bits64 t) land max_int in
+  let v = r mod bound in
+  if r - v + (bound - 1) >= 0 then v else draw t bound
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling over the top 62 bits to avoid modulo bias. *)
-  let mask = max_int in
-  let rec go () =
-    let r = Int64.to_int (bits64 t) land mask in
-    let v = r mod bound in
-    if r - v + (bound - 1) >= 0 then v else go ()
-  in
-  go ()
+  draw t bound
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let float t x =
+let[@inline] unit_float t =
   let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
-  let u = float_of_int r /. 9007199254740992.0 (* 2^53 *) in
-  u *. x
+  float_of_int r /. 9007199254740992.0 (* 2^53 *)
+
+let float t x = unit_float t *. x
+
+(* [u *. 1.0 = u], so this is [float t 1.0 < p] without returning a
+   boxed float *)
+let chance t p = unit_float t < p
 
 let pick t a =
   if Array.length a = 0 then invalid_arg "Prng.pick: empty array";
@@ -59,7 +74,7 @@ let shuffle t a =
   done
 
 let subset t s p =
-  Nodeset.filter (fun _ -> float t 1.0 < p) s
+  Nodeset.filter (fun _ -> chance t p) s
 
 let sample t s k =
   let elts = Nodeset.to_array s in

@@ -23,6 +23,11 @@ val bool : t -> bool
 val float : t -> float -> float
 (** [float t x] draws uniformly from [0, x). *)
 
+val chance : t -> float -> bool
+(** [chance t p] is a Bernoulli draw with probability [p]: it consumes
+    the same single draw as, and always equals, [float t 1.0 < p], but
+    returns no boxed float. *)
+
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.
     @raise Invalid_argument on an empty array. *)

@@ -81,7 +81,7 @@ let random_gnp rng n p =
   let g = ref (Graph.add_nodes (Nodeset.range 0 n) Graph.empty) in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if Prng.float rng 1.0 < p then g := Graph.add_edge i j !g
+      if Prng.chance rng p then g := Graph.add_edge i j !g
     done
   done;
   !g
@@ -117,7 +117,7 @@ let communities rng ~blocks ~size ~p_in ~p_out =
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       let p = if block i = block j then p_in else p_out in
-      if Prng.float rng 1.0 < p then g := Graph.add_edge i j !g
+      if Prng.chance rng p then g := Graph.add_edge i j !g
     done
   done;
   !g

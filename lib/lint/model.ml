@@ -161,6 +161,16 @@ let combine outer inner =
 let is_function e =
   match e.exp_desc with Texp_function _ -> true | _ -> false
 
+(* A closure that is stored runs later, not here: a function literal,
+   or an application whose result is itself a function (a partial
+   application such as [helper arg]). *)
+let is_closure e =
+  is_function e
+  ||
+  match (e.exp_desc, Types.get_desc e.exp_type) with
+  | Texp_apply _, Types.Tarrow _ -> true
+  | _ -> false
+
 let peel_some e =
   match e.exp_desc with
   | Texp_construct (_, cd, [ inner ])
@@ -251,7 +261,8 @@ type collector = {
    function lets, and closures handed to a callee, are extracted
    recursively into the shared scope and not walked inline, so their
    sends are attributed to them and reach callers only through call
-   sites.  A closure stored in a record, constructor or tuple is not
+   sites.  A closure stored in a record, constructor or tuple (a
+   function literal or a partial application, see [is_closure]) is not
    walked at all: the function that builds it does not run it.
    [enclosing] holds the parameters of the functions this one is nested
    in, so a reference to one of them marks that function as using its
@@ -437,7 +448,7 @@ let rec collect_fn col ?(enclosing = []) ~name ~line expr =
       sub.Tast_iterator.expr sub fn;
       walk_args sub args
     | _ -> default.expr sub e
-  and stored sub v = if not (is_function v) then sub.Tast_iterator.expr sub v
+  and stored sub v = if not (is_closure v) then sub.Tast_iterator.expr sub v
   (* A closure argument becomes a scope function of its own, called with
      unknown multiplicity; [via] names the callee it is handed to, which
      runs it only if that callee uses its parameters. *)

@@ -61,9 +61,12 @@ let sync_decision = { drop = false; delay = 1; key = 0; dup = None }
 (* ------------------------------------------------------------------ *)
 
 module Ledger = struct
+  (* [states] and [decision_rounds] are indexed by node id, like the
+     loop's inbox buffers; [states] is allocated at the first state
+     set, and a round of -1 means "not decided yet". *)
   type 's t = {
-    states : (int, 's) Hashtbl.t;
-    decision_rounds : (int, int) Hashtbl.t;
+    mutable states : 's array;
+    decision_rounds : int array;
     mutable messages : int;
     mutable bits : int;
     mutable per_round_rev : int list;
@@ -72,10 +75,10 @@ module Ledger = struct
     decision : 's -> int option;
   }
 
-  let create ~honest ~decision =
+  let create ~slots ~honest ~decision =
     {
-      states = Hashtbl.create 16;
-      decision_rounds = Hashtbl.create 16;
+      states = [||];
+      decision_rounds = Array.make slots (-1);
       messages = 0;
       bits = 0;
       per_round_rev = [];
@@ -84,22 +87,23 @@ module Ledger = struct
       decision;
     }
 
-  let set_state t v st = Hashtbl.replace t.states v st
-  let state t v = Hashtbl.find t.states v
+  let set_state t v st =
+    if Array.length t.states = 0 then
+      t.states <- Array.make (Array.length t.decision_rounds) st;
+    t.states.(v) <- st
 
+  (* only honest players have a state; any other id answers [None] *)
   let decision_map t v =
-    match Hashtbl.find_opt t.states v with
-    | None -> None
-    | Some st -> t.decision st
+    if Nodeset.mem v t.honest then t.decision t.states.(v) else None
 
   (* record [round] as the first-decision round of every honest player
      that has decided and was not already noted *)
   let note_decisions t round =
     Nodeset.iter
       (fun v ->
-        if not (Hashtbl.mem t.decision_rounds v) then
-          match t.decision (state t v) with
-          | Some _ -> Hashtbl.replace t.decision_rounds v round
+        if t.decision_rounds.(v) < 0 then
+          match t.decision t.states.(v) with
+          | Some _ -> t.decision_rounds.(v) <- round
           | None -> ())
       t.honest
 
@@ -109,10 +113,9 @@ module Ledger = struct
     t.per_round_rev <- delivered :: t.per_round_rev
 
   let finalize t ~rounds =
-    let decisions =
+    let per_node f =
       Nodeset.fold
-        (fun v acc ->
-          match decision_map t v with Some x -> (v, x) :: acc | None -> acc)
+        (fun v acc -> match f v with Some x -> (v, x) :: acc | None -> acc)
         t.honest []
       |> List.rev
     in
@@ -125,15 +128,12 @@ module Ledger = struct
           per_round = Array.of_list (List.rev t.per_round_rev);
           truncated = t.truncated;
         };
-      decisions;
+      decisions = per_node (decision_map t);
       decision_rounds =
-        Hashtbl.fold (fun v r acc -> (v, r) :: acc) t.decision_rounds []
-        |> List.sort (fun (v1, r1) (v2, r2) ->
-               let c = Int.compare v1 v2 in
-               if c <> 0 then c else Int.compare r1 r2);
-      states =
-        Nodeset.fold (fun v acc -> (v, state t v) :: acc) t.honest []
-        |> List.rev;
+        per_node (fun v ->
+            let r = t.decision_rounds.(v) in
+            if r < 0 then None else Some r);
+      states = per_node (fun v -> Some t.states.(v));
     }
 end
 
@@ -146,10 +146,25 @@ type 'm entry = { key : int; dst : int; msg : int * 'm }
 
 let by_key a b = Int.compare a.key b.key
 
+(* The decision contract: a delivered message is due 1..bound rounds
+   after its send, its duplicate 1..bound rounds after that, and its
+   key is >= 0, so the due ring below never wraps onto a live bucket. *)
+let breach ~who ~bound s what v =
+  invalid_arg
+    (Printf.sprintf "%s: message %d has %s %d outside the contract (bound %d)"
+       who s what v bound)
+
+let check_decision ~who ~bound s d =
+  if d.delay < 1 || d.delay > bound then breach ~who ~bound s "delay" d.delay;
+  if d.key < 0 then breach ~who ~bound s "key" d.key;
+  match d.dup with
+  | Some e when e < 1 || e > bound -> breach ~who ~bound s "dup" e
+  | _ -> ()
+
 let run ~who ~bound ~decide ?max_rounds ?(max_messages = 2_000_000)
-    ?(size_of = fun _ -> 1) ?(stop_when = fun _ -> false)
-    ?(on_deliver = fun ~round:_ ~src:_ ~dst:_ _ -> ()) ~graph ~adversary
-    automaton =
+    ?(size_of = fun _ -> 1) ?(stop_when = fun _ -> false) ?on_deliver ~graph
+    ~adversary automaton =
+  if bound < 1 then invalid_arg (who ^ ": bound must be >= 1");
   let nodes = Graph.nodes graph in
   let corrupted = adversary.corrupted in
   if not (Nodeset.subset corrupted nodes) then
@@ -163,72 +178,74 @@ let run ~who ~bound ~decide ?max_rounds ?(max_messages = 2_000_000)
          converge *)
       ((4 * Graph.num_nodes graph) + 8) * bound
   in
-  let ledger = Ledger.create ~honest ~decision:automaton.decision in
-  (* per-destination inbox buffers, indexed by node id like the graph's
-     own adjacency array *)
-  let slots =
-    match Nodeset.max_elt_opt nodes with Some m -> m + 1 | None -> 0
-  in
+  (* per-destination buffers, indexed by node id like the graph's own
+     adjacency array: key-0 messages go straight into [inbox_buf],
+     keyed entries wait in [keyed_buf] *)
+  let slots = Option.fold ~none:0 ~some:succ (Nodeset.max_elt_opt nodes) in
+  let ledger = Ledger.create ~slots ~honest ~decision:automaton.decision in
   let inbox_buf = Array.make slots [] in
-  let keyed = Array.make slots false in
-  (* due-round queue: round -> entries in reverse scheduling order.
-     Most sends of a round share one due round, so the last bucket
-     touched is kept at hand; it is forgotten when its round is
-     drained. *)
-  let due = Hashtbl.create 16 in
-  let last_due = ref (-1) and last_bucket = ref (ref []) in
-  let pending = ref 0 in
-  let seq = ref 0 in
+  let keyed_buf = Array.make slots [] in
+  (* due-round ring: a delivery is due at most [delay + dup <= 2 * bound]
+     rounds ahead, so bucket [r mod (2 * bound + 1)] holds exactly the
+     entries due at round [r], in reverse scheduling order *)
+  let ring = Array.make ((2 * bound) + 1) [] in
+  let pending = ref 0 and seq = ref 0 in
   let schedule_at t entry =
-    if t <> !last_due then begin
-      last_bucket :=
-        (match Hashtbl.find_opt due t with
-         | Some l -> l
-         | None ->
-           let l = ref [] in
-           Hashtbl.add due t l;
-           l);
-      last_due := t
-    end;
-    !last_bucket := entry :: !(!last_bucket);
+    let i = t mod Array.length ring in
+    ring.(i) <- entry :: ring.(i);
     incr pending
   in
-  let enqueue ~is_honest ~round src sends =
-    List.iter
-      (fun { dst; payload } ->
-        if Graph.mem_edge src dst graph then begin
-          let s = !seq in
-          incr seq;
-          let d = decide ~seq:s ~round ~src ~dst in
-          if not d.drop then begin
-            let e = { key = d.key; dst; msg = (src, payload) } in
-            schedule_at (round + d.delay) e;
-            match d.dup with
-            | Some extra -> schedule_at (round + d.delay + extra) e
-            | None -> ()
-          end
+  let rec enqueue ~is_honest ~round src = function
+    | [] -> ()
+    | { dst; payload } :: rest ->
+      if Graph.mem_edge src dst graph then begin
+        let s = !seq in
+        incr seq;
+        let d = decide ~seq:s ~round ~src ~dst in
+        if not d.drop then begin
+          check_decision ~who ~bound s d;
+          let e = { key = d.key; dst; msg = (src, payload) } in
+          schedule_at (round + d.delay) e;
+          match d.dup with
+          | Some extra -> schedule_at (round + d.delay + extra) e
+          | None -> ()
         end
-        else if is_honest then
-          invalid_arg
-            (Printf.sprintf "%s: honest node %d sent to non-neighbor %d" who
-               src dst))
-      sends
+      end
+      else if is_honest then
+        invalid_arg
+          (Printf.sprintf "%s: honest node %d sent to non-neighbor %d" who
+             src dst);
+      enqueue ~is_honest ~round src rest
   in
-  (* A bucket filled in scheduling order is in [seq] order (a duplicate
-     copy never shares a round with its original), so a stable sort by
-     [key] alone yields the (key, seq) order, and only inboxes holding a
-     non-zero key need sorting at all. *)
-  let take_inbox v =
+  (* Reverse scheduling order in, scheduling order out.  A bucket filled
+     in scheduling order is in [seq] order (a duplicate copy never shares
+     a round with its original), so each destination's key-0 messages
+     arrive in [seq] order and a stable sort of its keyed entries by
+     [key] alone, appended after them, yields the (key, seq) order. *)
+  let rec drain delivered bits = function
+    | [] ->
+      pending := !pending - delivered;
+      Ledger.count_round ledger ~delivered ~bits
+    | e :: rest ->
+      let v = e.dst in
+      if e.key = 0 then inbox_buf.(v) <- e.msg :: inbox_buf.(v)
+      else keyed_buf.(v) <- e :: keyed_buf.(v);
+      drain (delivered + 1) (bits + size_of (snd e.msg)) rest
+  in
+  let take_inbox ~round v =
     let l = inbox_buf.(v) in
     inbox_buf.(v) <- [];
-    let l =
-      if keyed.(v) then begin
-        keyed.(v) <- false;
-        List.stable_sort by_key l
-      end
-      else l
+    let inbox =
+      match keyed_buf.(v) with
+      | [] -> l
+      | k ->
+        keyed_buf.(v) <- [];
+        l @ List.map (fun e -> e.msg) (List.stable_sort by_key k)
     in
-    List.map (fun e -> e.msg) l
+    (match on_deliver with
+     | None -> ()
+     | Some f -> List.iter (fun (src, p) -> f ~round ~src ~dst:v p) inbox);
+    inbox
   in
   (* round 0: initialization *)
   Nodeset.iter
@@ -254,38 +271,21 @@ let run ~who ~bound ~decide ?max_rounds ?(max_messages = 2_000_000)
     if ledger.messages + !pending > max_messages then ledger.truncated <- true
     else begin
       let round = !rounds in
-      let delivered = ref 0 and bits = ref 0 in
-      (match Hashtbl.find_opt due round with
-       | None -> ()
-       | Some l ->
-         Hashtbl.remove due round;
-         last_due := -1;
-         (* reverse scheduling order in, scheduling order out *)
-         List.iter
-           (fun e ->
-             incr delivered;
-             bits := !bits + size_of (snd e.msg);
-             inbox_buf.(e.dst) <- e :: inbox_buf.(e.dst);
-             if e.key <> 0 then keyed.(e.dst) <- true)
-           !l);
-      pending := !pending - !delivered;
-      Ledger.count_round ledger ~delivered:!delivered ~bits:!bits;
+      let i = round mod Array.length ring in
+      drain 0 0 ring.(i);
+      ring.(i) <- [];
       Nodeset.iter
         (fun v ->
-          let inbox = take_inbox v in
-          List.iter (fun (src, p) -> on_deliver ~round ~src ~dst:v p) inbox;
-          if inbox <> [] || round = 1 then begin
-            let st, sends =
-              automaton.step v (Ledger.state ledger v) ~round ~inbox
-            in
+          match take_inbox ~round v with
+          | [] when round <> 1 -> ()
+          | inbox ->
+            let st, sends = automaton.step v ledger.states.(v) ~round ~inbox in
             Ledger.set_state ledger v st;
-            enqueue ~is_honest:true ~round v sends
-          end)
+            enqueue ~is_honest:true ~round v sends)
         honest;
       Nodeset.iter
         (fun v ->
-          let inbox = take_inbox v in
-          List.iter (fun (src, p) -> on_deliver ~round ~src ~dst:v p) inbox;
+          let inbox = take_inbox ~round v in
           enqueue ~is_honest:false ~round v (adversary.act v ~round ~inbox))
         corrupted;
       Ledger.note_decisions ledger round;

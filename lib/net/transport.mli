@@ -22,6 +22,9 @@
       its destination's round-[r+d] inbox; each inbox is ordered by
       [(key, seq)], so all-zero keys give the send-ordered FIFO of
       synchronous rounds.
+    - {b Decision contract}: [bound >= 1], and every delivered (not
+      dropped) decision has [delay] and [dup] in [1..bound] and
+      [key >= 0]; {!run} raises [Invalid_argument] otherwise.
     - {b Send batching}: sends are buffered during a round and
       exchanged only at the round boundary; no mid-round delivery.
     - {b Trace hooks}: [on_deliver] fires once per delivered message,
@@ -100,16 +103,21 @@ val run :
   adversary:'m strategy ->
   ('s, 'm) automaton ->
   ('s, 'm) outcome
-(** Executes rounds until [stop_when] (given the current decision map)
-    holds, [max_rounds] elapses (default [(4 * num_nodes) + 8], scaled by
-    [bound], the largest delay [decide] may return), the run is
+(** Executes rounds until [stop_when] (given the current decision map,
+    which answers [None] for any id that is not an honest player) holds,
+    [max_rounds] elapses (default [(4 * num_nodes) + 8], scaled by
+    [bound]), the run is
     quiescent (nothing queued and no corrupted node), or the delivered
     plus queued messages exceed [max_messages] (default 2,000,000; the
     outcome is then marked truncated).
 
     [decide] is called once per send on an existing channel, in
-    sequence-number order.  Honest sends to non-neighbors raise
+    sequence-number order.  [bound] is the largest delay it may return
+    and the largest duplicate gap: a decision that is not dropped must
+    have [1 <= delay <= bound], [key >= 0] and, if [dup = Some e],
+    [1 <= e <= bound].  Honest sends to non-neighbors raise
     [Invalid_argument] prefixed by [who]; adversarial ones are dropped
     before they get a sequence number.  @raise Invalid_argument also
-    ([who]-prefixed) when a corrupted node id is not a node of the
+    ([who]-prefixed) when [bound < 1], when a decision breaks the
+    contract above, or when a corrupted node id is not a node of the
     graph. *)

@@ -56,27 +56,26 @@ let random rng params =
   (* closure state, not module state: one policy drives one run *)
   let drops_left = ref params.drop_budget in
   let decide ~seq:_ ~round:_ ~src:_ ~dst:_ =
-    if !drops_left > 0 && Prng.float rng 1.0 < params.p_drop then begin
+    if !drops_left > 0 && Prng.chance rng params.p_drop then begin
       decr drops_left;
       Schedule.drop_decision
     end
     else begin
       let delay =
-        if params.delay_bound > 1 && Prng.float rng 1.0 < params.p_late then
+        if params.delay_bound > 1 && Prng.chance rng params.p_late then
           2 + Prng.int rng (params.delay_bound - 1)
         else 1
       in
       let key =
-        if params.key_bound > 0 && Prng.float rng 1.0 < params.p_reorder then
+        if params.key_bound > 0 && Prng.chance rng params.p_reorder then
           1 + Prng.int rng params.key_bound
         else 0
       in
-      let dup =
-        if Prng.float rng 1.0 < params.p_dup then
-          Some (1 + Prng.int rng params.delay_bound)
-        else None
-      in
-      { Schedule.drop = false; delay; key; dup }
+      if Prng.chance rng params.p_dup then
+        let dup = Some (1 + Prng.int rng params.delay_bound) in
+        { Schedule.drop = false; delay; key; dup }
+      else if delay = 1 && key = 0 then Schedule.sync_decision
+      else { Schedule.drop = false; delay; key; dup = None }
     end
   in
   { bound = params.delay_bound; decide }

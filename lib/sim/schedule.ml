@@ -9,7 +9,8 @@ let sync_decision = Rmt_net.Transport.sync_decision
 let drop_decision = { drop = true; delay = 1; key = 0; dup = None }
 
 let decision_is_sync d =
-  (not d.drop) && d.delay = 1 && d.key = 0 && d.dup = None
+  (not d.drop) && d.delay = 1 && d.key = 0
+  && match d.dup with None -> true | Some _ -> false
 
 let decision_equal a b =
   a.drop = b.drop && a.delay = b.delay && a.key = b.key

@@ -359,6 +359,93 @@ let test_prng_pick () =
     (Invalid_argument "Prng.pick: empty array") (fun () ->
       ignore (Prng.pick rng [||]))
 
+(* Known answers: the first draws of each seeded stream, pinned so a
+   change to the generator's representation cannot move any seeded
+   program, schedule or golden.  [int] is drawn with bound 1e9+7 and
+   [max_int] (the rejection loop's top 62 bits), [float] with x = 1.0
+   (hex literals, exact), [bool] eight times, and a [split] child
+   three times, each from a fresh generator; [after split] is the
+   parent's next [int] draw. *)
+type known_answer = {
+  seed : int;
+  ints : int list;
+  top : int;
+  floats : float list;
+  bools : bool list;
+  child : int list;
+  after_split : int;
+}
+
+let known_answers =
+  [
+    {
+      seed = 0;
+      ints = [ 162391415; 326764436; 58226567; 976505688 ];
+      top = 2459150361376443823;
+      floats = [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2 ];
+      bools = [ true; false; true; false; true; false; true; false ];
+      child = [ 659093636; 49209919; 184908166 ];
+      after_split = 326764436;
+    };
+    {
+      seed = 1;
+      ints = [ 941333156; 352957867; 116884567; 138487741 ];
+      top = 4607041891190626162;
+      floats = [ 0x1.7fdf0061bb85ap-1; 0x1.7d54b3920bcaap-2 ];
+      bools = [ false; true; true; false; true; false; false; false ];
+      child = [ 913321515; 804050828; 588050450 ];
+      after_split = 352957867;
+    };
+    {
+      seed = 2016;
+      ints = [ 302901559; 768853169; 47114919; 468783059 ];
+      top = 3575134497328842863;
+      floats = [ 0x1.633adbc4530f9p-1; 0x1.3f6941b8f1512p-1 ];
+      bools = [ true; false; false; false; false; true; false; false ];
+      child = [ 71254908; 828290173; 858941105 ];
+      after_split = 768853169;
+    };
+  ]
+
+let test_prng_known_answers () =
+  List.iter
+    (fun k ->
+      let label what = Printf.sprintf "seed %d: %s" k.seed what in
+      let draws n f =
+        let t = Prng.create k.seed in
+        List.init n (fun _ -> f t)
+      in
+      Alcotest.(check (list int)) (label "int") k.ints
+        (draws 4 (fun t -> Prng.int t 1_000_000_007));
+      check_int (label "int max_int") k.top
+        (Prng.int (Prng.create k.seed) max_int);
+      Alcotest.(check (list (float 0.0))) (label "float") k.floats
+        (draws 2 (fun t -> Prng.float t 1.0));
+      Alcotest.(check (list bool)) (label "bool") k.bools (draws 8 Prng.bool);
+      let parent = Prng.create k.seed in
+      let child = Prng.split parent in
+      Alcotest.(check (list int)) (label "split child") k.child
+        (List.init 3 (fun _ -> Prng.int child 1_000_000_007));
+      check_int (label "after split") k.after_split
+        (Prng.int parent 1_000_000_007))
+    known_answers
+
+(* [chance t p] is [float t 1.0 < p] on the same stream: twin
+   generators stay in lockstep draw for draw, edge probabilities
+   included. *)
+let test_prng_chance () =
+  List.iter
+    (fun seed ->
+      let a = Prng.create seed and b = Prng.create seed in
+      let ps = [| 0.0; 1e-300; 0.02; 0.25; 0.5; 0.999; 1.0; 1.5; -0.5 |] in
+      for i = 0 to 999 do
+        let p = ps.(i mod Array.length ps) in
+        if Prng.chance a p <> (Prng.float b 1.0 < p) then
+          Alcotest.failf "seed %d draw %d p %h: chance disagrees" seed i p
+      done;
+      check_int "streams still in lockstep" (Prng.int b 1000) (Prng.int a 1000))
+    [ 0; 1; 2016 ]
+
 (* ------------------------------------------------------------------ *)
 (* Util                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -439,6 +526,8 @@ let () =
           Alcotest.test_case "sample" `Quick test_prng_sample;
           Alcotest.test_case "subset" `Quick test_prng_subset;
           Alcotest.test_case "pick" `Quick test_prng_pick;
+          Alcotest.test_case "known answers" `Quick test_prng_known_answers;
+          Alcotest.test_case "chance = float < p" `Quick test_prng_chance;
         ] );
       ( "util",
         [

@@ -63,6 +63,12 @@ type 'a row = { run : int -> 'a }
 let wrap decide = { run = (fun v -> decide v) }
 let table () = wrap (fun v -> spam v 3)
 let row () = { run = (fun v -> spam v 2) }
+
+(* A stored partial application is a closure too: [partial] stores
+   [spam 3] without running it, so it sends nothing, while [eager]
+   stores the list a full application of [spam] returns. *)
+let partial () = { run = spam 3 }
+let eager v = (spam v 1, 0)
 let apply f = f 1
 let runs () = apply (fun v -> spam v 1)
 

@@ -25,6 +25,8 @@ type 'a row = { run : int -> 'a }
 val wrap : (int -> 'a) -> 'a row
 val table : unit -> msg send list row
 val row : unit -> msg send list row
+val partial : unit -> msg send list row
+val eager : int -> msg send list * int
 val apply : (int -> 'a) -> 'a
 val runs : unit -> msg send list
 val automaton : unit -> (st, msg) automaton

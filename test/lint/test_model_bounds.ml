@@ -57,13 +57,14 @@ let constant k =
     }
 
 let () =
-  (* send-free recursion; closures built or stored but never run *)
+  (* send-free recursion; closures (literals or partial applications)
+     built or stored but never run *)
   List.iter expect_free
     [ "R10_bounds.count_down"; "R10_bounds.wrap"; "R10_bounds.table";
-      "R10_bounds.row" ];
+      "R10_bounds.row"; "R10_bounds.partial" ];
   List.iter expect_unbounded
     [ "R10_bounds.spam"; "R10_bounds.ping"; "R10_bounds.pong";
-      "R10_bounds.kick"; "R10_bounds.runs" ];
+      "R10_bounds.kick"; "R10_bounds.runs"; "R10_bounds.eager" ];
   (* the shadowing [quiet] and [f], and [g], which calls the second [f] *)
   List.iter
     (fun name ->

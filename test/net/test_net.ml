@@ -255,6 +255,81 @@ let test_trace_records () =
     (String.length elided < String.length rendered)
 
 (* ------------------------------------------------------------------ *)
+(* Transport.run's decision contract                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One edge 0 - 1; node 0 sends one message at round 0 and node 1
+   decides on the first value it hears. *)
+let one_edge = Graph.of_edges [ (0, 1) ]
+
+let one_send =
+  Engine.
+    {
+      init =
+        (fun v -> (None, if v = 0 then [ { dst = 1; payload = 5 } ] else []));
+      step =
+        (fun _ st ~round:_ ~inbox ->
+          match (st, inbox) with
+          | None, (_, x) :: _ -> (Some x, [])
+          | _ -> (st, []));
+      decision = Fun.id;
+    }
+
+let probe ~bound d =
+  Transport.run ~who:"Probe" ~bound
+    ~decide:(fun ~seq:_ ~round:_ ~src:_ ~dst:_ -> d)
+    ~graph:one_edge ~adversary:Engine.no_adversary one_send
+
+let test_decision_contract () =
+  let d ?(delay = 1) ?(key = 0) ?dup () =
+    { Transport.drop = false; delay; key; dup }
+  in
+  let rejected label ~bound dec =
+    match probe ~bound dec with
+    | _ -> Alcotest.failf "%s: accepted" label
+    | exception Invalid_argument m ->
+      check (label ^ ": who-prefixed") true
+        (String.starts_with ~prefix:"Probe: " m)
+  in
+  rejected "bound 0" ~bound:0 Transport.sync_decision;
+  rejected "delay 0 (used to strand the message)" ~bound:1 (d ~delay:0 ());
+  rejected "delay 5 under bound 1" ~bound:1 (d ~delay:5 ());
+  rejected "key -3" ~bound:1 (d ~key:(-3) ());
+  rejected "dup 0" ~bound:2 (d ~dup:0 ());
+  rejected "dup 3 under bound 2" ~bound:2 (d ~dup:3 ());
+  (* the edges of the contract are accepted: the first copy lands at
+     round [delay], the duplicate [dup] rounds later, whatever the key *)
+  let o = probe ~bound:2 (d ~delay:2 ~key:max_int ~dup:2 ()) in
+  Alcotest.(check (list (pair int int))) "decided at round 2" [ (1, 2) ]
+    o.decision_rounds;
+  check_int "both copies delivered" 2 o.stats.messages;
+  Alcotest.(check (list int)) "per round" [ 0; 0; 1; 0; 1 ]
+    (Array.to_list o.stats.per_round);
+  (* a dropped message's other fields are never read *)
+  let o = probe ~bound:1 { (d ~delay:0 ~key:(-1) ()) with drop = true } in
+  check_int "dropped" 0 o.stats.messages
+
+(* stop_when's decision map: only honest players answer *)
+let test_stop_when_map () =
+  let g = Generators.path_graph 3 in
+  let seen = ref [] in
+  let outcome =
+    Engine.run ~max_rounds:4 ~graph:g ~adversary:(Byzantine.silent (ns [ 2 ]))
+      ~stop_when:(fun dec ->
+        seen := List.map dec [ -1; 0; 1; 2; 3; 99 ] :: !seen;
+        false)
+      (gossip_automaton g ~origin:0 ~value:6)
+  in
+  check_int "node 1 decided" 1 (List.length (List.tl outcome.decisions));
+  List.iter
+    (fun row ->
+      Alcotest.(check (list (option int))) "None off the honest set"
+        [ None; Some 6; List.nth row 2; None; None; None ] row)
+    !seen;
+  check "node 1 seen deciding" true
+    (List.exists (fun row -> List.nth row 2 = Some 6) !seen)
+
+(* ------------------------------------------------------------------ *)
 (* Flood                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -305,6 +380,8 @@ let () =
           Alcotest.test_case "stats per round" `Quick test_stats_per_round;
           Alcotest.test_case "deterministic" `Quick test_engine_deterministic;
           Alcotest.test_case "trace" `Quick test_trace_records;
+          Alcotest.test_case "decision contract" `Quick test_decision_contract;
+          Alcotest.test_case "stop_when decision map" `Quick test_stop_when_map;
         ] );
       ( "byzantine",
         [

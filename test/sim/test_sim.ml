@@ -239,6 +239,161 @@ let test_inbox_order_oracle () =
       ])
 
 (* ------------------------------------------------------------------ *)
+(* Inbox order against a reference model                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Four random inputs: a small graph, a bound, a schedule under that
+   bound (delays, duplicates, drops, keys up to [max_int]) and a logging
+   automaton given by its send table: at round [r] (0 is [init]) node
+   [v] sends payload [(r, i)] to the [i]-th destination of
+   [table (v, r)], and every step logs its [(round, inbox)]. *)
+type order_case = {
+  graph : Rmt_graph.Graph.t;
+  sched : Schedule.t;
+  table : ((int * int) * int list) list;
+}
+
+let gen_order_case st =
+  let open QCheck.Gen in
+  let n = 2 + int_bound 4 st in
+  let ids = List.init n Fun.id in
+  let edges =
+    List.concat_map
+      (fun i ->
+        List.filter_map
+          (fun j ->
+            if j > i && ((i = 0 && j = 1) || bool st) then Some (i, j) else None)
+          ids)
+      ids
+  in
+  let graph = Rmt_graph.Graph.of_nodes_edges (Nodeset.of_list ids) edges in
+  let bound = 1 + int_bound 3 st in
+  let table =
+    List.concat_map
+      (fun v ->
+        let nbrs = Nodeset.to_array (Rmt_graph.Graph.neighbors v graph) in
+        let pick () = nbrs.(int_bound (Array.length nbrs - 1) st) in
+        List.init 3 (fun r ->
+            ( (v, r),
+              if Array.length nbrs = 0 then []
+              else List.init (int_bound 3 st) (fun _ -> pick ()) )))
+      ids
+  in
+  let keys = [| 0; 0; 0; 1; 2; 3; 1 lsl 40; max_int |] in
+  let upto b = 1 + int_bound (b - 1) st in
+  let decision () =
+    if int_bound 4 st = 0 then Schedule.drop_decision
+    else
+      {
+        Schedule.drop = false;
+        delay = upto bound;
+        key = keys.(int_bound (Array.length keys - 1) st);
+        dup = (if int_bound 2 st = 0 then Some (upto bound) else None);
+      }
+  in
+  let entries =
+    List.filter_map
+      (fun s -> if bool st then Some (s, decision ()) else None)
+      (List.init 60 Fun.id)
+  in
+  { graph; sched = Schedule.make ~bound entries; table }
+
+let print_order_case c =
+  Format.asprintf "%s@.%a@.sends %s"
+    (Rmt_graph.Graph.to_string c.graph)
+    Schedule.pp c.sched
+    (String.concat "; "
+       (List.map
+          (fun ((v, r), ds) ->
+            Printf.sprintf "%d@%d->[%s]" v r
+              (String.concat "," (List.map string_of_int ds)))
+          c.table))
+
+let print_logs logs =
+  let msg (src, (r, i)) = Printf.sprintf "%d:(%d,%d)" src r i in
+  let step (r, inbox) =
+    Printf.sprintf "r%d %s" r (String.concat " " (List.map msg inbox))
+  in
+  String.concat "\n"
+    (List.map
+       (fun (v, log) ->
+         Printf.sprintf "%d: %s" v (String.concat " | " (List.map step log)))
+       logs)
+
+let dests c v r = Option.value ~default:[] (List.assoc_opt (v, r) c.table)
+
+let logging_automaton c =
+  let sends v r =
+    List.mapi
+      (fun i dst -> { Rmt_net.Engine.dst; payload = (r, i) })
+      (dests c v r)
+  in
+  {
+    Rmt_net.Engine.init = (fun v -> ([], sends v 0));
+    step = (fun v log ~round ~inbox -> ((round, inbox) :: log, sends v round));
+    decision = (fun _ -> None);
+  }
+
+(* The model: every send numbered in loop order (nodes in id order, each
+   node's sends in emission order), every surviving copy due at
+   [round + delay] (and [+ dup]), each round's inboxes read off the
+   deliveries due that round sorted by (key, seq); rounds run while a
+   copy is in flight, and a node steps at round 1 and whenever its inbox
+   is non-empty. *)
+let reference_logs c =
+  let nodes = Nodeset.elements (Rmt_graph.Graph.nodes c.graph) in
+  let queue = ref [] and seq = ref 0 in
+  let logs = Array.make (List.length nodes) [] in
+  let emit round v =
+    List.iteri
+      (fun i dst ->
+        let s = !seq in
+        incr seq;
+        let d = Schedule.decision_for c.sched s in
+        let add due = queue := (due, d.key, s, dst, (v, (round, i))) :: !queue in
+        if not d.drop then begin
+          add (round + d.delay);
+          Option.iter (fun e -> add (round + d.delay + e)) d.dup
+        end)
+      (dests c v round)
+  in
+  List.iter (emit 0) nodes;
+  let round = ref 1 in
+  while !queue <> [] do
+    let r = !round in
+    let due, later = List.partition (fun (t, _, _, _, _) -> t = r) !queue in
+    queue := later;
+    let due = List.sort compare due in
+    List.iter
+      (fun v ->
+        let inbox =
+          List.filter_map
+            (fun (_, _, _, dst, m) -> if dst = v then Some m else None)
+            due
+        in
+        if inbox <> [] || r = 1 then begin
+          logs.(v) <- (r, inbox) :: logs.(v);
+          emit r v
+        end)
+      nodes;
+    incr round
+  done;
+  List.map (fun v -> (v, logs.(v))) nodes
+
+let test_inbox_order_model =
+  QCheck.Test.make ~count:300 ~name:"inbox order = (due round, key, seq) model"
+    (QCheck.make ~print:print_order_case gen_order_case)
+    (fun c ->
+      let outcome =
+        Sim.run ~policy:(Policy.of_schedule c.sched) ~graph:c.graph
+          ~adversary:Rmt_net.Engine.no_adversary (logging_automaton c)
+      in
+      let model = reference_logs c in
+      outcome.states = model
+      || QCheck.Test.fail_reportf "loop:\n%s\nmodel:\n%s"
+           (print_logs outcome.states) (print_logs model))
+
+(* ------------------------------------------------------------------ *)
 (* Sync-equivalence: bound-1 FIFO simulation == synchronous engine     *)
 (* ------------------------------------------------------------------ *)
 
@@ -595,6 +750,7 @@ let () =
             test_policy_replay_matches_recording;
           Alcotest.test_case "inbox order oracle" `Quick
             test_inbox_order_oracle;
+          qt test_inbox_order_model;
         ] );
       ( "sync-equivalence",
         [

@@ -140,15 +140,21 @@ service-smoke:
 # Regenerate every gated record and compare it against the committed
 # baseline; which rows are gated, and at what ratio, is the table in
 # bench/check_regression.ml.  All five comparisons run; any failure fails.
+# The baseline and the regenerated candidate are kept under _build/, and
+# the committed record is put back whatever the run's exit status, so the
+# tree stays clean and a second run gates against the same baseline.
 BENCH_GATED = core lint sim net certified
 
 bench-check:
 	dune build @check
 	fail=0; for s in $(BENCH_GATED); do \
-	  cp BENCH_$$s.json /tmp/rmt_bench_$${s}_baseline.json; \
-	  dune exec bench/main.exe -- $$s --json && \
-	  dune exec bench/check_regression.exe -- \
-	    /tmp/rmt_bench_$${s}_baseline.json BENCH_$$s.json || fail=1; \
+	  cp BENCH_$$s.json _build/bench_$${s}_baseline.json; \
+	  dune exec bench/main.exe -- $$s --json; status=$$?; \
+	  cp BENCH_$$s.json _build/bench_$${s}_candidate.json; \
+	  cp _build/bench_$${s}_baseline.json BENCH_$$s.json; \
+	  test $$status -eq 0 && dune exec bench/check_regression.exe -- \
+	    _build/bench_$${s}_baseline.json _build/bench_$${s}_candidate.json \
+	    || fail=1; \
 	done; exit $$fail
 
 # Run every example and diff its stdout against examples/<name>.expected.

@@ -43,13 +43,14 @@ let schema = "rmt-bench/2"
    bechamel-sampled and stable, so they are gated tightly; the restriction
    memo rows are microseconds; the rest are protocol runs
    or single-shot wall-clock timings exposed to shared-host drift.  Of
-   the cut deciders only the thr-2 RMT-cut row is gated: local 𝒵_B
-   membership made it ~20× faster than building ⊕ joins, so a 3× limit
-   catches that regressing while staying clear of host drift. *)
+   the cut deciders two rows are gated at 3×, clear of host drift: the
+   thr-2 RMT-cut row (local 𝒵_B membership made it ~20× faster than
+   building ⊕ joins) and the cold 32-instance suite row (testing 𝒵_B
+   membership against 𝒵 itself, with no restriction built). *)
 let limits =
   [
     ("rmt/join/", 1.25); ("rmt/reduce/", 1.25);
-    ("rmt/hc/", 2.0); ("rmt/cut/rmt-thr2", 3.0);
+    ("rmt/hc/", 2.0); ("rmt/cut/rmt-thr2", 3.0); ("rmt/cut/suite", 3.0);
     ("rmt/lint/", 3.0); ("rmt/sim/", 3.0); ("rmt/net/", 3.0);
     ("rmt/cert/", 3.0);
   ]

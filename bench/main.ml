@@ -1124,7 +1124,24 @@ let core () =
          41)
         .instance
     in
+    (* The cold row: both deciders over a fixed 32-instance batch at
+       n = 14 covering all four suite classes, from an empty restriction
+       memo each run, as one-shot verdicts on fresh instances run; the
+       other cut rows repeat one instance *)
+    let suite_batch =
+      List.map
+        (fun (l : Workload.labelled) -> l.instance)
+        (Workload.tightness_suite (Prng.create 1714) ~count:32 ~n:14)
+    in
     [
+      Test.make ~name:"cut/suite"
+        (Staged.stage (fun () ->
+             Hc.clear ();
+             List.iter
+               (fun inst ->
+                 ignore (Cut.find_rmt_cut inst);
+                 ignore (Cut.find_rmt_zpp_cut inst))
+               suite_batch));
       Test.make ~name:"cut/rmt"
         (Staged.stage (fun () -> Cut.find_rmt_cut grid_inst));
       Test.make ~name:"cut/rmt-thr2"

@@ -8,13 +8,13 @@ open Rmt_knowledge
    its component-wise boundary), so this is Cut's boundary search under
    the ad hoc view, run from every seed outside N[D].  To enumerate each
    candidate exactly once, B is anchored at its minimum element: the seed's
-   search forbids every smaller node.  One restriction cache serves all
+   search forbids every smaller node.  One view-nodes cache serves all
    seeds. *)
 let find_zpp_cut (inst : Instance.t) =
   let g = inst.graph in
   let forbidden_base = Graph.closed_neighborhood inst.dealer g in
   let view = View.ad_hoc g in
-  let local = Joint.restriction_cache view inst.structure in
+  let local = Joint.view_nodes_cache view in
   List.fold_left
     (fun (acc : Cut.verdict) seed ->
       if Option.is_some acc.cut_found then acc
@@ -32,12 +32,12 @@ let solvable inst = Solvability.of_verdict (find_zpp_cut inst)
 
 (* Node v is blocked iff an RMT 𝒵-pp cut shields it as the receiver: Cut's
    boundary search from v avoiding N[D] under the ad hoc view, the search
-   find_rmt_zpp_cut runs.  One restriction cache serves every v. *)
+   find_rmt_zpp_cut runs.  One view-nodes cache serves every v. *)
 let blocked_nodes (inst : Instance.t) =
   let g = inst.graph in
   let forbidden = Graph.closed_neighborhood inst.dealer g in
   let view = View.ad_hoc g in
-  let local = Joint.restriction_cache view inst.structure in
+  let local = Joint.view_nodes_cache view in
   (* A witness's B is connected, avoids N[D] and passes the cut test, so
      it shields every member, not just the seed: mark them all and skip
      their own searches. *)

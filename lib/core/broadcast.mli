@@ -20,7 +20,7 @@ val find_zpp_cut : Instance.t -> Cut.verdict
 (** Definition 10's cut: {!Cut.boundary_search} under
     [View.ad_hoc inst.graph] from each node outside [N[D]] in increasing
     order, with [B] anchored at its minimum element (the seed's search
-    forbids every smaller node), one restriction cache shared by all
+    forbids every smaller node), one view-nodes cache shared by all
     seeds, stopping at the first witness.  [visited] sums the searches
     run; [complete] is [false] if any of them ran out of
     {!Cut.boundary_search}'s default budget (each gets its own).  The
@@ -41,7 +41,7 @@ val blocked_nodes : Instance.t -> Nodeset.t
     that same cut, so all of its members are marked at once and their
     own searches skipped; such a node counts as blocked even where its
     own search would have run out of budget.  The remaining nodes get
-    one search each, all sharing one restriction cache, each with
+    one search each, all sharing one view-nodes cache, each with
     {!Cut.boundary_search}'s default budget; a search that runs out of
     it leaves its node unblocked. *)
 

@@ -29,24 +29,23 @@ let first_split maximal b c ok =
       else None)
     maximal
 
-(* B's joint knowledge, member by member: V(γ(B)) and the members' local
-   structures 𝒵^{V(γ(v))}, each read from a Joint.restriction_cache.
-   [joint_ok] is Definition 3's C₂ ∩ V(γ(B)) ∈ 𝒵_B without building 𝒵_B:
-   membership is one test per member of B (Joint.mem_joint, exact by the
-   candidate formula and ⊕'s associativity). *)
-let add_member local (vgb, parts) v =
-  let vv, zv = local v in
-  (Nodeset.union vgb vv, zv :: parts)
+(* B's joint knowledge, member by member: V(γ(B)) and the members' view
+   nodes, read from a Joint.view_nodes_cache.  [joint_ok] is Definition
+   3's C₂ ∩ V(γ(B)) ∈ 𝒵_B, building neither 𝒵_B nor any 𝒵^{V(γ(v))}: one
+   test of 𝒵 itself per member of B (Joint.mem_restricted). *)
+let add_member local (vgb, views) v =
+  let vv = local v in
+  (Nodeset.union vgb vv, vv :: views)
 
-let joint_ok (vgb, parts) c2 = Joint.mem_joint (Nodeset.inter c2 vgb) parts
+let joint_ok z (vgb, vs) c2 = Joint.mem_restricted z vs (Nodeset.inter c2 vgb)
 
 (* The one boundary search behind every cut notion: enumerate connected
    B ∋ seed avoiding [forbidden]; candidate cut C = N(B), handed down by
    the enumeration; for each maximal M ∈ 𝒵 try the split C₁ = C ∩ M,
    C₂ = C ∖ M and accept when [joint_ok].  B's joint knowledge is threaded
-   along the enumeration.  [local] is a Joint.restriction_cache, so each
-   node's view and restriction are computed once per cache, not once per
-   branch of the enumeration tree.
+   along the enumeration.  [local] is a Joint.view_nodes_cache, so each
+   node's view nodes are derived once per cache, not once per branch of
+   the enumeration tree.
 
    Incorruptible nodes (in no maximal M) are pinned off the boundary when
    the view covers every star: such an x ∈ N(B) lands in C₂ under every
@@ -68,7 +67,7 @@ let boundary_search ?budget g z ~view ~local ~seed ~forbidden =
       Subset_enum.connected_supersets_acc ?budget ~pinned g ~seed ~forbidden
         ~init:(add_member local (Nodeset.empty, []) seed)
         ~extend:(add_member local) (fun b nb known ->
-          found := first_split maximal b nb (joint_ok known);
+          found := first_split maximal b nb (joint_ok z known);
           Option.is_some !found)
     in
     { cut_found = !found; complete = outcome.complete;
@@ -81,7 +80,7 @@ let boundary_search ?budget g z ~view ~local ~seed ~forbidden =
    once. *)
 let receiver_search ?budget (inst : Instance.t) view =
   boundary_search ?budget inst.graph inst.structure ~view
-    ~local:(Joint.restriction_cache view inst.structure)
+    ~local:(Joint.view_nodes_cache view)
     ~seed:inst.receiver
     ~forbidden:(Graph.closed_neighborhood inst.dealer inst.graph)
 
@@ -89,7 +88,7 @@ let find_rmt_cut ?budget (inst : Instance.t) =
   receiver_search ?budget inst inst.view
 
 (* Definition 7 is Definition 3 with γ(u) the star of u: under the ad hoc
-   view mem_joint's per-member test (C₂ ∩ V(γ(B))) ∩ N[u] ∈ 𝒵^{N[u]} is
+   view mem_restricted's per-member test (C₂ ∩ V(γ(B))) ∩ N[u] ∈ 𝒵 is
    N(u) ∩ C₂ ∈ 𝒵_u (u ∈ B and B ∩ C₂ = ∅), and its coverage test holds
    trivially. *)
 let find_rmt_zpp_cut ?budget (inst : Instance.t) =
@@ -148,17 +147,15 @@ let is_rmt_zpp_cut (inst : Instance.t) c1 c2 =
    - the previous witness still satisfies Definition 3 on the new
      instance: answer in one check, no enumeration.  [recheck] is the
      search's own test (separation, C₁ ∈ 𝒵, [joint_ok] over the
-     receiver's new component B), so 𝒵_B is never joined; [is_rmt_cut] is
-     the oracle it is tested against.  The witness is re-rooted on B, and
-     its [cut] is [c1 ∪ c2], which can be a superset of N(B) when the
-     delta moved nodes of the old cut away from the component boundary;
-     Definition 3 accepts any separating C₁ ∪ C₂, so the verdict is still
-     exact.
+     receiver's new component B), so no join or restriction is built;
+     [is_rmt_cut] is the oracle it is tested against.  The witness is
+     re-rooted on B, and its [cut] is [c1 ∪ c2], which can be a superset
+     of N(B) when the delta moved nodes of the old cut away from the
+     component boundary; Definition 3 accepts any separating C₁ ∪ C₂, so
+     the verdict is still exact.
    - otherwise a full re-search.  No structural monotonicity is assumed
      (an added edge can both create and destroy RMT-cuts depending on the
-     view function), but the re-search still amortizes through the global
-     restriction memo (Hc), so repeated searches over a churning instance
-     pay far less than cold ones. *)
+     view function); the re-search costs what a first search costs. *)
 let recheck (inst : Instance.t) w =
   let g = inst.graph in
   let c = Nodeset.union w.c1 w.c2 in
@@ -167,11 +164,13 @@ let recheck (inst : Instance.t) w =
     && Structure.mem w.c1 inst.structure
   then
     let b = Connectivity.component_of ~avoiding:c g inst.receiver in
-    let local = Joint.restriction_cache inst.view inst.structure in
+    let local = View.view_nodes inst.view in
     let known =
       Nodeset.fold (fun v k -> add_member local k v) b (Nodeset.empty, [])
     in
-    if joint_ok known w.c2 then Some { w with b_side = b; cut = c } else None
+    if joint_ok inst.structure known w.c2 then
+      Some { w with b_side = b; cut = c }
+    else None
   else None
 
 let update ?budget ~prev (inst : Instance.t) =

@@ -54,7 +54,7 @@ val boundary_search :
   Graph.t ->
   Structure.t ->
   view:View.t ->
-  local:(int -> Nodeset.t * Structure.t) ->
+  local:(int -> Nodeset.t) ->
   seed:int ->
   forbidden:Nodeset.t ->
   verdict
@@ -64,10 +64,12 @@ val boundary_search :
     incrementally, never refolded over [B]) and each maximal [M ∈ 𝒵] in
     turn, accepts
     the split [C₁ = C ∩ M], [C₂ = C ∖ M] when [C₂ ∩ V(γ(B)) ∈ 𝒵_B].  [𝒵_B]
-    is never built: [V(γ(B))] and the members' restrictions
-    [𝒵^{V(γ(v))}] are threaded along the enumeration and the test is
-    {!Joint.mem_joint}.  [local] must be a {!Joint.restriction_cache} of
-    [view] and [𝒵]; callers that search from several seeds share one.  The
+    is never built, nor is any member's restriction [𝒵^{V(γ(v))}]:
+    [V(γ(B))] and the members' view nodes [V(γ(v))] are threaded along
+    the enumeration and the test is {!Joint.mem_restricted} against [𝒵]
+    itself, so a search never reaches {!Hc.memo_restrict}.  [local] must
+    be a {!Joint.view_nodes_cache} of [view]; callers that search from
+    several seeds share one.  The
     first accepted split is the witness; [budget] caps the enumeration
     steps ({!Subset_enum.connected_supersets_acc}'s [visited]).  A seed
     inside [forbidden] gives a complete, empty verdict.
@@ -89,8 +91,8 @@ val boundary_search :
 val find_rmt_cut : ?budget:int -> Instance.t -> verdict
 (** RMT-cut existence in the partial knowledge model (Definition 3):
     {!boundary_search} from [R], avoiding [N[D]], under the instance's
-    view.  Each node's view nodes and restriction are computed once per
-    search. *)
+    view.  Each node's view nodes are derived once per search, and no
+    structure is restricted. *)
 
 val find_rmt_cut_naive : ?budget:int -> Instance.t -> verdict
 (** Same verdict as {!find_rmt_cut}, computed independently: joins
@@ -101,7 +103,7 @@ val find_rmt_cut_naive : ?budget:int -> Instance.t -> verdict
 val find_rmt_zpp_cut : ?budget:int -> Instance.t -> verdict
 (** RMT 𝒵-pp cut existence (Definition 7): the RMT-cut search under
     [View.ad_hoc inst.graph], whatever [inst.view] is.  With [γ(u)] the
-    star of [u], {!Joint.mem_joint}'s test for member [u] reads
+    star of [u], {!Joint.mem_restricted}'s test for member [u] reads
     [N(u) ∩ C₂ ∈ 𝒵_u] (as [u ∈ B] and [B ∩ C₂ = ∅]), which is the
     definition. *)
 
@@ -117,15 +119,15 @@ val update :
     [visited = 0]).  The check is {!boundary_search}'s own test, with no
     ⊕ join: [c1 ∪ c2] separates [D] from [R]
     ({!Connectivity.is_cut}), [c1 ∈ 𝒵], and
-    [Joint.mem_joint (c2 ∩ V(γ(B))) parts] where [B] is the receiver's
-    component of [G − (c1 ∪ c2)], computed once, and [V(γ(B))] and
-    [parts] (the members' [𝒵^{V(γ(v))}]) come from one
-    {!Joint.restriction_cache}.  It decides exactly what {!is_rmt_cut}
+    [Joint.mem_restricted 𝒵 views (c2 ∩ V(γ(B)))] where [B] is the
+    receiver's component of [G − (c1 ∪ c2)], computed once, and
+    [V(γ(B))] and [views] are its members' view nodes; no restriction is
+    built.  It decides exactly what {!is_rmt_cut}
     decides (test/core/test_incremental.ml pins the two on arbitrary
     splits).  The reused witness's [b_side] is that [B] and its [cut] is
     [c1 ∪ c2], which may strictly contain [N(b_side)].  Otherwise a full
-    {!find_rmt_cut} runs ([`Researched]), itself amortized across calls
-    by the global restriction memo.  Either way the verdict's meaning is
+    {!find_rmt_cut} runs ([`Researched]), at the cost of a first search:
+    no memo is carried across calls.  Either way the verdict's meaning is
     identical to a from-scratch search: solvability conclusions agree. *)
 
 val is_rmt_cut : Instance.t -> Nodeset.t -> Nodeset.t -> bool

@@ -1,13 +1,14 @@
-(** The global restriction memo.
+(** The global restriction memo of the ⊕ oracle.
 
-    The per-search restriction caches ({!Joint.restriction_cache}) only
-    amortize work {e within} one solvability search.  A long-lived
-    consumer (the {!Service} answering queries over a stream of instance
-    deltas, or a sweep revisiting overlapping sub-structures) re-derives
-    the same restrictions over and over.  [memo_restrict] keeps one
-    global table keyed by the {e content} of its arguments — one
-    computation per distinct [(node set, structure)] pair, shared across
-    calls, searches and service generations.
+    {!Joint.joint_structure} builds [𝒵_B] by joining the members'
+    restrictions [𝒵^{V(γ(v))}], and the join-based oracle
+    ([Cut.find_rmt_cut_naive], [Cut.is_rmt_cut]) calls it once per
+    enumerated component, over the same few restrictions.
+    [memo_restrict] keeps one global table keyed by the {e content} of
+    its arguments — one computation per distinct [(node set, structure)]
+    pair, shared across calls.  The cut deciders never reach it: they
+    test [𝒵_B] membership against [𝒵] itself
+    ({!Joint.mem_restricted}) and restrict nothing.
 
     Design notes (DESIGN.md §12):
 
@@ -24,12 +25,13 @@
       outside and re-locks to store).  A new entry point that forgets
       [locked] is a finding.  The domain-safety property is also tested
       at runtime in test/core/test_hc.ml.
-    - Callers: every cut decider (RMT-cut, RMT 𝒵-pp cut and Broadcast,
-      all through {!Cut.boundary_search}) reaches [memo_restrict] through
-      {!Joint.restriction_cache}; the benchmark harnesses read {!stats}
-      and call {!clear}.  There is no join memo: the cut deciders and the
-      RMT-PKA receiver's cover check decide [𝒵_B] membership locally
-      ({!Joint.mem_joint}) and never build a join. *)
+    - Callers: {!Joint.joint_structure} is the one caller in the
+      library; the benchmark harnesses read {!stats} and call {!clear}
+      (on the rmtbench workloads, whose ops run the deciders only, the
+      restrict counters stay at 0).  There is no join memo: the cut
+      deciders ({!Joint.mem_restricted}) and the RMT-PKA receiver's
+      cover check ({!Joint.mem_joint}) decide [𝒵_B] membership locally
+      and never build a join. *)
 
 open Rmt_base
 open Rmt_adversary

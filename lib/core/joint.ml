@@ -39,29 +39,23 @@ let join_list = function
   | [] -> identity
   | s :: rest -> List.fold_left join s rest
 
-(* Per-call node-indexed front cache over the global content-addressed
-   memo: the int key avoids re-deriving the view's node set (N[v] or a
-   BFS ball) and re-hashing it on every probe of the same search,
-   while distinct searches (and service generations) still share one
-   restriction per distinct (view nodes, structure) pair through Hc.
-   The table is monomorphic in its int key, so a probe compares ints
-   directly rather than through the polymorphic compare. *)
-module Node_tbl = Hashtbl.Make (Int)
-
-let restriction_cache view z =
-  let tbl = Node_tbl.create 16 in
+(* V(γ(v)) ∋ v for every node, so an empty slot is one not derived yet;
+   ids outside the graph have an empty view and are re-derived. *)
+let view_nodes_cache view =
+  let last = Nodeset.max_elt_opt (Rmt_graph.Graph.nodes (View.graph view)) in
+  let tbl = Array.make (1 + Option.value last ~default:(-1)) Nodeset.empty in
   fun v ->
-    match Node_tbl.find_opt tbl v with
-    | Some local -> local
-    | None ->
-      let vn = View.view_nodes view v in
-      let local = (vn, Hc.memo_restrict vn z) in
-      Node_tbl.add tbl v local;
-      local
+    if v < 0 || v >= Array.length tbl then View.view_nodes view v
+    else begin
+      if Nodeset.is_empty tbl.(v) then tbl.(v) <- View.view_nodes view v;
+      tbl.(v)
+    end
 
 let joint_structure view z b =
-  let local = restriction_cache view z in
-  join_list (Nodeset.fold (fun v acc -> snd (local v) :: acc) b [])
+  join_list
+    (Nodeset.fold
+       (fun v acc -> Hc.memo_restrict (View.view_nodes view v) z :: acc)
+       b [])
 
 (* z ∈ ⊕ᵢ pᵢ iff z ⊆ ⋃ ground(pᵢ) and every z ∩ ground(pᵢ) ∈ pᵢ (proof
    in joint.mli).  The membership tests run first: they fail far more
@@ -73,3 +67,9 @@ let mem_joint z parts =
   && Nodeset.for_all
        (fun x -> List.exists (fun p -> Nodeset.mem x (Structure.ground p)) parts)
        z
+
+(* mem_joint over the restrictions of s to views, none built (proof in
+   joint.mli); the membership tests imply z ⊆ ground(s). *)
+let mem_restricted s views z =
+  List.for_all (fun v -> Structure.mem (Nodeset.inter z v) s) views
+  && Nodeset.subset z (List.fold_left Nodeset.union Nodeset.empty views)

@@ -32,33 +32,26 @@ val join_list : Structure.t list -> Structure.t
 val identity : Structure.t
 (** [{∅}] over the empty ground set: [join identity s] is [s]. *)
 
-val restriction_cache : View.t -> Structure.t -> int -> Nodeset.t * Structure.t
-(** [restriction_cache γ 𝒵] is a memoized [v ↦ (V(γ(v)), 𝒵^{V(γ(v))})]:
-    the first call per node derives the view's node set and restricts
-    [𝒵] to it, later calls return the cached pair.  Callers:
-    - every cut decider ({!Cut.boundary_search}, behind the RMT-cut,
-      RMT 𝒵-pp cut and Broadcast deciders) threads one cache through its
-      whole connected-subset enumeration, so each node's view nodes are
-      derived ([N[v]] for an ad hoc view, a BFS ball for a radius view)
-      and its structure restricted once per search instead of once per
-      enumerated component; [Broadcast.find_zpp_cut] and
-      [Broadcast.blocked_nodes] share one ad hoc cache across all their
-      searches;
-    - [Cut.update]'s witness re-check reads the receiver component's
-      members from one cache;
-    - {!joint_structure}, the join-based oracle.
-    The pairs feed [V(γ(B))] and the [parts] of {!mem_joint}.
-    The per-call table is only a node-indexed front: the restriction
-    itself comes from the global content-addressed memo
-    ({!Hc.memo_restrict}), so repeated searches over the same instance —
-    the streaming service in particular — share one computation per
-    distinct (view nodes, structure) pair. *)
+val view_nodes_cache : View.t -> int -> Nodeset.t
+(** [view_nodes_cache γ] is a memoized [v ↦ V(γ(v))] over a node-indexed
+    array: the first call per node derives the view's node set ([N[v]]
+    for an ad hoc view, a BFS ball for a radius view), later calls return
+    it.  Every cut decider ({!Cut.boundary_search}, behind the RMT-cut,
+    RMT 𝒵-pp cut and Broadcast deciders) threads one cache through its
+    whole connected-subset enumeration, so each node's view nodes are
+    derived once per search instead of once per enumerated component;
+    [Broadcast.find_zpp_cut] and [Broadcast.blocked_nodes] share one ad
+    hoc cache across all their searches.  The sets feed [V(γ(B))] and the
+    [views] of {!mem_restricted}.  No structure is restricted: the
+    deciders never reach {!Hc.memo_restrict}. *)
 
 val joint_structure : View.t -> Structure.t -> Nodeset.t -> Structure.t
 (** [joint_structure γ 𝒵 B] is [𝒵_B = ⊕_{v ∈ B} 𝒵^{V(γ(v))}] — what the
     members of [B], pooling their initial knowledge, consider the maximal
     possible adversary structure (Section 2).  By Corollary 2 it always
-    contains [𝒵^{V(γ(B))}]. *)
+    contains [𝒵^{V(γ(B))}].  Each part is restricted through
+    {!Hc.memo_restrict}; this oracle (behind [Cut.find_rmt_cut_naive] and
+    [Cut.is_rmt_cut]) is the memo's only caller in the library. *)
 
 val mem_joint : Nodeset.t -> Structure.t list -> bool
 (** [mem_joint z parts] is [Structure.mem z (join_list parts)], decided
@@ -72,3 +65,33 @@ val mem_joint : Nodeset.t -> Structure.t list -> bool
     so [z ∈ 𝓔 ⊕ 𝓕] iff [z ∩ A ∈ 𝓔] and [z ∩ B ∈ 𝓕].  Associativity
     carries this over a list ([(z ∩ U) ∩ A = z ∩ A] for [A ⊆ U]); the
     empty list is the identity [{∅}^∅], where [z ∈] iff [z = ∅]. *)
+
+val mem_restricted : Structure.t -> Nodeset.t list -> Nodeset.t -> bool
+(** [mem_restricted 𝒵 views z] is
+    [mem_joint z (List.map (fun v -> Structure.restrict v 𝒵) views)] —
+    [z ∈ ⊕_{V ∈ views} 𝒵^V] — decided against [𝒵] itself, with no
+    restriction built: it holds iff [z ⊆ ground(𝒵) ∩ ⋃ views] and
+    [Structure.mem (z ∩ V) 𝒵] for every [V] in [views].  This is
+    Definition 3's [C₂ ∩ V(γ(B)) ∈ 𝒵_B] when every member's local
+    structure is a restriction of the one known [𝒵], as in every cut
+    decider.
+
+    Exactness, from {!mem_joint}'s two tests on the parts
+    [pᵥ = 𝒵^V]:
+    - a restriction's ground is [ground(𝒵) ∩ V], so the coverage test
+      [z ⊆ ⋃ ground(pᵥ)] is [z ⊆ ground(𝒵) ∩ ⋃ views];
+    - the maximal sets of [𝒵^V] are the maximal ones among [M ∩ V] for
+      [M] maximal in [𝒵], and for [X ⊆ V], [X ⊆ M ∩ V] iff [X ⊆ M]; so
+      once [z ⊆ ground(𝒵)], [z ∩ ground(pᵥ) = z ∩ V ∈ 𝒵^V] iff
+      [z ∩ V ∈ 𝒵];
+    - the boundary families agree: an empty family restricts to an
+      empty family (every test fails on both sides, unless [views] is
+      empty), and [{∅}] restricts to [{∅}] (the test holds exactly for
+      [z = ∅] on both sides);
+    - an empty [views] is the identity [{∅}^∅] of {!mem_joint}: both
+      hold iff [z = ∅].
+
+    The ground half of the coverage test need not be run: every maximal
+    set lies within [ground(𝒵)], so when [z ⊆ ⋃ views] and every
+    [z ∩ V ∈ 𝒵], each [z ∩ V] is within [ground(𝒵)] and so is [z].  The
+    implementation tests [z ∩ V ∈ 𝒵] for each [V], then [z ⊆ ⋃ views]. *)

@@ -9,12 +9,13 @@
     - after updates, the next query runs {!Cut.update} against the last
       verdict — a surviving witness is revalidated in one check instead
       of a fresh enumeration;
-    - full re-searches (and everything else that restricts
-      structures) amortize across generations through the one global,
-      content-keyed restriction memo ({!Hc.memo_restrict}).
+    - a full re-search is a cold {!Cut.find_rmt_cut}: it tests [𝒵_B]
+      membership against the instance's [𝒵] itself
+      ({!Joint.mem_restricted}) and builds no restriction, so there is
+      nothing to carry across generations.
 
     The service state is allocated per {!create} — nothing is shared
-    between two services except that mutex-guarded memo — and
+    between two services — and
     the reported {!stats} are deterministic: they count decisions taken,
     never GC-dependent cache occupancy, so replay output is stable enough
     to pin as a golden file (instances/*.golden, `rmt serve-solve`).

@@ -1,10 +1,12 @@
 (* Tests for the global restriction memo (DESIGN.md §12): it is keyed by
    content, computes the same values as the raw operation, and survives
    a real Domain fan-out (the R6 domain-safety claim rmt-lint
-   sanctions). *)
+   sanctions).  The cut deciders never reach it; the join-based oracle
+   does. *)
 
 open Rmt_base
 open Rmt_adversary
+open Rmt_knowledge
 open Rmt_core
 
 let check = Alcotest.(check bool)
@@ -76,6 +78,60 @@ let test_domain_safety () =
   check "every call counted once" true
     (s.Hc.restrict_hits + s.Hc.restrict_misses = 4 * calls)
 
+let restrict_calls () =
+  let s = Hc.stats () in
+  s.Hc.restrict_hits + s.Hc.restrict_misses
+
+let checked_in_instances () =
+  let dir = "../../instances" in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".rmt")
+  |> List.sort String.compare
+  |> List.map (fun f ->
+         match Codec.of_file (Filename.concat dir f) with
+         | Ok inst -> (f, inst)
+         | Error e -> failwith (Printf.sprintf "cannot load %s: %s" f e))
+
+(* Every decider tests 𝒵_B membership against 𝒵 itself
+   (Joint.mem_restricted), so none may touch the memo, under the
+   instance's own view or the ad hoc one; Cut.update is run on both of
+   its paths.  find_rmt_cut_naive joins restrictions and must still
+   reach it. *)
+let test_deciders_never_restrict () =
+  let paths = ref [] in
+  let untouched label f =
+    let before = restrict_calls () in
+    let r = f () in
+    check (label ^ " never restricts") true (restrict_calls () = before);
+    r
+  in
+  let decide (file, view_name, (inst : Instance.t)) =
+    let label what = Printf.sprintf "%s, %s view: %s" file view_name what in
+    let rmt = untouched (label "find_rmt_cut") (fun () -> Cut.find_rmt_cut inst) in
+    untouched (label "find_rmt_zpp_cut") (fun () ->
+        ignore (Cut.find_rmt_zpp_cut inst));
+    List.iter
+      (fun prev ->
+        untouched (label "update") (fun () ->
+            paths := snd (Cut.update ~prev inst) :: !paths))
+      [ rmt; { rmt with cut_found = None } ];
+    untouched (label "Broadcast.find_zpp_cut") (fun () ->
+        ignore (Broadcast.find_zpp_cut inst));
+    untouched (label "Broadcast.blocked_nodes") (fun () ->
+        ignore (Broadcast.blocked_nodes inst));
+    let before = restrict_calls () in
+    if (Cut.find_rmt_cut_naive inst).visited > 0 then
+      check (label "find_rmt_cut_naive restricts") true
+        (restrict_calls () > before)
+  in
+  List.iter
+    (fun (file, (inst : Instance.t)) ->
+      decide (file, "own", inst);
+      decide (file, "ad hoc", Instance.with_view inst (View.ad_hoc inst.graph)))
+    (checked_in_instances ());
+  check "update reused a witness" true (List.mem `Witness_reused !paths);
+  check "update re-searched" true (List.mem `Researched !paths)
+
 let qcheck_props =
   [
     QCheck.Test.make ~count:200
@@ -95,6 +151,8 @@ let () =
           Alcotest.test_case "stats and clear" `Quick
             test_hits_misses_and_clear;
           Alcotest.test_case "domain safety" `Quick test_domain_safety;
+          Alcotest.test_case "deciders never restrict" `Quick
+            test_deciders_never_restrict;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]

@@ -138,6 +138,53 @@ let arb_mem_joint =
         (String.concat "; " (List.map Structure.to_string parts)))
     mem_joint_gen
 
+(* Operands for [mem_restricted]: 𝒵 over a ground that leaves some of
+   {0..11} out (node 12 never in it), the empty family, {∅} or random;
+   0–3 views over {0..12}, so empty and singleton lists are frequent.  z
+   is a random subset of {0..12}, or a subset of a maximal set within the
+   views' union (with or without one node outside the ground), or a
+   subset of a maximal set, which may reach outside the views. *)
+let mem_restricted_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* kind = int_bound 4 in
+    let* num_views = int_bound 3 in
+    let* mode = int_bound 3 in
+    let rng = Prng.create seed in
+    let universe = Nodeset.range 0 13 in
+    let ground = Prng.subset rng (Nodeset.range 0 12) 0.7 in
+    let z =
+      match kind with
+      | 0 -> Structure.empty_family ~ground
+      | 1 -> Structure.trivial ~ground
+      | _ ->
+        Structure.of_sets ~ground
+          (List.init (1 + Prng.int rng 3) (fun _ ->
+               Prng.sample rng ground (Prng.int rng (1 + Nodeset.size ground))))
+    in
+    let views = List.init num_views (fun _ -> Prng.subset rng universe 0.5) in
+    let covered = List.fold_left Nodeset.union Nodeset.empty views in
+    let member =
+      match (mode, Structure.maximal_sets z) with
+      | 0, _ | _, [] -> Prng.subset rng universe 0.3
+      | 3, ms -> Prng.subset rng (Prng.pick_list rng ms) 0.7
+      | _, ms ->
+        let m =
+          Nodeset.inter covered (Prng.subset rng (Prng.pick_list rng ms) 0.8)
+        in
+        let outside = Nodeset.elements (Nodeset.diff universe ground) in
+        if mode = 2 then Nodeset.add (Prng.pick_list rng outside) m else m
+    in
+    return (z, views, member))
+
+let arb_mem_restricted =
+  QCheck.make
+    ~print:(fun (z, views, member) ->
+      Printf.sprintf "Z = %s, views = [%s], z = %s" (Structure.to_string z)
+        (String.concat "; " (List.map Nodeset.to_string views))
+        (Nodeset.to_string member))
+    mem_restricted_gen
+
 let qcheck_props =
   [
     QCheck.Test.make ~count:120 ~name:"⊕ matches Definition 2 exactly"
@@ -169,6 +216,12 @@ let qcheck_props =
       ~name:"mem_joint decides membership in join_list" arb_mem_joint
       (fun (z, parts) ->
         Joint.mem_joint z parts = Structure.mem z (Joint.join_list parts));
+    QCheck.Test.make ~count:500
+      ~name:"mem_restricted = mem_joint over the restrictions"
+      arb_mem_restricted (fun (z, views, member) ->
+        Joint.mem_restricted z views member
+        = Joint.mem_joint member
+            (List.map (fun v -> Structure.restrict v z) views));
     QCheck.Test.make ~count:120
       ~name:"Theorem 1: join restricts back into operands"
       (QCheck.pair (arb_structure 6) (arb_structure 6)) (fun (e, f) ->

@@ -288,7 +288,7 @@ let qcheck_blocked_per_node =
       let inst = Instance.ad_hoc_of ~graph:g ~structure ~dealer:0 ~receiver:(n - 1) in
       let forbidden = Graph.closed_neighborhood 0 g in
       let view = View.ad_hoc g in
-      let local = Joint.restriction_cache view structure in
+      let local = Joint.view_nodes_cache view in
       let per_node =
         Nodeset.filter
           (fun v ->

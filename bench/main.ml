@@ -1204,13 +1204,44 @@ let core () =
         ])
       [ ("1w", 14); ("3w", 151) ]
   in
+  let service_tests =
+    (* One service round trip: toggle a same-layer edge that never touches
+       the RMT cut, then query.  Every update bumps the generation, and
+       every query settles by re-checking the previous witness
+       (Cut.update's cheap regime) instead of re-searching. *)
+    let g = Generators.layered ~width:3 ~depth:3 in
+    let svc =
+      Service.create
+        (Instance.ad_hoc_of ~graph:g
+           ~structure:(Builders.global_threshold g ~dealer:0 1)
+           ~dealer:0 ~receiver:10)
+    in
+    let apply d =
+      match Service.apply svc d with
+      | Ok () -> ()
+      | Error m -> failwith ("service bench: " ^ m)
+    in
+    (* one setup delta makes the instance unsolvable with a cut witness *)
+    apply (Delta.Add_set (Nodeset.of_list [ 4; 5 ]));
+    ignore (Service.solvable svc);
+    [
+      Test.make ~name:"service/toggle"
+        (Staged.stage (fun () ->
+             apply
+               (if Graph.mem_edge 1 2 (Service.instance svc).graph then
+                  Delta.Remove_edge (1, 2)
+                else Delta.Add_edge (1, 2));
+             Service.solvable svc));
+    ]
+  in
   (* 2s quota (vs the 0.5s default): the 16-set mem/reduce rows finish in
      tens of ns, and at 0.5s the OLS fit on them was mush (r² ≈ 0.1).  The
      cut deciders get 5s: at 2s the 20–80 µs rmt/cut/rmt fit read r² 0.87
      on a noisy host *)
   let rows =
     List.sort compare
-      (run_bechamel ~quota:2.0 (tests @ hc_tests @ nodeset_tests)
+      (run_bechamel ~quota:2.0
+         (tests @ hc_tests @ nodeset_tests @ service_tests)
       @ run_bechamel ~quota:5.0 decider_tests)
   in
   print_bechamel_rows rows;
@@ -1283,60 +1314,6 @@ let core () =
          (if deterministic then "bit-for-bit identical" else "DIVERGED (bug!)")
          (Parsweep.recommended_domains ()))
     t;
-  (* streaming solvability service: a deterministic cyclic delta stream
-     toggling a same-layer edge that never touches the RMT cut, so every
-     update bumps the generation yet every query settles by revalidating
-     the previous witness (Cut.update's cheap regime) instead of
-     re-searching — the sustained updates/sec at memoized cost *)
-  let service_updates = 400 in
-  let svc_stats, svc_secs =
-    let g = Generators.layered ~width:3 ~depth:3 in
-    let inst =
-      Instance.ad_hoc_of ~graph:g
-        ~structure:(Builders.global_threshold g ~dealer:0 1)
-        ~dealer:0 ~receiver:10
-    in
-    let svc = Service.create inst in
-    (* one setup delta makes the instance unsolvable with a cut witness *)
-    (match Service.apply svc (Delta.Add_set (Nodeset.of_list [ 4; 5 ])) with
-     | Ok () -> ()
-     | Error m -> failwith ("service bench: " ^ m));
-    ignore (Service.solvable svc);
-    let (), secs =
-      Timing.time_it (fun () ->
-          for i = 0 to service_updates - 1 do
-            let d =
-              if i mod 2 = 0 then Delta.Add_edge (1, 2)
-              else Delta.Remove_edge (1, 2)
-            in
-            (match Service.apply svc d with
-             | Ok () -> ()
-             | Error m -> failwith ("service bench: " ^ m));
-            ignore (Service.solvable svc)
-          done)
-    in
-    (Service.stats svc, secs)
-  in
-  let updates_per_sec = float_of_int service_updates /. svc_secs in
-  let t =
-    Table.create
-      [ "updates"; "queries"; "wall-clock"; "updates/sec"; "witness reuse";
-        "searches" ]
-  in
-  Table.add_row t
-    [
-      Table.cell_int svc_stats.Service.updates;
-      Table.cell_int svc_stats.Service.queries;
-      Printf.sprintf "%.3f s" svc_secs;
-      Printf.sprintf "%.0f" updates_per_sec;
-      Table.cell_int svc_stats.Service.witness_reuses;
-      Table.cell_int svc_stats.Service.searches;
-    ];
-  Table.print
-    ~title:
-      "streaming solvability service — update+query round-trips at \
-       memoized cost"
-    t;
   timed_rows rows
   @ List.map
       (fun (d, secs, _) ->
@@ -1349,20 +1326,6 @@ let core () =
             ];
         })
       timings
-  @ [
-      {
-        name = "service";
-        fields =
-          [
-            ("updates", jint svc_stats.Service.updates);
-            ("queries", jint svc_stats.Service.queries);
-            ("seconds", jnum 4 svc_secs);
-            ("witness_reuses", jint svc_stats.Service.witness_reuses);
-            ("searches", jint svc_stats.Service.searches);
-            ("cached", jint svc_stats.Service.cached);
-          ];
-      };
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* ATTACK — adversarial fuzzing campaigns over the checked-in instances *)

@@ -147,7 +147,8 @@ let is_rmt_zpp_cut (inst : Instance.t) c1 c2 =
    - the previous witness still satisfies Definition 3 on the new
      instance: answer in one check, no enumeration.  [recheck] is the
      search's own test (separation, C₁ ∈ 𝒵, [joint_ok] over the
-     receiver's new component B), so no join or restriction is built;
+     receiver's new component B), so no join or restriction is built,
+     and separation is read off B itself (D ∉ B), one BFS in all;
      [is_rmt_cut] is the oracle it is tested against.  The witness is
      re-rooted on B, and its [cut] is [c1 ∪ c2], which can be a superset
      of N(B) when the delta moved nodes of the old cut away from the
@@ -157,21 +158,23 @@ let is_rmt_zpp_cut (inst : Instance.t) c1 c2 =
      (an added edge can both create and destroy RMT-cuts depending on the
      view function); the re-search costs what a first search costs. *)
 let recheck (inst : Instance.t) w =
-  let g = inst.graph in
   let c = Nodeset.union w.c1 w.c2 in
   if
-    Connectivity.is_cut g inst.dealer inst.receiver c
-    && Structure.mem w.c1 inst.structure
-  then
-    let b = Connectivity.component_of ~avoiding:c g inst.receiver in
-    let local = View.view_nodes inst.view in
-    let known =
-      Nodeset.fold (fun v k -> add_member local k v) b (Nodeset.empty, [])
-    in
-    if joint_ok inst.structure known w.c2 then
-      Some { w with b_side = b; cut = c }
-    else None
-  else None
+    Nodeset.mem inst.dealer c || Nodeset.mem inst.receiver c
+    || not (Structure.mem w.c1 inst.structure)
+  then None
+  else
+    (* one BFS: C separates D from R iff D is off R's component *)
+    let b = Connectivity.component_of ~avoiding:c inst.graph inst.receiver in
+    if Nodeset.mem inst.dealer b then None
+    else
+      let local = View.view_nodes inst.view in
+      let known =
+        Nodeset.fold (fun v k -> add_member local k v) b (Nodeset.empty, [])
+      in
+      if joint_ok inst.structure known w.c2 then
+        Some { w with b_side = b; cut = c }
+      else None
 
 let update ?budget ~prev (inst : Instance.t) =
   match Option.bind prev.cut_found (recheck inst) with

@@ -35,10 +35,6 @@ let with_structure (inst : Instance.t) structure =
   try Ok (Instance.with_structure inst structure)
   with Invalid_argument m -> err "%s" m
 
-let remove_edge_graph g u v =
-  Graph.of_nodes_edges (Graph.nodes g)
-    (List.filter (fun (a, b) -> not (a = min u v && b = max u v)) (Graph.edges g))
-
 let apply (inst : Instance.t) delta =
   let g = inst.graph in
   match delta with
@@ -50,7 +46,7 @@ let apply (inst : Instance.t) delta =
     else with_graph inst (Graph.add_edge u v g)
   | Remove_edge (u, v) ->
     if not (Graph.mem_edge u v g) then err "remove-edge %d %d: no such edge" u v
-    else with_graph inst (remove_edge_graph g u v)
+    else with_graph inst (Graph.remove_edges [ (u, v) ] g)
   | Add_node (v, links) ->
     if v < 0 then err "add-node: negative id %d" v
     else if Graph.mem_node v g then err "add-node %d: node exists" v

@@ -66,9 +66,25 @@ let remove_edges es g =
       present;
     { g with adj }
 
-let of_edges es = List.fold_left (fun g (u, v) -> add_edge u v g) empty es
+(* One adjacency array, sized once and filled in place; the checks and
+   their order are [add_edge]'s. *)
+let of_nodes_edges ns es =
+  let top = match Nodeset.max_elt_opt ns with Some v -> v + 1 | None -> 0 in
+  let cap = List.fold_left (fun c (u, v) -> max c (max u v + 1)) top es in
+  let adj = Array.make cap Nodeset.empty in
+  let nodes =
+    List.fold_left
+      (fun nodes (u, v) ->
+        if u = v then invalid_arg "Graph.add_edge: self-loop";
+        if u < 0 || v < 0 then invalid_arg "Graph.add_node: negative id";
+        adj.(u) <- Nodeset.add v adj.(u);
+        adj.(v) <- Nodeset.add u adj.(v);
+        Nodeset.add u (Nodeset.add v nodes))
+      ns es
+  in
+  { nodes; adj }
 
-let of_nodes_edges ns es = add_nodes ns (of_edges es)
+let of_edges es = of_nodes_edges Nodeset.empty es
 
 let nodes g = g.nodes
 
@@ -99,7 +115,8 @@ let edges g =
          if c <> 0 then c else Int.compare b1 b2)
 
 let equal g h =
-  Nodeset.equal g.nodes h.nodes
+  g == h
+  || Nodeset.equal g.nodes h.nodes
   && Nodeset.for_all (fun v -> Nodeset.equal (neighbors v g) (neighbors v h)) g.nodes
 
 let induced s g =
@@ -144,18 +161,17 @@ let is_subgraph h g =
   Nodeset.subset h.nodes g.nodes
   && Nodeset.for_all (fun v -> Nodeset.subset (neighbors v h) (neighbors v g)) h.nodes
 
-let restrict_to_radius v k g =
-  if not (mem_node v g) then empty
-  else begin
-    let ball = ref (Nodeset.singleton v) in
-    let frontier = ref (Nodeset.singleton v) in
-    for _ = 1 to k do
-      let next = Nodeset.diff (neighborhood_of_set !frontier g) !ball in
-      ball := Nodeset.union !ball next;
-      frontier := next
-    done;
-    induced !ball g
-  end
+let ball v k g =
+  let rec grow ball frontier k =
+    if k <= 0 || Nodeset.is_empty frontier then ball
+    else
+      let next = Nodeset.diff (neighborhood_of_set frontier g) ball in
+      grow (Nodeset.union ball next) next (k - 1)
+  in
+  if not (mem_node v g) then Nodeset.empty
+  else grow (Nodeset.singleton v) (Nodeset.singleton v) k
+
+let restrict_to_radius v k g = induced (ball v k g) g
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>graph %d nodes %d edges@,nodes: %a@,edges: %a@]"

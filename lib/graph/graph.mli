@@ -33,7 +33,9 @@ val remove_edges : (int * int) list -> t -> t
 val of_edges : (int * int) list -> t
 
 val of_nodes_edges : Nodeset.t -> (int * int) list -> t
-(** Node set given explicitly so isolated nodes survive. *)
+(** Node set given explicitly so isolated nodes survive.  Equal to
+    folding {!add_edge} over the list, then {!add_nodes}, with the same
+    [Invalid_argument]s, but fills one adjacency array. *)
 
 (** {1 Queries} *)
 
@@ -84,11 +86,14 @@ val induced_union : Nodeset.t -> t list -> t
 val is_subgraph : t -> t -> bool
 (** [is_subgraph h g]: every node and edge of [h] is in [g]. *)
 
+val ball : int -> int -> t -> Nodeset.t
+(** [ball v k g]: the nodes within distance [k] of [v] in [g], found by
+    one BFS; empty when [v] is absent.  Radius [0] gives [{v}]. *)
+
 val restrict_to_radius : int -> int -> t -> t
-(** [restrict_to_radius v k g] is the subgraph induced by the ball of
-    radius [k] around [v] — the [k]-neighborhood view.  Radius [0] gives
-    the single node [v]; radius [1] gives [v], its neighbors and all edges
-    among them. *)
+(** [restrict_to_radius v k g] is [induced (ball v k g) g] — the
+    [k]-neighborhood view.  Radius [0] gives the single node [v]; radius
+    [1] gives [v], its neighbors and all edges among them. *)
 
 (** {1 Formatting} *)
 

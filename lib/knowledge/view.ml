@@ -59,11 +59,16 @@ let graph t = t.g
 
 let view t v = if Graph.mem_node v t.g then t.assign v else Graph.empty
 
-(* an ad hoc view's node set is N[v]: no star graph needs building *)
+(* read off the graph for every rule but a custom one: G's nodes, N[v]
+   or the radius-k ball, with no view graph built *)
 let view_nodes t v =
-  match t.kind with
-  | Ad_hoc when Graph.mem_node v t.g -> Graph.closed_neighborhood v t.g
-  | _ -> Graph.nodes (view t v)
+  if not (Graph.mem_node v t.g) then Nodeset.empty
+  else
+    match t.kind with
+    | Full -> Graph.nodes t.g
+    | Ad_hoc -> Graph.closed_neighborhood v t.g
+    | Radius k -> Graph.ball v k t.g
+    | Custom -> Graph.nodes (t.assign v)
 
 (* Full, ad hoc and radius >= 1 views contain the star by construction;
    radius 0 and custom assignments are checked node by node. *)

@@ -50,8 +50,10 @@ val view : t -> int -> Graph.t
 (** [γ(v)].  For ids outside the graph, the empty graph. *)
 
 val view_nodes : t -> int -> Nodeset.t
-(** [V(γ(v))].  For an ad hoc view this is [N[v]], read straight off the
-    graph. *)
+(** [V(γ(v))], empty for ids outside the graph.  Full, ad hoc and radius
+    views build no graph: the answer is [V(G)], [N[v]] or
+    {!Rmt_graph.Graph.ball}[ v k], read straight off the graph; a custom
+    view's is the node set of its [γ(v)]. *)
 
 val covers_stars : t -> bool
 (** Whether every [V(γ(v))] contains [v]'s closed neighbourhood [N[v]].

@@ -199,6 +199,33 @@ let test_stream_edgeless () =
       (Result.is_ok (Delta.apply_all inst stream))
   done
 
+(* Allocation guard, independent of host speed: on a 50-node layered
+   instance under radius-1 views, one Remove_edge delta allocates at most
+   8|V| minor-heap words (one adjacency copy) and one view_nodes at most
+   |V| (a BFS ball of one-word sets).  Rebuilding the graph edge by edge
+   (|E| = 264 adjacency copies here) or building the view graph to read
+   its nodes (an adjacency array of at least |V| slots) breaks them. *)
+let test_allocation_bounds () =
+  let g = Rmt_graph.Generators.layered ~width:6 ~depth:8 in
+  let n = Rmt_graph.Graph.num_nodes g in
+  let inst =
+    Instance.make ~graph:g
+      ~structure:(Builders.global_threshold g ~dealer:0 1)
+      ~view:(View.radius 1 g) ~dealer:0 ~receiver:(n - 1)
+  in
+  let words f =
+    ignore (Sys.opaque_identity (f ()));
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let remove = words (fun () -> Delta.apply inst (Delta.Remove_edge (8, 14))) in
+  let ball = words (fun () -> View.view_nodes inst.view 20) in
+  check (Printf.sprintf "remove-edge: %.0f words <= 8|V|" remove) true
+    (remove <= float_of_int (8 * n));
+  check (Printf.sprintf "view_nodes: %.0f words <= |V|" ball) true
+    (ball <= float_of_int n)
+
 let () =
   Alcotest.run "incremental"
     [
@@ -208,6 +235,7 @@ let () =
           Alcotest.test_case "replay protocol" `Quick test_protocol_roundtrip;
           Alcotest.test_case "edgeless delta stream" `Quick
             test_stream_edgeless;
+          Alcotest.test_case "allocation bounds" `Quick test_allocation_bounds;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]

@@ -117,24 +117,81 @@ let qcheck_one_pass_union =
       Graph.equal (Graph.union_all gs) folded
       && Graph.equal (Graph.induced_union s gs) (Graph.induced s folded))
 
-(* remove_edges = rebuilding from the node set and the edges not listed;
-   the list mixes present and absent edges in either orientation. *)
+(* remove_edges = rebuilding from the node set and the edges not listed.
+   Half the lists are one edge, as Delta's Remove_edge passes; entries are
+   present edges in either orientation or arbitrary pairs (absent, a
+   self-pair or off the graph).  gnp graphs have leaves and isolated
+   nodes, so a removal can isolate an endpoint, which must stay. *)
 let qcheck_remove_edges =
   QCheck.Test.make ~count:300 ~name:"remove_edges = rebuild without the edges"
-    (QCheck.pair arb_graph QCheck.small_nat)
-    (fun (g, seed) ->
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000) ~print:string_of_int)
+    (fun seed ->
       let rng = Prng.create seed in
-      let n = Graph.num_nodes g + 2 in
+      let g = Generators.random_gnp rng (2 + Prng.int rng 10) 0.3 in
+      let n = Graph.num_nodes g in
+      let pair () =
+        match Graph.edges g with
+        | _ :: _ as es when Prng.int rng 4 > 0 ->
+          let a, b = Prng.pick_list rng es in
+          if Prng.bool rng then (a, b) else (b, a)
+        | _ -> (Prng.int rng (n + 2), Prng.int rng (n + 2))
+      in
       let es =
-        List.init (Prng.int rng 8) (fun _ -> (Prng.int rng n, Prng.int rng n))
+        List.init (if Prng.bool rng then 1 else Prng.int rng 8) (fun _ ->
+            pair ())
       in
       let listed (a, b) =
         List.exists (fun (u, v) -> (u = a && v = b) || (u = b && v = a)) es
       in
-      Graph.equal
-        (Graph.remove_edges es g)
+      let g' = Graph.remove_edges es g in
+      Graph.equal g'
         (Graph.of_nodes_edges (Graph.nodes g)
-           (List.filter (fun e -> not (listed e)) (Graph.edges g))))
+           (List.filter (fun e -> not (listed e)) (Graph.edges g)))
+      && Nodeset.equal (Graph.nodes g') (Graph.nodes g)
+      && List.for_all (fun (u, v) -> not (Graph.mem_edge u v g')) es)
+
+(* of_nodes_edges / of_edges = folding add_edge, then add_nodes: equal
+   graphs, or the same Invalid_argument.  Ids are sparse (past a word of
+   the bitsets), edges repeat in either orientation, and a few lists
+   carry a self-loop or a negative id. *)
+let qcheck_of_nodes_edges =
+  QCheck.Test.make ~count:300
+    ~name:"of_nodes_edges = add_edge fold, then add_nodes"
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000) ~print:string_of_int)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let pool = Array.init (2 + Prng.int rng 10) (fun _ -> Prng.int rng 200) in
+      let edge () =
+        match Prng.int rng 40 with
+        | 0 -> let a = Prng.pick rng pool in (a, a)
+        | 1 -> (Prng.pick rng pool, -1)
+        | _ -> (Prng.pick rng pool, Prng.pick rng pool)
+      in
+      let es =
+        List.filter
+          (fun (a, b) -> a <> b || Prng.int rng 4 = 0)
+          (List.init (Prng.int rng 16) (fun _ -> edge ()))
+      in
+      let ns = Prng.subset rng (Nodeset.of_array pool) 0.5 in
+      let built f = try Ok (f ()) with Invalid_argument m -> Error m in
+      let reference =
+        built (fun () ->
+            Graph.add_nodes ns
+              (List.fold_left (fun g (a, b) -> Graph.add_edge a b g)
+                 Graph.empty es))
+      in
+      let same r f =
+        match (r, built f) with
+        | Ok a, Ok b -> Graph.equal a b
+        | Error m, Error m' -> String.equal m m'
+        | _ -> false
+      in
+      same reference (fun () -> Graph.of_nodes_edges ns es)
+      && same
+           (built (fun () ->
+                List.fold_left (fun g (a, b) -> Graph.add_edge a b g)
+                  Graph.empty es))
+           (fun () -> Graph.of_edges es))
 
 let test_radius_restrict () =
   let g = Generators.path_graph 6 in
@@ -552,6 +609,7 @@ let () =
           Alcotest.test_case "union" `Quick test_union;
           QCheck_alcotest.to_alcotest qcheck_one_pass_union;
           QCheck_alcotest.to_alcotest qcheck_remove_edges;
+          QCheck_alcotest.to_alcotest qcheck_of_nodes_edges;
           Alcotest.test_case "radius restrict" `Quick test_radius_restrict;
         ] );
       ( "connectivity",

@@ -316,6 +316,52 @@ let qcheck_codec_roundtrip =
         && inst.receiver = inst'.receiver
         && View.label inst.view = View.label inst'.view)
 
+(* view_nodes, which builds no graph for full, ad hoc and radius views,
+   = the node set of the view itself, at every node and at one id off the
+   graph; and Graph.ball = the nodes of restrict_to_radius = the nodes
+   at BFS distance <= k.  gnp graphs may be disconnected, so balls stop
+   at component borders. *)
+let qcheck_view_nodes =
+  QCheck.Test.make ~count:200
+    ~name:"view_nodes = V(view); ball = V(restrict_to_radius) = BFS ball"
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000) ~print:string_of_int)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let n = 1 + Prng.int rng 12 in
+      let g = Generators.random_gnp rng n 0.3 in
+      let picks = Array.init n (fun _ -> Prng.subset rng (Graph.nodes g) 0.3) in
+      let custom =
+        View.of_assignment g (fun v -> Graph.induced (Nodeset.add v picks.(v)) g)
+      in
+      let views =
+        custom :: View.full g :: View.ad_hoc g
+        :: List.init 4 (fun k -> View.radius k g)
+      in
+      let at = (n + Prng.int rng 70) :: Nodeset.elements (Graph.nodes g) in
+      let bfs_ball v k =
+        Nodeset.of_list
+          (List.filter_map
+             (fun (u, d) -> if d <= k then Some u else None)
+             (Connectivity.distances_from g v))
+      in
+      List.for_all
+        (fun t ->
+          List.for_all
+            (fun v ->
+              Nodeset.equal (View.view_nodes t v) (Graph.nodes (View.view t v)))
+            at)
+        views
+      && List.for_all
+           (fun k ->
+             List.for_all
+               (fun v ->
+                 let ball = Graph.ball v k g in
+                 Nodeset.equal ball
+                   (Graph.nodes (Graph.restrict_to_radius v k g))
+                 && Nodeset.equal ball (bfs_ball v k))
+               at)
+           [ 0; 1; 2; 3 ])
+
 let () =
   Alcotest.run "rmt_knowledge"
     [
@@ -329,6 +375,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_of_assignment_validation;
           Alcotest.test_case "joint" `Quick test_joint_views;
           Alcotest.test_case "local structure" `Quick test_local_structure;
+          QCheck_alcotest.to_alcotest qcheck_view_nodes;
         ] );
       ( "instance",
         [

@@ -18,8 +18,8 @@
    (`bechamel`), the `ablations`, and the performance sections whose rows
    `--json` records in BENCH_<section>.json:
 
-     core       packed antichain kernels vs the list baseline, the
-                restriction memo, cut deciders, multicore sweep, service
+     core       packed antichain kernels vs the list baseline, set
+                kernels, cut deciders, multicore sweep, service
      attack     seeded fuzzing campaigns over instances/
      sim        simulator overhead vs the engine, sweep throughput
      net        the round loop: heartbeat and flood throughput
@@ -1125,9 +1125,8 @@ let core () =
         .instance
     in
     (* The cold row: both deciders over a fixed 32-instance batch at
-       n = 14 covering all four suite classes, from an empty restriction
-       memo each run, as one-shot verdicts on fresh instances run; the
-       other cut rows repeat one instance *)
+       n = 14 covering all four suite classes, as one-shot verdicts on
+       fresh instances run; the other cut rows repeat one instance *)
     let suite_batch =
       List.map
         (fun (l : Workload.labelled) -> l.instance)
@@ -1136,7 +1135,6 @@ let core () =
     [
       Test.make ~name:"cut/suite"
         (Staged.stage (fun () ->
-             Hc.clear ();
              List.iter
                (fun inst ->
                  ignore (Cut.find_rmt_cut inst);
@@ -1150,27 +1148,6 @@ let core () =
         (Staged.stage (fun () -> Cut.find_rmt_cut_naive grid_inst));
       Test.make ~name:"cut/zpp"
         (Staged.stage (fun () -> Cut.find_rmt_zpp_cut layered));
-    ]
-  in
-  let hc_tests =
-    (* Hc.memo_restrict of the 64-set structure to each of its maximal
-       sets.  Hit path: the table already holds every pair (warmed
-       below), so each call is a content-keyed lookup; miss path:
-       Hc.clear first, so each call runs Structure.restrict and stores *)
-    let restrict_all =
-      match List.assoc_opt 64 packed with
-      | Some z ->
-        let sets = Structure.maximal_sets z in
-        fun () -> List.iter (fun a -> ignore (Hc.memo_restrict a z)) sets
-      | None -> fun () -> ()
-    in
-    restrict_all ();
-    [
-      Test.make ~name:"hc/restrict-hit" (Staged.stage restrict_all);
-      Test.make ~name:"hc/restrict-miss"
-        (Staged.stage (fun () ->
-             Hc.clear ();
-             restrict_all ()));
     ]
   in
   let nodeset_tests =
@@ -1241,7 +1218,7 @@ let core () =
   let rows =
     List.sort compare
       (run_bechamel ~quota:2.0
-         (tests @ hc_tests @ nodeset_tests @ service_tests)
+         (tests @ nodeset_tests @ service_tests)
       @ run_bechamel ~quota:5.0 decider_tests)
   in
   print_bechamel_rows rows;

@@ -34,7 +34,11 @@ val solvable : Instance.t -> Solvability.feasibility
 val blocked_nodes : Instance.t -> Nodeset.t
 (** The union of all receiver-side components over the 𝒵-pp cuts found —
     players that some admissible adversary can starve.  Empty iff
-    {!solvable}.  A node [v] is blocked iff an RMT 𝒵-pp cut shields it as
+    {!solvable} when every search completes within its budget: each
+    unmarked node gets its own budgeted search, so when {!find_zpp_cut}
+    finds a cut but every search that would mark its [B] side runs out
+    of budget, the result is empty although Broadcast is unsolvable.
+    A node [v] is blocked iff an RMT 𝒵-pp cut shields it as
     the receiver: {!Cut.boundary_search} from [v] avoiding [N[D]] under
     [View.ad_hoc inst.graph] (the search {!Cut.find_rmt_zpp_cut} runs for
     receiver [v]) finds a witness.  A witness's [b_side] is shielded by

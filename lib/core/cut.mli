@@ -67,7 +67,7 @@ val boundary_search :
     is never built, nor is any member's restriction [𝒵^{V(γ(v))}]:
     [V(γ(B))] and the members' view nodes [V(γ(v))] are threaded along
     the enumeration and the test is {!Joint.mem_restricted} against [𝒵]
-    itself, so a search never reaches {!Hc.memo_restrict}.  [local] must
+    itself, so a search restricts no structure.  [local] must
     be a {!Joint.view_nodes_cache} of [view]; callers that search from
     several seeds share one.  The
     first accepted split is the witness; [budget] caps the enumeration
@@ -134,10 +134,11 @@ val is_rmt_cut : Instance.t -> Nodeset.t -> Nodeset.t -> bool
 (** [is_rmt_cut inst c1 c2]: checks Definition 3 directly for a concrete
     split — [c1 ∪ c2] separates [D] from [R], [c1 ∈ 𝒵], and
     [c2 ∩ V(γ(B)) ∈ 𝒵_B] for [B] the receiver-side component, with [𝒵_B]
-    built by the ⊕ join ({!Joint.joint_structure}) and [V(γ(B))] as the
-    union of the members' view graphs — the test {!find_rmt_cut_naive}
-    runs per component.  The independent oracle: tests and benchmarks
-    check witnesses with it; the deciders and {!update} do not call it. *)
+    built by the ⊕ join ({!Joint.joint_structure}, restricting each
+    member's structure afresh per call) and [V(γ(B))] as the union of
+    the members' view graphs — the test {!find_rmt_cut_naive} runs per
+    component.  The independent oracle: tests and benchmarks check
+    witnesses with it; the deciders and {!update} do not call it. *)
 
 val is_rmt_zpp_cut : Instance.t -> Nodeset.t -> Nodeset.t -> bool
 (** Same for Definition 7, literally: [∀u ∈ B, N(u) ∩ C₂ ∈ 𝒵^{N[u]}],

@@ -54,7 +54,7 @@ let view_nodes_cache view =
 let joint_structure view z b =
   join_list
     (Nodeset.fold
-       (fun v acc -> Hc.memo_restrict (View.view_nodes view v) z :: acc)
+       (fun v acc -> View.local_structure view z v :: acc)
        b [])
 
 (* z ∈ ⊕ᵢ pᵢ iff z ⊆ ⋃ ground(pᵢ) and every z ∩ ground(pᵢ) ∈ pᵢ (proof

@@ -42,16 +42,18 @@ val view_nodes_cache : View.t -> int -> Nodeset.t
     derived once per search instead of once per enumerated component;
     [Broadcast.find_zpp_cut] and [Broadcast.blocked_nodes] share one ad
     hoc cache across all their searches.  The sets feed [V(γ(B))] and the
-    [views] of {!mem_restricted}.  No structure is restricted: the
-    deciders never reach {!Hc.memo_restrict}. *)
+    [views] of {!mem_restricted}, so the deciders restrict no
+    structure.  The cache lives in the closure it returns: nothing is
+    shared across searches. *)
 
 val joint_structure : View.t -> Structure.t -> Nodeset.t -> Structure.t
 (** [joint_structure γ 𝒵 B] is [𝒵_B = ⊕_{v ∈ B} 𝒵^{V(γ(v))}] — what the
     members of [B], pooling their initial knowledge, consider the maximal
     possible adversary structure (Section 2).  By Corollary 2 it always
-    contains [𝒵^{V(γ(B))}].  Each part is restricted through
-    {!Hc.memo_restrict}; this oracle (behind [Cut.find_rmt_cut_naive] and
-    [Cut.is_rmt_cut]) is the memo's only caller in the library. *)
+    contains [𝒵^{V(γ(B))}].  Each part is restricted afresh on every
+    call ({!View.local_structure}); there is no memo.  This is the ⊕
+    oracle behind [Cut.find_rmt_cut_naive] and [Cut.is_rmt_cut], the
+    independent reference the deciders are checked against. *)
 
 val mem_joint : Nodeset.t -> Structure.t list -> bool
 (** [mem_joint z parts] is [Structure.mem z (join_list parts)], decided

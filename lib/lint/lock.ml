@@ -4,14 +4,15 @@
    a top-level mutable binding is flagged unless the summary store can
    prove it lock-protected — referenced at least once, with every open
    (outside-critical-section) reference coming from a locked-only
-   function.  That proof is exactly what the old hand-written
-   [r4_sanctioned]/[sanctioned_target] hc.ml carve-outs asserted; now
-   hc.ml passes on its own merits and a regression there (say, a new
-   entry point that forgets [locked]) is a finding, not a silent hole.
+   function.  There is no by-file carve-out: a module that guards its
+   state with a lock wrapper ([let locked f = Mutex.protect lock f])
+   passes on its own merits, and a regression there (say, a new entry
+   point that forgets [locked]) is a finding, not a silent hole.
 
-   R8 verifies the lock protocol the repository depends on:
+   R8 verifies the obligations of that lock-wrapper pattern (the R8
+   fixtures in test/lint mirror it):
 
-   - {e compute-outside-lock} (Hc): a closure passed to a lock-acquiring
+   - {e compute-outside-lock}: a closure passed to a lock-acquiring
      wrapper must not transitively re-acquire a mutex, and must not
      reach allocation-heavy compute (Structure.restrict/join, the
      solvability core, the fan-out engines) — the whole point of the

@@ -2,8 +2,8 @@
     store.
 
     R4 flags top-level mutable bindings the store cannot prove
-    lock-protected (see {!Summary.lock_protected}); the old hc.ml
-    carve-outs are gone because hc.ml now passes by analysis.  R8 checks
+    lock-protected (see {!Summary.lock_protected}); there is no by-file
+    carve-out, a lock-wrapped table passes by analysis.  R8 checks
     the compute-outside-lock pattern (no re-entrant acquisition, no
     allocation-heavy compute inside a critical section), raw-lock
     hygiene (no may-raise call between [Mutex.lock] and [Mutex.unlock]

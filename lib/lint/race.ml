@@ -20,12 +20,11 @@ let exempt_file file =
   String.ends_with ~suffix:"lib/workloads/parsweep.ml" file
   || String.equal file "parsweep.ml"
 
-(* Lock-protected mutable globals (Hc's memo table and counters,
-   proven by the summary store's locked-only analysis) are not race
-   targets.  That was a hand-written file carve-out before the
-   summary store existed; now it is an analysis result, and a
-   regression — an Hc entry point that skips [locked] — resurfaces here
-   as a finding. *)
+(* Lock-protected mutable globals (a table reached only through a
+   lock wrapper, proven by the summary store's locked-only analysis)
+   are not race targets.  That is an analysis result, not a file
+   carve-out: a regression — an entry point that skips [locked] —
+   resurfaces here as a finding. *)
 
 let rule = "R6"
 

@@ -85,11 +85,11 @@ let all =
          is a data race and makes sweep results depend on scheduling.\n\
          The check runs over the summary store: a binding is exempt only\n\
          when the locked-only analysis proves every open reference to it\n\
-         sits behind a lock-acquiring wrapper (the hc.ml pattern) — there\n\
-         is no by-file carve-out.  Fix: allocate the state inside the\n\
-         function, thread it through arguments, use Atomic.t /\n\
-         Domain.DLS for genuinely global counters, or route every access\n\
-         through a locked wrapper.";
+         sits behind a lock-acquiring wrapper (let locked f =\n\
+         Mutex.protect lock f) — there is no by-file carve-out.  Fix:\n\
+         allocate the state inside the function, thread it through\n\
+         arguments, use Atomic.t / Domain.DLS for genuinely global\n\
+         counters, or route every access through a locked wrapper.";
     };
     {
       id = "R5";
@@ -175,13 +175,13 @@ let all =
         "critical-section obligations: re-entry, heavy compute under \
          lock, may-raise without Fun.protect";
       example =
-        "bad: `Hc.locked (fun () -> Structure.join a b)' — fixed: probe \
+        "bad: `locked (fun () -> Structure.join a b)' — fixed: probe \
          under the lock, compute outside, re-lock to store";
       details =
         "The repository runs one deliberate lock protocol, and R8\n\
          verifies its obligations instead of trusting carve-outs.\n\
-         (1) Hc's compute-outside-lock: a closure passed to a\n\
-         lock-acquiring wrapper (Hc.locked, Mutex.protect) must not\n\
+         (1) Compute-outside-lock: a closure passed to a\n\
+         lock-acquiring wrapper (locked, Mutex.protect) must not\n\
          transitively re-acquire a mutex (the global lock is not\n\
          re-entrant) and must not reach allocation-heavy compute\n\
          (Structure.restrict/join, the Solvability core, Cut search,\n\

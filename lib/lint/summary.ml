@@ -28,9 +28,9 @@
      site is either inside a critical section (a closure passed to a
      lock-acquiring wrapper) or in a function that is itself locked-only.
      A mutable global every open reference to which comes from
-     locked-only functions is {e lock-protected} — the analyzed form of
-     the old hand-written hc.ml carve-outs.  Initializing to false makes
-     unreferenced state unprotected, which is the safe direction. *)
+     locked-only functions is {e lock-protected}, proven by analysis
+     rather than asserted by a by-file carve-out.  Initializing to false
+     makes unreferenced state unprotected, which is the safe direction. *)
 
 type effects = {
   s_fn : string;
@@ -152,9 +152,9 @@ let conn_sanitized st name =
 let lock_protected st name = Hashtbl.mem st.st_protected name
 
 (* A reference names a lock-acquiring wrapper when it is Mutex.protect
-   itself or resolves to a function that directly acquires — Hc.locked
-   is the canonical case.  A closure passed to such a callee runs as a
-   critical section. *)
+   itself or resolves to a function that directly acquires, such as a
+   [let locked f = Mutex.protect lock f] wrapper.  A closure passed to
+   such a callee runs as a critical section. *)
 let wrapper_of graph callee =
   Names.qualified_matches [ "Mutex.protect" ] callee
   ||

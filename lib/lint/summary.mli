@@ -13,8 +13,8 @@
       resolved callees {e and} instantiation members, callees-first.
     - {e locked-only}: a least fixpoint over open (non-critical-section)
       referrers; a mutable global whose every open reference comes from
-      a locked-only function is {!lock_protected} — the analyzed
-      replacement for the old hc.ml carve-outs.
+      a locked-only function is {!lock_protected}, proven by analysis
+      rather than asserted by a by-file carve-out.
 
     All three are deterministic and independent of input order; the
     property is pinned by test/lint/test_summary_order.ml. *)

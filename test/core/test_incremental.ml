@@ -199,6 +199,13 @@ let test_stream_edgeless () =
       (Result.is_ok (Delta.apply_all inst stream))
   done
 
+(* Minor-heap words allocated by one call of [f], after a warm-up call. *)
+let minor_words f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
 (* Allocation guard, independent of host speed: on a 50-node layered
    instance under radius-1 views, one Remove_edge delta allocates at most
    8|V| minor-heap words (one adjacency copy) and one view_nodes at most
@@ -213,18 +220,65 @@ let test_allocation_bounds () =
       ~structure:(Builders.global_threshold g ~dealer:0 1)
       ~view:(View.radius 1 g) ~dealer:0 ~receiver:(n - 1)
   in
-  let words f =
-    ignore (Sys.opaque_identity (f ()));
-    let before = Gc.minor_words () in
-    ignore (Sys.opaque_identity (f ()));
-    Gc.minor_words () -. before
+  let remove =
+    minor_words (fun () -> Delta.apply inst (Delta.Remove_edge (8, 14)))
   in
-  let remove = words (fun () -> Delta.apply inst (Delta.Remove_edge (8, 14))) in
-  let ball = words (fun () -> View.view_nodes inst.view 20) in
+  let ball = minor_words (fun () -> View.view_nodes inst.view 20) in
   check (Printf.sprintf "remove-edge: %.0f words <= 8|V|" remove) true
     (remove <= float_of_int (8 * n));
   check (Printf.sprintf "view_nodes: %.0f words <= |V|" ball) true
     (ball <= float_of_int n)
+
+(* The same guard for the topology generators: each collects its edge
+   list and builds the graph once, so a 50-node layered graph and a
+   10×10 grid stay within 10(|V| + |E|) minor-heap words (the list cells
+   and pairs, the adjacency array and its sets).  Folding Graph.add_edge
+   copies the adjacency array per edge and reads 4–9× over the bound. *)
+let test_generator_allocation () =
+  List.iter
+    (fun (name, f) ->
+      let g = f () and used = minor_words f in
+      let bound =
+        10 * (Rmt_graph.Graph.num_nodes g + Rmt_graph.Graph.num_edges g)
+      in
+      check
+        (Printf.sprintf "%s: %.0f words <= 10(|V|+|E|) = %d" name used bound)
+        true
+        (used <= float_of_int bound))
+    [
+      ("layered 6x8", fun () -> Rmt_graph.Generators.layered ~width:6 ~depth:8);
+      ("grid 10x10", fun () -> Rmt_graph.Generators.grid 10 10);
+    ]
+
+let checked_in_instances () =
+  let dir = "../../instances" in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".rmt")
+  |> List.sort String.compare
+  |> List.map (fun f ->
+         match Codec.of_file (Filename.concat dir f) with
+         | Ok inst -> inst
+         | Error e -> failwith (Printf.sprintf "cannot load %s: %s" f e))
+
+(* Over instances/*.rmt under the own and the ad hoc view, Cut.update
+   given the fresh verdict and given the same verdict stripped of its
+   witness takes both of its paths: some standing witness is reused, some
+   search is re-run. *)
+let test_update_paths_on_instances () =
+  let paths =
+    List.concat_map
+      (fun (inst : Instance.t) ->
+        List.concat_map
+          (fun inst ->
+            let rmt = Cut.find_rmt_cut inst in
+            List.map
+              (fun prev -> snd (Cut.update ~prev inst))
+              [ rmt; { rmt with cut_found = None } ])
+          [ inst; Instance.with_view inst (View.ad_hoc inst.graph) ])
+      (checked_in_instances ())
+  in
+  check "update reused a witness" true (List.mem `Witness_reused paths);
+  check "update re-searched" true (List.mem `Researched paths)
 
 let () =
   Alcotest.run "incremental"
@@ -236,6 +290,10 @@ let () =
           Alcotest.test_case "edgeless delta stream" `Quick
             test_stream_edgeless;
           Alcotest.test_case "allocation bounds" `Quick test_allocation_bounds;
+          Alcotest.test_case "generator allocation" `Quick
+            test_generator_allocation;
+          Alcotest.test_case "update paths on instances" `Quick
+            test_update_paths_on_instances;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]
